@@ -86,6 +86,8 @@ class CurveTrace:
 def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
     """Unit top-view direction of the chosen field, sign-aligned with ref."""
     jet = evaluate(spec, u, v, check=True)
+    if not np.isfinite((jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)).all():
+        raise DegenerateJet("chart jet is not finite")
     hj = height_jet_from_param(jet)
     if kind in ("characteristic+", "characteristic-"):
         tp, tm = characteristic_directions(hj)
@@ -96,6 +98,8 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
             raise Umbilic("principal directions undefined at an umbilic")
         d = cur.d1 if kind == "principal1" else cur.d2
     d = np.asarray(d, float).reshape(2)
+    if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+        raise DegenerateJet("field direction is not finite")
     if ref is not None and float(d @ ref) < 0.0:
         d = -d
     return d, jet
@@ -119,9 +123,10 @@ def trace_direction_field(
     """Integrate the chosen direction field from seed with fixed-step RK4.
 
     The direction sign at every stage is chosen for continuity against the
-    step's starting direction. A singularity, domain exit, or umbilic hit
-    after the first sample truncates the trace (stopped says why); at the
-    seed itself an umbilic raises UmbilicEncountered and other geometry
+    step's starting direction. A singularity, domain exit, umbilic hit, or
+    non-finite chart jet, direction or parameter state after the first
+    sample truncates the trace before that sample (stopped says why); at
+    the seed itself an umbilic raises UmbilicEncountered and other geometry
     errors propagate.
     """
     if kind not in TRACE_KINDS:
@@ -152,12 +157,12 @@ def trace_direction_field(
             k4 = rhs(u + dt * k3[0], v + dt * k3[1])
             du, dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             u, v = u + du, v + dv
+            if not (math.isfinite(u) and math.isfinite(v)):
+                stopped = "non-finite parameter state"
+                break
             d, jet = _field_direction(spec, u, v, kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
-            break
-        if not (math.isfinite(u) and math.isfinite(v)):
-            stopped = "non-finite parameter state"
             break
         ref = d
         ts.append((i + 1) * dt)

@@ -64,25 +64,29 @@ def dual_from_tangent(r, ru, rv) -> np.ndarray:
     """Dual surface point from first derivatives of a parameterization.
 
     The tangent plane at r is z = a x + b y + c with (a, b) solving the
-    two-by-two top-view system; the dual point is (a, b, -c).
+    two-by-two top-view system; the dual point is (a, b, -c). Vectorized
+    over leading axes (vectors in the last axis); raises NonAdmissiblePoint
+    when any tangent plane is vertical.
     """
-    r = np.asarray(r, float).reshape(3)
-    ru = np.asarray(ru, float).reshape(3)
-    rv = np.asarray(rv, float).reshape(3)
-    det = ru[0] * rv[1] - ru[1] * rv[0]
-    if abs(det) < 1e-14 * max(1.0, np.linalg.norm(ru) * np.linalg.norm(rv)):
+    r = np.asarray(r, float)
+    ru = np.asarray(ru, float)
+    rv = np.asarray(rv, float)
+    det = ru[..., 0] * rv[..., 1] - ru[..., 1] * rv[..., 0]
+    size = np.linalg.norm(ru, axis=-1) * np.linalg.norm(rv, axis=-1)
+    if np.any(np.abs(det) < 1e-14 * np.maximum(1.0, size)):
         raise NonAdmissiblePoint("tangent plane is vertical; dual point undefined")
-    a = (ru[2] * rv[1] - rv[2] * ru[1]) / det
-    b = (ru[0] * rv[2] - rv[0] * ru[2]) / det
-    c = r[2] - a * r[0] - b * r[1]
-    return np.array([a, b, -c])
+    a = (ru[..., 2] * rv[..., 1] - rv[..., 2] * ru[..., 1]) / det
+    b = (ru[..., 0] * rv[..., 2] - rv[..., 0] * ru[..., 2]) / det
+    c = r[..., 2] - a * r[..., 0] - b * r[..., 1]
+    return np.stack([a, b, -c], axis=-1)
 
 
 def dual_surface_point(jet) -> np.ndarray:
-    """Dual point of a surface jet (ParamJet2 or Jet2Height)."""
+    """Dual point of a surface jet (ParamJet2 or Jet2Height), shape (..., 3)."""
     if isinstance(jet, Jet2Height):
-        fx, fy = jet.fx, jet.fy
-        return np.array([fx, fy, jet.x0 * fx + jet.y0 * fy - jet.f])
+        fx, fy = np.asarray(jet.fx, float), np.asarray(jet.fy, float)
+        return np.stack(np.broadcast_arrays(
+            fx, fy, jet.x0 * fx + jet.y0 * fy - jet.f), axis=-1)
     j: ParamJet2 = jet
     return dual_from_tangent(j.r, j.ru, j.rv)
 
@@ -108,9 +112,9 @@ def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dual_map_jet(
-    jet_fn: Callable[[float, float], ParamJet2],
-    u: float,
-    v: float,
+    jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2],
+    u,
+    v,
     h: float = 1e-4,
 ) -> ParamJet2:
     """2-jet of the dual surface by finite differences of the dual map.
@@ -121,18 +125,27 @@ def dual_map_jet(
     check independent of primal third derivatives while avoiding the
     cancellation that direct second differences of large dual coordinates
     would suffer.
+
+    u and v may be scalars or arrays of a common broadcast shape S; jet_fn
+    is called once on the (S, 11) stencil (five u-offsets, five v-offsets,
+    the centre) and must be vectorized. The fields come out shaped (S, 3).
+    Raises NonAdmissiblePoint when any stencil point has a vertical tangent.
     """
+    u, v = np.broadcast_arrays(np.asarray(u, float)[..., None], np.asarray(v, float)[..., None])
+    # stencil point i < 5 sits at offset (i - 2) h along u, point 5 + i at
+    # the same offset along v, point 10 at the centre
+    steps = np.arange(-2, 3) * h
+    U = np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1)
+    V = np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1)
+    jet = jet_fn(U, V)
+    du, dv = dual_velocity(jet)
+    r = dual_from_tangent(jet.r[..., 10, :], jet.ru[..., 10, :], jet.rv[..., 10, :])
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    vel_u = [dual_velocity(jet_fn(u + (i - 2) * h, v)) for i in range(5)]
-    vel_v = [dual_velocity(jet_fn(u, v + (k - 2) * h)) for k in range(5)]
-    center = jet_fn(u, v)
-    r = dual_surface_point(center)
-    ru, rv = dual_velocity(center)
-    ruu = sum(w * d[0] for w, d in zip(w1, vel_u))
-    rvv = sum(w * d[1] for w, d in zip(w1, vel_v))
-    ruv = 0.5 * (sum(w * d[1] for w, d in zip(w1, vel_u))
-                 + sum(w * d[0] for w, d in zip(w1, vel_v)))
-    return ParamJet2(r=r, ru=ru, rv=rv, ruu=ruu, ruv=ruv, rvv=rvv)
+    ruu = sum(w * du[..., i, :] for i, w in enumerate(w1))
+    rvv = sum(w * dv[..., 5 + i, :] for i, w in enumerate(w1))
+    ruv = 0.5 * (sum(w * dv[..., i, :] for i, w in enumerate(w1))
+                 + sum(w * du[..., 5 + i, :] for i, w in enumerate(w1)))
+    return ParamJet2(r=r, ru=du[..., 10, :], rv=dv[..., 10, :], ruu=ruu, ruv=ruv, rvv=rvv)
 
 
 def dual_curvature_check(
@@ -145,30 +158,27 @@ def dual_curvature_check(
     """Max deviations of (K* K - 1, H* - H/K) over a parameter grid.
 
     Dual curvatures come from finite-difference jets of the exact dual
-    points. Grid nodes where the primal surface is too flat (|K| below
-    k_floor, where 1/K is numerically meaningless) are skipped.
+    points, one batched jet over all usable nodes. Grid nodes where the
+    primal surface is too flat (|K| below k_floor, where 1/K is
+    numerically meaningless) are skipped; NaN deviations are ignored.
     """
-    def jet_fn(uu: float, vv: float) -> ParamJet2:
+    def jet_fn(uu, vv) -> ParamJet2:
         return evaluate(spec, uu, vv, check=False)
 
-    worst_k = 0.0
-    worst_h = 0.0
-    used = 0
-    for u in np.asarray(us, float).ravel():
-        for v in np.asarray(vs, float).ravel():
-            cur = isotropic_curvatures(height_jet_from_param(jet_fn(u, v)))
-            K = float(cur.K)
-            H = float(cur.H)
-            if abs(K) < k_floor:
-                continue
-            dj = dual_map_jet(jet_fn, u, v, h=h)
-            dcur = isotropic_curvatures(height_jet_from_param(dj))
-            worst_k = max(worst_k, abs(float(dcur.K) * K - 1.0))
-            worst_h = max(worst_h, abs(float(dcur.H) - H / K))
-            used += 1
-    if used == 0:
+    U, V = np.meshgrid(np.asarray(us, float).ravel(), np.asarray(vs, float).ravel(),
+                       indexing="ij")
+    cur = isotropic_curvatures(height_jet_from_param(jet_fn(U, V)))
+    K, H = cur.K, cur.H
+    keep = ~(np.abs(K) < k_floor)
+    if not keep.any():
         raise NonAdmissiblePoint("no grid node had usable curvature for the dual check")
-    return worst_k, worst_h
+    K, H = K[keep], H[keep]
+    dj = dual_map_jet(jet_fn, U[keep], V[keep], h=h)
+    dcur = isotropic_curvatures(height_jet_from_param(dj))
+    # fmax skips NaN deviations, as a running Python max would
+    worst_k = np.fmax.reduce(np.abs(dcur.K * K - 1.0), initial=0.0)
+    worst_h = np.fmax.reduce(np.abs(dcur.H - H / K), initial=0.0)
+    return float(worst_k), float(worst_h)
 
 
 def involution_check(

@@ -29,10 +29,6 @@ class UmbilicEncountered(Umbilic):
     """An umbilic point blocked a trace at its seed."""
 
 
-class SingularEncountered(GeometryError):
-    """A trace ran into a singular or non-admissible point; prefix returned."""
-
-
 class SingularLocus(GeometryError):
     """Evaluation requested within the masked margin of a singular locus."""
 

@@ -866,17 +866,30 @@ def catalog_entry(family_id: str) -> _Entry:
 
 def make_spec(family_id: str, params: Mapping[str, float] | None = None,
               domain: tuple[float, float, float, float] | None = None) -> FamilySpec:
-    """Validate parameters, fill defaults, and build a FamilySpec."""
+    """Validate parameters, fill defaults, and build a FamilySpec.
+
+    Raises InvalidParams for unknown or non-finite parameters, parameters
+    outside the family's constraints, and a domain that is not four finite
+    bounds of nonzero width. A reversed interval (u_min > u_max) is allowed:
+    it reverses the sampling direction. The CLI rejects it at parsing.
+    """
     entry = catalog_entry(family_id)
     merged = dict(entry.defaults)
     for k, v in (params or {}).items():
         if k not in entry.param_names:
             raise InvalidParams(f"{family_id} does not take parameter '{k}'")
         merged[k] = float(v)
+    for k, v in merged.items():
+        if not math.isfinite(v):
+            raise InvalidParams(f"{family_id}: parameter '{k}' must be finite, got {v}")
     entry.validate(merged)
     dom = tuple(float(t) for t in (domain if domain is not None else entry.default_domain(merged)))
     if len(dom) != 4:
         raise InvalidParams("domain must be (u_min, u_max, v_min, v_max)")
+    if not all(math.isfinite(t) for t in dom):
+        raise InvalidParams(f"domain bounds must be finite, got {dom}")
+    if dom[0] == dom[1] or dom[2] == dom[3]:
+        raise InvalidParams(f"domain box has zero width, got {dom}")
     return FamilySpec(family_id=family_id, params=merged, domain=dom,
                       singular_loci=entry.loci_desc(merged))
 

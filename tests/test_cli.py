@@ -155,6 +155,34 @@ def test_verify_invalid_single_request_errors(tmp_path):
     assert rc == 1
 
 
+def test_verify_rejects_non_finite_ratio(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "trans_paraboloid", "--a", "nan", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+# --- input boundary ---------------------------------------------------------------
+
+def test_generate_rejects_non_finite_domain(tmp_path, capsys):
+    out = tmp_path / "m.obj"
+    rc = main(["generate", "--family", "helicoid", "--domain", "0,inf,0,1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_generate_rejects_reversed_domain(tmp_path, capsys):
+    out = tmp_path / "m.obj"
+    rc = main(["generate", "--family", "helicoid", "--domain", "1,-1,-1,1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # --- trace ----------------------------------------------------------------------
 
 def test_trace_family_alias_and_csv(tmp_path):
@@ -170,6 +198,22 @@ def test_trace_family_alias_and_csv(tmp_path):
     r = [np.hypot(float(l.split(",")[1]), float(l.split(",")[2])) for l in lines[1:]]
     dr = np.diff(r)
     assert np.all(dr > 0) or np.all(dr < 0)
+
+
+def test_trace_stops_before_a_non_finite_chart_point(tmp_path, capsys):
+    # this trace walks onto a singular locus where (u, v) stays finite but the
+    # chart point is infinite; the CSV must end at the last finite row
+    out = tmp_path / "t.csv"
+    rc = main(["trace", "--family", "dual_trans_iso_noniso", "--kind", "char-",
+               "--steps", "111", "--dt", "0.01", "--a", "-0.649387",
+               "--seed=-0.1476903031133826,1.0469617197806134", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()[1:]
+    assert 1 < len(rows) < 112
+    assert np.all(np.isfinite([[float(t) for t in r.split(",")] for r in rows]))
+    err = capsys.readouterr().err
+    assert f"trace stopped after {len(rows) - 1} steps" in err
+    assert "not finite" in err
 
 
 def test_trace_needs_a_seed(tmp_path, capsys):

@@ -136,6 +136,94 @@ def test_dual_of_helicoid_is_minimal():
     assert abs(float(dcur.H)) <= 1e-6
 
 
+BATCH_FAMILIES = [
+    ("helical_general", {"a": 2.0}),
+    ("euclidean_rotational", {"a": -2.0}),
+    ("dual_trans_iso_noniso", {"a": -2.0}),
+    ("dual_trans_minimal", {}),
+    ("trans_paraboloid", {"a": 2.0}),
+    ("spiral_ruled", {"a": -2.0}),
+    ("helicoid", {}),
+]
+
+
+def pointwise_dual_jet(jet_fn, u, v, h=1e-4):
+    """The dual jet at one point from scalar chart, velocity and point calls."""
+    w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    vel_u = [dual_velocity(jet_fn(u + (i - 2) * h, v)) for i in range(5)]
+    vel_v = [dual_velocity(jet_fn(u, v + (k - 2) * h)) for k in range(5)]
+    center = jet_fn(u, v)
+    ru, rv = dual_velocity(center)
+    return {
+        "r": dual_surface_point(center), "ru": ru, "rv": rv,
+        "ruu": sum(wi * d[0] for wi, d in zip(w, vel_u)),
+        "rvv": sum(wi * d[1] for wi, d in zip(w, vel_v)),
+        "ruv": 0.5 * (sum(wi * d[1] for wi, d in zip(w, vel_u))
+                      + sum(wi * d[0] for wi, d in zip(w, vel_v))),
+    }
+
+
+def assert_jet_matches_scalar_calls(spec, U, V, dj):
+    def jet_fn(uu, vv):
+        return evaluate(spec, uu, vv, check=False)
+
+    for idx in np.ndindex(np.shape(U)):
+        one = pointwise_dual_jet(jet_fn, float(U[idx]), float(V[idx]))
+        for name, rtol in [("r", 1e-13), ("ru", 1e-13), ("rv", 1e-13),
+                           ("ruu", 1e-10), ("ruv", 1e-10), ("rvv", 1e-10)]:
+            x, y = one[name], getattr(dj, name)[idx]
+            assert np.all(np.abs(y - x) <= rtol * np.maximum(1.0, np.abs(x))), (
+                spec.family_id, idx, name)
+
+
+@pytest.mark.parametrize("fid,params", BATCH_FAMILIES)
+def test_batched_dual_jet_matches_scalar_calls(fid, params):
+    spec = make_spec(fid, params)
+    us, vs = grid(spec, n=4)
+
+    def jet_fn(uu, vv):
+        return evaluate(spec, uu, vv, check=False)
+
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    dj = dual_map_jet(jet_fn, U, V)
+    assert dj.r.shape == dj.ruu.shape == (4, 4, 3)
+    assert_jet_matches_scalar_calls(spec, U, V, dj)
+    flat = dual_map_jet(jet_fn, U.ravel(), V.ravel())
+    assert flat.rvv.shape == (16, 3)
+    assert_jet_matches_scalar_calls(spec, U.ravel(), V.ravel(), flat)
+
+
+def test_scalar_dual_jet_has_vector_fields():
+    spec = make_spec("trans_paraboloid", {"a": 2.0})
+    dj = dual_map_jet(lambda uu, vv: evaluate(spec, uu, vv, check=False), 0.4, 0.1)
+    for name in ("r", "ru", "rv", "ruu", "ruv", "rvv"):
+        assert getattr(dj, name).shape == (3,), name
+
+
+def test_batched_dual_jet_rejects_a_vertical_tangent():
+    # the helicoid's tangent plane is vertical on its axis u = 0, which the
+    # stencil of u = 2h reaches at its offset -2h
+    spec = make_spec("helicoid", {})
+
+    def jet_fn(uu, vv):
+        return evaluate(spec, uu, vv, check=False)
+
+    dual_map_jet(jet_fn, np.array([0.8, 1.2]), np.array([0.3, 0.7]))
+    for u_bad in (0.0, 2e-4):
+        with pytest.raises(NonAdmissiblePoint):
+            dual_map_jet(jet_fn, np.array([0.8, u_bad, 1.2]), np.array([0.3, 0.5, 0.7]))
+
+
+def test_dual_from_tangent_is_vectorized():
+    r = np.zeros((2, 3))
+    ru = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+    rv = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, -1.0]])
+    assert_allclose(dual_from_tangent(r, ru, rv), [[2.0, 3.0, 0.0], [0.0, -1.0, 0.0]])
+    ru[1] = (0.0, 0.0, 1.0)
+    with pytest.raises(NonAdmissiblePoint):
+        dual_from_tangent(r, ru, rv)
+
+
 def test_dual_curvature_grid_checks():
     cases = [
         ("trans_paraboloid", {"a": 2.0}),
