@@ -2,7 +2,8 @@
 
 Library layout:
 
-- geometry: jets, isotropic/Euclidean curvatures, characteristic directions
+- geometry: jets, the Monge (height-field) conversion with its admissibility
+  test, isotropic/Euclidean curvatures, characteristic directions
 - families: the catalog of exact surface families and similarity transforms
 - curves: direction-field tracing, top-view angles, osculating circles,
   contact with parabolic spheres
@@ -27,6 +28,7 @@ from .geometry import (
     height_jet_from_param,
     isotropic_curvatures,
     isotropic_norm,
+    monge_jet,
     normal_curvature,
     point3,
     unit_topdir,
@@ -50,6 +52,7 @@ __all__ = [
     "isotropic_curvatures",
     "isotropic_norm",
     "make_spec",
+    "monge_jet",
     "normal_curvature",
     "point3",
     "unit_topdir",

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families as fam
-from .duality import dual_map_jet
-from .errors import DegenerateK, GeometryError, InvalidParams
-from .geometry import K_EPS, height_jet_from_param, isotropic_curvatures
-from .meshing import obj_text, sample_grid
+from .duality import dual_curvature_check, dual_surface_point
+from .errors import DegenerateK, GeometryError, InvalidParams, NonAdmissiblePoint
+from .geometry import K_EPS, monge_jet
+from .meshing import fmt_float, obj_text, sample_grid, write_text
 from .curves import TRACE_KINDS, trace_direction_field
 from .residuals import family_ode_residual
 
@@ -31,17 +31,9 @@ DEFAULT_TOL = {"crpc": 1e-8, "H": 1e-9, "ode": 1e-8, "dual": 1e-4}
 VERIFY_HEADER = ("family,a,nu,nv,max_abs_crpc_residual,max_abs_H,"
                  "ode_residual,dualK_residual,status")
 
-_FLOAT_FMT = "%.17g"
-
 # accept "-2", "-0.5,2", "-1e-3,2" etc. as option values, not option names
 _NUM_U = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _NEG_NUMBER_LIST = re.compile(rf"^-{_NUM_U}(?:,-?{_NUM_U})*$")
-
-
-def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return _FLOAT_FMT % x
 
 
 @dataclass
@@ -130,14 +122,13 @@ def _parse_tol(value) -> dict:
     return out
 
 
-def _parse_a_list(value) -> list | None:
+def _parse_a_list(value: str | None) -> list | None:
     if value is None:
         return None
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(p) for p in str(value).split(",") if p.strip()]
+    vals = [float(p) for p in value.split(",") if p.strip()]
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParams(f"--a values must be finite, got {value}")
+    return vals
 
 
 def _resolve_family(name: str) -> str:
@@ -214,11 +205,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_text(text, out or sys.stdout)
 
 
 def _spec_from_cfg(cfg: RunConfig) -> fam.FamilySpec:
@@ -272,14 +259,8 @@ def cmd_dual(cfg: RunConfig) -> int:
     grid = sample_grid(spec, *cfg.res)
     U, V = np.meshgrid(grid.us, grid.vs, indexing="ij")
     with np.errstate(all="ignore"):
-        jet = fam.evaluate(spec, U, V, check=False)
-        xu, yu, zu = jet.ru[..., 0], jet.ru[..., 1], jet.ru[..., 2]
-        xv, yv, zv = jet.rv[..., 0], jet.rv[..., 1], jet.rv[..., 2]
-        det = xu * yv - yu * xv
-        p1 = (zu * yv - zv * yu) / det
-        p2 = (xu * zv - xv * zu) / det
-        p3 = jet.r[..., 0] * p1 + jet.r[..., 1] * p2 - jet.r[..., 2]
-        dual_pts = np.stack([p1, p2, p3], axis=-1)
+        hj, _singular = monge_jet(fam.evaluate(spec, U, V, check=False))
+        dual_pts = dual_surface_point(hj)
     mask = grid.mask | ~np.all(np.isfinite(dual_pts), axis=-1)
     mask |= ~(np.abs(grid.K) >= K_EPS)  # dual surface degenerates where K = 0
     if mask.all():
@@ -302,10 +283,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     if kind not in TRACE_KINDS:
         raise ValueError(f"--kind must be one of {TRACE_KINDS} (or char+/char-)")
     tr = trace_direction_field(spec, seed_uv, kind, steps=cfg.steps, dt=cfg.dt)
-    if cfg.out:
-        tr.to_csv(cfg.out)
-    else:
-        tr.to_csv(sys.stdout)
+    tr.to_csv(cfg.out or sys.stdout)
     if tr.stopped:
         print(f"{spec.family_id}: trace stopped after {len(tr) - 1} steps "
               f"({tr.stopped})", file=sys.stderr)
@@ -313,19 +291,14 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def _verify_combos(fid: str, cfg: RunConfig, hyps: list | None):
-    """(hypothesis a, params) pairs for one family; invalid ones are dropped."""
-    takes_a = "a" in fam.catalog_entry(fid).param_names
+    """(hypothesis a, params) pairs for one family; --params a=... wins over --a."""
     if hyps is None:
         yield None, dict(cfg.params)
-        return
-    if not takes_a:
+    elif "a" not in fam.catalog_entry(fid).param_names:
         yield -1.0, dict(cfg.params)
-        return
-    for aval in hyps:
-        p = dict(cfg.params)
-        if "a" not in p:
-            p["a"] = aval
-        yield aval, p
+    else:
+        for aval in hyps:
+            yield aval, {"a": aval, **cfg.params}
 
 
 def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
@@ -344,19 +317,11 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     for t in take:
         ode = max(ode, family_ode_residual(spec, grid.us[ii[t]], grid.vs[jj[t]]))
 
-    def jet_fn(uu, vv):
-        return fam.evaluate(spec, uu, vv, check=False)
-
     # the dual law K* K = 1 on the sampled nodes that are not too flat
-    it, jt = ii[take], jj[take]
-    K = grid.K[it, jt]
-    keep = ~(np.abs(K) < 1e-6)
-    dual_val = float("nan")
-    if keep.any():
-        dj = dual_map_jet(jet_fn, grid.us[it[keep]], grid.vs[jt[keep]])
-        dcur = isotropic_curvatures(height_jet_from_param(dj))
-        # NaN deviations are ignored, as a running Python max would
-        dual_val = float(np.fmax.reduce(np.abs(dcur.K * K[keep] - 1.0), initial=0.0))
+    try:
+        dual_val, _ = dual_curvature_check(spec, grid.us[ii[take]], grid.vs[jj[take]])
+    except NonAdmissiblePoint:
+        dual_val = float("nan")  # every sampled node is too flat
     return crpc, max_h, ode, dual_val
 
 
@@ -366,7 +331,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         fids = fam.family_ids()
     else:
         fids = (_resolve_family(cfg.family),)
-        fam.catalog_entry(fids[0])  # fail fast on unknown names
+        entry = fam.catalog_entry(fids[0])  # fail fast on unknown names
+        if hyps is not None and "a" not in entry.param_names:
+            raise InvalidParams(f"{fids[0]} takes no ratio; --a does not apply")
     nu, nv = cfg.res
     tol = dict(DEFAULT_TOL)
     tol.update(cfg.tol)
@@ -401,8 +368,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     lines = [VERIFY_HEADER]
     for fid, a_hyp, crpc, max_h, ode, dual_val, status in rows:
         lines.append(",".join([
-            fid, _fmt(a_hyp), str(nu), str(nv),
-            _fmt(crpc), _fmt(max_h), _fmt(ode), _fmt(dual_val), status,
+            fid, fmt_float(a_hyp), str(nu), str(nv),
+            fmt_float(crpc), fmt_float(max_h), fmt_float(ode), fmt_float(dual_val), status,
         ]))
     _write_text("\n".join(lines) + "\n", cfg.out)
     if not rows:

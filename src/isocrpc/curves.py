@@ -34,17 +34,10 @@ from .geometry import (
     isotropic_curvatures,
     normal_curvature,
 )
+from .meshing import fmt_float, write_text
 from .spheres import CYLINDRIC, ELLIPTIC, PARABOLIC, ParabolicSphere, tangent_sphere
 
 TRACE_KINDS = ("characteristic+", "characteristic-", "principal1", "principal2")
-
-_FLOAT_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return _FLOAT_FMT % x
 
 
 @dataclass(frozen=True)
@@ -70,17 +63,12 @@ class CurveTrace:
         """Write t,x,y,z,tx,ty rows at 17 significant digits."""
         rows = ["t,x,y,z,tx,ty"]
         for i in range(len(self.t)):
-            rows.append(",".join(_fmt(v) for v in (
+            rows.append(",".join(fmt_float(v) for v in (
                 self.t[i],
                 self.points[i, 0], self.points[i, 1], self.points[i, 2],
                 self.top_dirs[i, 0], self.top_dirs[i, 1],
             )))
-        text = "\n".join(rows) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(text)
+        write_text("\n".join(rows) + "\n", path)
 
 
 def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
@@ -148,8 +136,8 @@ def trace_direction_field(
     for i in range(steps):
         try:
             def rhs(uu, vv):
-                d, _ = _field_direction(spec, uu, vv, kind, ref)
-                return _lift(evaluate(spec, uu, vv, check=False), d)
+                d, jet = _field_direction(spec, uu, vv, kind, ref)
+                return _lift(jet, d)
 
             k1 = rhs(u, v)
             k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])

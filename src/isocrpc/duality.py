@@ -18,10 +18,10 @@ import numpy as np
 from .errors import NonAdmissiblePoint
 from .families import FamilySpec, evaluate
 from .geometry import (
-    Jet2Height,
     ParamJet2,
     height_jet_from_param,
     isotropic_curvatures,
+    monge_gradient,
 )
 
 
@@ -60,35 +60,32 @@ def isotropic_angle(e1: NonIsoPlane, e2: NonIsoPlane) -> float:
     return math.hypot(e1.p1 - e2.p1, e1.p2 - e2.p2)
 
 
+def _plane_point(x, y, z, fx, fy) -> np.ndarray:
+    # the tangent plane z = fx x + fy y + c through (x, y, z) is dual to (fx, fy, -c)
+    return np.stack(np.broadcast_arrays(fx, fy, x * fx + y * fy - z), axis=-1)
+
+
 def dual_from_tangent(r, ru, rv) -> np.ndarray:
     """Dual surface point from first derivatives of a parameterization.
 
-    The tangent plane at r is z = a x + b y + c with (a, b) solving the
-    two-by-two top-view system; the dual point is (a, b, -c). Vectorized
-    over leading axes (vectors in the last axis); raises NonAdmissiblePoint
-    when any tangent plane is vertical.
+    The tangent plane at r is z = a x + b y + c with (a, b) the height
+    gradient of geometry.monge_gradient; the dual point is (a, b, -c).
+    Vectorized over leading axes (vectors in the last axis); raises
+    NonAdmissiblePoint when any point is not admissible.
     """
     r = np.asarray(r, float)
-    ru = np.asarray(ru, float)
-    rv = np.asarray(rv, float)
-    det = ru[..., 0] * rv[..., 1] - ru[..., 1] * rv[..., 0]
-    size = np.linalg.norm(ru, axis=-1) * np.linalg.norm(rv, axis=-1)
-    if np.any(np.abs(det) < 1e-14 * np.maximum(1.0, size)):
+    fx, fy, _det, singular = monge_gradient(np.asarray(ru, float), np.asarray(rv, float))
+    if np.any(singular):
         raise NonAdmissiblePoint("tangent plane is vertical; dual point undefined")
-    a = (ru[..., 2] * rv[..., 1] - rv[..., 2] * ru[..., 1]) / det
-    b = (ru[..., 0] * rv[..., 2] - rv[..., 0] * ru[..., 2]) / det
-    c = r[..., 2] - a * r[..., 0] - b * r[..., 1]
-    return np.stack([a, b, -c], axis=-1)
+    return _plane_point(r[..., 0], r[..., 1], r[..., 2], fx, fy)
 
 
 def dual_surface_point(jet) -> np.ndarray:
     """Dual point of a surface jet (ParamJet2 or Jet2Height), shape (..., 3)."""
-    if isinstance(jet, Jet2Height):
-        fx, fy = np.asarray(jet.fx, float), np.asarray(jet.fy, float)
-        return np.stack(np.broadcast_arrays(
-            fx, fy, jet.x0 * fx + jet.y0 * fy - jet.f), axis=-1)
-    j: ParamJet2 = jet
-    return dual_from_tangent(j.r, j.ru, j.rv)
+    if isinstance(jet, ParamJet2):
+        return dual_from_tangent(jet.r, jet.ru, jet.rv)
+    return _plane_point(jet.x0, jet.y0, jet.f,
+                        np.asarray(jet.fx, float), np.asarray(jet.fy, float))
 
 
 def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
@@ -150,35 +147,40 @@ def dual_map_jet(
 
 def dual_curvature_check(
     spec: FamilySpec,
-    us: np.ndarray,
-    vs: np.ndarray,
+    u,
+    v,
     h: float = 1e-4,
     k_floor: float = 1e-6,
 ) -> tuple[float, float]:
-    """Max deviations of (K* K - 1, H* - H/K) over a parameter grid.
+    """Max deviations of (K* K - 1, H* - H/K) at the chart points (u, v).
 
-    Dual curvatures come from finite-difference jets of the exact dual
-    points, one batched jet over all usable nodes. Grid nodes where the
-    primal surface is too flat (|K| below k_floor, where 1/K is
-    numerically meaningless) are skipped; NaN deviations are ignored.
+    u and v are arrays (or scalars) of a common broadcast shape. Dual
+    curvatures come from finite-difference jets of the exact dual points,
+    one batched jet over all usable points. Points where the primal surface
+    is too flat (|K| below k_floor, where 1/K is numerically meaningless)
+    are skipped, and NonAdmissiblePoint is raised when none is left; NaN
+    deviations are ignored.
     """
     def jet_fn(uu, vv) -> ParamJet2:
         return evaluate(spec, uu, vv, check=False)
 
-    U, V = np.meshgrid(np.asarray(us, float).ravel(), np.asarray(vs, float).ravel(),
-                       indexing="ij")
+    U, V = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
     cur = isotropic_curvatures(height_jet_from_param(jet_fn(U, V)))
-    K, H = cur.K, cur.H
-    keep = ~(np.abs(K) < k_floor)
+    keep = ~(np.abs(cur.K) < k_floor)
     if not keep.any():
-        raise NonAdmissiblePoint("no grid node had usable curvature for the dual check")
-    K, H = K[keep], H[keep]
+        raise NonAdmissiblePoint("no point had usable curvature for the dual check")
+    K, H = cur.K[keep], cur.H[keep]
     dj = dual_map_jet(jet_fn, U[keep], V[keep], h=h)
     dcur = isotropic_curvatures(height_jet_from_param(dj))
     # fmax skips NaN deviations, as a running Python max would
     worst_k = np.fmax.reduce(np.abs(dcur.K * K - 1.0), initial=0.0)
     worst_h = np.fmax.reduce(np.abs(dcur.H - H / K), initial=0.0)
     return float(worst_k), float(worst_h)
+
+
+def _grid(us, vs):
+    return np.meshgrid(np.asarray(us, float).ravel(), np.asarray(vs, float).ravel(),
+                       indexing="ij")
 
 
 def involution_check(
@@ -188,19 +190,17 @@ def involution_check(
     h: float = 1e-4,
 ) -> float:
     """Max |dual(dual(r)) - r| over a grid, with the second dual via fd tangents."""
-    worst = 0.0
-    for u in np.asarray(us, float).ravel():
-        for v in np.asarray(vs, float).ravel():
-            def D(uu: float, vv: float) -> np.ndarray:
-                return dual_surface_point(evaluate(spec, uu, vv, check=False))
+    U, V = _grid(us, vs)
 
-            r0 = np.asarray(evaluate(spec, u, v, check=False).r, float).reshape(3)
-            d0 = D(u, v)
-            du = (D(u + h, v) - D(u - h, v)) / (2 * h)
-            dv = (D(u, v + h) - D(u, v - h)) / (2 * h)
-            back = dual_from_tangent(d0, du, dv)
-            worst = max(worst, float(np.max(np.abs(back - r0))))
-    return worst
+    def D(uu, vv) -> np.ndarray:
+        return dual_surface_point(evaluate(spec, uu, vv, check=False))
+
+    du = (D(U + h, V) - D(U - h, V)) / (2 * h)
+    dv = (D(U, V + h) - D(U, V - h)) / (2 * h)
+    back = dual_from_tangent(D(U, V), du, dv)
+    dev = np.max(np.abs(back - evaluate(spec, U, V, check=False).r), axis=-1)
+    # fmax skips points with a NaN deviation, as a running Python max would
+    return float(np.fmax.reduce(dev.ravel(), initial=0.0))
 
 
 def line_fit_residual(points: np.ndarray) -> float:
@@ -226,25 +226,14 @@ def conjugate_geodesic_net_check(
     vanishes in net directions (second value: worst |cu^T Hess cv| with
     unit top-view net tangents).
     """
-    us = np.asarray(us, float).ravel()
-    vs = np.asarray(vs, float).ravel()
-    worst_line = 0.0
-    for u in us:
-        pts = np.stack([evaluate(spec, u, v, check=False).r[:2] for v in vs])
-        worst_line = max(worst_line, line_fit_residual(pts))
-    for v in vs:
-        pts = np.stack([evaluate(spec, u, v, check=False).r[:2] for u in us])
-        worst_line = max(worst_line, line_fit_residual(pts))
+    U, V = _grid(us, vs)
+    jet = evaluate(spec, U, V, check=False)
+    top = jet.r[..., :2]
+    worst_line = max(0.0, *map(line_fit_residual, (*top, *top.transpose(1, 0, 2))))
 
-    worst_conj = 0.0
-    for u in us:
-        for v in vs:
-            jet = evaluate(spec, u, v, check=False)
-            hj = height_jet_from_param(jet)
-            hess = np.array([[hj.fxx, hj.fxy], [hj.fxy, hj.fyy]])
-            cu = np.asarray(jet.ru[:2], float)
-            cv = np.asarray(jet.rv[:2], float)
-            cu = cu / np.linalg.norm(cu)
-            cv = cv / np.linalg.norm(cv)
-            worst_conj = max(worst_conj, abs(float(cu @ hess @ cv)))
-    return worst_line, worst_conj
+    hj = height_jet_from_param(jet)
+    cu = jet.ru[..., :2] / np.linalg.norm(jet.ru[..., :2], axis=-1, keepdims=True)
+    cv = jet.rv[..., :2] / np.linalg.norm(jet.rv[..., :2], axis=-1, keepdims=True)
+    conj = (cu[..., 0] * (hj.fxx * cv[..., 0] + hj.fxy * cv[..., 1])
+            + cu[..., 1] * (hj.fxy * cv[..., 0] + hj.fyy * cv[..., 1]))
+    return worst_line, float(np.fmax.reduce(np.abs(conj).ravel(), initial=0.0))

@@ -30,7 +30,7 @@ dual_trans_minimal      metric dual of trans_noniso_noniso, minimal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -43,7 +43,7 @@ from .errors import (
     SingularSimilarity,
     StencilOutOfDomain,
 )
-from .geometry import ParamJet2
+from .geometry import ParamJet2, crpc_target
 
 SINGULAR_MARGIN = 1e-3
 _INF = float("inf")
@@ -120,6 +120,11 @@ def _jet(parts) -> ParamJet2:
     )
 
 
+def _shape(U, V) -> tuple:
+    """Broadcast shape of the chart parameters."""
+    return np.broadcast_shapes(np.shape(U), np.shape(V))
+
+
 def _need(params, name, family_id):
     if name not in params:
         raise InvalidParams(f"{family_id} requires parameter '{name}'")
@@ -167,20 +172,17 @@ def _polar_chart(U, V, h, hp, hpp, pitch=0.0):
     ])
 
 
-def _rot_power(m: float):
-    def jets(params, U, V):
-        h = U ** m
-        return _polar_chart(U, V, h, m * U ** (m - 1.0), m * (m - 1.0) * U ** (m - 2.0))
-    return jets
+def _rot_power(m: float, U, V):
+    return _polar_chart(U, V, U ** m, m * U ** (m - 1.0), m * (m - 1.0) * U ** (m - 2.0))
 
 
 def _rotational_power_1(params, U, V):
-    return _rot_power(1.0 + params["a"])(params, U, V)
+    return _rot_power(1.0 + params["a"], U, V)
 
 
 def _rotational_power_2(params, U, V):
     a = params["a"]
-    return _rot_power((1.0 + a) / a)(params, U, V)
+    return _rot_power((1.0 + a) / a, U, V)
 
 
 def _logarithmoid(params, U, V):
@@ -421,9 +423,9 @@ def _dist_to_sin_roots(V, rhs: float):
     return np.minimum(angdist(V, r1), angdist(V, r2))
 
 
-def _tin_loci_dist(a: float, U, V):
-    b = _tin_b(a)
-    d = np.full(np.shape(np.asarray(U) + np.asarray(V)) or (), _INF)
+def _tin_loci_dist(params, U, V):
+    b = _tin_b(params["a"])
+    d = np.full(_shape(U, V), _INF)
     d = np.minimum(d, _dist_to_sin_roots(V, b))          # log pole (reachable if |b|<=1)
     if b != 0.0:
         d = np.minimum(d, _dist_to_sin_roots(V, 1.0 / b))  # isotropic tangent plane
@@ -463,25 +465,22 @@ class _Entry:
     loci_desc: Callable[[Mapping[str, float]], tuple[str, ...]]
     loci_dist: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray]
     hard_valid: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray]
-    is_minimal: Callable[[Mapping[str, float]], bool] = field(default=lambda p: False)
 
 
 def _no_loci(params, U, V):
-    return np.full(np.shape(np.asarray(U) + np.asarray(V)) or (), _INF)
+    return np.full(_shape(U, V), _INF)
 
 
 def _all_valid(params, U, V):
-    return np.ones(np.shape(np.asarray(U) + np.asarray(V)) or (), dtype=bool)
+    return np.ones(_shape(U, V), dtype=bool)
 
 
 def _positive_u(params, U, V):
-    return np.broadcast_to(np.asarray(U, float) > 0.0,
-                           np.shape(np.asarray(U) + np.asarray(V)) or ()).copy()
+    return np.broadcast_to(np.asarray(U, float) > 0.0, _shape(U, V)).copy()
 
 
 def _axis_dist(params, U, V):
-    return np.broadcast_to(np.abs(np.asarray(U, float)),
-                           np.shape(np.asarray(U) + np.asarray(V)) or ()).astype(float)
+    return np.broadcast_to(np.abs(np.asarray(U, float)), _shape(U, V)).astype(float)
 
 
 def _require(cond: bool, msg: str):
@@ -495,6 +494,10 @@ def _check_a(params, family_id, forbidden=(0.0,), need_negative=False):
         _require(a != bad, f"{family_id}: a = {bad} is excluded")
     if need_negative:
         _require(a < 0.0, f"{family_id}: requires a < 0")
+    try:
+        crpc_target(a)
+    except ValueError as exc:
+        raise InvalidParams(f"{family_id}: {exc}") from None
     return a
 
 
@@ -519,7 +522,6 @@ _register(_Entry(
     loci_desc=lambda p: (),
     loci_dist=_no_loci,
     hard_valid=_all_valid,
-    is_minimal=lambda p: p["a"] == -1.0,
 ))
 
 _register(_Entry(
@@ -536,7 +538,6 @@ _register(_Entry(
     loci_desc=lambda p: (),
     loci_dist=_no_loci,
     hard_valid=_all_valid,
-    is_minimal=lambda p: p["a"] == -1.0,
 ))
 
 _register(_Entry(
@@ -585,12 +586,7 @@ _register(_Entry(
     loci_desc=lambda p: ("u = 0 (rotation axis)",),
     loci_dist=_axis_dist,
     hard_valid=_positive_u,
-    is_minimal=lambda p: True,
 ))
-
-
-def _euclid_validate(p):
-    _check_a(p, "euclidean_rotational")
 
 
 def _euclid_domain(p):
@@ -605,13 +601,13 @@ def _euclid_hard(params, U, V):
     a = params["a"]
     Ua = np.asarray(U, float)
     ok = (Ua > 0.0) & (Ua ** (2.0 * a) < 1.0)
-    return np.broadcast_to(ok, np.shape(np.asarray(U) + np.asarray(V)) or ()).copy()
+    return np.broadcast_to(ok, _shape(U, V)).copy()
 
 
 def _euclid_loci_dist(params, U, V):
     Ua = np.abs(np.asarray(U, float))
     d = np.minimum(Ua, np.abs(Ua - 1.0))  # axis and the slope singularity r = 1
-    return np.broadcast_to(d, np.shape(np.asarray(U) + np.asarray(V)) or ()).astype(float)
+    return np.broadcast_to(d, _shape(U, V)).astype(float)
 
 
 _register(_Entry(
@@ -622,7 +618,7 @@ _register(_Entry(
     constraint_text="a != 0; valid where r^(2a) < 1; ratio law is Euclidean",
     ratio_kind="euclidean",
     ratio_text="a (Euclidean principal curvatures)",
-    validate=_euclid_validate,
+    validate=lambda p: _check_a(p, "euclidean_rotational"),
     ratio_for_residual=lambda p: p["a"],
     default_domain=_euclid_domain,
     loci_desc=lambda p: ("u = 0 (rotation axis)", "u = 1 (profile slope unbounded)"),
@@ -644,7 +640,6 @@ _register(_Entry(
     loci_desc=lambda p: ("u = 0 (screw axis)",),
     loci_dist=_axis_dist,
     hard_valid=_positive_u,
-    is_minimal=lambda p: True,
 ))
 
 _register(_Entry(
@@ -662,11 +657,6 @@ _register(_Entry(
     loci_dist=_axis_dist,
     hard_valid=_positive_u,
 ))
-
-
-def _helical_general_validate(p):
-    a = _check_a(p, "helical_general")
-    _require(abs(a) != 1.0, "helical_general: a = +-1 is excluded")
 
 
 def _helical_general_domain(p):
@@ -695,13 +685,13 @@ def _helical_general_loci_dist(params, U, V):
     d = np.minimum(np.abs(Ua), np.abs(math.pi / 2.0 - Ua))
     if a > 0:
         d = np.minimum(d, np.abs(Ua - math.atan(math.sqrt(a))))
-    return np.broadcast_to(d, np.shape(np.asarray(U) + np.asarray(V)) or ()).astype(float)
+    return np.broadcast_to(d, _shape(U, V)).astype(float)
 
 
 def _helical_general_hard(params, U, V):
     Ua = np.asarray(U, float)
     ok = (Ua > 0.0) & (Ua < math.pi / 2.0)
-    return np.broadcast_to(ok, np.shape(np.asarray(U) + np.asarray(V)) or ()).copy()
+    return np.broadcast_to(ok, _shape(U, V)).copy()
 
 
 _register(_Entry(
@@ -712,7 +702,7 @@ _register(_Entry(
     constraint_text="a not in {0, 1, -1}; helical surface of pitch 1",
     ratio_kind="isotropic",
     ratio_text="a",
-    validate=_helical_general_validate,
+    validate=lambda p: _check_a(p, "helical_general", forbidden=(0.0, 1.0, -1.0)),
     ratio_for_residual=lambda p: p["a"],
     default_domain=_helical_general_domain,
     loci_desc=_helical_general_loci_desc,
@@ -734,13 +724,7 @@ _register(_Entry(
     loci_desc=lambda p: ("u = 0 (screw axis)",),
     loci_dist=_axis_dist,
     hard_valid=_positive_u,
-    is_minimal=lambda p: True,
 ))
-
-
-def _tin_validate(p):
-    a = _check_a(p, "trans_iso_noniso")
-    _require(a != 1.0, "trans_iso_noniso: a = 1 is excluded (b unbounded)")
 
 
 def _tin_domain(p):
@@ -766,14 +750,12 @@ _register(_Entry(
     constraint_text="a not in {0, 1}; b = (a+1)/(a-1); one isotropic generator",
     ratio_kind="isotropic",
     ratio_text="a",
-    validate=_tin_validate,
+    validate=lambda p: _check_a(p, "trans_iso_noniso", forbidden=(0.0, 1.0)),
     ratio_for_residual=lambda p: p["a"],
     default_domain=_tin_domain,
     loci_desc=_tin_loci_desc,
-    loci_dist=lambda p, U, V: np.broadcast_to(
-        _tin_loci_dist(p["a"], U, V), np.shape(np.asarray(U) + np.asarray(V)) or ()).astype(float),
+    loci_dist=_tin_loci_dist,
     hard_valid=_all_valid,
-    is_minimal=lambda p: p["a"] == -1.0,
 ))
 
 
@@ -803,13 +785,7 @@ _register(_Entry(
     loci_desc=lambda p: ("u + v = 0 (isotropic tangent planes)", "|u| = pi/2", "|v| = pi/2"),
     loci_dist=_tnn_dist,
     hard_valid=_tnn_hard,
-    is_minimal=lambda p: True,
 ))
-
-
-def _dtin_validate(p):
-    a = _check_a(p, "dual_trans_iso_noniso")
-    _require(a != 1.0, "dual_trans_iso_noniso: a = 1 is excluded (b unbounded)")
 
 
 _register(_Entry(
@@ -820,15 +796,13 @@ _register(_Entry(
     constraint_text="metric dual of trans_iso_noniso(a); ratio (b-1)/(b+1) = 1/a",
     ratio_kind="isotropic",
     ratio_text="1/a",
-    validate=_dtin_validate,
+    validate=lambda p: _check_a(p, "dual_trans_iso_noniso", forbidden=(0.0, 1.0)),
     ratio_for_residual=lambda p: p["a"],  # H^2/K target is symmetric in a <-> 1/a
     default_domain=_tin_domain,
     loci_desc=lambda p: ("sin v = b (pole of the chart)",
                          "b sin v = 1 (image of the primal singular locus)"),
-    loci_dist=lambda p, U, V: np.broadcast_to(
-        _tin_loci_dist(p["a"], U, V), np.shape(np.asarray(U) + np.asarray(V)) or ()).astype(float),
+    loci_dist=_tin_loci_dist,
     hard_valid=_all_valid,
-    is_minimal=lambda p: p["a"] == -1.0,
 ))
 
 _register(_Entry(
@@ -845,7 +819,6 @@ _register(_Entry(
     loci_desc=lambda p: ("tan u + tan v = 0 (chart pole)", "|u| = pi/2", "|v| = pi/2"),
     loci_dist=_tnn_dist,
     hard_valid=_tnn_hard,
-    is_minimal=lambda p: True,
 ))
 
 
@@ -869,9 +842,10 @@ def make_spec(family_id: str, params: Mapping[str, float] | None = None,
     """Validate parameters, fill defaults, and build a FamilySpec.
 
     Raises InvalidParams for unknown or non-finite parameters, parameters
-    outside the family's constraints, and a domain that is not four finite
-    bounds of nonzero width. A reversed interval (u_min > u_max) is allowed:
-    it reverses the sampling direction. The CLI rejects it at parsing.
+    outside the family's constraints (among them a ratio a whose H^2/K
+    target is not finite), and a domain that is not four finite bounds of
+    nonzero width. A reversed interval (u_min > u_max) is allowed: it
+    reverses the sampling direction. The CLI rejects it at parsing.
     """
     entry = catalog_entry(family_id)
     merged = dict(entry.defaults)
@@ -907,7 +881,8 @@ def ratio_for_residual(spec: FamilySpec) -> float:
 
 
 def is_minimal(spec: FamilySpec) -> bool:
-    return catalog_entry(spec.family_id).is_minimal(spec.params)
+    """Isotropic minimal (H = 0): the isotropic ratio law with ratio -1."""
+    return ratio_kind(spec) == "isotropic" and ratio_for_residual(spec) == -1.0
 
 
 def singular_distance(spec: FamilySpec, U, V) -> np.ndarray:

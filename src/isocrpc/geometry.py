@@ -15,6 +15,7 @@ shape. Vector-valued fields carry the vector in the last axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,11 +68,6 @@ class ParamJet2:
     ruu: np.ndarray
     ruv: np.ndarray
     rvv: np.ndarray
-
-    @property
-    def det_topview(self):
-        """Jacobian determinant of the top view (x, y) with respect to (u, v)."""
-        return self.ru[..., 0] * self.rv[..., 1] - self.rv[..., 0] * self.ru[..., 1]
 
 
 @dataclass(frozen=True)
@@ -146,26 +142,38 @@ def fd_jet(surface: Callable, x0: float, y0: float, h: float = FD_STEP) -> Jet2H
     )
 
 
-def height_jet_from_param(jet: ParamJet2, jacobian_eps: float | None = None) -> Jet2Height:
-    """Convert a parametric 2-jet to the height-field 2-jet at the same point.
+def monge_gradient(ru, rv):
+    """Height gradient of the tangent plane spanned by ru and rv (..., 3).
+
+    Returns (fx, fy, det, singular). det is the top-view Jacobian
+    determinant xu yv - yu xv. singular is the package's one admissibility
+    test: a point is not admissible (its tangent plane is vertical) where
+    |det| <= JACOBIAN_EPS (xu^2 + yu^2 + xv^2 + yv^2), a bound that scales
+    with the top-view frame. det is NaN there, so fx, fy and everything
+    later divided by det come out NaN without a floating-point warning.
+    """
+    xu, yu, zu = ru[..., 0], ru[..., 1], ru[..., 2]
+    xv, yv, zv = rv[..., 0], rv[..., 1], rv[..., 2]
+    det = xu * yv - yu * xv
+    scale = xu * xu + yu * yu + xv * xv + yv * yv
+    singular = np.abs(det) <= JACOBIAN_EPS * np.maximum(scale, 1e-300)
+    det = np.where(singular, np.nan, det)
+    fx = (zu * yv - yu * zv) / det
+    fy = (xu * zv - zu * xv) / det
+    return fx, fy, det, singular
+
+
+def monge_jet(jet: ParamJet2) -> tuple[Jet2Height, np.ndarray]:
+    """Height-field 2-jet at the same point as a parametric 2-jet, vectorized.
 
     Solves the chain-rule systems: the gradient from the 2x2 top-view
     Jacobian J, the Hessian from Hess = J^-1 Hp J^-T where Hp is the
-    second-order data with the gradient part removed.
-
-    Raises NonAdmissiblePoint when |det J| falls below jacobian_eps scaled
-    by the squared size of the top-view frame.
+    second-order data with the gradient part removed. Never raises; returns
+    the jet and the singular mask of monge_gradient, where the jet is NaN.
     """
-    xu, yu, zu = jet.ru[..., 0], jet.ru[..., 1], jet.ru[..., 2]
-    xv, yv, zv = jet.rv[..., 0], jet.rv[..., 1], jet.rv[..., 2]
-    det = xu * yv - yu * xv
-    scale = xu * xu + yu * yu + xv * xv + yv * yv
-    eps = (JACOBIAN_EPS if jacobian_eps is None else jacobian_eps)
-    if np.any(np.abs(det) <= eps * np.maximum(scale, 1e-300)):
-        raise NonAdmissiblePoint("top-view Jacobian is singular: tangent plane is isotropic")
-
-    fx = (zu * yv - yu * zv) / det
-    fy = (xu * zv - zu * xv) / det
+    fx, fy, det, singular = monge_gradient(jet.ru, jet.rv)
+    xu, yu = jet.ru[..., 0], jet.ru[..., 1]
+    xv, yv = jet.rv[..., 0], jet.rv[..., 1]
 
     def strip(second):
         return second[..., 2] - fx * second[..., 0] - fy * second[..., 1]
@@ -174,19 +182,39 @@ def height_jet_from_param(jet: ParamJet2, jacobian_eps: float | None = None) -> 
     # Hess = J^-1 Hp J^-T with J rows (xu, yu), (xv, yv).
     a11, a12 = yv / det, -yu / det
     a21, a22 = -xv / det, xu / det
-    b11 = a11 * puu + a12 * puv
-    b12 = a11 * puv + a12 * pvv
-    b21 = a21 * puu + a22 * puv
-    b22 = a21 * puv + a22 * pvv
-    fxx = b11 * a11 + b12 * a12
-    fxy = b11 * a21 + b12 * a22
-    fyy = b21 * a21 + b22 * a22
+    # Temporaries are dropped as soon as they are used up and B = J^-1 Hp is
+    # formed one row at a time: on a mesh grid each is a full channel.
+    del det
+    b1 = a11 * puu + a12 * puv
+    b2 = a11 * puv + a12 * pvv
+    fxx = b1 * a11 + b2 * a12
+    fxy = b1 * a21 + b2 * a22
+    b1 = a21 * puu + a22 * puv
+    b2 = a21 * puv + a22 * pvv
+    del puu, puv, pvv
+    fyy = b1 * a21 + b2 * a22
     # fxy from either off-diagonal; they agree to rounding. Symmetrize.
-    fxy = 0.5 * (fxy + (b21 * a11 + b22 * a12))
+    fxy = 0.5 * (fxy + (b1 * a11 + b2 * a12))
     return Jet2Height(
         x0=jet.r[..., 0], y0=jet.r[..., 1], f=jet.r[..., 2],
         fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy,
-    )
+    ), singular
+
+
+def height_jet_from_param(jet: ParamJet2) -> Jet2Height:
+    """monge_jet's jet; raises NonAdmissiblePoint where its singular mask is set."""
+    hj, singular = monge_jet(jet)
+    if np.any(singular):
+        raise NonAdmissiblePoint("top-view Jacobian is singular: tangent plane is isotropic")
+    return hj
+
+
+def relative_curvatures(j: Jet2Height):
+    """Mean curvature H and relative curvature K of the Hessian, as (H, K)."""
+    fxx = np.asarray(j.fxx, float)
+    fyy = np.asarray(j.fyy, float)
+    fxy = np.asarray(j.fxy, float)
+    return 0.5 * (fxx + fyy), fxx * fyy - fxy * fxy
 
 
 def isotropic_curvatures(j: Jet2Height) -> IsoCurvature:
@@ -197,11 +225,10 @@ def isotropic_curvatures(j: Jet2Height) -> IsoCurvature:
     UMBILIC_RTOL relative to max(|k1|, |k2|, 1)) the directions fall back
     to the coordinate axes and the umbilic flag is set.
     """
+    H, K = relative_curvatures(j)
     fxx = np.asarray(j.fxx, float)
     fyy = np.asarray(j.fyy, float)
     fxy = np.asarray(j.fxy, float)
-    H = 0.5 * (fxx + fyy)
-    K = fxx * fyy - fxy * fxy
     half_gap = np.hypot(0.5 * (fxx - fyy), fxy)
     k1 = H + half_gap
     k2 = H - half_gap
@@ -249,11 +276,29 @@ def euclidean_curvatures(j: Jet2Height):
     return K_e, H_e, H_e + root, H_e - root
 
 
+def principal_ratio_residual(k1, k2, a):
+    """Principal-ratio residual, zero where k1/k2 or k2/k1 is a.
+
+    min(|k1 - a k2|, |k2 - a k1|) / max(1, |k1|, |k2|).
+    """
+    scale = np.maximum(1.0, np.maximum(np.abs(k1), np.abs(k2)))
+    return np.minimum(np.abs(k1 - a * k2), np.abs(k2 - a * k1)) / scale
+
+
 def crpc_target(a: float) -> float:
-    """Value of H^2/K shared by all surfaces whose curvature ratio is a."""
+    """Value of H^2/K shared by all surfaces whose curvature ratio is a.
+
+    Raises ValueError for a = 0 and for a ratio whose target is not finite.
+    """
     if a == 0:
         raise ValueError("ratio a must be nonzero")
-    return (a + 1.0) ** 2 / (4.0 * a)
+    try:
+        target = (a + 1.0) ** 2 / (4.0 * a)
+    except OverflowError:
+        target = math.inf
+    if not math.isfinite(target):
+        raise ValueError(f"ratio a = {a} overflows the target (a+1)^2/(4a)")
+    return target
 
 
 def crpc_residual(j: Jet2Height, a: float):
@@ -264,11 +309,7 @@ def crpc_residual(j: Jet2Height, a: float):
     is below K_EPS anywhere.
     """
     target = crpc_target(a)
-    fxx = np.asarray(j.fxx, float)
-    fyy = np.asarray(j.fyy, float)
-    fxy = np.asarray(j.fxy, float)
-    H = 0.5 * (fxx + fyy)
-    K = fxx * fyy - fxy * fxy
+    H, K = relative_curvatures(j)
     if np.any(np.abs(K) < K_EPS):
         raise DegenerateK("relative curvature K is numerically zero")
     return H * H / K - target

@@ -2,8 +2,9 @@
 
 Grids are uniform in the chart parameters. Nodes are masked (excluded)
 when they leave the hard validity region, come within the singular margin
-of a locus, produce non-finite jet data, or have a numerically vertical
-tangent plane. Quads are emitted only when all four corners survive.
+of a locus, produce non-finite jet data, or are not admissible by the test
+of geometry.monge_gradient (a vertical tangent plane). Quads are emitted
+only when all four corners survive.
 """
 
 from __future__ import annotations
@@ -22,15 +23,30 @@ from .families import (
     ratio_kind,
     singular_distance,
 )
-from .geometry import JACOBIAN_EPS, K_EPS, crpc_target
+from .geometry import (
+    K_EPS,
+    crpc_target,
+    euclidean_curvatures,
+    monge_jet,
+    principal_ratio_residual,
+    relative_curvatures,
+)
 
-_FLOAT_FMT = "%.17g"
 
-
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """x at 17 significant digits, with -0.0 written as 0."""
     if x == 0.0:
         x = 0.0  # normalize -0.0
-    return _FLOAT_FMT % x
+    return "%.17g" % x
+
+
+def write_text(text: str, path) -> None:
+    """Write text to a file-like object, or to the file at path with LF endings."""
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -116,25 +132,9 @@ def sample_grid(
         for arr in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
             bad |= ~np.all(np.isfinite(arr), axis=-1)
 
-        xu, yu = jet.ru[..., 0], jet.ru[..., 1]
-        xv, yv = jet.rv[..., 0], jet.rv[..., 1]
-        det = xu * yv - yu * xv
-        scale = np.maximum(np.abs(xu) + np.abs(yu), np.abs(xv) + np.abs(yv)) ** 2
-        bad |= ~np.isfinite(det)
-        bad |= np.abs(det) < JACOBIAN_EPS * np.maximum(1.0, scale)
-
-        # height-jet Hessian through the top-view Jacobian (Monge form)
-        fx = np.where(bad, np.nan, (jet.ru[..., 2] * yv - jet.rv[..., 2] * yu) / det)
-        fy = np.where(bad, np.nan, (xu * jet.rv[..., 2] - xv * jet.ru[..., 2]) / det)
-        huu = jet.ruu[..., 2] - fx * jet.ruu[..., 0] - fy * jet.ruu[..., 1]
-        huv = jet.ruv[..., 2] - fx * jet.ruv[..., 0] - fy * jet.ruv[..., 1]
-        hvv = jet.rvv[..., 2] - fx * jet.rvv[..., 0] - fy * jet.rvv[..., 1]
-        # Hess = J^-T Hp J^-1 with Hp the chart-parameter Hessian of the height
-        a11 = (yv * (yv * huu - yu * huv) - yu * (yv * huv - yu * hvv)) / (det * det)
-        a12 = (-xv * (yv * huu - yu * huv) + xu * (yv * huv - yu * hvv)) / (det * det)
-        a22 = (-xv * (-xv * huu + xu * huv) + xu * (-xv * huv + xu * hvv)) / (det * det)
-        H = 0.5 * (a11 + a22)
-        K = a11 * a22 - a12 * a12
+        hj, singular = monge_jet(jet)
+        bad |= singular
+        H, K = relative_curvatures(hj)
         bad |= ~(np.isfinite(H) & np.isfinite(K))
 
         if bad.all():
@@ -142,22 +142,14 @@ def sample_grid(
 
         if a is None:
             a = ratio_for_residual(spec)
-        residual: np.ndarray | None
         if ratio_kind(spec) == "euclidean":
-            fz = 1.0 + fx * fx + fy * fy
-            Ke = K / (fz * fz)
-            He = ((1.0 + fx * fx) * a22 - 2.0 * fx * fy * a12
-                  + (1.0 + fy * fy) * a11) / (2.0 * fz * np.sqrt(fz))
-            root = np.sqrt(np.maximum(He * He - Ke, 0.0))
-            k1e, k2e = He + root, He - root
-            sc = np.maximum(1.0, np.maximum(np.abs(k1e), np.abs(k2e)))
-            residual = np.minimum(np.abs(k1e - a * k2e), np.abs(k2e - a * k1e)) / sc
+            _Ke, _He, k1e, k2e = euclidean_curvatures(hj)
+            residual = principal_ratio_residual(k1e, k2e, a)
         else:
             residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - crpc_target(a))
-        residual = np.where(bad, np.nan, residual)
 
-    H = np.where(bad, np.nan, H)
-    K = np.where(bad, np.nan, K)
+    for channel in (H, K, residual):
+        channel[bad] = np.nan
     return MeshGrid(spec=spec, us=us, vs=vs, vertices=np.asarray(jet.r, float),
                     mask=bad, H=H, K=K, residual=residual)
 
@@ -166,16 +158,11 @@ def obj_text(grid: MeshGrid) -> str:
     """Wavefront OBJ text: unmasked vertices row-major, whole quads as faces."""
     lines = []
     for p in grid.vertex_rows():
-        lines.append("v " + " ".join(_fmt(c) for c in p))
+        lines.append("v " + " ".join(fmt_float(c) for c in p))
     for q in grid.quad_indices():
         lines.append("f %d %d %d %d" % tuple(q))
     return "\n".join(lines) + "\n"
 
 
 def write_obj(grid: MeshGrid, path) -> None:
-    text = obj_text(grid)
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+    write_text(obj_text(grid), path)

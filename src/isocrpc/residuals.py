@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInput, SingularLocus
 from .families import FamilySpec, _helical_general_profile, _tin_b, evaluate
-from .geometry import crpc_residual, euclidean_curvatures, height_jet_from_param
+from .geometry import (
+    crpc_residual,
+    euclidean_curvatures,
+    height_jet_from_param,
+    principal_ratio_residual,
+)
 
 TRANSLATIONAL_CASES = ("two_iso", "iso_noniso", "noniso_noniso")
 
@@ -168,11 +173,8 @@ def discriminant_identity_check(
 
 
 def _rotational_ratio_residual(a: float, hp: float, hpp: float, u: float) -> float:
-    # rotational profile: principal curvatures h'' and h'/u, either order
-    r1 = abs(a * hp - u * hpp)
-    r2 = abs(hp - a * u * hpp)
-    scale = max(1.0, abs(hp), abs(u * hpp))
-    return min(r1, r2) / scale
+    # rotational profile: principal curvatures h'' and h'/u, scaled by u
+    return float(principal_ratio_residual(u * hpp, hp, a))
 
 
 def _tin_normal_form(a: float, u: float, v: float) -> tuple[float, float, float, float]:
@@ -255,9 +257,7 @@ def family_ode_residual(spec: FamilySpec, u: float, v: float) -> float:
         a = p["a"]
         jet = evaluate(spec, u, v, check=False)
         _Ke, _He, k1e, k2e = euclidean_curvatures(height_jet_from_param(jet))
-        scale = max(1.0, abs(float(k1e)), abs(float(k2e)))
-        return min(abs(float(k1e) - a * float(k2e)),
-                   abs(float(k2e) - a * float(k1e))) / scale
+        return float(principal_ratio_residual(k1e, k2e, a))
     if fid == "spiral_ruled":
         jet = evaluate(spec, u, v, check=False)
         return abs(float(crpc_residual(height_jet_from_param(jet), p["a"])))

@@ -313,7 +313,7 @@ def test_criterion_07_duality_relations():
         u0, u1, v0, v1 = spec.domain
         us = np.linspace(u0 + 0.2 * (u1 - u0), u1 - 0.2 * (u1 - u0), 4)
         vs = np.linspace(v0 + 0.2 * (v1 - v0), v1 - 0.2 * (v1 - v0), 4)
-        wk, wh = dual_curvature_check(spec, us, vs)
+        wk, wh = dual_curvature_check(spec, *np.meshgrid(us, vs, indexing="ij"))
         inv = involution_check(spec, us, vs)
         assert wk <= 1e-4 and wh <= 1e-4, fid
         assert inv <= 1e-6, fid

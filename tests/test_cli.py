@@ -163,12 +163,49 @@ def test_verify_rejects_non_finite_ratio(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_rejects_ratio_for_a_family_without_one(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "helicoid", "--a", "5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_verify_all_rejects_non_finite_ratio(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "all", "--a", "nan", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_verify_all_checks_ratio_free_families_at_minus_one(tmp_path):
+    out = tmp_path / "v.csv"
+    main(["verify", "--family", "all", "--a", "2", "--res", "6x6", "--out", str(out)])
+    rows = {l.split(",")[0]: l.split(",") for l in out.read_text().splitlines()[1:]}
+    assert rows["helicoid"][1] == "-1"
+    assert rows["paraboloid"][1] == "2"
+
+
 # --- input boundary ---------------------------------------------------------------
 
 def test_generate_rejects_non_finite_domain(tmp_path, capsys):
     out = tmp_path / "m.obj"
     rc = main(["generate", "--family", "helicoid", "--domain", "0,inf,0,1",
                "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "paraboloid", "--params", "a=1e-320"],
+    # a hypothesis ratio next to the family's own one
+    ["verify", "--family", "paraboloid", "--params", "a=2", "--a", "1e200"],
+])
+def test_ratio_whose_target_overflows_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()

@@ -52,6 +52,23 @@ def test_trace_shapes_and_time_grid():
     assert np.linalg.norm(tr.top_dirs[0]) == pytest.approx(1.0)
 
 
+def test_rk4_step_evaluates_the_chart_once_per_stage(monkeypatch):
+    from isocrpc import curves
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "evaluate", counted)
+    spec = make_spec("rotational_power_1", {"a": 2.0})
+    tr = trace_direction_field(spec, (1.0, 0.5), "principal1", 10, 1e-2)
+    assert tr.stopped is None
+    # the seed, then four RK4 stages and the accepted point per step
+    assert len(calls) == 1 + 5 * 10
+
+
 def test_trace_rejects_bad_arguments():
     spec = make_spec("trans_paraboloid", {"a": 2.0})
     with pytest.raises(ValueError):

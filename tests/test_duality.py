@@ -229,7 +229,7 @@ def test_dual_curvature_grid_checks():
     for fid, params in cases:
         spec = make_spec(fid, params)
         us, vs = grid(spec)
-        worst_k, worst_h = dual_curvature_check(spec, us, vs)
+        worst_k, worst_h = dual_curvature_check(spec, *np.meshgrid(us, vs, indexing="ij"))
         assert worst_k <= 1e-4, fid
         assert worst_h <= 1e-4, fid
 

@@ -170,6 +170,25 @@ def test_minimal_members_have_zero_mean_curvature(fid, params):
     assert is_minimal(spec)
 
 
+def test_minimal_means_isotropic_ratio_minus_one():
+    minimal = {fid for fid in family_ids() if is_minimal(make_spec(fid))}
+    assert minimal == {"logarithmoid", "helicoid", "helical_log",
+                       "trans_noniso_noniso", "dual_trans_minimal"}
+    for fid in ("paraboloid", "trans_paraboloid", "trans_iso_noniso", "dual_trans_iso_noniso"):
+        assert is_minimal(make_spec(fid, {"a": -1.0}))
+        assert not is_minimal(make_spec(fid, {"a": -2.0}))
+    # the Euclidean comparison family obeys a Euclidean law, never the isotropic one
+    assert not is_minimal(make_spec("euclidean_rotational", {"a": -1.0}))
+
+
+def test_ratio_whose_target_overflows_is_rejected():
+    # (a+1)^2/(4a) is inf for subnormal a and overflows for huge a
+    for a in (1e-320, -1e-310, 1e200, -1e300):
+        with pytest.raises(InvalidParams):
+            make_spec("paraboloid", {"a": a})
+    make_spec("paraboloid", {"a": 1e-300})
+
+
 def test_ratio_metadata():
     assert ratio_kind(make_spec("euclidean_rotational", {"a": 2.0})) == "euclidean"
     assert ratio_kind(make_spec("paraboloid")) == "isotropic"

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from isocrpc import geometry
+from isocrpc.duality import dual_from_tangent
 from isocrpc.errors import (
     DegenerateK,
     NonAdmissiblePoint,
@@ -109,6 +111,52 @@ def test_height_jet_rejects_vertical_tangent():
     )
     with pytest.raises(NonAdmissiblePoint):
         height_jet_from_param(jet)
+
+
+@given(
+    log_su=st.floats(min_value=-6.0, max_value=6.0),
+    log_sv=st.floats(min_value=-6.0, max_value=6.0),
+    angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    # top views from exactly collinear through near-collinear to orthogonal
+    gap=st.one_of(st.just(0.0),
+                  st.floats(min_value=-17.0, max_value=0.2).map(lambda e: 10.0 ** e),
+                  st.floats(min_value=-17.0, max_value=0.2).map(lambda e: -10.0 ** e)),
+    zu=finite, zv=finite,
+)
+@settings(max_examples=300, deadline=None)
+def test_one_admissibility_criterion(log_su, log_sv, angle, gap, zu, zv):
+    su, sv = 10.0 ** log_su, 10.0 ** log_sv
+    ru = su * np.array([math.cos(angle), math.sin(angle), zu])
+    rv = sv * np.array([math.cos(angle + gap), math.sin(angle + gap), zv])
+    jet = ParamJet2(r=np.array([0.5, -1.0, 2.0]), ru=ru, rv=rv,
+                    ruu=np.zeros(3), ruv=np.zeros(3), rvv=np.zeros(3))
+    hj, singular = geometry.monge_jet(jet)
+    raised = []
+    for convert in (lambda: height_jet_from_param(jet),
+                    lambda: dual_from_tangent(jet.r, jet.ru, jet.rv)):
+        try:
+            convert()
+            raised.append(False)
+        except NonAdmissiblePoint:
+            raised.append(True)
+    assert raised == [bool(singular)] * 2
+    # the non-raising conversion marks a point as NaN exactly where it is singular
+    assert bool(np.isnan(hj.fx)) == bool(singular)
+
+
+def test_monge_jet_is_vectorized_and_raises_nothing():
+    ru = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [3.0, 1.0, 1.0]])
+    rv = np.array([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+    zero = np.zeros((3, 3))
+    jet = ParamJet2(r=zero, ru=ru, rv=rv, ruu=zero, ruv=zero, rvv=zero)
+    hj, singular = geometry.monge_jet(jet)
+    assert singular.tolist() == [False, True, False]
+    assert_allclose([hj.fx[0], hj.fy[0]], [2.0, 3.0])
+    assert np.isnan(hj.fx[1]) and np.isnan(hj.fxx[1])
+    for i in (0, 2):
+        one = ParamJet2(r=zero[i], ru=ru[i], rv=rv[i], ruu=zero[i], ruv=zero[i], rvv=zero[i])
+        single = height_jet_from_param(one)
+        assert (single.fx, single.fy, single.fxx) == (hj.fx[i], hj.fy[i], hj.fxx[i])
 
 
 # --- isotropic curvature values ------------------------------------------

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from isocrpc.errors import EmptyGrid
-from isocrpc.families import make_spec
+from isocrpc.errors import EmptyGrid, NonAdmissiblePoint
+from isocrpc.families import evaluate, make_spec
+from isocrpc.geometry import height_jet_from_param
 from isocrpc.meshing import obj_text, sample_grid, write_obj
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
@@ -91,6 +92,24 @@ def test_mask_mirrors_under_orientation_reversal():
     g_f = sample_grid(spec_f, 33, 5)
     g_r = sample_grid(spec_r, 33, 5)
     assert np.array_equal(g_f.mask, g_r.mask[::-1])
+
+
+def test_unmasked_nodes_are_admissible():
+    # the tangent plane of trans_noniso_noniso is vertical on u + v = 0; the
+    # anti-diagonal of this box sits at u + v = 1.5e-12, just inside the
+    # admissibility bound, and margin 0 leaves the decision to that bound
+    delta = 1.5e-12
+    spec = make_spec("trans_noniso_noniso", {}, domain=(-0.5, 0.5, -0.5 + delta, 0.5 + delta))
+    grid = sample_grid(spec, 11, 11, margin=0.0)
+    rejected = np.zeros_like(grid.mask)
+    for i, u in enumerate(grid.us):
+        for j, v in enumerate(grid.vs):
+            try:
+                height_jet_from_param(evaluate(spec, u, v, check=False))
+            except NonAdmissiblePoint:
+                rejected[i, j] = True
+    assert rejected.sum() == 11
+    assert np.array_equal(grid.mask, rejected)
 
 
 def test_euclidean_comparison_family_uses_euclidean_residual():
