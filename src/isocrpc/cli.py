@@ -1,7 +1,8 @@
 """Command line front end: catalog listing, meshes, checks, traces, duals.
 
-Subcommands: list | generate | verify | trace | dual. Options may come
-from flags or from a flat JSON config file (--config); flags win. All
+Subcommands: list | generate | verify | trace | dual, each with only the
+flags it reads (SUBCOMMANDS). Options may come from flags or from a flat
+JSON config file (--config) with the same keys; flags win. All
 emitters use fixed float formatting and fixed iteration order, so outputs
 are byte-deterministic for a given configuration and seed.
 """
@@ -9,19 +10,17 @@ are byte-deterministic for a given configuration and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families as fam
-from .duality import dual_curvature_check, dual_surface_point
-from .errors import DegenerateK, GeometryError, InvalidParams, NonAdmissiblePoint
-from .geometry import K_EPS, monge_jet
-from .meshing import fmt_float, obj_text, sample_grid, write_text
+from .duality import dual_curvature_check
+from .errors import GeometryError, InvalidParams, NonAdmissiblePoint
+from .meshing import dual_grid, fmt_float, obj_text, sample_grid, write_text
 from .curves import TRACE_KINDS, trace_direction_field
 from .residuals import family_ode_residual
 
@@ -35,24 +34,50 @@ VERIFY_HEADER = ("family,a,nu,nv,max_abs_crpc_residual,max_abs_H,"
 _NUM_U = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _NEG_NUMBER_LIST = re.compile(rf"^-{_NUM_U}(?:,-?{_NUM_U})*$")
 
+FLAGS = {
+    "family": {"help": "family id (see the list subcommand)"},
+    "a": {"help": "curvature ratio; comma list for verify"},
+    "params": {"help": "extra parameters, k=v,..."},
+    "domain": {"help": "umin,umax,vmin,vmax chart box"},
+    "res": {"help": "grid resolution NUxNV (default 50x50)"},
+    "tol": {"help": "tolerance or name=value,... (crpc, H, ode, dual)"},
+    "seed": {"help": "verify: RNG seed; trace: start point u,v"},
+    "kind": {"help": "characteristic+|characteristic-|principal1|principal2 "
+                     "(char+/char- ok)"},
+    "steps": {"type": int, "help": "integration steps"},
+    "dt": {"type": float, "help": "top-view arclength step"},
+    "json": {"action": "store_true", "default": None, "help": "JSON output"},
+    "out": {"help": "output file (default: stdout)"},
+}
+_MESH_FLAGS = ("family", "a", "params", "domain", "res", "out")
+# subcommand -> (help, the flags and config keys it reads besides --config)
+SUBCOMMANDS = {
+    "list": ("print the family catalog", ("json", "out")),
+    "generate": ("sample a family and write an OBJ mesh", _MESH_FLAGS),
+    "verify": ("run residual checks, write a CSV report", _MESH_FLAGS + ("tol", "seed")),
+    "trace": ("trace a direction field, write a CSV curve",
+              ("family", "a", "params", "seed", "kind", "steps", "dt", "out")),
+    "dual": ("write the OBJ mesh of the dual surface", _MESH_FLAGS),
+}
+
 
 @dataclass
 class RunConfig:
-    """Resolved options for one invocation; flags override the config file."""
+    """Resolved options for one invocation, defaults filled in by config_from_args."""
 
     subcommand: str
-    family: str | None = None
-    a: str | None = None  # single value, or comma list for verify
-    params: dict = field(default_factory=dict)
-    domain: tuple | None = None
-    res: tuple = (50, 50)
-    tol: dict = field(default_factory=dict)
-    out: str | None = None
-    seed: str | None = None
-    json_out: bool = False
-    kind: str = "characteristic+"
-    steps: int = 1000
-    dt: float = 1e-3
+    family: str | None
+    a: str | None  # single value, or comma list for verify
+    params: dict
+    domain: tuple | None
+    res: tuple
+    tol: dict
+    out: str | None
+    seed: str | None
+    json_out: bool
+    kind: str
+    steps: int
+    dt: float
 
 
 def _parse_params(value) -> dict:
@@ -105,15 +130,12 @@ def _parse_tol(value) -> dict:
         return {}
     if isinstance(value, dict):
         out = {str(k): float(v) for k, v in value.items()}
-    elif isinstance(value, (int, float)):
-        out = {"crpc": float(value), "ode": float(value)}
+    elif "=" not in str(value):
+        # a bare number tightens the residual checks, not the H/dual ones
+        return {"crpc": float(value), "ode": float(value)}
     else:
-        txt = str(value)
-        if "=" not in txt:
-            # a bare number tightens the residual checks, not the H/dual ones
-            return {"crpc": float(txt), "ode": float(txt)}
         out = {}
-        for item in txt.split(","):
+        for item in str(value).split(","):
             k, v = item.split("=", 1)
             out[k.strip()] = float(v)
     for k in out:
@@ -141,35 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Surfaces with a constant ratio of principal curvatures: "
                     "meshes, traces, duals, and numerical verification.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser, trace_opts: bool = False):
-        p.add_argument("--family", help="family id (see the list subcommand)")
-        p.add_argument("--a", help="curvature ratio; comma list for verify")
-        p.add_argument("--params", help="extra parameters, k=v,...")
-        p.add_argument("--domain", help="umin,umax,vmin,vmax chart box")
-        p.add_argument("--res", help="grid resolution NUxNV (default 50x50)")
-        p.add_argument("--tol", help="tolerance or name=value,... "
-                                     "(crpc, H, ode, dual)")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--config", help="JSON file with flat keys mirroring flags")
-        p.add_argument("--seed", help="verify: RNG seed; trace: start point u,v")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output where supported")
-        if trace_opts:
-            p.add_argument("--kind", help="characteristic+|characteristic-|"
-                                          "principal1|principal2 (char+/char- ok)")
-            p.add_argument("--steps", type=int, help="integration steps")
-            p.add_argument("--dt", type=float, help="top-view arclength step")
-
-    subparsers = [
-        sub.add_parser("list", help="print the family catalog"),
-        sub.add_parser("generate", help="sample a family and write an OBJ mesh"),
-        sub.add_parser("verify", help="run residual checks, write a CSV report"),
-        sub.add_parser("trace", help="trace a direction field, write a CSV curve"),
-        sub.add_parser("dual", help="write the OBJ mesh of the dual surface"),
-    ]
-    for p in subparsers:
-        common(p, trace_opts=(p.prog.endswith("trace")))
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.add_argument("--config", help="JSON file with flat keys mirroring the flags")
         p._negative_number_matcher = _NEG_NUMBER_LIST
     parser._negative_number_matcher = _NEG_NUMBER_LIST
     return parser
@@ -177,11 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a flat JSON object")
+        unread = sorted(set(file_cfg) - set(SUBCOMMANDS[args.subcommand][1]))
+        if unread:
+            raise ValueError(f"{args.subcommand} does not read config keys {unread}")
 
     def pick(name, default=None):
         v = getattr(args, name, None)
@@ -197,7 +198,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         tol=_parse_tol(pick("tol")),
         out=pick("out"),
         seed=None if pick("seed") is None else str(pick("seed")),
-        json_out=bool(getattr(args, "json", False) or file_cfg.get("json", False)),
+        json_out=bool(pick("json", False)),
         kind=str(pick("kind", "characteristic+")),
         steps=int(pick("steps", 1000)),
         dt=float(pick("dt", 1e-3)),
@@ -255,19 +256,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_dual(cfg: RunConfig) -> int:
-    spec = _spec_from_cfg(cfg)
-    grid = sample_grid(spec, *cfg.res)
-    U, V = np.meshgrid(grid.us, grid.vs, indexing="ij")
-    with np.errstate(all="ignore"):
-        hj, _singular = monge_jet(fam.evaluate(spec, U, V, check=False))
-        dual_pts = dual_surface_point(hj)
-    mask = grid.mask | ~np.all(np.isfinite(dual_pts), axis=-1)
-    mask |= ~(np.abs(grid.K) >= K_EPS)  # dual surface degenerates where K = 0
-    if mask.all():
-        raise DegenerateK(f"{spec.family_id}: relative curvature is numerically "
-                          "zero on the whole grid; dual surface undefined")
-    dual_grid = dataclasses.replace(grid, vertices=dual_pts, mask=mask)
-    _write_text(obj_text(dual_grid), cfg.out)
+    _write_text(obj_text(dual_grid(_spec_from_cfg(cfg), *cfg.res)), cfg.out)
     return 0
 
 
@@ -291,11 +280,13 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def _verify_combos(fid: str, cfg: RunConfig, hyps: list | None):
-    """(hypothesis a, params) pairs for one family; --params a=... wins over --a."""
-    if hyps is None:
+    """(hypothesis a, params) pairs for one family; --params a=... wins over --a.
+
+    The hypothesis is None, to be read off the spec, without --a and for a
+    family that takes no ratio.
+    """
+    if hyps is None or "a" not in fam.catalog_entry(fid).defaults:
         yield None, dict(cfg.params)
-    elif "a" not in fam.catalog_entry(fid).param_names:
-        yield -1.0, dict(cfg.params)
     else:
         for aval in hyps:
             yield aval, {"a": aval, **cfg.params}
@@ -331,38 +322,43 @@ def cmd_verify(cfg: RunConfig) -> int:
         fids = fam.family_ids()
     else:
         fids = (_resolve_family(cfg.family),)
-        entry = fam.catalog_entry(fids[0])  # fail fast on unknown names
-        if hyps is not None and "a" not in entry.param_names:
-            raise InvalidParams(f"{fids[0]} takes no ratio; --a does not apply")
+        fam.catalog_entry(fids[0])  # fail fast on unknown names
     nu, nv = cfg.res
     tol = dict(DEFAULT_TOL)
     tol.update(cfg.tol)
     seed = int(cfg.seed) if cfg.seed is not None else 0
 
-    rows = []
-    any_fail = False
+    # a family that refuses a combination drops it, but every --a value
+    # must give at least one row
+    specs, refused = [], {}
     for fid in fids:
         for a_hyp, params in _verify_combos(fid, cfg, hyps):
             try:
-                spec = fam.make_spec(fid, params, cfg.domain)
-            except InvalidParams:
-                if len(fids) == 1 and hyps is not None and len(hyps) == 1:
-                    raise  # a single explicit request should not vanish silently
-                continue
-            if a_hyp is None:
-                a_hyp = fam.ratio_for_residual(spec)
-            try:
-                crpc, max_h, ode, dual_val = _verify_row(spec, a_hyp, nu, nv, seed)
-                ok = (crpc <= tol["crpc"] and ode <= tol["ode"]
-                      and dual_val <= tol["dual"])
-                if fam.is_minimal(spec):
-                    ok = ok and max_h <= tol["H"]
-                status = "PASS" if ok else "FAIL"
-            except GeometryError:
-                crpc = max_h = ode = dual_val = float("nan")
-                status = "ERROR"
-            any_fail = any_fail or status != "PASS"
-            rows.append((fid, float(a_hyp), crpc, max_h, ode, dual_val, status))
+                specs.append((fam.make_spec(fid, params, cfg.domain), a_hyp))
+            except InvalidParams as exc:
+                refused.setdefault(a_hyp, exc)
+    for aval in hyps or ():
+        if not any(a_hyp == aval for _spec, a_hyp in specs):
+            why = refused.get(aval, "the requested families take no ratio")
+            raise InvalidParams(f"--a {aval!r} gives no row: {why}")
+
+    rows = []
+    any_fail = False
+    for spec, a_hyp in specs:
+        if a_hyp is None:
+            a_hyp = fam.ratio_for_residual(spec)
+        try:
+            crpc, max_h, ode, dual_val = _verify_row(spec, a_hyp, nu, nv, seed)
+            ok = (crpc <= tol["crpc"] and ode <= tol["ode"]
+                  and dual_val <= tol["dual"])
+            if fam.is_minimal(spec):
+                ok = ok and max_h <= tol["H"]
+            status = "PASS" if ok else "FAIL"
+        except GeometryError:
+            crpc = max_h = ode = dual_val = float("nan")
+            status = "ERROR"
+        any_fail = any_fail or status != "PASS"
+        rows.append((spec.family_id, float(a_hyp), crpc, max_h, ode, dual_val, status))
 
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = [VERIFY_HEADER]

@@ -35,9 +35,10 @@ from .geometry import (
     normal_curvature,
 )
 from .meshing import fmt_float, write_text
-from .spheres import CYLINDRIC, ELLIPTIC, PARABOLIC, ParabolicSphere, tangent_sphere
+from .spheres import CIRCLE_SAMPLES, CYLINDRIC, ELLIPTIC, PARABOLIC, ParabolicSphere, tangent_sphere
 
 TRACE_KINDS = ("characteristic+", "characteristic-", "principal1", "principal2")
+_CURVATURE_TOL = 1e-10  # below it an osculating circle's curvature counts as zero
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _segment_crossing(p0, p1, q0, q1, tol=1e-10):
+def _segment_crossing(p0, p1, q0, q1):
     """Intersection point of two top-view segments, or None.
 
     Candidate pairs are detected by endpoint side tests; the location is
@@ -191,7 +192,7 @@ def _segment_crossing(p0, p1, q0, q1, tol=1e-10):
         return None
     lo, hi, flo = 0.0, 1.0, s0
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-10:
             break
         mid = 0.5 * (lo + hi)
         fm = _cross2(w, p0 + mid * (p1 - p0) - q0)
@@ -291,12 +292,7 @@ class OsculatingCircle:
         return float(np.max(np.abs(sphere.algebraic_residual(self.points))))
 
 
-def osculating_isotropic_circle(
-    jet: CurveJet,
-    curvature_tol: float = 1e-10,
-    n_samples: int = 64,
-    half_span: float = 1.0,
-) -> OsculatingCircle:
+def osculating_isotropic_circle(jet: CurveJet) -> OsculatingCircle:
     """The isotropic circle in second-order contact with the jet.
 
     Elliptic when the top view genuinely curves, parabolic when the top
@@ -320,8 +316,8 @@ def osculating_isotropic_circle(
         else:
             n1, n2 = 1.0, 0.0
         d = -(n1 * c[0] + n2 * c[1])
-        z = c[2] + np.linspace(-half_span, half_span, n_samples)
-        pts = np.stack([np.full(n_samples, c[0]), np.full(n_samples, c[1]), z], -1)
+        z = c[2] + np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
+        pts = np.stack([np.full(CIRCLE_SAMPLES, c[0]), np.full(CIRCLE_SAMPLES, c[1]), z], -1)
         return OsculatingCircle(
             kind=CYLINDRIC, contact_point=c, carrier_plane=(n1, n2, d),
             carrier_sphere=None, center=(float(c[0]), float(c[1])),
@@ -329,7 +325,7 @@ def osculating_isotropic_circle(
         )
 
     kappa_top = _cross2(tp, cpp[:2]) / v ** 3
-    if abs(kappa_top) >= curvature_tol:
+    if abs(kappa_top) >= _CURVATURE_TOL:
         # elliptic: contact equations for the carrier plane z = px+qy+s
         det = _cross2(tp, cpp[:2])
         p = (cp[2] * cpp[1] - cpp[2] * cp[1]) / det
@@ -339,7 +335,7 @@ def osculating_isotropic_circle(
         nhat = np.array([-That[1], That[0]])
         center = c[:2] + nhat / kappa_top
         rho = 1.0 / abs(kappa_top)
-        theta = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
         x = center[0] + rho * np.cos(theta)
         y = center[1] + rho * np.sin(theta)
         z = p * x + q * y + s
@@ -352,10 +348,10 @@ def osculating_isotropic_circle(
     # straight top view: height z as a function of top-view arclength
     z1 = cp[2] / v
     z2 = (cpp[2] * v * v - cp[2] * float(tp @ cpp[:2])) / v ** 4
-    if abs(z2) < curvature_tol:
+    if abs(z2) < _CURVATURE_TOL:
         raise InflectionPoint("jet is straight to second order; no circle")
     That = tp / v
-    sigma = np.linspace(-half_span, half_span, n_samples)
+    sigma = np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
     x = c[0] + That[0] * sigma
     y = c[1] + That[1] * sigma
     z = c[2] + z1 * sigma + 0.5 * z2 * sigma * sigma

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonAdmissiblePoint
 from .families import FamilySpec, evaluate
 from .geometry import (
+    FD_STEP,
     ParamJet2,
     height_jet_from_param,
     isotropic_curvatures,
@@ -108,17 +109,12 @@ def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
     return du, dv
 
 
-def dual_map_jet(
-    jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2],
-    u,
-    v,
-    h: float = 1e-4,
-) -> ParamJet2:
+def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) -> ParamJet2:
     """2-jet of the dual surface by finite differences of the dual map.
 
     The dual point and its first chart derivatives are exact (primal 2-jet
     data only); the dual's second derivatives come from fourth-order
-    stencils of those exact first derivatives at step h. This keeps the
+    stencils of those exact first derivatives at step FD_STEP. This keeps the
     check independent of primal third derivatives while avoiding the
     cancellation that direct second differences of large dual coordinates
     would suffer.
@@ -129,15 +125,15 @@ def dual_map_jet(
     Raises NonAdmissiblePoint when any stencil point has a vertical tangent.
     """
     u, v = np.broadcast_arrays(np.asarray(u, float)[..., None], np.asarray(v, float)[..., None])
-    # stencil point i < 5 sits at offset (i - 2) h along u, point 5 + i at
-    # the same offset along v, point 10 at the centre
-    steps = np.arange(-2, 3) * h
+    # stencil point i < 5 sits at offset (i - 2) FD_STEP along u, point 5 + i
+    # at the same offset along v, point 10 at the centre
+    steps = np.arange(-2, 3) * FD_STEP
     U = np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1)
     V = np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1)
     jet = jet_fn(U, V)
     du, dv = dual_velocity(jet)
     r = dual_from_tangent(jet.r[..., 10, :], jet.ru[..., 10, :], jet.rv[..., 10, :])
-    w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * FD_STEP)
     ruu = sum(w * du[..., i, :] for i, w in enumerate(w1))
     rvv = sum(w * dv[..., 5 + i, :] for i, w in enumerate(w1))
     ruv = 0.5 * (sum(w * dv[..., i, :] for i, w in enumerate(w1))
@@ -149,7 +145,6 @@ def dual_curvature_check(
     spec: FamilySpec,
     u,
     v,
-    h: float = 1e-4,
     k_floor: float = 1e-6,
 ) -> tuple[float, float]:
     """Max deviations of (K* K - 1, H* - H/K) at the chart points (u, v).
@@ -170,7 +165,7 @@ def dual_curvature_check(
     if not keep.any():
         raise NonAdmissiblePoint("no point had usable curvature for the dual check")
     K, H = cur.K[keep], cur.H[keep]
-    dj = dual_map_jet(jet_fn, U[keep], V[keep], h=h)
+    dj = dual_map_jet(jet_fn, U[keep], V[keep])
     dcur = isotropic_curvatures(height_jet_from_param(dj))
     # fmax skips NaN deviations, as a running Python max would
     worst_k = np.fmax.reduce(np.abs(dcur.K * K - 1.0), initial=0.0)
@@ -183,18 +178,14 @@ def _grid(us, vs):
                        indexing="ij")
 
 
-def involution_check(
-    spec: FamilySpec,
-    us: np.ndarray,
-    vs: np.ndarray,
-    h: float = 1e-4,
-) -> float:
+def involution_check(spec: FamilySpec, us: np.ndarray, vs: np.ndarray) -> float:
     """Max |dual(dual(r)) - r| over a grid, with the second dual via fd tangents."""
     U, V = _grid(us, vs)
 
     def D(uu, vv) -> np.ndarray:
         return dual_surface_point(evaluate(spec, uu, vv, check=False))
 
+    h = FD_STEP
     du = (D(U + h, V) - D(U - h, V)) / (2 * h)
     dv = (D(U, V + h) - D(U, V - h)) / (2 * h)
     back = dual_from_tangent(D(U, V), du, dv)

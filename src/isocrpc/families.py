@@ -43,7 +43,7 @@ from .errors import (
     SingularSimilarity,
     StencilOutOfDomain,
 )
-from .geometry import ParamJet2, crpc_target
+from .geometry import ParamJet2, crpc_target, monge_gradient
 
 SINGULAR_MARGIN = 1e-3
 _INF = float("inf")
@@ -123,12 +123,6 @@ def _jet(parts) -> ParamJet2:
 def _shape(U, V) -> tuple:
     """Broadcast shape of the chart parameters."""
     return np.broadcast_shapes(np.shape(U), np.shape(V))
-
-
-def _need(params, name, family_id):
-    if name not in params:
-        raise InvalidParams(f"{family_id} requires parameter '{name}'")
-    return float(params[name])
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +444,6 @@ def _tin_default_v_interval(a: float) -> tuple[float, float]:
     return lo + 0.1, hi - 0.1
 
 
-@dataclass(frozen=True)
-class _Entry:
-    family_id: str
-    jets: Callable
-    param_names: tuple[str, ...]
-    defaults: Mapping[str, float]
-    constraint_text: str
-    ratio_kind: str  # "isotropic" or "euclidean"
-    ratio_text: str
-    validate: Callable[[Mapping[str, float]], None]
-    ratio_for_residual: Callable[[Mapping[str, float]], float]
-    default_domain: Callable[[Mapping[str, float]], tuple[float, float, float, float]]
-    loci_desc: Callable[[Mapping[str, float]], tuple[str, ...]]
-    loci_dist: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray]
-    hard_valid: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray]
-
-
 def _no_loci(params, U, V):
     return np.full(_shape(U, V), _INF)
 
@@ -483,22 +460,39 @@ def _axis_dist(params, U, V):
     return np.broadcast_to(np.abs(np.asarray(U, float)), _shape(U, V)).astype(float)
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise InvalidParams(msg)
+@dataclass(frozen=True)
+class _Entry:
+    """One catalog family. Its parameter names are the keys of defaults.
+
+    A family with a parameter "a" has curvature ratio a (checked against
+    excluded_a and, if negative_a, against a < 0); a family without one is
+    isotropic minimal, ratio -1.
+    """
+
+    family_id: str
+    jets: Callable
+    defaults: Mapping[str, float]
+    constraint_text: str
+    ratio_text: str
+    default_domain: Callable[[Mapping[str, float]], tuple[float, float, float, float]]
+    excluded_a: tuple[float, ...] = (0.0,)
+    negative_a: bool = False
+    ratio_kind: str = "isotropic"  # or "euclidean"
+    loci_desc: Callable[[Mapping[str, float]], tuple[str, ...]] = lambda p: ()
+    loci_dist: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray] = _no_loci
+    hard_valid: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray] = _all_valid
 
 
-def _check_a(params, family_id, forbidden=(0.0,), need_negative=False):
-    a = _need(params, "a", family_id)
-    for bad in forbidden:
-        _require(a != bad, f"{family_id}: a = {bad} is excluded")
-    if need_negative:
-        _require(a < 0.0, f"{family_id}: requires a < 0")
+def _check_a(entry: _Entry, a: float) -> None:
+    for bad in entry.excluded_a:
+        if a == bad:
+            raise InvalidParams(f"{entry.family_id}: a = {bad} is excluded")
+    if entry.negative_a and a >= 0.0:
+        raise InvalidParams(f"{entry.family_id}: requires a < 0")
     try:
         crpc_target(a)
     except ValueError as exc:
-        raise InvalidParams(f"{family_id}: {exc}") from None
-    return a
+        raise InvalidParams(f"{entry.family_id}: {exc}") from None
 
 
 _REGISTRY: dict[str, _Entry] = {}
@@ -511,45 +505,28 @@ def _register(entry: _Entry):
 _register(_Entry(
     family_id="paraboloid",
     jets=_paraboloid,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a != 0 (a = 1 gives the unit sphere of the geometry)",
-    ratio_kind="isotropic",
     ratio_text="a",
-    validate=lambda p: _check_a(p, "paraboloid"),
-    ratio_for_residual=lambda p: p["a"],
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
-    loci_desc=lambda p: (),
-    loci_dist=_no_loci,
-    hard_valid=_all_valid,
 ))
 
 _register(_Entry(
     family_id="trans_paraboloid",
     jets=_trans_paraboloid,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a != 0; both generator parabolas lie in isotropic planes",
-    ratio_kind="isotropic",
     ratio_text="a",
-    validate=lambda p: _check_a(p, "trans_paraboloid"),
-    ratio_for_residual=lambda p: p["a"],
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
-    loci_desc=lambda p: (),
-    loci_dist=_no_loci,
-    hard_valid=_all_valid,
 ))
 
 _register(_Entry(
     family_id="rotational_power_1",
     jets=_rotational_power_1,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a not in {0, -1}; profile z = r^(1+a)",
-    ratio_kind="isotropic",
     ratio_text="a",
-    validate=lambda p: _check_a(p, "rotational_power_1", forbidden=(0.0, -1.0)),
-    ratio_for_residual=lambda p: p["a"],
+    excluded_a=(0.0, -1.0),
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (rotation axis)",),
     loci_dist=_axis_dist,
@@ -559,13 +536,10 @@ _register(_Entry(
 _register(_Entry(
     family_id="rotational_power_2",
     jets=_rotational_power_2,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a not in {0, -1}; profile z = r^((1+a)/a)",
-    ratio_kind="isotropic",
     ratio_text="a (same ratio law, reciprocal exponent)",
-    validate=lambda p: _check_a(p, "rotational_power_2", forbidden=(0.0, -1.0)),
-    ratio_for_residual=lambda p: p["a"],
+    excluded_a=(0.0, -1.0),
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (rotation axis)",),
     loci_dist=_axis_dist,
@@ -575,13 +549,9 @@ _register(_Entry(
 _register(_Entry(
     family_id="logarithmoid",
     jets=_logarithmoid,
-    param_names=(),
     defaults={},
     constraint_text="no parameters; the rotational minimal surface",
-    ratio_kind="isotropic",
     ratio_text="-1",
-    validate=lambda p: None,
-    ratio_for_residual=lambda p: -1.0,
     default_domain=lambda p: (0.5, 3.0, 0.0, 2.0 * math.pi),
     loci_desc=lambda p: ("u = 0 (rotation axis)",),
     loci_dist=_axis_dist,
@@ -613,13 +583,10 @@ def _euclid_loci_dist(params, U, V):
 _register(_Entry(
     family_id="euclidean_rotational",
     jets=_euclidean_rotational,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a != 0; valid where r^(2a) < 1; ratio law is Euclidean",
     ratio_kind="euclidean",
     ratio_text="a (Euclidean principal curvatures)",
-    validate=lambda p: _check_a(p, "euclidean_rotational"),
-    ratio_for_residual=lambda p: p["a"],
     default_domain=_euclid_domain,
     loci_desc=lambda p: ("u = 0 (rotation axis)", "u = 1 (profile slope unbounded)"),
     loci_dist=_euclid_loci_dist,
@@ -629,13 +596,9 @@ _register(_Entry(
 _register(_Entry(
     family_id="helicoid",
     jets=_helicoid,
-    param_names=(),
     defaults={},
     constraint_text="no parameters; minimal in both geometries",
-    ratio_kind="isotropic",
     ratio_text="-1",
-    validate=lambda p: None,
-    ratio_for_residual=lambda p: -1.0,
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (screw axis)",),
     loci_dist=_axis_dist,
@@ -645,13 +608,11 @@ _register(_Entry(
 _register(_Entry(
     family_id="spiral_ruled",
     jets=_spiral_ruled,
-    param_names=("a",),
     defaults={"a": -2.0},
     constraint_text="a < 0, a != -1; rulings through the z-axis direction field",
-    ratio_kind="isotropic",
     ratio_text="a",
-    validate=lambda p: _check_a(p, "spiral_ruled", forbidden=(0.0, -1.0), need_negative=True),
-    ratio_for_residual=lambda p: p["a"],
+    excluded_a=(0.0, -1.0),
+    negative_a=True,
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (directrix axis)",),
     loci_dist=_axis_dist,
@@ -697,13 +658,10 @@ def _helical_general_hard(params, U, V):
 _register(_Entry(
     family_id="helical_general",
     jets=_helical_general,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a not in {0, 1, -1}; helical surface of pitch 1",
-    ratio_kind="isotropic",
     ratio_text="a",
-    validate=lambda p: _check_a(p, "helical_general", forbidden=(0.0, 1.0, -1.0)),
-    ratio_for_residual=lambda p: p["a"],
+    excluded_a=(0.0, 1.0, -1.0),
     default_domain=_helical_general_domain,
     loci_desc=_helical_general_loci_desc,
     loci_dist=_helical_general_loci_dist,
@@ -713,13 +671,9 @@ _register(_Entry(
 _register(_Entry(
     family_id="helical_log",
     jets=_helical_log,
-    param_names=("c",),
     defaults={"c": 1.0},
     constraint_text="profile c log(u) over u > 0; minimal helical surface",
-    ratio_kind="isotropic",
     ratio_text="-1",
-    validate=lambda p: _need(p, "c", "helical_log"),
-    ratio_for_residual=lambda p: -1.0,
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (screw axis)",),
     loci_dist=_axis_dist,
@@ -745,17 +699,13 @@ def _tin_loci_desc(p):
 _register(_Entry(
     family_id="trans_iso_noniso",
     jets=_trans_iso_noniso,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="a not in {0, 1}; b = (a+1)/(a-1); one isotropic generator",
-    ratio_kind="isotropic",
     ratio_text="a",
-    validate=lambda p: _check_a(p, "trans_iso_noniso", forbidden=(0.0, 1.0)),
-    ratio_for_residual=lambda p: p["a"],
+    excluded_a=(0.0, 1.0),
     default_domain=_tin_domain,
     loci_desc=_tin_loci_desc,
     loci_dist=_tin_loci_dist,
-    hard_valid=_all_valid,
 ))
 
 
@@ -774,13 +724,9 @@ def _tnn_hard(params, U, V):
 _register(_Entry(
     family_id="trans_noniso_noniso",
     jets=_trans_noniso_noniso,
-    param_names=(),
     defaults={},
     constraint_text="minimal; (u, v) in (-pi/2, pi/2)^2 off the line u + v = 0",
-    ratio_kind="isotropic",
     ratio_text="-1",
-    validate=lambda p: None,
-    ratio_for_residual=lambda p: -1.0,
     default_domain=lambda p: (-1.3, -0.8, 0.2, 0.65),
     loci_desc=lambda p: ("u + v = 0 (isotropic tangent planes)", "|u| = pi/2", "|v| = pi/2"),
     loci_dist=_tnn_dist,
@@ -791,30 +737,22 @@ _register(_Entry(
 _register(_Entry(
     family_id="dual_trans_iso_noniso",
     jets=_dual_trans_iso_noniso,
-    param_names=("a",),
     defaults={"a": 2.0},
     constraint_text="metric dual of trans_iso_noniso(a); ratio (b-1)/(b+1) = 1/a",
-    ratio_kind="isotropic",
     ratio_text="1/a",
-    validate=lambda p: _check_a(p, "dual_trans_iso_noniso", forbidden=(0.0, 1.0)),
-    ratio_for_residual=lambda p: p["a"],  # H^2/K target is symmetric in a <-> 1/a
+    excluded_a=(0.0, 1.0),
     default_domain=_tin_domain,
     loci_desc=lambda p: ("sin v = b (pole of the chart)",
                          "b sin v = 1 (image of the primal singular locus)"),
     loci_dist=_tin_loci_dist,
-    hard_valid=_all_valid,
 ))
 
 _register(_Entry(
     family_id="dual_trans_minimal",
     jets=_dual_trans_minimal,
-    param_names=(),
     defaults={},
     constraint_text="metric dual of trans_noniso_noniso; minimal",
-    ratio_kind="isotropic",
     ratio_text="-1",
-    validate=lambda p: None,
-    ratio_for_residual=lambda p: -1.0,
     default_domain=lambda p: (0.2, 1.3, 0.2, 1.3),
     loci_desc=lambda p: ("tan u + tan v = 0 (chart pole)", "|u| = pi/2", "|v| = pi/2"),
     loci_dist=_tnn_dist,
@@ -850,13 +788,14 @@ def make_spec(family_id: str, params: Mapping[str, float] | None = None,
     entry = catalog_entry(family_id)
     merged = dict(entry.defaults)
     for k, v in (params or {}).items():
-        if k not in entry.param_names:
+        if k not in entry.defaults:
             raise InvalidParams(f"{family_id} does not take parameter '{k}'")
         merged[k] = float(v)
     for k, v in merged.items():
         if not math.isfinite(v):
             raise InvalidParams(f"{family_id}: parameter '{k}' must be finite, got {v}")
-    entry.validate(merged)
+    if "a" in merged:
+        _check_a(entry, merged["a"])
     dom = tuple(float(t) for t in (domain if domain is not None else entry.default_domain(merged)))
     if len(dom) != 4:
         raise InvalidParams("domain must be (u_min, u_max, v_min, v_max)")
@@ -877,7 +816,11 @@ def ratio_kind(spec: FamilySpec) -> str:
 
 
 def ratio_for_residual(spec: FamilySpec) -> float:
-    return catalog_entry(spec.family_id).ratio_for_residual(spec.params)
+    """The ratio whose H^2/K target the family meets: a, or -1 without one.
+
+    dual_trans_iso_noniso has ratio 1/a; the target is symmetric in a <-> 1/a.
+    """
+    return spec.params.get("a", -1.0)
 
 
 def is_minimal(spec: FamilySpec) -> bool:
@@ -895,27 +838,26 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
     return catalog_entry(spec.family_id).hard_valid(spec.params, U, V)
 
 
-def evaluate(spec: FamilySpec, u, v, check: bool = True,
-             margin: float = SINGULAR_MARGIN) -> ParamJet2:
+def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
     """Exact second-order jet of the chart at (u, v) (scalars or arrays).
 
     With check=True, raises OutOfDomain outside the hard validity region
-    and SingularLocus within `margin` of a singular locus. check=False is
-    for grid sampling, which masks instead of raising.
+    and SingularLocus within SINGULAR_MARGIN of a singular locus.
+    check=False is for grid sampling, which masks instead of raising.
     """
     entry = catalog_entry(spec.family_id)
     if check:
         if not np.all(entry.hard_valid(spec.params, u, v)):
             raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-        if np.any(entry.loci_dist(spec.params, u, v) < margin):
-            raise SingularLocus(f"{spec.family_id}: within {margin} of a singular locus")
+        if np.any(entry.loci_dist(spec.params, u, v) < SINGULAR_MARGIN):
+            raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
     with np.errstate(all="ignore"):
         return entry.jets(spec.params, np.asarray(u, float), np.asarray(v, float))
 
 
-def evaluate_positions(spec: FamilySpec, U, V, check: bool = False) -> np.ndarray:
-    """Positions only, shape (..., 3)."""
-    return evaluate(spec, U, V, check=check).r
+def evaluate_positions(spec: FamilySpec, U, V) -> np.ndarray:
+    """Positions only, shape (..., 3), unchecked."""
+    return evaluate(spec, U, V, check=False).r
 
 
 def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, float], float]:
@@ -934,9 +876,10 @@ def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, flo
             ry = float(jet.r[1]) - y
             xu, yu = float(jet.ru[0]), float(jet.ru[1])
             xv, yv = float(jet.rv[0]), float(jet.rv[1])
-            det = xu * yv - yu * xv
-            if det == 0.0 or not np.isfinite(det):
+            _fx, _fy, det, singular = monge_gradient(jet.ru, jet.rv)
+            if singular or not np.isfinite(det):
                 raise StencilOutOfDomain("top view not invertible during height inversion")
+            det = float(det)
             du = (-rx * yv + ry * xv) / det
             dv = (-xu * ry + yu * rx) / det
             u += du

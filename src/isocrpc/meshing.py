@@ -9,11 +9,13 @@ only when all four corners survive.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid
+from .duality import dual_surface_point
+from .errors import DegenerateK, EmptyGrid
 from .families import (
     SINGULAR_MARGIN,
     FamilySpec,
@@ -56,7 +58,7 @@ class MeshGrid:
     mask is True where a node is EXCLUDED. H and K are NaN at masked
     nodes; residual is the family's ratio-law residual (isotropic
     curvature-ratio residual, or the Euclidean principal-ratio residual
-    for the Euclidean comparison entry) and None when no ratio applies.
+    for the Euclidean comparison entry), None on a dual_grid.
     """
 
     spec: FamilySpec
@@ -107,18 +109,8 @@ class MeshGrid:
         return out
 
 
-def sample_grid(
-    spec: FamilySpec,
-    nu: int,
-    nv: int,
-    margin: float = SINGULAR_MARGIN,
-    a: float | None = None,
-) -> MeshGrid:
-    """Sample an nu-by-nv grid over spec.domain with singularity masking.
-
-    `a` overrides the ratio hypothesis behind the residual channel; by
-    default the family's own ratio is checked.
-    """
+def _sample(spec: FamilySpec, nu: int, nv: int, margin: float):
+    """The masked grid without a residual channel, and its Monge jet."""
     if nu < 2 or nv < 2:
         raise ValueError("grid needs at least 2 samples per direction")
     u0, u1, v0, v1 = spec.domain
@@ -137,21 +129,55 @@ def sample_grid(
         H, K = relative_curvatures(hj)
         bad |= ~(np.isfinite(H) & np.isfinite(K))
 
-        if bad.all():
-            raise EmptyGrid(f"{spec.family_id}: every grid node is masked")
+    if bad.all():
+        raise EmptyGrid(f"{spec.family_id}: every grid node is masked")
+    H[bad] = K[bad] = np.nan
+    return MeshGrid(spec=spec, us=us, vs=vs, vertices=np.asarray(jet.r, float),
+                    mask=bad, H=H, K=K, residual=None), hj
 
-        if a is None:
-            a = ratio_for_residual(spec)
+
+def sample_grid(
+    spec: FamilySpec,
+    nu: int,
+    nv: int,
+    margin: float = SINGULAR_MARGIN,
+    a: float | None = None,
+) -> MeshGrid:
+    """Sample an nu-by-nv grid over spec.domain with singularity masking.
+
+    `a` overrides the ratio hypothesis behind the residual channel; by
+    default the family's own ratio is checked.
+    """
+    grid, hj = _sample(spec, nu, nv, margin)
+    if a is None:
+        a = ratio_for_residual(spec)
+    with np.errstate(all="ignore"):
         if ratio_kind(spec) == "euclidean":
             _Ke, _He, k1e, k2e = euclidean_curvatures(hj)
             residual = principal_ratio_residual(k1e, k2e, a)
         else:
+            H, K = grid.H, grid.K
             residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - crpc_target(a))
+    residual[grid.mask] = np.nan
+    return dataclasses.replace(grid, residual=residual)
 
-    for channel in (H, K, residual):
-        channel[bad] = np.nan
-    return MeshGrid(spec=spec, us=us, vs=vs, vertices=np.asarray(jet.r, float),
-                    mask=bad, H=H, K=K, residual=residual)
+
+def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
+    """The grid with the metric dual's points as vertices, from one evaluation.
+
+    Also masks nodes where the dual point is not finite or |K| < K_EPS, and
+    raises DegenerateK when no node is left. The curvature channels stay
+    the primal surface's.
+    """
+    grid, hj = _sample(spec, nu, nv, SINGULAR_MARGIN)
+    with np.errstate(all="ignore"):
+        vertices = dual_surface_point(hj)
+    mask = grid.mask | ~np.all(np.isfinite(vertices), axis=-1)
+    mask |= ~(np.abs(grid.K) >= K_EPS)  # the dual surface degenerates where K = 0
+    if mask.all():
+        raise DegenerateK(f"{spec.family_id}: relative curvature is numerically "
+                          "zero on the whole grid; dual surface undefined")
+    return dataclasses.replace(grid, vertices=vertices, mask=mask)
 
 
 def obj_text(grid: MeshGrid) -> str:

@@ -54,7 +54,7 @@ def helical_ode_residual(fp: float, fpp: float, u: float, a: float) -> OdeResidu
     return OdeResidual(float(lhs), float(rhs))
 
 
-def helical_substitution_check(s: float, a: float, h: float = 1e-3) -> tuple[float, float]:
+def helical_substitution_check(s: float, a: float) -> tuple[float, float]:
     """Finite-difference audit of the helical profile's closed form.
 
     The closed-form solution parameterizes radius and height by an angle
@@ -62,8 +62,9 @@ def helical_substitution_check(s: float, a: float, h: float = 1e-3) -> tuple[flo
     zeta(s) = s + cot 2s + c_a csc 2s. Their s-derivatives must satisfy
     w' = w (tan s - a cot s)/(a+1) and
     zeta' = (tan s + a cot s)(tan s - a cot s)/((a-1)(a+1)).
-    Returns the two absolute mismatches using 5-point stencils of width h.
+    Returns the two absolute mismatches using 5-point stencils of step 1e-3.
     """
+    h = 1e-3
     if a == 0:
         raise ValueError("ratio a must be nonzero")
     if a in (1.0, -1.0):

@@ -25,12 +25,13 @@ from .errors import (
     ZeroCurvature,
     ZeroRadius,
 )
-from .geometry import FD_STEP, Jet2Height, fd_jet, point3
+from .geometry import Jet2Height, fd_jet, point3
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
 CYLINDRIC = "cylindric"
 
+CIRCLE_SAMPLES = 64  # samples of a characteristic or osculating circle
 _CLASS_TOL = 1e-10
 
 
@@ -129,9 +130,9 @@ class SphereFamily:
             [self.A_dot(t), self.B_dot(t), self.C_dot(t), self.D_dot(t)], float
         )
 
-    def audit(self, t: float, h: float = 1e-6) -> float:
+    def audit(self, t: float) -> float:
         """Max mismatch between supplied derivatives and central differences."""
-        step = h * max(1.0, abs(t))
+        step = 1e-6 * max(1.0, abs(t))
         fd = (self.coefficients(t + step) - self.coefficients(t - step)) / (2.0 * step)
         num = np.abs(self.derivatives(t) - fd)
         den = np.maximum(1.0, np.abs(self.derivatives(t)))
@@ -141,7 +142,6 @@ class SphereFamily:
 def sphere_family_from_coeffs(
     coeffs: Callable[[float], Sequence[float]],
     dcoeffs: Callable[[float], Sequence[float]],
-    t_interval: tuple[float, float] = (0.0, 1.0),
 ) -> SphereFamily:
     """Build a SphereFamily from a pair of 4-vector callables."""
     return SphereFamily(
@@ -153,7 +153,6 @@ def sphere_family_from_coeffs(
         B_dot=lambda t: float(dcoeffs(t)[1]),
         C_dot=lambda t: float(dcoeffs(t)[2]),
         D_dot=lambda t: float(dcoeffs(t)[3]),
-        t_interval=t_interval,
     )
 
 
@@ -200,22 +199,17 @@ class Characteristic:
         )
 
 
-def envelope_characteristic(
-    fam: SphereFamily,
-    t: float,
-    n_samples: int = 64,
-    class_tol: float = _CLASS_TOL,
-    audit_tol: float = 1e-6,
-) -> Characteristic:
+def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
     """Solve the envelope system of the family at parameter t.
 
     The characteristic is the solution set of the member's equation together
     with its t-derivative. A varying radius (A'(t) != 0) yields an elliptic
     circle; a constant radius with a nontrivial derivative equation yields a
     parabolic circle. Raises StationaryFamily when the derivative vanishes
-    identically and EmptyCharacteristic when the system has no real points.
+    identically and EmptyCharacteristic when the system has no real points,
+    and InvalidParams when the family fails its audit by more than 1e-6.
     """
-    if fam.audit(t) > audit_tol:
+    if fam.audit(t) > 1e-6:
         raise InvalidParams("sphere family derivatives fail the consistency audit")
     A, B, C, D = fam.coefficients(t)
     Ad, Bd, Cd, Dd = fam.derivatives(t)
@@ -223,23 +217,23 @@ def envelope_characteristic(
     scale = max(1.0, abs(A), abs(B), abs(C), abs(D))
     dscale = max(abs(Ad), abs(Bd), abs(Cd), abs(Dd))
 
-    if dscale <= class_tol * scale:
+    if dscale <= _CLASS_TOL * scale:
         raise StationaryFamily("all coefficient derivatives vanish at t")
 
-    if abs(Ad) > class_tol * max(1.0, dscale):
+    if abs(Ad) > _CLASS_TOL * max(1.0, dscale):
         # derivative equation is itself a circle in the top view
         cx = -Bd / (2.0 * Ad)
         cy = -Cd / (2.0 * Ad)
         rad2 = cx * cx + cy * cy - Dd / Ad
         # radius^2 = 0 is still elliptic (the circle degenerates to a point)
-        if rad2 < -class_tol * max(1.0, cx * cx + cy * cy, abs(Dd / Ad)):
+        if rad2 < -_CLASS_TOL * max(1.0, cx * cx + cy * cy, abs(Dd / Ad)):
             raise EmptyCharacteristic("elliptic characteristic has no real points")
         rho = math.sqrt(max(rad2, 0.0))
         # eliminate the quadratic term to expose the non-isotropic carrier plane
         p = (Ad * B - A * Bd) / (2.0 * Ad)
         q = (Ad * C - A * Cd) / (2.0 * Ad)
         s = (Ad * D - A * Dd) / (2.0 * Ad)
-        theta = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
         x = cx + rho * np.cos(theta)
         y = cy + rho * np.sin(theta)
         z = p * x + q * y + s
@@ -260,7 +254,7 @@ def envelope_characteristic(
         )
 
     norm = math.hypot(Bd, Cd)
-    if norm <= class_tol * max(1.0, dscale):
+    if norm <= _CLASS_TOL * max(1.0, dscale):
         raise EmptyCharacteristic(
             "derivative equation reduces to a nonzero constant; no real points"
         )
@@ -268,11 +262,11 @@ def envelope_characteristic(
     ex, ey = Bd / norm, Cd / norm
     x0, y0 = -Dd * ex / norm, -Dd * ey / norm
     dx, dy = -ey, ex
-    sigma = np.linspace(-1.0, 1.0, n_samples)
+    sigma = np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
     x = x0 + sigma * dx
     y = y0 + sigma * dy
     z = sphere.height(x, y)
-    tangents = np.broadcast_to(np.array([dx, dy]), (n_samples, 2)).copy()
+    tangents = np.broadcast_to(np.array([dx, dy]), (CIRCLE_SAMPLES, 2)).copy()
     circle = IsoCircleClass(
         kind=PARABOLIC,
         carrier_plane=(Bd, Cd, Dd),
@@ -308,28 +302,27 @@ def channel_checks(
     fam: SphereFamily,
     surface: Callable[[float, float], float],
     ts: Sequence[float],
-    samples_per: int = 5,
-    h: float = FD_STEP,
 ) -> ChannelReport:
     """Check the envelope surface against the sphere family's predictions.
 
-    At sampled points of each characteristic c(t), the top-view tangent of
-    c(t) must be an eigenvector of the envelope's Hessian, and the normal
-    curvature along it must equal A(t). `surface` is the caller's envelope
-    height field; its second derivatives come from the fd stencil.
+    At five sampled points of each characteristic c(t), the top-view
+    tangent of c(t) must be an eigenvector of the envelope's Hessian, and
+    the normal curvature along it must equal A(t). `surface` is the
+    caller's envelope height field; its second derivatives come from the
+    fd stencil.
     """
     ts = np.asarray(list(ts), float)
     eig = np.empty(len(ts))
     cur = np.empty(len(ts))
     for i, t in enumerate(ts):
         ch = envelope_characteristic(fam, float(t))
-        idx = np.linspace(0, len(ch.points) - 1, samples_per).round().astype(int)
+        idx = np.linspace(0, len(ch.points) - 1, 5).round().astype(int)
         worst_e = 0.0
         worst_c = 0.0
         for k in idx:
             x, y = float(ch.points[k, 0]), float(ch.points[k, 1])
             d = ch.top_tangents[k]
-            j = fd_jet(surface, x, y, h=h)
+            j = fd_jet(surface, x, y)
             hess = np.array([[j.fxx, j.fxy], [j.fxy, j.fyy]])
             kd = float(d @ hess @ d)
             worst_e = max(worst_e, float(np.linalg.norm(hess @ d - kd * d)))

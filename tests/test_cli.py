@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, files, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import isocrpc.families
+import isocrpc.meshing
 from isocrpc.cli import main
 from isocrpc.families import evaluate, make_spec
 
@@ -335,3 +338,98 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "helicoid" in proc.stdout
+
+
+# --- golden output, one chart evaluation per dual, the --a rule, flags ----------
+
+@pytest.mark.parametrize("argv, digest", [
+    (["list"], "ca107dd006550f0d75e7f74564c22286aafe78e627984f52a93bbdd8b9240c65"),
+    (["list", "--json"], "488803d53eae159d294d224f9dda098baecdb736f3d47ff9a0d983a361caabb5"),
+])
+def test_list_output_bytes(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_dual_evaluates_the_chart_once(tmp_path, monkeypatch):
+    points = []
+    chart = isocrpc.families.evaluate
+
+    def counted(spec, u, v, *args, **kwargs):
+        points.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+        return chart(spec, u, v, *args, **kwargs)
+
+    for module in (isocrpc.families, isocrpc.meshing):
+        monkeypatch.setattr(module, "evaluate", counted)
+    rc = main(["dual", "--family", "trans_iso_noniso", "--a", "2", "--res", "7x9",
+               "--out", str(tmp_path / "d.obj")])
+    assert rc == 0
+    assert points == [63]
+
+
+def test_verify_a_value_without_a_row_is_an_error(tmp_path, capsys):
+    # no family takes the ratio 0; the families without a ratio give rows
+    # at -1, which do not answer the request
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "all", "--a", "0", "--res", "6x6", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --a 0.0 ")
+    assert not out.exists()
+
+
+def test_verify_every_a_value_needs_a_row(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "trans_paraboloid", "--a", "2,0", "--res", "6x6",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --a 0.0 ")
+    assert not out.exists()
+
+
+READ_FLAGS = {
+    "list": {"json", "out", "config"},
+    "generate": {"family", "a", "params", "domain", "res", "out", "config"},
+    "dual": {"family", "a", "params", "domain", "res", "out", "config"},
+    "verify": {"family", "a", "params", "domain", "res", "out", "config", "tol", "seed"},
+    "trace": {"family", "a", "params", "seed", "kind", "steps", "dt", "out", "config"},
+}
+ALL_FLAGS = set().union(*READ_FLAGS.values())
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    (sub, flag) for sub in READ_FLAGS for flag in sorted(ALL_FLAGS - READ_FLAGS[sub])])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(subcommand, flag):
+    value = [] if flag == "json" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, f"--{flag}", *value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "helicoid", "--res", "5x5", "--tol", "1e-3", "--seed", "7",
+     "--json"],
+    ["list", "--family", "nope", "--res", "2x2", "--a", "5"],
+    ["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "20", "--dt", "0.01",
+     "--domain", "5,6,5,6", "--res", "3x3", "--tol", "9", "--json"],
+])
+def test_flags_that_once_did_nothing_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_key_the_subcommand_does_not_read_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "helicoid", "res": "4x4", "tol": 1e-3}))
+    out = tmp_path / "m.obj"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_can_ask_list_for_json(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"json": True}))
+    assert main(["list", "--config", str(cfg)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 14

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus
+from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus, StencilOutOfDomain
 from isocrpc.families import (
     catalog_entry,
     default_domain,
@@ -242,3 +242,17 @@ def test_catalog_entry_text():
 def test_helicoid_chart_positions():
     p = evaluate_positions(make_spec("helicoid"), 1.0, math.pi / 2.0)
     assert_allclose(p, [0.0, 1.0, math.pi / 2.0], atol=1e-15)
+
+
+def test_height_field_rejects_a_frame_inside_the_admissibility_bound():
+    # trans_noniso_noniso has a vertical tangent plane on u + v = 0; at
+    # u + v = 1e-13 the top-view determinant is about 1e-13, nonzero but
+    # inside the bound of geometry.monge_gradient, so the point is not
+    # admissible and the inversion must refuse it
+    spec = make_spec("trans_noniso_noniso")
+    u, v = 0.3, -0.3 + 1e-13
+    jet = evaluate(spec, u, v, check=False)
+    det = float(jet.ru[0] * jet.rv[1] - jet.ru[1] * jet.rv[0])
+    assert 0.0 < abs(det) < 1e-12
+    with pytest.raises(StencilOutOfDomain):
+        height_field(spec, u, v)(float(jet.r[0]), float(jet.r[1]))
