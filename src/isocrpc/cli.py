@@ -328,19 +328,23 @@ def cmd_verify(cfg: RunConfig) -> int:
     tol.update(cfg.tol)
     seed = int(cfg.seed) if cfg.seed is not None else 0
 
-    # a family that refuses a combination drops it, but every --a value
-    # must give at least one row
-    specs, refused = [], {}
+    # a family that refuses a combination drops it, named on stderr, but
+    # every --a value must give at least one row
+    specs, refused, skipped = [], {}, []
     for fid in fids:
         for a_hyp, params in _verify_combos(fid, cfg, hyps):
             try:
                 specs.append((fam.make_spec(fid, params, cfg.domain), a_hyp))
             except InvalidParams as exc:
                 refused.setdefault(a_hyp, exc)
+                shown = ",".join(f"{k}={fmt_float(v)}" for k, v in params.items())
+                skipped.append(f"verify: skipped {fid} {shown or '(defaults)'}: {exc}")
     for aval in hyps or ():
         if not any(a_hyp == aval for _spec, a_hyp in specs):
             why = refused.get(aval, "the requested families take no ratio")
             raise InvalidParams(f"--a {aval!r} gives no row: {why}")
+    for line in skipped:
+        print(line, file=sys.stderr)
 
     rows = []
     any_fail = False

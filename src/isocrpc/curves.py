@@ -34,7 +34,7 @@ from .geometry import (
     isotropic_curvatures,
     normal_curvature,
 )
-from .meshing import fmt_float, write_text
+from .meshing import format_rows, write_text
 from .spheres import CIRCLE_SAMPLES, CYLINDRIC, ELLIPTIC, PARABOLIC, ParabolicSphere, tangent_sphere
 
 TRACE_KINDS = ("characteristic+", "characteristic-", "principal1", "principal2")
@@ -62,14 +62,9 @@ class CurveTrace:
 
     def to_csv(self, path) -> None:
         """Write t,x,y,z,tx,ty rows at 17 significant digits."""
-        rows = ["t,x,y,z,tx,ty"]
-        for i in range(len(self.t)):
-            rows.append(",".join(fmt_float(v) for v in (
-                self.t[i],
-                self.points[i, 0], self.points[i, 1], self.points[i, 2],
-                self.top_dirs[i, 0], self.top_dirs[i, 1],
-            )))
-        write_text("\n".join(rows) + "\n", path)
+        rows = np.column_stack((self.t, self.points, self.top_dirs))
+        text = format_rows("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
+        write_text("".join(["t,x,y,z,tx,ty\n", *text]), path)
 
 
 def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):

@@ -373,14 +373,20 @@ def _euclid_slope(a: float):
 
 
 def _euclid_height_values(a: float, U: np.ndarray) -> np.ndarray:
-    """h(u) by adaptive quadrature from the anchor, cached per (a, u)."""
+    """h(u) by adaptive quadrature from the anchor, cached per (a, u).
+
+    h is NaN where the slope is not real (r^(2a) >= 1): the profile ends at
+    r = 1, and a quadrature past it only warns.
+    """
     hp = _euclid_slope(a)
     anchor = _euclid_anchor(a)
     flat = np.atleast_1d(np.asarray(U, float)).ravel()
-    out = np.empty_like(flat)
+    out = np.full_like(flat, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on_profile = flat ** (2.0 * a) < 1.0
     cache = _euclid_cache.setdefault(a, {})
-    for i, u in enumerate(flat):
-        key = float(u)
+    for i in np.flatnonzero(on_profile):
+        key = float(flat[i])
         if key not in cache:
             val, _err = quad(hp, anchor, key, epsabs=1e-12, epsrel=1e-12, limit=200)
             cache[key] = val

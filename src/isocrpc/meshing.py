@@ -10,12 +10,14 @@ only when all four corners survive.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .duality import dual_surface_point
-from .errors import DegenerateK, EmptyGrid
+from .errors import DegenerateK, EmptyGrid, InvalidParams
 from .families import (
     SINGULAR_MARGIN,
     FamilySpec,
@@ -34,12 +36,29 @@ from .geometry import (
     relative_curvatures,
 )
 
+# a 1000x1000 generate peaks near 420 MB; the cap keeps a grid under 4x that
+MAX_GRID_NODES = 4_000_000
+# rows of text made by one % operation in format_rows
+FORMAT_BLOCK_ROWS = 1 << 14
+
 
 def fmt_float(x: float) -> str:
     """x at 17 significant digits, with -0.0 written as 0."""
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return "%.17g" % x
+
+
+def format_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
+    """Text of row_fmt applied to each row of a 2-D array, in blocks of rows.
+
+    One % operation formats each block. Floats are written as fmt_float
+    writes them: adding 0 turns -0.0 into 0.
+    """
+    rows = np.asarray(rows)
+    for start in range(0, len(rows), FORMAT_BLOCK_ROWS):
+        block = rows[start:start + FORMAT_BLOCK_ROWS]
+        yield (row_fmt * len(block)) % tuple((block + 0).ravel().tolist())
 
 
 def write_text(text: str, path) -> None:
@@ -83,16 +102,25 @@ class MeshGrid:
         return self.vertices[~self.mask]
 
     def quad_indices(self) -> np.ndarray:
-        """(m, 4) one-based indices into vertex_rows(), one row per whole quad."""
-        idx = np.full((self.nu, self.nv), -1, dtype=int)
-        idx[~self.mask] = np.arange(int((~self.mask).sum()))
-        quads = []
-        for i in range(self.nu - 1):
-            for j in range(self.nv - 1):
-                c = (idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1])
-                if all(k >= 0 for k in c):
-                    quads.append([k + 1 for k in c])
-        return np.array(quads, dtype=int).reshape(-1, 4)
+        """(m, 4) one-based indices into vertex_rows(), one row per whole quad.
+
+        Corners run (i, j), (i+1, j), (i+1, j+1), (i, j+1); quads are
+        row-major in (i, j). A quad with a masked corner is left out.
+        """
+        valid = ~self.mask
+        idx = np.zeros((self.nu, self.nv), dtype=int)  # 0 = masked
+        idx[valid] = np.arange(1, int(valid.sum()) + 1)
+        corners = np.stack(
+            (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]), axis=-1)
+        return corners[np.all(corners > 0, axis=-1)]
+
+    @functools.cached_property
+    def quads(self) -> np.ndarray:
+        """quad_indices(), computed once per grid.
+
+        quad_indices stays a plain method, which perfbench's tracer wraps.
+        """
+        return self.quad_indices()
 
     def stats(self) -> dict:
         valid = ~self.mask
@@ -100,7 +128,7 @@ class MeshGrid:
             "n_nodes": int(self.mask.size),
             "n_masked": int(self.mask.sum()),
             "n_valid": int(valid.sum()),
-            "n_quads": int(len(self.quad_indices())),
+            "n_quads": len(self.quads),
             "max_abs_H": float(np.max(np.abs(self.H[valid]))) if valid.any() else float("nan"),
             "max_abs_K": float(np.max(np.abs(self.K[valid]))) if valid.any() else float("nan"),
         }
@@ -113,6 +141,8 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float):
     """The masked grid without a residual channel, and its Monge jet."""
     if nu < 2 or nv < 2:
         raise ValueError("grid needs at least 2 samples per direction")
+    if nu * nv > MAX_GRID_NODES:
+        raise InvalidParams(f"a {nu}x{nv} grid has more than {MAX_GRID_NODES} nodes")
     u0, u1, v0, v1 = spec.domain
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
@@ -182,12 +212,8 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
 
 def obj_text(grid: MeshGrid) -> str:
     """Wavefront OBJ text: unmasked vertices row-major, whole quads as faces."""
-    lines = []
-    for p in grid.vertex_rows():
-        lines.append("v " + " ".join(fmt_float(c) for c in p))
-    for q in grid.quad_indices():
-        lines.append("f %d %d %d %d" % tuple(q))
-    return "\n".join(lines) + "\n"
+    return "".join([*format_rows("v %.17g %.17g %.17g\n", grid.vertex_rows()),
+                    *format_rows("f %d %d %d %d\n", grid.quads)])
 
 
 def write_obj(grid: MeshGrid, path) -> None:

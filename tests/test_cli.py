@@ -1,13 +1,20 @@
 """End-to-end CLI behavior: subcommands, files, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import isocrpc.cli
 import isocrpc.families
 import isocrpc.meshing
 from isocrpc.cli import main
@@ -433,3 +440,121 @@ def test_config_file_can_ask_list_for_json(tmp_path, capsys):
     cfg.write_text(json.dumps({"json": True}))
     assert main(["list", "--config", str(cfg)]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 14
+
+
+# --- refused verify combinations, the grid cap -----------------------------------
+
+def test_verify_names_every_refused_combination(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "all", "--params", "a=2", "--res", "6x6",
+               "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 1 + 8
+    skipped = capsys.readouterr().err.splitlines()
+    assert len(skipped) == 6
+    assert "verify: skipped spiral_ruled a=2: spiral_ruled: requires a < 0" in skipped
+    for fid in ("logarithmoid", "helicoid", "helical_log", "trans_noniso_noniso",
+                "dual_trans_minimal"):
+        assert f"verify: skipped {fid} a=2: {fid} does not take parameter 'a'" in skipped
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--family", "trans_paraboloid", "--a", "-2,2", "--res", "8x8"],
+     "247ee5d4f72135c104df54cf97f4e6099e5d2b17b468012fe63dc259dd045692"),
+    (["verify", "--family", "spiral_ruled", "--res", "8x8", "--seed", "3"],
+     "38d81c94b4f9e9f585c91d2a2eecf8d0ceddb73420676346f597308f2acffcac"),
+])
+def test_single_family_verify_output_bytes(capsys, argv, digest):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ""
+
+
+def test_grid_above_the_cap_fails_before_allocating(tmp_path, capsys):
+    out = tmp_path / "m.obj"
+    tracemalloc.start()
+    try:
+        rc = main(["generate", "--family", "helicoid", "--res", "100000x100000",
+                   "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_euclidean_profile_past_its_end_is_masked_without_warning(tmp_path):
+    # u = 1 ends the profile of euclidean_rotational a = 2; the adaptive
+    # quadrature once ran past it and warned about the integrand
+    out = tmp_path / "v.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--family", "euclidean_rotational", "--domain", "0.5,2,0,1",
+                   "--res", "4x4", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1].endswith(",PASS")
+
+
+# --- any argv from a small grammar exits 0, 1 or 2, without traceback or warning
+
+ARGV_VALUES = {
+    "--family": ("helicoid", "paraboloid", "spiral_ruled", "trans_iso_noniso",
+                 "euclidean_rotational", "rotational_power", "helical_general", "all",
+                 "nope", ""),
+    "--a": ("2", "-2", "0", "1", "-1", "0.5", "nan", "inf", "-0.5,2", "1e-320", "1e200",
+            "x", ""),
+    "--params": ("a=2", "a=-2", "a=nan", "b=1", "a", "a=1e-320", "c=0.5", ""),
+    "--domain": ("0.5,2,0,1", "-1,1,-1,1", "0,inf,0,1", "1,-1,-1,1", "nan,1,0,1",
+                 "0,1,0", "a,b,c,d", "0,0,0,1", "-1e-300,1e-300,0,1"),
+    "--res": ("2x2", "3x8", "8x8", "5X4", "1x5", "0x0", "-2x4", "ax3", "4", "2x3x4",
+              "100000x100000", "8x600000"),
+    "--tol": ("1e-3", "crpc=1e-7,dual=1e-3", "bogus=1", "nan", "x", "crpc"),
+    "--seed": ("0", "7", "-1", "x", "1.5"),
+    "--kind": ("char+", "char-", "principal1", "principal2", "bogus"),
+    "--steps": ("1", "4", "0", "-1", "x"),
+    "--dt": ("0.01", "0", "-0.01", "nan", "inf", "1e-300", "1e300", "x"),
+    "--config": ("missing.json",),
+}
+TRACE_SEEDS = ("1,0.5", "0.7,0.3", "-0.5,0.5", "nan,0", "inf,1", "1", "x,y", "1,2,3")
+OTHER_FLAGS = ("--json", "--bogus", "-x", "--", "--res")
+
+
+@st.composite
+def cli_argv(draw):
+    sub = draw(st.sampled_from(("list", "generate", "verify", "trace", "dual")))
+    own = [f"--{flag}" for flag in isocrpc.cli.SUBCOMMANDS[sub][1]]
+    argv = [sub]
+    if sub != "list":
+        argv += ["--family", draw(st.sampled_from(ARGV_VALUES["--family"]))]
+    if "--res" in own:
+        argv += ["--res", draw(st.sampled_from(ARGV_VALUES["--res"][:3]))]
+    if sub == "trace":
+        argv += ["--steps", "3", "--seed", draw(st.sampled_from(TRACE_SEEDS))]
+    for flag in draw(st.lists(st.sampled_from(own + ["--config"]), max_size=4)):
+        if flag == "--json":
+            argv.append(flag)
+        elif flag != "--out":
+            values = TRACE_SEEDS if (sub, flag) == ("trace", "--seed") else ARGV_VALUES[flag]
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 5)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(OTHER_FLAGS)))
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_any_argv_exits_cleanly(tmp_path, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        try:
+            rc = main(argv + ["--out", str(tmp_path / "out")])
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import isocrpc.meshing
 from isocrpc.curves import (
     CurveJet,
     CurveTrace,
@@ -27,6 +28,7 @@ from isocrpc.errors import (
 )
 from isocrpc.families import evaluate, make_spec
 from isocrpc.geometry import characteristic_directions, height_jet_from_param
+from isocrpc.meshing import fmt_float
 
 
 def line_fit_gap(xy):
@@ -178,6 +180,20 @@ def test_trace_csv_header_and_negative_zero():
     assert lines[1] == "0,0,1,2,1,0"  # -0.0 normalized, %.17g trims zeros
     assert "-4" in lines[2]
     assert buf.getvalue().endswith("\n")
+
+
+def test_trace_csv_matches_per_float_formatting(monkeypatch):
+    spec = make_spec("trans_paraboloid", {"a": 2.0})
+    tr = trace_direction_field(spec, (0.1, 0.3), "characteristic+", 20, 1e-3)
+    want = ["t,x,y,z,tx,ty"]
+    for i in range(len(tr)):
+        vals = (tr.t[i], *tr.points[i], *tr.top_dirs[i])
+        want.append(",".join(fmt_float(v) for v in vals))
+    for block_rows in (4, isocrpc.meshing.FORMAT_BLOCK_ROWS):
+        monkeypatch.setattr(isocrpc.meshing, "FORMAT_BLOCK_ROWS", block_rows)
+        buf = io.StringIO()
+        tr.to_csv(buf)
+        assert buf.getvalue() == "\n".join(want) + "\n"
 
 
 def test_trace_csv_deterministic(tmp_path):

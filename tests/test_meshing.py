@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from isocrpc.errors import EmptyGrid, NonAdmissiblePoint
+import isocrpc.meshing
+from isocrpc.cli import main
+from isocrpc.errors import EmptyGrid, InvalidParams, NonAdmissiblePoint
 from isocrpc.families import evaluate, make_spec
 from isocrpc.geometry import height_jet_from_param
-from isocrpc.meshing import obj_text, sample_grid, write_obj
+from isocrpc.meshing import MeshGrid, fmt_float, obj_text, sample_grid, write_obj
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
 
@@ -152,3 +154,92 @@ def test_vertices_match_chart_positions():
     vs = np.linspace(v0, v1, 4)
     want = np.array([us[2] * math.cos(vs[1]), us[2] * math.sin(vs[1]), vs[1]])
     assert np.allclose(grid.vertices[2, 1], want)
+
+
+def test_grid_above_the_node_cap_is_refused_before_sampling(monkeypatch):
+    spec = make_spec("helicoid", {})
+    monkeypatch.setattr(isocrpc.meshing, "MAX_GRID_NODES", 100)
+    assert sample_grid(spec, 10, 10).mask.size == 100
+    with pytest.raises(InvalidParams):
+        sample_grid(spec, 10, 11)
+
+
+# --- the vectorized emitter against the scalar loops it replaced --------------
+
+def _reference_quad_indices(grid):
+    idx = np.full((grid.nu, grid.nv), -1, dtype=int)
+    idx[~grid.mask] = np.arange(int((~grid.mask).sum()))
+    quads = []
+    for i in range(grid.nu - 1):
+        for j in range(grid.nv - 1):
+            c = (idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1])
+            if all(k >= 0 for k in c):
+                quads.append([k + 1 for k in c])
+    return np.array(quads, dtype=int).reshape(-1, 4)
+
+
+def _reference_obj_text(grid):
+    lines = []
+    for p in grid.vertex_rows():
+        lines.append("v " + " ".join(fmt_float(c) for c in p))
+    for q in _reference_quad_indices(grid):
+        lines.append("f %d %d %d %d" % tuple(q))
+    return "\n".join(lines) + "\n"
+
+
+def _checkerboard_grid():
+    us, vs = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    mask = (np.add.outer(np.arange(5), np.arange(4)) % 2).astype(bool)
+    nan = np.full(mask.shape, np.nan)
+    return MeshGrid(spec=make_spec("paraboloid", {"a": 2.0}), us=us, vs=vs,
+                    vertices=np.stack((U, -V, U * V), axis=-1), mask=mask,
+                    H=nan, K=nan, residual=None)
+
+
+EMITTER_GRIDS = {
+    # the screw axis u = 0 crosses this box, so a band of nodes is masked
+    "helicoid_axis": lambda: sample_grid(make_spec("helicoid", {}, (-1.0, 1.0, 0.0, 3.0)), 9, 6),
+    # linspace ends exactly at the bound -0.0, so some coordinates are -0.0
+    "paraboloid_negative_zero": lambda: sample_grid(
+        make_spec("paraboloid", {"a": 2.0}, (-1.0, -0.0, -1.0, -0.0)), 4, 5),
+    "checkerboard": _checkerboard_grid,
+    "two_by_two": lambda: sample_grid(make_spec("trans_paraboloid", {"a": -2.0}), 2, 2),
+}
+
+
+@pytest.mark.parametrize("block_rows", [3, isocrpc.meshing.FORMAT_BLOCK_ROWS])
+@pytest.mark.parametrize("name", sorted(EMITTER_GRIDS))
+def test_emitter_matches_scalar_reference(name, block_rows, monkeypatch):
+    monkeypatch.setattr(isocrpc.meshing, "FORMAT_BLOCK_ROWS", block_rows)
+    grid = EMITTER_GRIDS[name]()
+    quads = grid.quad_indices()
+    assert quads.dtype == _reference_quad_indices(grid).dtype
+    assert np.array_equal(quads, _reference_quad_indices(grid))
+    assert obj_text(grid).encode() == _reference_obj_text(grid).encode()
+    assert grid.stats()["n_quads"] == len(quads)
+
+
+def test_emitter_grids_cover_their_cases():
+    grids = {name: make() for name, make in EMITTER_GRIDS.items()}
+    assert grids["helicoid_axis"].mask.any() and len(grids["helicoid_axis"].quads)
+    v = grids["paraboloid_negative_zero"].vertex_rows()
+    assert np.any((v == 0.0) & np.signbit(v))
+    assert len(grids["checkerboard"].quad_indices()) == 0
+    assert grids["checkerboard"].vertex_rows().shape == (10, 3)
+    assert len(grids["two_by_two"].quads) == 1
+
+
+def test_generate_extracts_quads_once(tmp_path, monkeypatch):
+    calls = []
+    quad_indices = MeshGrid.quad_indices
+
+    def counted(self):
+        calls.append(self)
+        return quad_indices(self)
+
+    monkeypatch.setattr(MeshGrid, "quad_indices", counted)
+    out = tmp_path / "m.obj"
+    assert main(["generate", "--family", "helicoid", "--res", "6x5", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_text().count("\nf ") == 20
