@@ -78,7 +78,7 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
         d = tp if kind == "characteristic+" else tm
     else:
         cur = isotropic_curvatures(hj)
-        if bool(np.any(cur.umbilic)):
+        if cur.umbilic.any():
             raise Umbilic("principal directions undefined at an umbilic")
         d = cur.d1 if kind == "principal1" else cur.d2
     d = np.asarray(d, float).reshape(2)
@@ -111,12 +111,13 @@ def trace_direction_field(
     non-finite chart jet, direction or parameter state after the first
     sample truncates the trace before that sample (stopped says why); at
     the seed itself an umbilic raises UmbilicEncountered and other geometry
-    errors propagate.
+    errors propagate. dt must be finite and positive. A step evaluates the
+    chart four times: its first stage is the accepted sample's direction.
     """
     if kind not in TRACE_KINDS:
         raise ValueError(f"kind must be one of {TRACE_KINDS}")
-    if steps < 1 or dt <= 0.0:
-        raise ValueError("steps must be >= 1 and dt > 0")
+    if steps < 1 or not 0.0 < dt < math.inf:
+        raise ValueError("steps must be >= 1 and dt finite and > 0")
     u, v = float(seed[0]), float(seed[1])
     try:
         d0, jet0 = _field_direction(spec, u, v, kind, None)
@@ -128,14 +129,18 @@ def trace_direction_field(
     pts = [np.asarray(jet0.r, float).reshape(3)]
     dirs = [d0]
     stopped = None
-    ref = d0
-    for i in range(steps):
-        try:
-            def rhs(uu, vv):
-                d, jet = _field_direction(spec, uu, vv, kind, ref)
-                return _lift(jet, d)
+    d, jet = d0, jet0
 
-            k1 = rhs(u, v)
+    def rhs(uu, vv):
+        dd, jj = _field_direction(spec, uu, vv, kind, ref)
+        return _lift(jj, dd)
+
+    for i in range(steps):
+        # d aligned against itself never flips, so the chart evaluated at
+        # the accepted sample again would give k1 = _lift(jet, d) exactly
+        ref = d
+        try:
+            k1 = _lift(jet, d)
             k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
             k3 = rhs(u + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1])
             k4 = rhs(u + dt * k3[0], v + dt * k3[1])
@@ -148,7 +153,6 @@ def trace_direction_field(
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break
-        ref = d
         ts.append((i + 1) * dt)
         uvs.append((u, v))
         pts.append(np.asarray(jet.r, float).reshape(3))

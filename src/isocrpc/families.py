@@ -107,22 +107,23 @@ def apply_similarity(g: G8Element, jet: ParamJet2) -> ParamJet2:
     )
 
 
-def _stack(x, y, z) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
-                                        np.asarray(z, float)), axis=-1)
-
-
 def _jet(parts) -> ParamJet2:
-    (x, y, z), (xu, yu, zu), (xv, yv, zv), (xuu, yuu, zuu), (xuv, yuv, zuv), (xvv, yvv, zvv) = parts
-    return ParamJet2(
-        r=_stack(x, y, z), ru=_stack(xu, yu, zu), rv=_stack(xv, yv, zv),
-        ruu=_stack(xuu, yuu, zuu), ruv=_stack(xuv, yuv, zuv), rvv=_stack(xvv, yvv, zvv),
-    )
+    """Jet from the (x, y, z) components of r, ru, rv, ruu, ruv, rvv.
+
+    Each field is its own (..., 3) array, shaped by broadcasting its three
+    components: a mesh keeps r as its vertices, not the other five.
+    """
+    fields = []
+    for xyz in parts:
+        field = np.empty(np.broadcast(*xyz).shape + (3,))
+        field[..., 0], field[..., 1], field[..., 2] = xyz
+        fields.append(field)
+    return ParamJet2(*fields)
 
 
 def _shape(U, V) -> tuple:
     """Broadcast shape of the chart parameters."""
-    return np.broadcast_shapes(np.shape(U), np.shape(V))
+    return np.broadcast(U, V).shape
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +854,9 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
     """
     entry = catalog_entry(spec.family_id)
     if check:
-        if not np.all(entry.hard_valid(spec.params, u, v)):
+        if not entry.hard_valid(spec.params, u, v).all():
             raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-        if np.any(entry.loci_dist(spec.params, u, v) < SINGULAR_MARGIN):
+        if (entry.loci_dist(spec.params, u, v) < SINGULAR_MARGIN).any():
             raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
     with np.errstate(all="ignore"):
         return entry.jets(spec.params, np.asarray(u, float), np.asarray(v, float))

@@ -204,7 +204,7 @@ def monge_jet(jet: ParamJet2) -> tuple[Jet2Height, np.ndarray]:
 def height_jet_from_param(jet: ParamJet2) -> Jet2Height:
     """monge_jet's jet; raises NonAdmissiblePoint where its singular mask is set."""
     hj, singular = monge_jet(jet)
-    if np.any(singular):
+    if singular.any():
         raise NonAdmissiblePoint("top-view Jacobian is singular: tangent plane is isotropic")
     return hj
 
@@ -235,26 +235,27 @@ def isotropic_curvatures(j: Jet2Height) -> IsoCurvature:
     umb = np.abs(k1 - k2) <= UMBILIC_RTOL * np.maximum(np.maximum(np.abs(k1), np.abs(k2)), 1.0)
 
     # Eigenvector for k1: (fxy, k1 - fxx) or (k1 - fyy, fxy), whichever is
-    # better conditioned; umbilics get the x-axis.
-    c1 = np.stack([np.broadcast_to(fxy, H.shape), k1 - fxx], axis=-1)
-    c2 = np.stack([k1 - fyy, np.broadcast_to(fxy, H.shape)], axis=-1)
-    pick = np.linalg.norm(c1, axis=-1) >= np.linalg.norm(c2, axis=-1)
-    d1 = np.where(pick[..., None], c1, c2)
-    n1 = np.linalg.norm(d1, axis=-1, keepdims=True)
-    axis_x = np.zeros_like(d1)
-    axis_x[..., 0] = 1.0
-    degenerate = (n1[..., 0] == 0.0) | umb
-    d1 = np.where(degenerate[..., None], axis_x, d1 / np.where(n1 == 0.0, 1.0, n1))
-    d1 = _fix_sign(d1)
-    d2 = np.stack([-d1[..., 1], d1[..., 0]], axis=-1)
-    d2 = _fix_sign(d2)
-    return IsoCurvature(H=H, K=K, k1=k1, k2=k2, d1=d1, d2=d2, umbilic=umb)
+    # better conditioned; umbilics get the x-axis. The work is done on the
+    # x and y components; sqrt(x*x + y*y) is, bit for bit, np.linalg.norm
+    # over a length-2 axis (np.hypot is not).
+    c1y = k1 - fxx
+    c2x = k1 - fyy
+    pick = np.sqrt(fxy * fxy + c1y * c1y) >= np.sqrt(c2x * c2x + fxy * fxy)
+    x = np.where(pick, fxy, c2x)
+    y = np.where(pick, c1y, fxy)
+    n1 = np.sqrt(x * x + y * y)
+    degenerate = (n1 == 0.0) | umb
+    n1 = np.where(n1 == 0.0, 1.0, n1)
+    x, y = _fix_sign(np.where(degenerate, 1.0, x / n1), np.where(degenerate, 0.0, y / n1))
+    d2x, d2y = _fix_sign(-y, x)
+    return IsoCurvature(H=H, K=K, k1=k1, k2=k2, d1=np.stack([x, y], axis=-1),
+                        d2=np.stack([d2x, d2y], axis=-1), umbilic=umb)
 
 
-def _fix_sign(d: np.ndarray) -> np.ndarray:
-    """Flip each direction so its first nonzero component is positive."""
-    lead = np.where(np.abs(d[..., 0]) > 1e-14, d[..., 0], d[..., 1])
-    return d * np.where(lead < 0, -1.0, 1.0)[..., None]
+def _fix_sign(x, y):
+    """Flip each direction (x, y) so its first nonzero component is positive."""
+    sign = np.where(np.where(np.abs(x) > 1e-14, x, y) < 0, -1.0, 1.0)
+    return x * sign, y * sign
 
 
 def euclidean_curvatures(j: Jet2Height):
@@ -335,9 +336,9 @@ def characteristic_directions(j: Jet2Height):
     Raises Umbilic at umbilics and DegenerateK when K ~ 0.
     """
     c = isotropic_curvatures(j)
-    if np.any(c.umbilic):
+    if c.umbilic.any():
         raise Umbilic("characteristic directions undefined at an umbilic")
-    if np.any(np.abs(np.asarray(c.K, float)) < K_EPS):
+    if (np.abs(np.asarray(c.K, float)) < K_EPS).any():
         raise DegenerateK("characteristic directions undefined where K = 0")
     ratio = np.abs(np.asarray(c.k1, float) / np.asarray(c.k2, float))
     phi = np.arctan(np.sqrt(ratio))

@@ -40,6 +40,8 @@ from .geometry import (
 MAX_GRID_NODES = 4_000_000
 # rows of text made by one % operation in format_rows
 FORMAT_BLOCK_ROWS = 1 << 14
+# characters handed to one write call by write_text (1 MiB of ASCII)
+WRITE_CHUNK_CHARS = 1 << 20
 
 
 def fmt_float(x: float) -> str:
@@ -62,12 +64,17 @@ def format_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
 
 
 def write_text(text: str, path) -> None:
-    """Write text to a file-like object, or to the file at path with LF endings."""
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
+    """Write text to a file-like object, or to the file at path with LF endings.
+
+    The text goes out in slices of WRITE_CHUNK_CHARS characters, so a
+    file's encoder never holds an encoded copy of the whole text.
+    """
+    if not hasattr(path, "write"):
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            write_text(text, fh)
+        return
+    for start in range(0, len(text), WRITE_CHUNK_CHARS):
+        path.write(text[start:start + WRITE_CHUNK_CHARS])
 
 
 @dataclass(frozen=True)

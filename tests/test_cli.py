@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import isocrpc.cli
@@ -498,6 +498,20 @@ def test_euclidean_profile_past_its_end_is_masked_without_warning(tmp_path):
     assert out.read_text().splitlines()[1].endswith(",PASS")
 
 
+@pytest.mark.parametrize("dt", ["inf", "nan"])
+def test_trace_step_that_is_not_finite_is_an_error(dt, tmp_path, capsys):
+    # an infinite step once ran the chart at u = -inf and warned in np.mod
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trace", "--family", "trans_iso_noniso", "--steps", "3", "--seed", "1,0.5",
+                   "--dt", dt, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dt" in err
+    assert not out.exists()
+
+
 # --- any argv from a small grammar exits 0, 1 or 2, without traceback or warning
 
 ARGV_VALUES = {
@@ -547,6 +561,8 @@ def cli_argv(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
+@example(argv=["trace", "--family", "trans_iso_noniso", "--steps", "3", "--seed", "1,0.5",
+               "--dt", "inf"])
 def test_any_argv_exits_cleanly(tmp_path, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \

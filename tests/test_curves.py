@@ -8,7 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import isocrpc.meshing
+from isocrpc import curves
 from isocrpc.curves import (
+    TRACE_KINDS,
     CurveJet,
     CurveTrace,
     curve_jet_on_surface,
@@ -21,6 +23,7 @@ from isocrpc.curves import (
 from isocrpc.errors import (
     DegenerateFit,
     DegenerateJet,
+    GeometryError,
     InflectionPoint,
     NoIntersection,
     UmbilicEncountered,
@@ -55,8 +58,6 @@ def test_trace_shapes_and_time_grid():
 
 
 def test_rk4_step_evaluates_the_chart_once_per_stage(monkeypatch):
-    from isocrpc import curves
-
     calls = []
 
     def counted(*args, **kwargs):
@@ -67,8 +68,89 @@ def test_rk4_step_evaluates_the_chart_once_per_stage(monkeypatch):
     spec = make_spec("rotational_power_1", {"a": 2.0})
     tr = trace_direction_field(spec, (1.0, 0.5), "principal1", 10, 1e-2)
     assert tr.stopped is None
-    # the seed, then four RK4 stages and the accepted point per step
-    assert len(calls) == 1 + 5 * 10
+    # the seed, then three RK4 stages and the accepted point per step; the
+    # first stage of a step is the accepted point's direction
+    assert len(calls) == 1 + 4 * 10
+
+
+def _reference_trace(spec, seed, kind, steps, dt):
+    """RK4 that evaluates the chart at all four stages and at the accepted point."""
+    u, v = float(seed[0]), float(seed[1])
+    d0, jet0 = curves._field_direction(spec, u, v, kind, None)
+    ts, uvs, pts, dirs = [0.0], [(u, v)], [np.asarray(jet0.r, float).reshape(3)], [d0]
+    stopped, ref = None, d0
+    for i in range(steps):
+        try:
+            def rhs(uu, vv):
+                d, jet = curves._field_direction(spec, uu, vv, kind, ref)
+                return curves._lift(jet, d)
+
+            k1 = rhs(u, v)
+            k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
+            k3 = rhs(u + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1])
+            k4 = rhs(u + dt * k3[0], v + dt * k3[1])
+            du, dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u, v = u + du, v + dv
+            if not (math.isfinite(u) and math.isfinite(v)):
+                stopped = "non-finite parameter state"
+                break
+            d, jet = curves._field_direction(spec, u, v, kind, ref)
+        except GeometryError as exc:
+            stopped = f"{type(exc).__name__}: {exc}"
+            break
+        ref = d
+        ts.append((i + 1) * dt)
+        uvs.append((u, v))
+        pts.append(np.asarray(jet.r, float).reshape(3))
+        dirs.append(d)
+    return CurveTrace(kind=kind, t=np.array(ts), uv=np.array(uvs), points=np.array(pts),
+                      top_dirs=np.array(dirs), stopped=stopped)
+
+
+def assert_same_trace(tr, ref):
+    assert tr.kind == ref.kind
+    assert tr.stopped == ref.stopped
+    for name in ("t", "uv", "points", "top_dirs"):
+        a, b = getattr(tr, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+
+REUSE_SEEDS = {
+    "paraboloid": ({"a": 2.0}, (0.3, -0.2)),
+    "rotational_power_1": ({"a": -2.0}, (1.0, 0.5)),
+    "helical_log": ({"c": 1.0}, (1.2, 0.4)),
+    "trans_iso_noniso": ({"a": 2.0}, (0.0, -1.4)),
+    "spiral_ruled": ({"a": -2.0}, (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+@pytest.mark.parametrize("family", sorted(REUSE_SEEDS))
+def test_first_stage_reuse_matches_five_evaluation_rk4(family, kind):
+    params, seed = REUSE_SEEDS[family]
+    spec = make_spec(family, params)
+    assert_same_trace(trace_direction_field(spec, seed, kind, 40, 2e-2),
+                      _reference_trace(spec, seed, kind, 40, 2e-2))
+
+
+def test_first_stage_reuse_matches_where_the_field_flips_against_ref():
+    spec = make_spec("rotational_power_1", {"a": -2.0})
+    tr = trace_direction_field(spec, (1.0, 0.5), "principal2", 40, 2e-2)
+    # principal directions come with their leading component positive; a
+    # negative one is a sample flipped to agree with the previous direction
+    lead = np.where(np.abs(tr.top_dirs[:, 0]) > 1e-14, tr.top_dirs[:, 0], tr.top_dirs[:, 1])
+    assert (lead < 0).any() and (lead > 0).any()
+    assert_same_trace(tr, _reference_trace(spec, (1.0, 0.5), "principal2", 40, 2e-2))
+
+
+@pytest.mark.parametrize("kind", ["characteristic-", "principal1"])
+def test_first_stage_reuse_matches_on_a_trace_that_stops_early(kind):
+    spec = make_spec("dual_trans_minimal", {})
+    tr = trace_direction_field(spec, (0.7, 0.9), kind, 40, 2e-2)
+    assert tr.stopped is not None and tr.stopped.startswith("OutOfDomain")
+    assert len(tr) < 41
+    assert_same_trace(tr, _reference_trace(spec, (0.7, 0.9), kind, 40, 2e-2))
 
 
 def test_trace_rejects_bad_arguments():
@@ -79,6 +161,13 @@ def test_trace_rejects_bad_arguments():
         trace_direction_field(spec, (0.1, 0.3), "principal1", 0, 1e-3)
     with pytest.raises(ValueError):
         trace_direction_field(spec, (0.1, 0.3), "principal1", 10, 0.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf])
+def test_trace_rejects_a_step_that_is_not_finite(dt):
+    spec = make_spec("trans_iso_noniso", {"a": 2.0})
+    with pytest.raises(ValueError, match="dt"):
+        trace_direction_field(spec, (1.0, 0.5), "characteristic+", 3, dt)
 
 
 def test_minimal_translational_characteristic_is_a_straight_ruling():

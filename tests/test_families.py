@@ -1,11 +1,13 @@
 """Catalog of exact surface families: validation, charts, curvature laws."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import isocrpc.families
 from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus, StencilOutOfDomain
 from isocrpc.families import (
     catalog_entry,
@@ -22,6 +24,7 @@ from isocrpc.families import (
     singular_distance,
 )
 from isocrpc.geometry import (
+    ParamJet2,
     crpc_residual,
     euclidean_curvatures,
     fd_jet,
@@ -256,3 +259,48 @@ def test_height_field_rejects_a_frame_inside_the_admissibility_bound():
     assert 0.0 < abs(det) < 1e-12
     with pytest.raises(StencilOutOfDomain):
         height_field(spec, u, v)(float(jet.r[0]), float(jet.r[1]))
+
+
+# --- jets filled field by field against the stacked construction -------------
+
+def _reference_jet(parts):
+    """_jet by np.stack of the broadcast components, field by field."""
+    def stack(x, y, z):
+        return np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
+                                            np.asarray(z, float)), axis=-1)
+    return ParamJet2(*(stack(*xyz) for xyz in parts))
+
+
+def _chart_inputs(spec):
+    u0, u1, v0, v1 = spec.domain
+    us = np.linspace(u0, u1, 5)
+    vs = np.linspace(v0, v1, 4)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    return [
+        (0.5 * (u0 + u1), 0.5 * (v0 + v1)),  # Python floats
+        (np.asarray(u0), np.asarray(v1)),  # 0-d arrays
+        (us, vs[:1].repeat(5)),
+        (U, V),
+        (us[:, None], vs),  # broadcast: fields built from U alone stay (5, 1, 3)
+        (np.array([np.nan, -0.0, 0.0, u0]), np.array([v0, -0.0, np.nan, np.inf])),
+    ]
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_jet_fields_match_stacked_reference(fid, monkeypatch):
+    spec = make_spec(fid)
+    for U, V in _chart_inputs(spec):
+        new = evaluate(spec, U, V, check=False)
+        with monkeypatch.context() as m:
+            m.setattr(isocrpc.families, "_jet", _reference_jet)
+            ref = evaluate(spec, U, V, check=False)
+        fields = [getattr(new, f.name) for f in dataclasses.fields(ParamJet2)]
+        for f, a in zip(dataclasses.fields(ParamJet2), fields):
+            b = getattr(ref, f.name)
+            assert type(a) is np.ndarray and a.flags.c_contiguous, f.name
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64, f.name
+            nan = np.isnan(a)
+            assert np.array_equal(nan, np.isnan(b)), f.name
+            assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)), f.name
+        # one array per field: a mesh that keeps r keeps no other field alive
+        assert all(a.base is None for a in fields)

@@ -22,7 +22,7 @@ from isocrpc.errors import (
     StencilOutOfDomain,
     Umbilic,
 )
-from isocrpc.families import G8Element, apply_similarity, evaluate, make_spec
+from isocrpc.families import G8Element, apply_similarity, evaluate, family_ids, make_spec
 from isocrpc.geometry import (
     Jet2Height,
     ParamJet2,
@@ -329,3 +329,99 @@ def test_singular_similarity_rejected():
     jet = evaluate(make_spec("paraboloid", {"a": 2.0}), 0.1, 0.1)
     with pytest.raises(SingularSimilarity):
         apply_similarity(G8Element(c3=0.0), jet)
+
+
+# --- the component-wise eigen decomposition against the stacked one ----------
+
+def _reference_fix_sign(d):
+    lead = np.where(np.abs(d[..., 0]) > 1e-14, d[..., 0], d[..., 1])
+    return d * np.where(lead < 0, -1.0, 1.0)[..., None]
+
+
+def _reference_isotropic_curvatures(j):
+    """isotropic_curvatures on stacked (..., 2) candidates and np.linalg.norm."""
+    H, K = geometry.relative_curvatures(j)
+    fxx = np.asarray(j.fxx, float)
+    fyy = np.asarray(j.fyy, float)
+    fxy = np.asarray(j.fxy, float)
+    half_gap = np.hypot(0.5 * (fxx - fyy), fxy)
+    k1 = H + half_gap
+    k2 = H - half_gap
+    umb = np.abs(k1 - k2) <= geometry.UMBILIC_RTOL * np.maximum(
+        np.maximum(np.abs(k1), np.abs(k2)), 1.0)
+    c1 = np.stack([np.broadcast_to(fxy, H.shape), k1 - fxx], axis=-1)
+    c2 = np.stack([k1 - fyy, np.broadcast_to(fxy, H.shape)], axis=-1)
+    pick = np.linalg.norm(c1, axis=-1) >= np.linalg.norm(c2, axis=-1)
+    d1 = np.where(pick[..., None], c1, c2)
+    n1 = np.linalg.norm(d1, axis=-1, keepdims=True)
+    axis_x = np.zeros_like(d1)
+    axis_x[..., 0] = 1.0
+    degenerate = (n1[..., 0] == 0.0) | umb
+    d1 = np.where(degenerate[..., None], axis_x, d1 / np.where(n1 == 0.0, 1.0, n1))
+    d1 = _reference_fix_sign(d1)
+    d2 = _reference_fix_sign(np.stack([-d1[..., 1], d1[..., 0]], axis=-1))
+    return geometry.IsoCurvature(H=H, K=K, k1=k1, k2=k2, d1=d1, d2=d2, umbilic=umb)
+
+
+def assert_same_bits(a, b):
+    """Same type, shape and dtype; NaN at the same places, other bits equal."""
+    assert type(a) is type(b)
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    if a.dtype == bool:
+        assert np.array_equal(a, b)
+        return
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def assert_same_curvatures(j):
+    with np.errstate(all="ignore"):
+        new, ref = isotropic_curvatures(j), _reference_isotropic_curvatures(j)
+    for name in ("H", "K", "k1", "k2", "d1", "d2", "umbilic"):
+        assert_same_bits(getattr(new, name), getattr(ref, name))
+
+
+NAN, INF = math.nan, math.inf
+# (fxx, fxy, fyy): umbilics, a zero candidate vector (n1 == 0), -0.0
+# components, tiny leading components and non-finite jets
+HESSIANS = [
+    (2.0, 0.0, 2.0), (-3.0, 0.0, -3.0), (1.0, 1e-12, 1.0), (0.0, 0.0, 0.0),
+    (1e300, 0.0, 1e300), (1.0, 1e-200, 1.0),
+    (-0.0, -0.0, -0.0), (2.0, -0.0, 1.0), (1.0, -0.0, 2.0), (-0.0, 1.0, -0.0),
+    (-1.0, -0.0, -2.0), (1.0, 1e-15, 2.0), (2.0, 1e-15, 1.0), (3.0, 1.0, -2.0),
+    (-2.0, -1.0, 3.0), (1e-8, -4.0, 1e-8),
+    (NAN, 0.0, 1.0), (1.0, NAN, 1.0), (NAN, NAN, NAN), (INF, 0.0, 1.0),
+    (INF, 1.0, INF), (-INF, 2.0, 1.0), (1.0, INF, 2.0),
+]
+
+
+@pytest.mark.parametrize("fxx,fxy,fyy", HESSIANS)
+def test_curvatures_match_stacked_reference_at_special_points(fxx, fxy, fyy):
+    assert_same_curvatures(monge_jet(0, 0, 0, 0, 0, fxx, fxy, fyy))
+    assert_same_curvatures(monge_jet(0, 0, 0, 0, 0, *map(np.float64, (fxx, fxy, fyy))))
+
+
+def test_curvatures_match_stacked_reference_on_arrays():
+    fxx, fxy, fyy = (np.array(col) for col in zip(*HESSIANS))
+    assert_same_curvatures(monge_jet(0, 0, 0, 0, 0, fxx, fxy, fyy))
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(3, 6, 5)) * rng.choice([0.0, -0.0, 1e-16, 1.0, 1e3], size=(3, 6, 5))
+    assert_same_curvatures(monge_jet(0, 0, 0, 0, 0, h[0], h[1], h[2]))
+    assert_same_curvatures(monge_jet(0, 0, 0, 0, 0, h[0], h[1], h[0]))  # umbilic where h[1] = 0
+
+
+@pytest.mark.parametrize("fid", family_ids())
+def test_curvatures_match_stacked_reference_on_every_family(fid):
+    spec = make_spec(fid)
+    u0, u1, v0, v1 = spec.domain
+    # a box half as wide again as the default one reaches singular loci
+    us = np.linspace(1.5 * u0 - 0.5 * u1, 1.5 * u1 - 0.5 * u0, 9)
+    vs = np.linspace(1.5 * v0 - 0.5 * v1, 1.5 * v1 - 0.5 * v0, 7)
+    inputs = [(0.5 * (u0 + u1), 0.5 * (v0 + v1)), (us, vs[:1].repeat(9)),
+              np.meshgrid(us, vs, indexing="ij")]
+    for U, V in inputs:
+        with np.errstate(all="ignore"):
+            hj, _singular = geometry.monge_jet(evaluate(spec, U, V, check=False))
+        assert_same_curvatures(hj)

@@ -243,3 +243,34 @@ def test_generate_extracts_quads_once(tmp_path, monkeypatch):
     assert main(["generate", "--family", "helicoid", "--res", "6x5", "--out", str(out)]) == 0
     assert len(calls) == 1
     assert out.read_text().count("\nf ") == 20
+
+
+@pytest.mark.parametrize("chunk", [5, isocrpc.meshing.WRITE_CHUNK_CHARS])
+def test_write_text_in_slices_matches_one_write(chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(isocrpc.meshing, "WRITE_CHUNK_CHARS", chunk)
+    # a multi-byte character and a newline sit on slice boundaries
+    text = ("abcdé\nv 1 2 3\n" * (2 * chunk // 13 + 3))[:2 * chunk + 7]
+    whole = tmp_path / "whole.txt"
+    with open(whole, "w", newline="\n") as fh:
+        fh.write(text)
+    sliced = tmp_path / "sliced.txt"
+    isocrpc.meshing.write_text(text, sliced)
+    assert sliced.read_bytes() == whole.read_bytes()
+    stream = io.StringIO()
+    isocrpc.meshing.write_text(text, stream)
+    assert stream.getvalue() == text
+
+
+def test_write_text_hands_the_file_slices(monkeypatch):
+    monkeypatch.setattr(isocrpc.meshing, "WRITE_CHUNK_CHARS", 4)
+    writes = []
+
+    class Sink:
+        def write(self, s):
+            writes.append(s)
+
+    isocrpc.meshing.write_text("0123456789", Sink())
+    assert writes == ["0123", "4567", "89"]
+    writes.clear()
+    isocrpc.meshing.write_text("", Sink())
+    assert writes == []
