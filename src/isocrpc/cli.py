@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from . import families as fam
 from .duality import dual_curvature_check
 from .errors import GeometryError, InvalidParams, NonAdmissiblePoint
 from .meshing import dual_grid, fmt_float, obj_text, sample_grid, write_text
-from .curves import TRACE_KINDS, trace_direction_field
+from .curves import MAX_TRACE_STEPS, TRACE_KINDS, trace_direction_field
 from .residuals import family_ode_residual
 
 FAMILY_ALIASES = {"rotational_power": "rotational_power_1"}
@@ -132,16 +133,28 @@ def _parse_tol(value) -> dict:
         out = {str(k): float(v) for k, v in value.items()}
     elif "=" not in str(value):
         # a bare number tightens the residual checks, not the H/dual ones
-        return {"crpc": float(value), "ode": float(value)}
+        out = dict.fromkeys(("crpc", "ode"), float(value))
     else:
         out = {}
         for item in str(value).split(","):
+            if "=" not in item:
+                raise ValueError(f"--tol entries must look like name=value, got '{item}'")
             k, v = item.split("=", 1)
             out[k.strip()] = float(v)
-    for k in out:
+    for k, v in out.items():
         if k not in DEFAULT_TOL:
             raise ValueError(f"unknown tolerance '{k}' (use {sorted(DEFAULT_TOL)})")
+        # a NaN or negative bound fails every row, an infinite one none
+        if not 0.0 <= v < math.inf:
+            raise InvalidParams(f"tolerance {k} must be finite and >= 0, got {v}")
     return out
+
+
+def _parse_steps(value) -> int:
+    steps = int(value)
+    if steps > MAX_TRACE_STEPS:
+        raise InvalidParams(f"--steps {steps} is more than {MAX_TRACE_STEPS}")
+    return steps
 
 
 def _parse_a_list(value: str | None) -> list | None:
@@ -200,7 +213,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=None if pick("seed") is None else str(pick("seed")),
         json_out=bool(pick("json", False)),
         kind=str(pick("kind", "characteristic+")),
-        steps=int(pick("steps", 1000)),
+        steps=_parse_steps(pick("steps", 1000)),
         dt=float(pick("dt", 1e-3)),
     )
 

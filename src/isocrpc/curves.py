@@ -10,6 +10,7 @@ and least-squares sphere fits of traced curves complete the module.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +21,7 @@ from .errors import (
     DegenerateJet,
     GeometryError,
     InflectionPoint,
+    InvalidParams,
     NoIntersection,
     Umbilic,
     UmbilicEncountered,
@@ -38,6 +40,7 @@ from .meshing import format_rows, write_text
 from .spheres import CIRCLE_SAMPLES, CYLINDRIC, ELLIPTIC, PARABOLIC, ParabolicSphere, tangent_sphere
 
 TRACE_KINDS = ("characteristic+", "characteristic-", "principal1", "principal2")
+MAX_TRACE_STEPS = 1_000_000  # 56 bytes a step: bounds a trace's memory and time
 _CURVATURE_TOL = 1e-10  # below it an osculating circle's curvature counts as zero
 
 
@@ -70,7 +73,8 @@ class CurveTrace:
 def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
     """Unit top-view direction of the chosen field, sign-aligned with ref."""
     jet = evaluate(spec, u, v, check=True)
-    if not np.isfinite((jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)).all():
+    fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
+    if not all(map(math.isfinite, [c for field in fields for c in field.tolist()])):
         raise DegenerateJet("chart jet is not finite")
     hj = height_jet_from_param(jet)
     if kind in ("characteristic+", "characteristic-"):
@@ -81,8 +85,8 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
         if cur.umbilic.any():
             raise Umbilic("principal directions undefined at an umbilic")
         d = cur.d1 if kind == "principal1" else cur.d2
-    d = np.asarray(d, float).reshape(2)
-    if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+    dx, dy = d.tolist()
+    if not (math.isfinite(dx) and math.isfinite(dy)):
         raise DegenerateJet("field direction is not finite")
     if ref is not None and float(d @ ref) < 0.0:
         d = -d
@@ -90,11 +94,13 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
 
 
 def _lift(jet, d):
-    # parameter velocity with top view exactly d: solve J [du dv]^T = d
-    xu, yu = float(jet.ru[0]), float(jet.ru[1])
-    xv, yv = float(jet.rv[0]), float(jet.rv[1])
+    # parameter velocity with top view exactly d: solve J [du dv]^T = d; the
+    # jet passed height_jet_from_param's admissibility test, so det != 0
+    xu, yu, _ = jet.ru.tolist()
+    xv, yv, _ = jet.rv.tolist()
+    dx, dy = d.tolist()
     det = xu * yv - yu * xv
-    return np.array([(d[0] * yv - d[1] * xv) / det, (xu * d[1] - yu * d[0]) / det])
+    return (dx * yv - dy * xv) / det, (xu * dy - yu * dx) / det
 
 
 def trace_direction_field(
@@ -111,41 +117,40 @@ def trace_direction_field(
     non-finite chart jet, direction or parameter state after the first
     sample truncates the trace before that sample (stopped says why); at
     the seed itself an umbilic raises UmbilicEncountered and other geometry
-    errors propagate. dt must be finite and positive. A step evaluates the
-    chart four times: its first stage is the accepted sample's direction.
+    errors propagate. dt must be finite and positive, and steps at most
+    MAX_TRACE_STEPS. A step evaluates the chart four times: its first stage
+    is the accepted sample's direction.
     """
     if kind not in TRACE_KINDS:
         raise ValueError(f"kind must be one of {TRACE_KINDS}")
+    if steps > MAX_TRACE_STEPS:
+        raise InvalidParams(f"{steps} trace steps is more than {MAX_TRACE_STEPS}")
     if steps < 1 or not 0.0 < dt < math.inf:
         raise ValueError("steps must be >= 1 and dt finite and > 0")
     u, v = float(seed[0]), float(seed[1])
     try:
-        d0, jet0 = _field_direction(spec, u, v, kind, None)
+        d, jet = _field_direction(spec, u, v, kind, None)
     except Umbilic as exc:
         raise UmbilicEncountered(str(exc)) from exc
 
-    ts = [0.0]
-    uvs = [(u, v)]
-    pts = [np.asarray(jet0.r, float).reshape(3)]
-    dirs = [d0]
+    samples = array("d", (u, v, *jet.r.tolist(), *d.tolist()))  # 7 floats per sample
     stopped = None
-    d, jet = d0, jet0
 
     def rhs(uu, vv):
         dd, jj = _field_direction(spec, uu, vv, kind, ref)
         return _lift(jj, dd)
 
-    for i in range(steps):
+    for _ in range(steps):
         # d aligned against itself never flips, so the chart evaluated at
         # the accepted sample again would give k1 = _lift(jet, d) exactly
         ref = d
         try:
-            k1 = _lift(jet, d)
-            k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
-            k3 = rhs(u + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1])
-            k4 = rhs(u + dt * k3[0], v + dt * k3[1])
-            du, dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u, v = u + du, v + dv
+            k1u, k1v = _lift(jet, d)
+            k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+            k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+            k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
+            u += dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if not (math.isfinite(u) and math.isfinite(v)):
                 stopped = "non-finite parameter state"
                 break
@@ -153,16 +158,14 @@ def trace_direction_field(
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break
-        ts.append((i + 1) * dt)
-        uvs.append((u, v))
-        pts.append(np.asarray(jet.r, float).reshape(3))
-        dirs.append(d)
+        samples.extend((u, v, *jet.r.tolist(), *d.tolist()))
+    rows = np.frombuffer(samples).reshape(-1, 7)
     return CurveTrace(
         kind=kind,
-        t=np.array(ts),
-        uv=np.array(uvs),
-        points=np.array(pts),
-        top_dirs=np.array(dirs),
+        t=np.arange(len(rows)) * dt,
+        uv=rows[:, :2],
+        points=rows[:, 2:5],
+        top_dirs=rows[:, 5:],
         stopped=stopped,
     )
 

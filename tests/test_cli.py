@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import isocrpc.cli
+import isocrpc.curves
 import isocrpc.families
 import isocrpc.meshing
 from isocrpc.cli import main
@@ -498,6 +499,41 @@ def test_euclidean_profile_past_its_end_is_masked_without_warning(tmp_path):
     assert out.read_text().splitlines()[1].endswith(",PASS")
 
 
+@pytest.mark.parametrize("steps", [str(isocrpc.curves.MAX_TRACE_STEPS + 1), "100000000000"])
+def test_trace_steps_above_the_cap_fail_before_tracing(steps, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(isocrpc.cli, "trace_direction_field", None)  # calling it would fail
+    out = tmp_path / "t.csv"
+    rc = main(["trace", "--family", "helicoid", "--seed", "1,1", "--steps", steps,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and steps in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol,why", [
+    ("nan", "crpc must be finite"),  # once a FAIL row and exit 1 without a message
+    ("crpc=-1", "crpc must be finite and >= 0"),  # once failed every row
+    ("inf", "crpc must be finite"),  # once turned the residual checks off
+    ("dual=nan", "dual must be finite"),
+    ("crpc=1e-3,bad", "name=value, got 'bad'"),  # once "not enough values to unpack"
+])
+def test_verify_rejects_a_bad_tolerance(tol, why, tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "paraboloid", "--tol", tol, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and why in err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_negative_tolerance_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"family": "paraboloid", "tol": {"ode": -1e-3}}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 1
+    assert "ode must be finite and >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dt", ["inf", "nan"])
 def test_trace_step_that_is_not_finite_is_an_error(dt, tmp_path, capsys):
     # an infinite step once ran the chart at u = -inf and warned in np.mod
@@ -563,6 +599,7 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 @example(argv=["trace", "--family", "trans_iso_noniso", "--steps", "3", "--seed", "1,0.5",
                "--dt", "inf"])
+@example(argv=["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "100000000000"])
 def test_any_argv_exits_cleanly(tmp_path, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from isocrpc.errors import (
     DegenerateJet,
     GeometryError,
     InflectionPoint,
+    InvalidParams,
     NoIntersection,
     UmbilicEncountered,
     ZeroNormalCurvature,
@@ -83,7 +85,7 @@ def _reference_trace(spec, seed, kind, steps, dt):
         try:
             def rhs(uu, vv):
                 d, jet = curves._field_direction(spec, uu, vv, kind, ref)
-                return curves._lift(jet, d)
+                return np.array(curves._lift(jet, d))
 
             k1 = rhs(u, v)
             k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
@@ -161,6 +163,28 @@ def test_trace_rejects_bad_arguments():
         trace_direction_field(spec, (0.1, 0.3), "principal1", 0, 1e-3)
     with pytest.raises(ValueError):
         trace_direction_field(spec, (0.1, 0.3), "principal1", 10, 0.0)
+
+
+def test_trace_refuses_more_steps_than_the_cap_before_evaluating(monkeypatch):
+    monkeypatch.setattr(curves, "evaluate", None)  # calling it would fail
+    spec = make_spec("trans_paraboloid", {"a": 2.0})
+    with pytest.raises(InvalidParams, match="steps"):
+        trace_direction_field(spec, (0.1, 0.3), "principal1", curves.MAX_TRACE_STEPS + 1, 1e-3)
+
+
+def test_trace_keeps_a_few_floats_per_step():
+    # 56 bytes a step plus one step's temporaries, against about 720 bytes a
+    # step when every sample was kept as small numpy arrays in lists
+    spec = make_spec("rotational_power_1", {"a": -2.0})
+    trace_direction_field(spec, (1.0, 0.5), "characteristic+", 2, 1e-5)  # warm-up
+    tracemalloc.start()
+    try:
+        tr = trace_direction_field(spec, (1.0, 0.5), "characteristic+", 200, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.stopped is None and len(tr) == 201
+    assert peak < 200 * 200
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf])

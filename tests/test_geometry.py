@@ -6,6 +6,7 @@ difference path that does not share code with the analytic one).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from isocrpc import geometry
 from isocrpc.duality import dual_from_tangent
 from isocrpc.errors import (
     DegenerateK,
+    GeometryError,
     NonAdmissiblePoint,
     SingularSimilarity,
     StencilOutOfDomain,
@@ -385,10 +387,10 @@ def assert_same_curvatures(j):
 
 NAN, INF = math.nan, math.inf
 # (fxx, fxy, fyy): umbilics, a zero candidate vector (n1 == 0), -0.0
-# components, tiny leading components and non-finite jets
+# components, tiny leading components, k2 = 0 with K = 1, and non-finite jets
 HESSIANS = [
     (2.0, 0.0, 2.0), (-3.0, 0.0, -3.0), (1.0, 1e-12, 1.0), (0.0, 0.0, 0.0),
-    (1e300, 0.0, 1e300), (1.0, 1e-200, 1.0),
+    (1e300, 0.0, 1e300), (1.0, 1e-200, 1.0), (1e100, 0.0, 1e-100),
     (-0.0, -0.0, -0.0), (2.0, -0.0, 1.0), (1.0, -0.0, 2.0), (-0.0, 1.0, -0.0),
     (-1.0, -0.0, -2.0), (1.0, 1e-15, 2.0), (2.0, 1e-15, 1.0), (3.0, 1.0, -2.0),
     (-2.0, -1.0, 3.0), (1e-8, -4.0, 1e-8),
@@ -425,3 +427,94 @@ def test_curvatures_match_stacked_reference_on_every_family(fid):
         with np.errstate(all="ignore"):
             hj, _singular = geometry.monge_jet(evaluate(spec, U, V, check=False))
         assert_same_curvatures(hj)
+
+
+# --- the point path (one point in Python floats) against the array path -----
+
+PARAM_FIELDS = ("r", "ru", "rv", "ruu", "ruv", "rvv")
+JET_FIELDS = ("x0", "y0", "f", "fx", "fy", "fxx", "fxy", "fyy")
+CURVATURE_FIELDS = ("H", "K", "k1", "k2", "d1", "d2", "umbilic")
+
+
+def _array_height_jet(jet):
+    """height_jet_from_param by the array path, whatever the jet's shape."""
+    hj, singular = geometry.monge_jet(jet)
+    if singular.any():
+        raise NonAdmissiblePoint("top-view Jacobian is singular")
+    return hj
+
+
+def _outcome(fn, arg, fields, squeeze=False):
+    """fn(arg)'s fields, each squeezed from (1, ...) if asked, or the class it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = fn(arg)
+        except (GeometryError, RuntimeWarning) as exc:
+            return type(exc)
+    values = [result[f] if isinstance(f, int) else getattr(result, f) for f in fields]
+    return [value[0] for value in values] if squeeze else values
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        assert a is b
+        return
+    for x, y in zip(a, b, strict=True):
+        assert_same_bits(x, y)
+
+
+def assert_point_path_matches(hj_point, hj_array):
+    """Curvatures and directions of one point against those of the same point as (1,) arrays."""
+    for fn, fields in ((isotropic_curvatures, CURVATURE_FIELDS),
+                       (characteristic_directions, (0, 1))):
+        assert_same_outcome(_outcome(fn, hj_point, fields),
+                            _outcome(fn, hj_array, fields, squeeze=True))
+
+
+@pytest.mark.parametrize("fid", family_ids())
+def test_point_path_matches_array_path_on_every_family(fid):
+    spec = make_spec(fid)
+    u0, u1, v0, v1 = spec.domain
+    rng = np.random.default_rng(family_ids().index(fid))
+    for _ in range(5):
+        u, v = u0 + (u1 - u0) * rng.random(), v0 + (v1 - v0) * rng.random()
+        jet = evaluate(spec, u, v)
+        point = _outcome(height_jet_from_param, jet, JET_FIELDS)
+        assert_same_outcome(point, _outcome(_array_height_jet, jet, JET_FIELDS))
+        if not isinstance(point, type):
+            # the same chart values as (1, 3) fields: a chart evaluated on
+            # (1,) arrays may round differently from one on scalars
+            jet1 = ParamJet2(*(getattr(jet, name)[None] for name in PARAM_FIELDS))
+            assert_point_path_matches(height_jet_from_param(jet), height_jet_from_param(jet1))
+
+
+@pytest.mark.parametrize("fxx,fxy,fyy", HESSIANS)
+def test_point_path_matches_array_path_at_special_points(fxx, fxy, fyy):
+    # umbilics raise Umbilic and K = 0 DegenerateK on both paths; infinite
+    # entries make numpy warn, and the point path leaves them to numpy
+    values = (0.0, 0.0, 0.0, 0.0, 0.0, fxx, fxy, fyy)
+    assert_point_path_matches(monge_jet(*values), monge_jet(*(np.array([t]) for t in values)))
+
+
+def test_point_path_matches_array_path_on_random_and_extreme_hessians():
+    # entries of 1e160 and more overflow on the way to finite curvatures
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(400, 3)) * 10.0 ** rng.choice([-200, -8, 0, 3, 160, 200], size=(400, 3))
+    for row in h.tolist():
+        values = (0.0, 0.0, 0.0, 0.0, 0.0, *row)
+        assert_point_path_matches(monge_jet(*values), monge_jet(*(np.array([t]) for t in values)))
+
+
+@pytest.mark.parametrize("ru,rv,rvv", [
+    ([1.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0]),  # collinear top views
+    ([1.0, math.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]),  # a NaN jet
+    ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.inf, 0.0, 0.0]),  # inf * 0 in the Hessian
+    ([1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 0.0]),  # the frame scale overflows
+    ([1.0, 0.0, 0.0], [0.0, 1e-10, 0.0], [0.0, 0.0, 1e300]),  # admissible, fyy overflows
+])
+def test_point_path_matches_array_path_on_hard_jets(ru, rv, rvv):
+    zero = np.zeros(3)
+    jet = ParamJet2(zero, np.array(ru), np.array(rv), zero, zero, np.array(rvv))
+    assert_same_outcome(_outcome(height_jet_from_param, jet, JET_FIELDS),
+                        _outcome(_array_height_jet, jet, JET_FIELDS))
