@@ -10,6 +10,7 @@ are byte-deterministic for a given configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -170,7 +171,9 @@ def _resolve_family(name: str) -> str:
     return FAMILY_ALIASES.get(name, name)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="isocrpc",
         description="Surfaces with a constant ratio of principal curvatures: "

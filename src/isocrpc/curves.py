@@ -74,9 +74,10 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
     """Unit top-view direction of the chosen field, sign-aligned with ref."""
     jet = evaluate(spec, u, v, check=True)
     fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
-    if not all(map(math.isfinite, [c for field in fields for c in field.tolist()])):
+    values = [c for field in fields for c in field.tolist()]
+    if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
-    hj = height_jet_from_param(jet)
+    hj = height_jet_from_param(jet, values)
     if kind in ("characteristic+", "characteristic-"):
         tp, tm = characteristic_directions(hj)
         d = tp if kind == "characteristic+" else tm

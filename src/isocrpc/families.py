@@ -46,7 +46,7 @@ from .errors import (
 from .geometry import ParamJet2, crpc_target, monge_gradient
 
 SINGULAR_MARGIN = 1e-3
-_INF = float("inf")
+_INF = np.float64("inf")
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,16 @@ def _jet(parts) -> ParamJet2:
     """Jet from the (x, y, z) components of r, ru, rv, ruu, ruv, rvv.
 
     Each field is its own (..., 3) array, shaped by broadcasting its three
-    components: a mesh keeps r as its vertices, not the other five.
+    components: a mesh keeps r as its vertices, not the other five. A field
+    of three 0-d components, as at one point, is a single np.array call.
     """
     fields = []
-    for xyz in parts:
-        field = np.empty(np.broadcast(*xyz).shape + (3,))
-        field[..., 0], field[..., 1], field[..., 2] = xyz
+    for x, y, z in parts:
+        if getattr(x, "shape", ()) or getattr(y, "shape", ()) or getattr(z, "shape", ()):
+            field = np.empty(np.broadcast(x, y, z).shape + (3,))
+            field[..., 0], field[..., 1], field[..., 2] = x, y, z
+        else:
+            field = np.array((x, y, z), float)
         fields.append(field)
     return ParamJet2(*fields)
 
@@ -407,15 +411,17 @@ def _euclidean_rotational(params, U, V):
 
 # ---------------------------------------------------------------------------
 # validity, singular loci, default domains
+# The hard_valid and loci_dist builders take float arrays U, V and return
+# numpy values unbroadcast against them: evaluate only reduces them, and
+# the public hard_valid and singular_distance broadcast them.
 
 
 def _dist_to_sin_roots(V, rhs: float):
     """Distance from angles V to the solution set of sin(v) = rhs (empty -> inf)."""
     if abs(rhs) > 1.0:
-        return np.full(np.shape(V) or (), _INF)
+        return _INF
     r1 = math.asin(rhs)
     r2 = math.pi - r1
-    V = np.asarray(V, float)
 
     def angdist(alpha, root):
         d = np.mod(alpha - root + math.pi, 2.0 * math.pi) - math.pi
@@ -426,8 +432,7 @@ def _dist_to_sin_roots(V, rhs: float):
 
 def _tin_loci_dist(params, U, V):
     b = _tin_b(params["a"])
-    d = np.full(_shape(U, V), _INF)
-    d = np.minimum(d, _dist_to_sin_roots(V, b))          # log pole (reachable if |b|<=1)
+    d = _dist_to_sin_roots(V, b)  # log pole (reachable if |b|<=1)
     if b != 0.0:
         d = np.minimum(d, _dist_to_sin_roots(V, 1.0 / b))  # isotropic tangent plane
     return d
@@ -452,19 +457,19 @@ def _tin_default_v_interval(a: float) -> tuple[float, float]:
 
 
 def _no_loci(params, U, V):
-    return np.full(_shape(U, V), _INF)
+    return _INF
 
 
 def _all_valid(params, U, V):
-    return np.ones(_shape(U, V), dtype=bool)
+    return np.True_
 
 
 def _positive_u(params, U, V):
-    return np.broadcast_to(np.asarray(U, float) > 0.0, _shape(U, V)).copy()
+    return U > 0.0
 
 
 def _axis_dist(params, U, V):
-    return np.broadcast_to(np.abs(np.asarray(U, float)), _shape(U, V)).astype(float)
+    return np.abs(U)
 
 
 @dataclass(frozen=True)
@@ -575,16 +580,12 @@ def _euclid_domain(p):
 
 
 def _euclid_hard(params, U, V):
-    a = params["a"]
-    Ua = np.asarray(U, float)
-    ok = (Ua > 0.0) & (Ua ** (2.0 * a) < 1.0)
-    return np.broadcast_to(ok, _shape(U, V)).copy()
+    return (U > 0.0) & (U ** (2.0 * params["a"]) < 1.0)
 
 
 def _euclid_loci_dist(params, U, V):
-    Ua = np.abs(np.asarray(U, float))
-    d = np.minimum(Ua, np.abs(Ua - 1.0))  # axis and the slope singularity r = 1
-    return np.broadcast_to(d, _shape(U, V)).astype(float)
+    Ua = np.abs(U)
+    return np.minimum(Ua, np.abs(Ua - 1.0))  # axis and the slope singularity r = 1
 
 
 _register(_Entry(
@@ -649,17 +650,14 @@ def _helical_general_loci_desc(p):
 
 def _helical_general_loci_dist(params, U, V):
     a = params["a"]
-    Ua = np.asarray(U, float)
-    d = np.minimum(np.abs(Ua), np.abs(math.pi / 2.0 - Ua))
+    d = np.minimum(np.abs(U), np.abs(math.pi / 2.0 - U))
     if a > 0:
-        d = np.minimum(d, np.abs(Ua - math.atan(math.sqrt(a))))
-    return np.broadcast_to(d, _shape(U, V)).astype(float)
+        d = np.minimum(d, np.abs(U - math.atan(math.sqrt(a))))
+    return d
 
 
 def _helical_general_hard(params, U, V):
-    Ua = np.asarray(U, float)
-    ok = (Ua > 0.0) & (Ua < math.pi / 2.0)
-    return np.broadcast_to(ok, _shape(U, V)).copy()
+    return (U > 0.0) & (U < math.pi / 2.0)
 
 
 _register(_Entry(
@@ -717,15 +715,13 @@ _register(_Entry(
 
 
 def _tnn_dist(params, U, V):
-    Ua, Va = np.asarray(U, float), np.asarray(V, float)
-    d = np.abs(Ua + Va) / math.sqrt(2.0)
-    edge = np.minimum(math.pi / 2.0 - np.abs(Ua), math.pi / 2.0 - np.abs(Va))
+    d = np.abs(U + V) / math.sqrt(2.0)
+    edge = np.minimum(math.pi / 2.0 - np.abs(U), math.pi / 2.0 - np.abs(V))
     return np.minimum(d, np.maximum(edge, 0.0))
 
 
 def _tnn_hard(params, U, V):
-    Ua, Va = np.asarray(U, float), np.asarray(V, float)
-    return (np.abs(Ua) < math.pi / 2.0) & (np.abs(Va) < math.pi / 2.0)
+    return (np.abs(U) < math.pi / 2.0) & (np.abs(V) < math.pi / 2.0)
 
 
 _register(_Entry(
@@ -835,14 +831,23 @@ def is_minimal(spec: FamilySpec) -> bool:
     return ratio_kind(spec) == "isotropic" and ratio_for_residual(spec) == -1.0
 
 
+def _broadcast_predicate(builder, spec: FamilySpec, U, V, dtype) -> np.ndarray:
+    U, V = np.asarray(U, float), np.asarray(V, float)
+    with np.errstate(all="ignore"):
+        values = builder(spec.params, U, V)
+    return np.broadcast_to(values, _shape(U, V)).astype(dtype, order="C")
+
+
 def singular_distance(spec: FamilySpec, U, V) -> np.ndarray:
-    """Parameter-space distance to the nearest singular locus (inf if none)."""
-    return catalog_entry(spec.family_id).loci_dist(spec.params, U, V)
+    """Parameter-space distance to the nearest singular locus (inf if none),
+    as an owned float array of the broadcast shape of U and V."""
+    return _broadcast_predicate(catalog_entry(spec.family_id).loci_dist, spec, U, V, float)
 
 
 def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
-    """Boolean mask of points inside the family's hard validity region."""
-    return catalog_entry(spec.family_id).hard_valid(spec.params, U, V)
+    """Owned bool array, of the broadcast shape of U and V, of the points
+    inside the family's hard validity region."""
+    return _broadcast_predicate(catalog_entry(spec.family_id).hard_valid, spec, U, V, bool)
 
 
 def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
@@ -853,13 +858,14 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
     check=False is for grid sampling, which masks instead of raising.
     """
     entry = catalog_entry(spec.family_id)
-    if check:
-        if not entry.hard_valid(spec.params, u, v).all():
-            raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-        if (entry.loci_dist(spec.params, u, v) < SINGULAR_MARGIN).any():
-            raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
+    U, V = np.asarray(u, float), np.asarray(v, float)
     with np.errstate(all="ignore"):
-        return entry.jets(spec.params, np.asarray(u, float), np.asarray(v, float))
+        if check:
+            if not entry.hard_valid(spec.params, U, V).all():
+                raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
+            if (entry.loci_dist(spec.params, U, V) < SINGULAR_MARGIN).any():
+                raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
+        return entry.jets(spec.params, U, V)
 
 
 def evaluate_positions(spec: FamilySpec, U, V) -> np.ndarray:

@@ -202,13 +202,15 @@ def monge_jet(jet: ParamJet2) -> tuple[Jet2Height, np.ndarray]:
     ), singular
 
 
-def height_jet_from_param(jet: ParamJet2) -> Jet2Height:
+def height_jet_from_param(jet: ParamJet2, values=None) -> Jet2Height:
     """monge_jet's jet; raises NonAdmissiblePoint where its singular mask is set.
 
     A jet of (3,) fields, one point, takes the point path: the same result
-    types and bits without numpy's per-call overhead on 0-d values.
+    types and bits without numpy's per-call overhead on 0-d values. A caller
+    that has read such a jet's 18 components, field by field with tolist(),
+    may pass them as values.
     """
-    hj = _point_height_jet(jet)
+    hj = _point_height_jet(jet, values)
     if hj is None:
         hj, singular = monge_jet(jet)
         if singular.any():
@@ -216,7 +218,7 @@ def height_jet_from_param(jet: ParamJet2) -> Jet2Height:
     return hj
 
 
-def _point_height_jet(jet: ParamJet2) -> Jet2Height | None:
+def _point_height_jet(jet: ParamJet2, values=None) -> Jet2Height | None:
     """height_jet_from_param of a jet of (3,) fields, in Python floats.
 
     monge_jet's operations in the same order; Python float arithmetic is
@@ -225,11 +227,12 @@ def _point_height_jet(jet: ParamJet2) -> Jet2Height | None:
     wherever an input that enters the arithmetic is not): numpy may warn on
     the way there, and the array path gives the values and the warnings.
     """
-    fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
-    if not all(field.shape == (3,) for field in fields):
-        return None
-    _, _, _, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv, zvv = (
-        c for field in fields for c in field.tolist())
+    if values is None:
+        fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
+        if not all(field.shape == (3,) for field in fields):
+            return None
+        values = [c for field in fields for c in field.tolist()]
+    _, _, _, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv, zvv = values
     det = xu * yv - yu * xv
     scale = xu * xu + yu * yu + xv * xv + yv * yv
     if not math.isfinite(scale):

@@ -348,6 +348,33 @@ def test_module_entry_point_smoke():
     assert "helicoid" in proc.stdout
 
 
+# each call follows one that set an option it leaves at its default
+_ONE_PROCESS_ARGV = [
+    ["list", "--json"],
+    ["list"],
+    ["trace", "--family", "rotational_power_1", "--a", "-2", "--seed", "1.0,0.5",
+     "--kind", "char-", "--steps", "4", "--dt", "0.05"],
+    ["trace", "--family", "helicoid", "--seed", "1.0,0.5", "--steps", "3"],
+    ["verify", "--family", "paraboloid", "--a", "0.5", "--res", "6x5", "--tol", "1e-6"],
+    ["generate", "--family", "paraboloid", "--res", "3x2"],
+]
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(capsys):
+    # the parser is built once per process, so no option value may carry
+    # from one main call to the next
+    script = "import sys; from isocrpc.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = [subprocess.Popen([sys.executable, "-c", script, *argv], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in _ONE_PROCESS_ARGV]
+    for argv, proc in zip(_ONE_PROCESS_ARGV, fresh):
+        fresh_out, fresh_err = proc.communicate(timeout=120)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (proc.returncode, fresh_out, fresh_err), argv
+    assert isocrpc.cli.build_parser() is isocrpc.cli.build_parser()
+
+
 # --- golden output, one chart evaluation per dual, the --a rule, flags ----------
 
 @pytest.mark.parametrize("argv, digest", [

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import isocrpc.families
 from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus, StencilOutOfDomain
 from isocrpc.families import (
+    SINGULAR_MARGIN,
     catalog_entry,
     default_domain,
     evaluate,
@@ -304,3 +305,84 @@ def test_jet_fields_match_stacked_reference(fid, monkeypatch):
             assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)), f.name
         # one array per field: a mesh that keeps r keeps no other field alive
         assert all(a.base is None for a in fields)
+
+
+# --- validity decisions against the broadcasting public predicates ------------
+
+def _locus_points(spec):
+    """(u, v) points on every singular locus of the default family members."""
+    fid = spec.family_id
+    if fid in ("rotational_power_1", "rotational_power_2", "logarithmoid", "helicoid",
+               "spiral_ruled", "helical_log"):
+        return [(0.0, 1.0)]
+    if fid == "euclidean_rotational":
+        return [(0.0, 1.0), (1.0, 1.0)]
+    if fid == "helical_general":
+        return [(0.0, 1.0), (math.pi / 2.0, 1.0), (math.atan(math.sqrt(spec.params["a"])), 1.0)]
+    if fid in ("trans_iso_noniso", "dual_trans_iso_noniso"):
+        b = (spec.params["a"] + 1.0) / (spec.params["a"] - 1.0)
+        root = math.asin(1.0 / b)
+        return [(0.3, root), (0.3, math.pi - root)]
+    if fid in ("trans_noniso_noniso", "dual_trans_minimal"):
+        return [(0.4, -0.4), (math.pi / 2.0, 0.3), (0.3, -math.pi / 2.0)]
+    return []
+
+
+def _validity_points(spec, rng):
+    """Seeded points in the box and around it, near each locus, and non-finite."""
+    u0, u1, v0, v1 = spec.domain
+    du, dv = u1 - u0, v1 - v0
+    points = [(u0 + du * x, v0 + dv * y) for x, y in rng.random((8, 2))]
+    # a box five times as wide reaches outside the hard region
+    points += [(u0 + du * x, v0 + dv * y) for x, y in rng.uniform(-2.0, 3.0, (16, 2))]
+    for ul, vl in _locus_points(spec):
+        for t in (-1.5, -0.999, -0.5, 0.0, 0.5, 0.999, 1.5):
+            points += [(ul + t * SINGULAR_MARGIN, vl), (ul, vl + t * SINGULAR_MARGIN)]
+    bad = (math.nan, math.inf, -math.inf)
+    points += [(x, 0.5 * (v0 + v1)) for x in bad] + [(0.5 * (u0 + u1), y) for y in bad]
+    return points
+
+
+def _reference_decision(spec, U, V):
+    if not hard_valid(spec, U, V).all():
+        return OutOfDomain
+    if (singular_distance(spec, U, V) < SINGULAR_MARGIN).any():
+        return SingularLocus
+    return None
+
+
+def _checked_decision(spec, U, V):
+    try:
+        evaluate(spec, U, V, check=True)
+    except (OutOfDomain, SingularLocus) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_evaluate_check_decides_as_the_broadcasting_predicates(fid):
+    spec = make_spec(fid)
+    rng = np.random.default_rng(ALL_FAMILIES.index(fid))
+    decisions = set()
+    for u, v in _validity_points(spec, rng):
+        decision = _checked_decision(spec, u, v)
+        assert decision is _reference_decision(spec, u, v), (u, v)
+        decisions.add(decision)
+    # the points reach every decision the family can make
+    no_hard_region = ("paraboloid", "trans_paraboloid", "trans_iso_noniso", "dual_trans_iso_noniso")
+    assert None in decisions
+    assert (OutOfDomain in decisions) != (fid in no_hard_region)
+    assert (SingularLocus in decisions) == bool(_locus_points(spec))
+    for U, V in _chart_inputs(spec):
+        assert _checked_decision(spec, U, V) is _reference_decision(spec, U, V)
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_validity_predicates_return_owned_full_shape_arrays(fid):
+    spec = make_spec(fid)
+    for U, V in _chart_inputs(spec):
+        shape = np.broadcast(U, V).shape
+        for fn, dtype in ((hard_valid, np.bool_), (singular_distance, np.float64)):
+            out = fn(spec, U, V)
+            assert type(out) is np.ndarray and out.shape == shape and out.dtype == dtype
+            assert out.base is None and out.flags.writeable and out.flags.c_contiguous

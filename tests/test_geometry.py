@@ -444,6 +444,11 @@ def _array_height_jet(jet):
     return hj
 
 
+def _height_jet_from_values(jet):
+    """height_jet_from_param given the jet's 18 floats, as a trace stage reads them."""
+    return height_jet_from_param(jet, [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()])
+
+
 def _outcome(fn, arg, fields, squeeze=False):
     """fn(arg)'s fields, each squeezed from (1, ...) if asked, or the class it raised."""
     with warnings.catch_warnings():
@@ -482,6 +487,7 @@ def test_point_path_matches_array_path_on_every_family(fid):
         jet = evaluate(spec, u, v)
         point = _outcome(height_jet_from_param, jet, JET_FIELDS)
         assert_same_outcome(point, _outcome(_array_height_jet, jet, JET_FIELDS))
+        assert_same_outcome(point, _outcome(_height_jet_from_values, jet, JET_FIELDS))
         if not isinstance(point, type):
             # the same chart values as (1, 3) fields: a chart evaluated on
             # (1,) arrays may round differently from one on scalars
@@ -517,4 +523,6 @@ def test_point_path_matches_array_path_on_hard_jets(ru, rv, rvv):
     zero = np.zeros(3)
     jet = ParamJet2(zero, np.array(ru), np.array(rv), zero, zero, np.array(rvv))
     assert_same_outcome(_outcome(height_jet_from_param, jet, JET_FIELDS),
+                        _outcome(_array_height_jet, jet, JET_FIELDS))
+    assert_same_outcome(_outcome(_height_jet_from_values, jet, JET_FIELDS),
                         _outcome(_array_height_jet, jet, JET_FIELDS))
