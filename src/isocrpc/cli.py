@@ -284,6 +284,8 @@ def cmd_trace(cfg: RunConfig) -> int:
     if len(parts) != 2:
         raise ValueError("trace --seed must be two numbers u,v")
     seed_uv = (float(parts[0]), float(parts[1]))
+    if not all(map(math.isfinite, seed_uv)):
+        raise InvalidParams(f"trace --seed must be finite, got {cfg.seed}")
     kind = KIND_ALIASES.get(cfg.kind, cfg.kind)
     if kind not in TRACE_KINDS:
         raise ValueError(f"--kind must be one of {TRACE_KINDS} (or char+/char-)")
@@ -319,14 +321,13 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     rng = np.random.default_rng(seed)
     take = rng.choice(len(ii), size=min(64, len(ii)), replace=False)
     take.sort()
-
-    ode = 0.0
-    for t in take:
-        ode = max(ode, family_ode_residual(spec, grid.us[ii[t]], grid.vs[jj[t]]))
+    us, vs = grid.us[ii[take]], grid.vs[jj[take]]
+    # a NaN residual is ignored (fmax), as in dual_curvature_check
+    ode = float(np.fmax.reduce(family_ode_residual(spec, us, vs), initial=0.0))
 
     # the dual law K* K = 1 on the sampled nodes that are not too flat
     try:
-        dual_val, _ = dual_curvature_check(spec, grid.us[ii[take]], grid.vs[jj[take]])
+        dual_val, _ = dual_curvature_check(spec, us, vs)
     except NonAdmissiblePoint:
         dual_val = float("nan")  # every sampled node is too flat
     return crpc, max_h, ode, dual_val

@@ -175,39 +175,21 @@ def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _segment_crossing(p0, p1, q0, q1):
-    """Intersection point of two top-view segments, or None.
+def _segments_cross(p0, p1, q0, q1) -> bool:
+    """Whether two top-view segments cross, by endpoint side tests.
 
-    Candidate pairs are detected by endpoint side tests; the location is
-    then refined by bisection on the signed cross product along [p0, p1].
+    Collinear segments have no transversal crossing.
     """
     w = q1 - q0
     s0 = _cross2(w, p0 - q0)
     s1 = _cross2(w, p1 - q0)
     if s0 == 0.0 and s1 == 0.0:
-        return None  # collinear: no transversal crossing
-    if (s0 > 0 and s1 > 0) or (s0 < 0 and s1 < 0):
-        return None
+        return False
     u = p1 - p0
     r0 = _cross2(u, q0 - p0)
     r1 = _cross2(u, q1 - p0)
-    if (r0 > 0 and r1 > 0) or (r0 < 0 and r1 < 0):
-        return None
-    lo, hi, flo = 0.0, 1.0, s0
-    for _ in range(200):
-        if hi - lo <= 1e-10:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _cross2(w, p0 + mid * (p1 - p0) - q0)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    return p0 + s * (p1 - p0)
+    return not ((s0 > 0 and s1 > 0) or (s0 < 0 and s1 < 0)
+                or (r0 > 0 and r1 > 0) or (r0 < 0 and r1 < 0))
 
 
 def included_angle_topview(c1: CurveTrace, c2: CurveTrace) -> float:
@@ -230,8 +212,7 @@ def included_angle_topview(c1: CurveTrace, c2: CurveTrace) -> float:
         return line_angle(c1.top_dirs[0], c2.top_dirs[0])
     for i in range(len(a1) - 1):
         for j in range(len(a2) - 1):
-            hit = _segment_crossing(a1[i], a1[i + 1], a2[j], a2[j + 1])
-            if hit is not None:
+            if _segments_cross(a1[i], a1[i + 1], a2[j], a2[j + 1]):
                 return line_angle(c1.top_dirs[i], c2.top_dirs[j])
     raise NoIntersection("trace top views do not cross")
 

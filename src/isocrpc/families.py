@@ -86,10 +86,6 @@ class G8Element:
         if self.c3 == 0.0 or (self.h1 == 0.0 and self.h2 == 0.0):
             raise SingularSimilarity("similarity needs c3 != 0 and (h1, h2) != 0")
 
-    @staticmethod
-    def rotation(phi: float) -> "G8Element":
-        return G8Element(h1=math.cos(phi), h2=math.sin(phi))
-
 
 def apply_similarity(g: G8Element, jet: ParamJet2) -> ParamJet2:
     """Push a parametric jet through an isotropic similarity."""

@@ -270,6 +270,23 @@ def test_trace_needs_a_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "helicoid", "--seed", "nan,0.3"],  # once failed late: jet not finite
+    ["--family", "euclidean_rotational", "--a", "-0.5", "--seed", "inf,1.5"],  # once warned
+    ["--family", "paraboloid", "--seed", "0.5,-inf"],
+    ["--family", "trans_iso_noniso", "--seed=-1e400,0.5"],
+])
+def test_trace_seed_that_is_not_finite_is_an_error(argv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trace", *argv, "--steps", "3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace --seed must be finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_trace_rejects_unknown_kind(tmp_path):
     rc = main(["trace", "--family", "helicoid", "--kind", "diagonal",
                "--seed", "1,0.5", "--out", str(tmp_path / "t.csv")])
@@ -627,6 +644,8 @@ def cli_argv(draw):
 @example(argv=["trace", "--family", "trans_iso_noniso", "--steps", "3", "--seed", "1,0.5",
                "--dt", "inf"])
 @example(argv=["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "100000000000"])
+@example(argv=["trace", "--family", "euclidean_rotational", "--a", "-0.5", "--steps", "3",
+               "--seed", "inf,1.5"])
 def test_any_argv_exits_cleanly(tmp_path, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \

@@ -336,6 +336,20 @@ def test_angle_law_for_negative_ratio():
     assert abs(1.0 / math.tan(gamma / 2.0) ** 2 - 4.0) <= 1e-6
 
 
+@pytest.mark.parametrize("p0,p1,q0,q1,cross", [
+    ((0, 0), (2, 2), (0, 2), (2, 0), True),     # transversal
+    ((0, 0), (2, 0), (1, 0), (1, 3), True),     # T: q0 on the segment
+    ((0, 0), (1, 1), (1, 1), (2, 0), True),     # shared endpoint
+    ((0, 0), (1, 0), (2, -1), (2, 1), False),   # q-line crosses past p1
+    ((0, 0), (1, 1), (0, 1), (1, 2), False),    # parallel
+    ((0, 0), (2, 0), (1, 0), (3, 0), False),    # collinear overlap is not transversal
+])
+def test_segments_cross_by_side_tests(p0, p1, q0, q1, cross):
+    pts = [np.array(p, float) for p in (p0, p1, q0, q1)]
+    assert curves._segments_cross(*pts) is cross
+    assert curves._segments_cross(*pts[2:], *pts[:2]) is cross
+
+
 def test_parallel_traces_raise_no_intersection():
     # the a = -1 translational surface has a constant characteristic field,
     # so traces from offset seeds are parallel lines in the top view

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocrpc.errors import DegenerateInput, SingularLocus
-from isocrpc.families import make_spec
+from isocrpc.families import family_ids, make_spec
+from isocrpc.meshing import sample_grid
 from isocrpc.residuals import (
+    EQUATIONS,
     OdeResidual,
     _tin_normal_form,
     discriminant_identity_check,
@@ -209,3 +211,72 @@ def test_dispatch_rejects_unknown_family():
     object.__setattr__(spec, "family_id", "mystery")
     with pytest.raises(ValueError):
         family_ode_residual(spec, 1.0, 0.5)
+
+
+# --- elementwise evaluation --------------------------------------------------------
+
+def test_every_family_has_an_equation():
+    assert set(EQUATIONS) == set(family_ids())
+
+
+@pytest.mark.parametrize("fid,params", FAMILY_CASES,
+                         ids=[f"{f}-{p}" for f, p in FAMILY_CASES])
+def test_array_residual_equals_the_per_node_scalar_calls(fid, params):
+    spec = make_spec(fid, params)
+    grid = sample_grid(spec, 12, 12)
+    ii, jj = np.nonzero(~grid.mask)
+    us, vs = grid.us[ii], grid.vs[jj]
+    batch = family_ode_residual(spec, us, vs)
+    assert batch.shape == us.shape
+    nodes = [family_ode_residual(spec, float(u), float(v)) for u, v in zip(us, vs)]
+    np.testing.assert_allclose(batch, nodes, rtol=0.0, atol=1e-14)
+    grid_shaped = family_ode_residual(spec, us.reshape(-1, 1), vs.reshape(-1, 1))
+    np.testing.assert_array_equal(grid_shaped[:, 0], batch)
+
+
+def test_helpers_on_arrays_match_their_scalar_calls():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.2, 2.0, (6, 40))
+    a = -2.5
+
+    def same(batch, scalar_calls, atol=0.0):
+        for got, want in zip(batch, zip(*scalar_calls)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=atol)
+
+    r = helical_ode_residual(x[0], x[1], x[2], a)
+    same((r.lhs, r.rhs, r.normalized), [
+        (q.lhs, q.rhs, q.normalized)
+        for q in (helical_ode_residual(*col, a) for col in x[:3].T.tolist())])
+    for case in ("two_iso", "iso_noniso", "noniso_noniso"):
+        r = translational_residual(case, a, fp=x[0], fpp=x[1], gp=-x[2], gpp=x[3], k=x[4])
+        same((r.lhs, r.rhs), [
+            (q.lhs, q.rhs) for q in (
+                translational_residual(case, a, fp=c[0], fpp=c[1], gp=-c[2], gpp=c[3], k=c[4])
+                for c in x.T.tolist())])
+    same(discriminant_identity_check(a, *x[:4]),
+         [discriminant_identity_check(a, *c) for c in x[:4].T.tolist()])
+    s = 0.5 + 0.5 * x[5]
+    # stencil differences of O(1) values: rounding moves them by ~1e-13
+    same(helical_substitution_check(s, a),
+         [helical_substitution_check(t, a) for t in s.tolist()], atol=1e-12)
+    same(_tin_normal_form(a, x[0], x[1]),
+         [_tin_normal_form(a, u, v) for u, v in zip(x[0].tolist(), x[1].tolist())])
+
+
+def _tin_at_its_pole(us, vs):
+    # a = -3 gives b = 1/2: the generator degenerates where sin v = 1/2
+    return family_ode_residual(make_spec("trans_iso_noniso", {"a": -3.0}), us, vs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: translational_residual("two_iso", 2.0, fpp=np.array([1.0, 0.0]), gpp=np.ones(2)),
+    lambda: translational_residual("iso_noniso", 2.0, fp=np.array([1.0, 0.0]), fpp=1.0,
+                                   gp=0.5, gpp=np.ones(2)),
+    lambda: translational_residual("noniso_noniso", 2.0, fp=np.array([0.5, 1.0]), fpp=1.0,
+                                   gp=1.0, gpp=1.0),
+    lambda: _tin_normal_form(-3.0, np.array([0.1, 0.1]), np.array([0.3, math.pi / 6.0])),
+    lambda: _tin_at_its_pole(np.array([0.1, 0.1, 0.1]), np.array([0.3, math.pi / 6.0, 0.5])),
+], ids=["two_iso", "iso_noniso", "noniso_noniso", "tin_normal_form", "family_ode_residual"])
+def test_one_degenerate_element_raises(call):
+    with pytest.raises(DegenerateInput):
+        call()
