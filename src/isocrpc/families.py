@@ -103,20 +103,21 @@ def apply_similarity(g: G8Element, jet: ParamJet2) -> ParamJet2:
     )
 
 
-def _jet(parts) -> ParamJet2:
+def _jet(U, V, parts) -> ParamJet2:
     """Jet from the (x, y, z) components of r, ru, rv, ruu, ruv, rvv.
 
-    Each field is its own (..., 3) array, shaped by broadcasting its three
-    components: a mesh keeps r as its vertices, not the other five. A field
-    of three 0-d components, as at one point, is a single np.array call.
+    Each field is its own (..., 3) array: a mesh keeps r as its vertices,
+    not the other five. Every field has the broadcast shape of U and V, so a
+    component may be a plain constant. At one point a field is a single
+    np.array call.
     """
+    shape = _shape(U, V)
+    if not shape:
+        return ParamJet2(*(np.array(xyz, float) for xyz in parts))
     fields = []
     for x, y, z in parts:
-        if getattr(x, "shape", ()) or getattr(y, "shape", ()) or getattr(z, "shape", ()):
-            field = np.empty(np.broadcast(x, y, z).shape + (3,))
-            field[..., 0], field[..., 1], field[..., 2] = x, y, z
-        else:
-            field = np.array((x, y, z), float)
+        field = np.empty(shape + (3,))
+        field[..., 0], field[..., 1], field[..., 2] = x, y, z
         fields.append(field)
     return ParamJet2(*fields)
 
@@ -132,38 +133,38 @@ def _shape(U, V) -> tuple:
 
 def _paraboloid(params, U, V):
     a = params["a"]
-    return _jet([
+    return _jet(U, V, [
         (U, V, U * U + a * V * V),
-        (np.ones_like(U), 0.0, 2.0 * U),
-        (0.0, np.ones_like(V), 2.0 * a * V),
-        (0.0, 0.0, 2.0 * np.ones_like(U)),
-        (0.0, 0.0, np.zeros_like(U)),
-        (0.0, 0.0, 2.0 * a * np.ones_like(U)),
+        (1.0, 0.0, 2.0 * U),
+        (0.0, 1.0, 2.0 * a * V),
+        (0.0, 0.0, 2.0),
+        (0.0, 0.0, 0.0),
+        (0.0, 0.0, 2.0 * a),
     ])
 
 
 def _trans_paraboloid(params, U, V):
     a = params["a"]
-    return _jet([
+    return _jet(U, V, [
         (U, V, V * V + a * U * U),
-        (np.ones_like(U), 0.0, 2.0 * a * U),
-        (0.0, np.ones_like(V), 2.0 * V),
-        (0.0, 0.0, 2.0 * a * np.ones_like(U)),
-        (0.0, 0.0, np.zeros_like(U)),
-        (0.0, 0.0, 2.0 * np.ones_like(U)),
+        (1.0, 0.0, 2.0 * a * U),
+        (0.0, 1.0, 2.0 * V),
+        (0.0, 0.0, 2.0 * a),
+        (0.0, 0.0, 0.0),
+        (0.0, 0.0, 2.0),
     ])
 
 
 def _polar_chart(U, V, h, hp, hpp, pitch=0.0):
     # (u cos v, u sin v, h(u) + pitch*v); rotational for pitch = 0
     c, s = np.cos(V), np.sin(V)
-    return _jet([
+    return _jet(U, V, [
         (U * c, U * s, h + pitch * V),
         (c, s, hp),
-        (-U * s, U * c, pitch * np.ones_like(V)),
-        (np.zeros_like(U), 0.0, hpp),
-        (-s, c, np.zeros_like(U)),
-        (-U * c, -U * s, np.zeros_like(U)),
+        (-U * s, U * c, pitch),
+        (0.0, 0.0, hpp),
+        (-s, c, 0.0),
+        (-U * c, -U * s, 0.0),
     ])
 
 
@@ -185,8 +186,7 @@ def _logarithmoid(params, U, V):
 
 
 def _helicoid(params, U, V):
-    z0 = np.zeros_like(U)
-    return _polar_chart(U, V, z0, z0, z0, pitch=1.0)
+    return _polar_chart(U, V, 0.0, 0.0, 0.0, pitch=1.0)
 
 
 def _helical_log(params, U, V):
@@ -199,12 +199,12 @@ def _spiral_ruled(params, U, V):
     m = (a + 1.0) / math.sqrt(abs(a))
     c, s = np.cos(V), np.sin(V)
     e = np.exp(m * V)
-    return _jet([
+    return _jet(U, V, [
         (U * c, U * s, e),
-        (c, s, np.zeros_like(U)),
+        (c, s, 0.0),
         (-U * s, U * c, m * e),
-        (np.zeros_like(U), 0.0, np.zeros_like(U)),
-        (-s, c, np.zeros_like(U)),
+        (0.0, 0.0, 0.0),
+        (-s, c, 0.0),
         (-U * c, -U * s, m * m * e),
     ])
 
@@ -233,13 +233,13 @@ def _helical_general(params, U, V):
     a = params["a"]
     w, wp, wpp, zeta, zeta_u, zeta_uu = _helical_general_profile(a, U)
     c, s = np.cos(V), np.sin(V)
-    return _jet([
+    return _jet(U, V, [
         (w * c, w * s, zeta + V),
         (wp * c, wp * s, zeta_u),
-        (-w * s, w * c, np.ones_like(V)),
+        (-w * s, w * c, 1.0),
         (wpp * c, wpp * s, zeta_uu),
-        (-wp * s, wp * c, np.zeros_like(U)),
-        (-w * c, -w * s, np.zeros_like(U)),
+        (-wp * s, wp * c, 0.0),
+        (-w * c, -w * s, 0.0),
     ])
 
 
@@ -256,28 +256,26 @@ def _trans_iso_noniso(params, U, V):
     x = V + b * c
     y = b * s + B2 * np.log(np.abs(beta)) - B2 * U
     z = np.exp(U)
-    return _jet([
+    return _jet(U, V, [
         (x, y, z),
-        (np.zeros_like(U), -B2 * np.ones_like(U), z),
-        (1.0 - b * s, b * c - B2 * c / beta, np.zeros_like(V)),
-        (np.zeros_like(U), np.zeros_like(U), z),
-        (np.zeros_like(U), np.zeros_like(U), np.zeros_like(U)),
-        (-b * c, -b * s - B2 * (1.0 - b * s) / (beta * beta), np.zeros_like(V)),
+        (0.0, -B2, z),
+        (1.0 - b * s, b * c - B2 * c / beta, 0.0),
+        (0.0, 0.0, z),
+        (0.0, 0.0, 0.0),
+        (-b * c, -b * s - B2 * (1.0 - b * s) / (beta * beta), 0.0),
     ])
 
 
 def _trans_noniso_noniso(params, U, V):
     tu, tv = np.tan(U), np.tan(V)
     su, sv = 1.0 + tu * tu, 1.0 + tv * tv
-    one = np.ones_like(U + V)
-    zero = np.zeros_like(one)
-    return _jet([
-        (U + V, np.log(np.abs(np.cos(U))) - np.log(np.abs(np.cos(V))), U + zero),
-        (one, -tu, one),
-        (one, tv, zero),
-        (zero, -su, zero),
-        (zero, zero, zero),
-        (zero, sv, zero),
+    return _jet(U, V, [
+        (U + V, np.log(np.abs(np.cos(U))) - np.log(np.abs(np.cos(V))), U + 0.0),
+        (1.0, -tu, 1.0),
+        (1.0, tv, 0.0),
+        (0.0, -su, 0.0),
+        (0.0, 0.0, 0.0),
+        (0.0, sv, 0.0),
     ])
 
 
@@ -310,15 +308,13 @@ def _dual_trans_iso_noniso(params, U, V):
     a = params["a"]
     P, Pp, Ppp, Q, Qp, Qpp = _dtin_parts(a, V)
     e = np.exp(U)
-    one = np.ones_like(U + V)
-    zero = np.zeros_like(one)
-    return _jet([
-        (e * P, e * one, e * (Q + U)),
-        (e * P, e * one, e * (Q + U + 1.0)),
-        (e * Pp, zero, e * Qp),
-        (e * P, e * one, e * (Q + U + 2.0)),
-        (e * Pp, zero, e * Qp),
-        (e * Ppp, zero, e * Qpp),
+    return _jet(U, V, [
+        (e * P, e, e * (Q + U)),
+        (e * P, e, e * (Q + U + 1.0)),
+        (e * Pp, 0.0, e * Qp),
+        (e * P, e, e * (Q + U + 2.0)),
+        (e * Pp, 0.0, e * Qp),
+        (e * Ppp, 0.0, e * Qpp),
     ])
 
 
@@ -349,7 +345,7 @@ def _dual_trans_minimal(params, U, V):
     zuu = (Ruu * S2 - 2.0 * su * tu * R * S - 2.0 * su * (Ru * S - R * su)) / S3
     zuv = (-Ru * sv * S - Rv * su * S + 2.0 * su * sv * R) / S3
     zvv = (Rvv * S2 - 2.0 * sv * tv * R * S - 2.0 * sv * (Rv * S - R * sv)) / S3
-    return _jet([
+    return _jet(U, V, [
         (x, y, z), (xu, yu, zu), (xv, yv, zv),
         (xuu, yuu, zuu), (xuv, yuv, zuv), (xvv, yvv, zvv),
     ])
@@ -360,48 +356,45 @@ def _dual_trans_minimal(params, U, V):
 # For a > 0 the profile lives on r in (0, 1), anchored h(0) = 0; for a < 0 it
 # lives on r in (1, inf), anchored at the default domain's left edge.
 
-_euclid_cache: dict = {}
-
 
 def _euclid_anchor(a: float) -> float:
     return 0.0 if a > 0 else 0.9 ** (1.0 / a)
 
 
+def _euclid_on_profile(a: float, U):
+    """The profile's hard region: u > 0 and a real slope, u^(2a) < 1."""
+    return (U > 0.0) & (U ** (2.0 * a) < 1.0)
+
+
 def _euclid_slope(a: float):
-    def hp(r):
-        return r ** a / np.sqrt(1.0 - r ** (2.0 * a))
+    def hp(r):  # quad samples r strictly inside the profile, where the root is real
+        return r ** a / math.sqrt(1.0 - r ** (2.0 * a))
     return hp
 
 
 def _euclid_height_values(a: float, U: np.ndarray) -> np.ndarray:
-    """h(u) by adaptive quadrature from the anchor, cached per (a, u).
+    """h(u) by adaptive quadrature from the anchor, once per distinct u of
+    the call; nothing is kept between calls.
 
-    h is NaN where the slope is not real (r^(2a) >= 1): the profile ends at
-    r = 1, and a quadrature past it only warns.
+    h is NaN off the profile: the profile ends at r = 1, and for odd 2a
+    the slope law also holds at some u < 0, where r^a is not real.
     """
     hp = _euclid_slope(a)
     anchor = _euclid_anchor(a)
-    flat = np.atleast_1d(np.asarray(U, float)).ravel()
-    out = np.full_like(flat, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        on_profile = flat ** (2.0 * a) < 1.0
-    cache = _euclid_cache.setdefault(a, {})
-    for i in np.flatnonzero(on_profile):
-        key = float(flat[i])
-        if key not in cache:
-            val, _err = quad(hp, anchor, key, epsabs=1e-12, epsrel=1e-12, limit=200)
-            cache[key] = val
-        out[i] = cache[key]
-    return out.reshape(np.shape(U)) if np.ndim(U) else float(out[0])
+    out = np.full(U.shape, np.nan)
+    on_profile = _euclid_on_profile(a, U)
+    us, inverse = np.unique(U[on_profile], return_inverse=True)
+    hs = [quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200)[0] for u in us.tolist()]
+    out[on_profile] = np.array(hs, float)[inverse]
+    return out
 
 
 def _euclidean_rotational(params, U, V):
     a = params["a"]
-    Ua = np.asarray(U, float)
-    h = _euclid_height_values(a, Ua)
-    g = 1.0 - Ua ** (2.0 * a)
-    hp = Ua ** a / np.sqrt(g)
-    hpp = a * Ua ** (a - 1.0) * g ** (-1.5)
+    h = _euclid_height_values(a, U)
+    g = 1.0 - U ** (2.0 * a)
+    hp = U ** a / np.sqrt(g)
+    hpp = a * U ** (a - 1.0) * g ** (-1.5)
     return _polar_chart(U, V, h, hp, hpp)
 
 
@@ -576,7 +569,7 @@ def _euclid_domain(p):
 
 
 def _euclid_hard(params, U, V):
-    return (U > 0.0) & (U ** (2.0 * params["a"]) < 1.0)
+    return _euclid_on_profile(params["a"], U)
 
 
 def _euclid_loci_dist(params, U, V):

@@ -140,7 +140,8 @@ class MeshGrid:
             "max_abs_K": float(np.max(np.abs(self.K[valid]))) if valid.any() else float("nan"),
         }
         if self.residual is not None and valid.any():
-            out["max_abs_residual"] = float(np.nanmax(np.abs(self.residual[valid])))
+            # NaN where every residual is NaN (a flat grid), without nanmax's warning
+            out["max_abs_residual"] = float(np.fmax.reduce(np.abs(self.residual[valid])))
         return out
 
 

@@ -543,6 +543,81 @@ def test_euclidean_profile_past_its_end_is_masked_without_warning(tmp_path):
     assert out.read_text().splitlines()[1].endswith(",PASS")
 
 
+@pytest.mark.parametrize("a", ["0.5", "-0.5", "1.5", "-1.5"])
+def test_euclidean_profile_is_not_integrated_at_negative_u(a, tmp_path, capsys):
+    # for odd 2a the slope law u^(2a) < 1 also holds at u < 0, where the
+    # quadrature once integrated r^a over negative r and raised a TypeError
+    box = ["--family", "euclidean_rotational", "--a", a, "--domain", "-2,2,0,1", "--res", "17x5"]
+    spec = make_spec("euclidean_rotational", {"a": float(a)}, (-2.0, 2.0, 0.0, 1.0))
+    U, V = np.meshgrid(np.linspace(-2.0, 2.0, 17), np.linspace(0.0, 1.0, 5), indexing="ij")
+    valid = int(isocrpc.families.hard_valid(spec, U, V).sum())  # whole columns of 5
+    assert 0 < valid < U.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", *box, "--out", str(tmp_path / "e.obj")]) == 0
+        quads, masked = 4 * (valid // 5 - 1), U.size - valid
+        assert capsys.readouterr().err == (f"euclidean_rotational: {valid} vertices, "
+                                           f"{quads} quads, {masked} nodes masked\n")
+        assert main(["verify", *box, "--out", str(tmp_path / "e.csv")]) == 0
+        assert capsys.readouterr().err == ""
+    assert len(read_obj_vertices(tmp_path / "e.obj")) == valid
+    assert (tmp_path / "e.csv").read_text().splitlines()[1].endswith(",PASS")
+
+
+@pytest.mark.parametrize("a", ["0.99", "1.01", "1.05"])
+def test_flat_grid_reports_nan_residual_without_warning(a, tmp_path, capsys):
+    # the default box of trans_iso_noniso is nearly flat for a near 1 and
+    # every ratio residual is NaN there; np.nanmax once warned about it
+    box = ["--family", "trans_iso_noniso", "--a", a]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", *box, "--out", str(tmp_path / "v.csv")]) == 1
+        assert main(["generate", *box, "--res", "20x20", "--out", str(tmp_path / "t.obj")]) == 0
+    assert capsys.readouterr().err == "trans_iso_noniso: 400 vertices, 361 quads, 0 nodes masked\n"
+    row = (tmp_path / "v.csv").read_text().splitlines()[1].split(",")
+    assert row[4] == "nan" and row[-1] == "FAIL"
+
+
+def _entries(value):
+    """Entries of a dict, list or set, with those of the dicts and lists in it."""
+    if isinstance(value, dict):
+        return len(value) + sum(_entries(v) for v in value.values())
+    if isinstance(value, (list, set)):
+        return len(value) + sum(_entries(v) for v in value)
+    return 0
+
+
+def _module_state():
+    """Entries of every module-level dict, list and set of the isocrpc modules."""
+    return {f"{name}.{attr}": _entries(value)
+            for name, module in list(sys.modules.items())
+            if name == "isocrpc" or name.startswith("isocrpc.")
+            for attr, value in vars(module).items()
+            if not attr.startswith("__") and isinstance(value, (dict, list, set))}
+
+
+def test_repeated_commands_leave_module_state_as_it_was(tmp_path, capsys):
+    # new grids and start points each time: a cache keyed by them would grow
+    def run_all(k):
+        for i, argv in enumerate([
+            ["verify", "--family", "euclidean_rotational", "--res", f"{5 + k}x4"],
+            ["verify", "--family", "euclidean_rotational", "--a", "-1.5", "--res", f"{5 + k}x4"],
+            ["generate", "--family", "euclidean_rotational", "--res", f"{7 + k}x3"],
+            ["trace", "--family", "euclidean_rotational", "--seed", f"{0.5 + 0.01 * k},0.5",
+             "--steps", "3"],
+            ["trace", "--family", "rotational_power_1", "--seed", f"{1 + 0.01 * k},0.5",
+             "--steps", "3"],
+        ]):
+            assert main(argv + ["--out", str(tmp_path / f"out-{k}-{i}")]) == 0, argv
+
+    run_all(0)
+    before = _module_state()
+    assert "isocrpc.families._REGISTRY" in before
+    for k in (1, 2, 3):
+        run_all(k)
+    assert _module_state() == before
+
+
 @pytest.mark.parametrize("steps", [str(isocrpc.curves.MAX_TRACE_STEPS + 1), "100000000000"])
 def test_trace_steps_above_the_cap_fail_before_tracing(steps, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(isocrpc.cli, "trace_direction_field", None)  # calling it would fail
@@ -646,6 +721,11 @@ def cli_argv(draw):
 @example(argv=["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "100000000000"])
 @example(argv=["trace", "--family", "euclidean_rotational", "--a", "-0.5", "--steps", "3",
                "--seed", "inf,1.5"])
+@example(argv=["generate", "--family", "euclidean_rotational", "--a", "0.5", "--domain",
+               "-0.5,0.5,0,1", "--res", "5x5"])
+@example(argv=["verify", "--family", "euclidean_rotational", "--a", "-1.5", "--domain",
+               "-0.5,0.5,0,1", "--res", "5x5"])
+@example(argv=["verify", "--family", "trans_iso_noniso", "--a", "0.99"])
 def test_any_argv_exits_cleanly(tmp_path, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \

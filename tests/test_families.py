@@ -264,11 +264,13 @@ def test_height_field_rejects_a_frame_inside_the_admissibility_bound():
 
 # --- jets filled field by field against the stacked construction -------------
 
-def _reference_jet(parts):
-    """_jet by np.stack of the broadcast components, field by field."""
+def _reference_jet(U, V, parts):
+    """_jet by np.stack of the components, each broadcast to the shape of (U, V)."""
+    shape = np.broadcast(U, V).shape
+
     def stack(x, y, z):
-        return np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
-                                            np.asarray(z, float)), axis=-1)
+        return np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in (x, y, z)],
+                        axis=-1)
     return ParamJet2(*(stack(*xyz) for xyz in parts))
 
 
@@ -282,7 +284,7 @@ def _chart_inputs(spec):
         (np.asarray(u0), np.asarray(v1)),  # 0-d arrays
         (us, vs[:1].repeat(5)),
         (U, V),
-        (us[:, None], vs),  # broadcast: fields built from U alone stay (5, 1, 3)
+        (us[:, None], vs),  # broadcast: every field is (5, 4, 3), constants too
         (np.array([np.nan, -0.0, 0.0, u0]), np.array([v0, -0.0, np.nan, np.inf])),
     ]
 
@@ -299,12 +301,43 @@ def test_jet_fields_match_stacked_reference(fid, monkeypatch):
         for f, a in zip(dataclasses.fields(ParamJet2), fields):
             b = getattr(ref, f.name)
             assert type(a) is np.ndarray and a.flags.c_contiguous, f.name
-            assert a.shape == b.shape and a.dtype == b.dtype == np.float64, f.name
+            assert a.shape == b.shape == np.broadcast(U, V).shape + (3,), f.name
+            assert a.dtype == b.dtype == np.float64, f.name
             nan = np.isnan(a)
             assert np.array_equal(nan, np.isnan(b)), f.name
             assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)), f.name
         # one array per field: a mesh that keeps r keeps no other field alive
         assert all(a.base is None for a in fields)
+
+
+# --- the Euclidean profile: one quadrature per distinct u, and no state --------
+
+@pytest.mark.parametrize("a", [2.0, 0.5, -1.5])
+def test_euclidean_profile_integrates_each_distinct_u_once_per_call(a, monkeypatch):
+    spec = make_spec("euclidean_rotational", {"a": a})
+    u0, u1, v0, v1 = spec.domain
+    us = np.linspace(u0, u1, 7)
+    # repeats, and points off the profile: the axis, u < 0, its end r = 1, NaN
+    U = np.concatenate([us, us[::-1], [0.0, -u1, 1.0, np.nan]])[:, None]
+    V = np.array([v0, v1])
+    calls = []
+    quad = isocrpc.families.quad
+
+    def counted(f, lo, hi, **kwargs):
+        calls.append(hi)
+        return quad(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(isocrpc.families, "quad", counted)
+    z = evaluate(spec, U, V, check=False).r[..., 2]
+    assert sorted(calls) == us.tolist()
+    calls.clear()
+    again = evaluate(spec, U, V, check=False).r[..., 2]
+    assert sorted(calls) == us.tolist()  # nothing is kept from the first call
+    assert np.array_equal(z, again, equal_nan=True)
+    assert np.isnan(z[len(us) * 2:]).all()
+    for (u,), row in zip(U, z):
+        alone = evaluate(spec, u, v0, check=False).r[2]
+        assert np.array_equal(row, [alone, alone], equal_nan=True), u
 
 
 # --- validity decisions against the broadcasting public predicates ------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,16 @@ def test_unmasked_nodes_are_admissible():
 def test_euclidean_comparison_family_uses_euclidean_residual():
     grid = sample_grid(make_spec("euclidean_rotational", {"a": 2.0}), 12, 12)
     assert grid.stats()["max_abs_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("a", [0.99, 1.01, 1.05])
+def test_flat_grid_stats_give_nan_residual_without_warning(a):
+    # every ratio residual is NaN on this nearly flat box; np.nanmax warned
+    grid = sample_grid(make_spec("trans_iso_noniso", {"a": a}), 20, 20)
+    assert not grid.mask.any() and np.isnan(grid.residual).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(grid.stats()["max_abs_residual"])
 
 
 def test_obj_text_layout():
