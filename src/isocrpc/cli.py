@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families as fam
-from .duality import dual_curvature_check
+from .duality import dual_law_deviation
 from .errors import GeometryError, InvalidParams, NonAdmissiblePoint
 from .meshing import dual_grid, fmt_float, obj_text, sample_grid, write_text
 from .curves import MAX_TRACE_STEPS, TRACE_KINDS, trace_direction_field
@@ -322,13 +322,17 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     rng = np.random.default_rng(seed)
     take = rng.choice(len(ii), size=min(64, len(ii)), replace=False)
     take.sort()
-    us, vs = grid.us[ii[take]], grid.vs[jj[take]]
-    # a NaN residual is ignored (fmax), as in dual_curvature_check
+    ii, jj = ii[take], jj[take]
+    us, vs = grid.us[ii], grid.vs[jj]
+    # the equations read chart derivatives the grid does not keep, so the
+    # nodes are evaluated again; a NaN residual is ignored (fmax), as in
+    # dual_law_deviation
     ode = float(np.fmax.reduce(family_ode_residual(spec, us, vs), initial=0.0))
 
-    # the dual law K* K = 1 on the sampled nodes that are not too flat
+    # the dual law K* K = 1 on the sampled nodes that are not too flat, from
+    # the grid's curvatures there
     try:
-        dual_val, _ = dual_curvature_check(spec, us, vs)
+        dual_val, _ = dual_law_deviation(spec, us, vs, grid.H[ii, jj], grid.K[ii, jj])
     except NonAdmissiblePoint:
         dual_val = float("nan")  # every sampled node is too flat
     return crpc, max_h, ode, dual_val

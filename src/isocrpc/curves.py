@@ -77,6 +77,10 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
     values = [c for field in fields for c in field.tolist()]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
+    # far out (a huge step), the admissibility test's frame scale overflows
+    xu, yu, _, xv, yv = values[3:8]
+    if not math.isfinite(xu * xu + yu * yu + xv * xv + yv * yv):
+        raise DegenerateJet("top-view frame overflows")
     hj = height_jet_from_param(jet, values)
     if kind in ("characteristic+", "characteristic-"):
         tp, tm = characteristic_directions(hj)

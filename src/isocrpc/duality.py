@@ -9,6 +9,7 @@ the dual surface, whose curvatures satisfy K* = 1/K and H* = H/K.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -141,36 +142,42 @@ def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) ->
     return ParamJet2(r=r, ru=du[..., 10, :], rv=dv[..., 10, :], ruu=ruu, ruv=ruv, rvv=rvv)
 
 
-def dual_curvature_check(
-    spec: FamilySpec,
-    u,
-    v,
-    k_floor: float = 1e-6,
-) -> tuple[float, float]:
-    """Max deviations of (K* K - 1, H* - H/K) at the chart points (u, v).
+def dual_law_deviation(spec: FamilySpec, u, v, H, K,
+                       k_floor: float = 1e-6) -> tuple[float, float]:
+    """Max deviations of (K* K - 1, H* - H/K) given the primal H and K at (u, v).
 
-    u and v are arrays (or scalars) of a common broadcast shape. Dual
+    u, v, H and K are arrays (or scalars) of a common broadcast shape, H and
+    K the primal curvatures at (u, v), e.g. a sampled grid's. Dual
     curvatures come from finite-difference jets of the exact dual points,
     one batched jet over all usable points. Points where the primal surface
     is too flat (|K| below k_floor, where 1/K is numerically meaningless)
     are skipped, and NonAdmissiblePoint is raised when none is left; NaN
     deviations are ignored.
     """
-    def jet_fn(uu, vv) -> ParamJet2:
-        return evaluate(spec, uu, vv, check=False)
-
-    U, V = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    cur = isotropic_curvatures(height_jet_from_param(jet_fn(U, V)))
-    keep = ~(np.abs(cur.K) < k_floor)
+    U, V, H, K = np.broadcast_arrays(*(np.asarray(x, float) for x in (u, v, H, K)))
+    keep = ~(np.abs(K) < k_floor)
     if not keep.any():
         raise NonAdmissiblePoint("no point had usable curvature for the dual check")
-    K, H = cur.K[keep], cur.H[keep]
-    dj = dual_map_jet(jet_fn, U[keep], V[keep])
+    K, H = K[keep], H[keep]
+    dj = dual_map_jet(functools.partial(evaluate, spec, check=False), U[keep], V[keep])
     dcur = isotropic_curvatures(height_jet_from_param(dj))
     # fmax skips NaN deviations, as a running Python max would
     worst_k = np.fmax.reduce(np.abs(dcur.K * K - 1.0), initial=0.0)
     worst_h = np.fmax.reduce(np.abs(dcur.H - H / K), initial=0.0)
     return float(worst_k), float(worst_h)
+
+
+def dual_curvature_check(spec: FamilySpec, u, v, k_floor: float = 1e-6) -> tuple[float, float]:
+    """Max deviations of (K* K - 1, H* - H/K) at the chart points (u, v).
+
+    u and v are arrays (or scalars) of a common broadcast shape. The primal
+    curvatures come from one chart evaluation at (u, v), the rest from
+    dual_law_deviation. Raises NonAdmissiblePoint where a point is not
+    admissible, and as dual_law_deviation does.
+    """
+    U, V = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    cur = isotropic_curvatures(height_jet_from_param(evaluate(spec, U, V, check=False)))
+    return dual_law_deviation(spec, U, V, cur.H, cur.K, k_floor)
 
 
 def _grid(us, vs):

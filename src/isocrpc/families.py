@@ -842,14 +842,20 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
 def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
     """Exact second-order jet of the chart at (u, v) (scalars or arrays).
 
-    With check=True, raises OutOfDomain outside the hard validity region
-    and SingularLocus within SINGULAR_MARGIN of a singular locus.
-    check=False is for grid sampling, which masks instead of raising.
+    With check=True, raises OutOfDomain at a non-finite (u, v) and outside
+    the hard validity region, and SingularLocus within SINGULAR_MARGIN of a
+    singular locus. check=False is for grid sampling, which masks instead
+    of raising.
     """
     entry = catalog_entry(spec.family_id)
     U, V = np.asarray(u, float), np.asarray(v, float)
     with np.errstate(all="ignore"):
         if check:
+            # one point, as a trace stage asks for, is tested in Python floats
+            finite = (math.isfinite(U) and math.isfinite(V) if U.ndim == V.ndim == 0
+                      else np.isfinite(U).all() and np.isfinite(V).all())
+            if not finite:
+                raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
             if not entry.hard_valid(spec.params, U, V).all():
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
             if (entry.loci_dist(spec.params, U, V) < SINGULAR_MARGIN).any():

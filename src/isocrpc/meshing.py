@@ -44,6 +44,13 @@ FORMAT_BLOCK_ROWS = 1 << 14
 WRITE_CHUNK_CHARS = 1 << 20
 
 
+def _finite_rows(vectors: np.ndarray) -> np.ndarray:
+    """np.all(np.isfinite(vectors), axis=-1) for (..., 3) vectors, several times
+    faster: three tests on the component views instead of a length-3 reduction."""
+    return (np.isfinite(vectors[..., 0]) & np.isfinite(vectors[..., 1])
+            & np.isfinite(vectors[..., 2]))
+
+
 def fmt_float(x: float) -> str:
     """x at 17 significant digits, with -0.0 written as 0."""
     if x == 0.0:
@@ -117,9 +124,9 @@ class MeshGrid:
         valid = ~self.mask
         idx = np.zeros((self.nu, self.nv), dtype=int)  # 0 = masked
         idx[valid] = np.arange(1, int(valid.sum()) + 1)
-        corners = np.stack(
-            (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]), axis=-1)
-        return corners[np.all(corners > 0, axis=-1)]
+        corners = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:])
+        whole = valid[corners[0]] & valid[corners[1]] & valid[corners[2]] & valid[corners[3]]
+        return np.stack([idx[c][whole] for c in corners], axis=-1)
 
     @functools.cached_property
     def quads(self) -> np.ndarray:
@@ -160,7 +167,7 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float):
         bad = ~np.asarray(hard_valid(spec, U, V), bool)
         bad |= np.asarray(singular_distance(spec, U, V), float) < margin
         for arr in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
-            bad |= ~np.all(np.isfinite(arr), axis=-1)
+            bad |= ~_finite_rows(arr)
 
         hj, singular = monge_jet(jet)
         bad |= singular
@@ -210,7 +217,7 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
     grid, hj = _sample(spec, nu, nv, SINGULAR_MARGIN)
     with np.errstate(all="ignore"):
         vertices = dual_surface_point(hj)
-    mask = grid.mask | ~np.all(np.isfinite(vertices), axis=-1)
+    mask = grid.mask | ~_finite_rows(vertices)
     mask |= ~(np.abs(grid.K) >= K_EPS)  # the dual surface degenerates where K = 0
     if mask.all():
         raise DegenerateK(f"{spec.family_id}: relative curvature is numerically "

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import isocrpc.cli
 import isocrpc.curves
+import isocrpc.duality
 import isocrpc.families
 import isocrpc.meshing
+import isocrpc.residuals
 from isocrpc.cli import main
 from isocrpc.families import evaluate, make_spec
 
@@ -419,6 +421,25 @@ def test_dual_evaluates_the_chart_once(tmp_path, monkeypatch):
     assert points == [63]
 
 
+@pytest.mark.parametrize("family,a", [("helicoid", None), ("paraboloid", "2"),
+                                      ("euclidean_rotational", "-2")])
+def test_verify_row_evaluates_the_chart_three_times(family, a, tmp_path, monkeypatch):
+    # the grid, the ODE nodes and the dual stencil; the dual law reads the
+    # grid's curvatures at the sampled nodes
+    sizes = []
+    chart = isocrpc.families.evaluate
+
+    def counted(spec, u, v, *args, **kwargs):
+        sizes.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+        return chart(spec, u, v, *args, **kwargs)
+
+    for module in (isocrpc.meshing, isocrpc.residuals, isocrpc.duality):
+        monkeypatch.setattr(module, "evaluate", counted)
+    argv = ["verify", "--family", family, "--res", "12x10", "--out", str(tmp_path / "v.csv")]
+    assert main(argv + (["--a", a] if a else [])) == 0
+    assert sizes == [120, 64, 64 * 11]
+
+
 def test_verify_a_value_without_a_row_is_an_error(tmp_path, capsys):
     # no family takes the ratio 0; the families without a ratio give rows
     # at -1, which do not answer the request
@@ -718,6 +739,7 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 @example(argv=["trace", "--family", "trans_iso_noniso", "--steps", "3", "--seed", "1,0.5",
                "--dt", "inf"])
+@example(argv=["trace", "--family", "helicoid", "--steps", "3", "--seed", "1,0.5", "--dt", "1e300"])
 @example(argv=["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "100000000000"])
 @example(argv=["trace", "--family", "euclidean_rotational", "--a", "-0.5", "--steps", "3",
                "--seed", "inf,1.5"])

@@ -276,6 +276,17 @@ def test_trace_truncates_at_singular_locus():
     assert 1 < len(tr) < 3001
 
 
+@pytest.mark.parametrize("fid,params", [("helicoid", {}), ("logarithmoid", {}),
+                                        ("helical_log", {"c": 1.0}),
+                                        ("rotational_power_1", {"a": -2.0})])
+def test_a_huge_step_stops_where_the_frame_overflows(fid, params):
+    # an RK4 stage lands near u = 5e299, where the squared frame of the
+    # admissibility test overflows; that stops the trace without a warning
+    tr = trace_direction_field(make_spec(fid, params), (1.0, 0.5), "characteristic+", 3, 1e300)
+    assert tr.stopped == "DegenerateJet: top-view frame overflows"
+    assert len(tr) == 1
+
+
 # --- CSV --------------------------------------------------------------------
 
 def test_trace_csv_header_and_negative_zero():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,7 +378,8 @@ def _validity_points(spec, rng):
 
 
 def _reference_decision(spec, U, V):
-    if not hard_valid(spec, U, V).all():
+    # a non-finite (u, v) is outside every chart, whatever its hard region
+    if not (np.isfinite(U).all() and np.isfinite(V).all() and hard_valid(spec, U, V).all()):
         return OutOfDomain
     if (singular_distance(spec, U, V) < SINGULAR_MARGIN).any():
         return SingularLocus
@@ -400,14 +402,31 @@ def test_evaluate_check_decides_as_the_broadcasting_predicates(fid):
     for u, v in _validity_points(spec, rng):
         decision = _checked_decision(spec, u, v)
         assert decision is _reference_decision(spec, u, v), (u, v)
-        decisions.add(decision)
-    # the points reach every decision the family can make
+        if math.isfinite(u) and math.isfinite(v):
+            decisions.add(decision)
+    # the finite points reach every decision the family can make
     no_hard_region = ("paraboloid", "trans_paraboloid", "trans_iso_noniso", "dual_trans_iso_noniso")
     assert None in decisions
     assert (OutOfDomain in decisions) != (fid in no_hard_region)
     assert (SingularLocus in decisions) == bool(_locus_points(spec))
     for U, V in _chart_inputs(spec):
         assert _checked_decision(spec, U, V) is _reference_decision(spec, U, V)
+
+
+@pytest.mark.parametrize("fid,params,u,v", [
+    ("paraboloid", {}, math.inf, 0.3),  # r = (inf, 0.3, inf) unchecked
+    ("trans_iso_noniso", {}, 0.5, math.inf),  # NaN x and y unchecked
+    ("euclidean_rotational", {"a": -0.5}, math.inf, 0.3),  # a divergent quadrature
+    ("helicoid", {}, math.nan, 0.3),
+])
+def test_evaluate_check_refuses_a_non_finite_point(fid, params, u, v):
+    spec = make_spec(fid, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="not finite"):
+            evaluate(spec, u, v, check=True)
+        with pytest.raises(OutOfDomain, match="not finite"):
+            evaluate(spec, np.array([1.0, u]), np.array([0.3, v]), check=True)
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)

@@ -9,10 +9,11 @@ import pytest
 
 import isocrpc.meshing
 from isocrpc.cli import main
+from isocrpc.duality import dual_surface_point
 from isocrpc.errors import EmptyGrid, InvalidParams, NonAdmissiblePoint
-from isocrpc.families import evaluate, make_spec
-from isocrpc.geometry import height_jet_from_param
-from isocrpc.meshing import MeshGrid, fmt_float, obj_text, sample_grid, write_obj
+from isocrpc.families import SINGULAR_MARGIN, evaluate, hard_valid, make_spec, singular_distance
+from isocrpc.geometry import K_EPS, height_jet_from_param, monge_jet, relative_curvatures
+from isocrpc.meshing import MeshGrid, dual_grid, fmt_float, obj_text, sample_grid, write_obj
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
 
@@ -285,3 +286,57 @@ def test_write_text_hands_the_file_slices(monkeypatch):
     writes.clear()
     isocrpc.meshing.write_text("", Sink())
     assert writes == []
+
+
+# --- masks from per-component tests against the trailing-axis reductions ------
+
+JET_FIELDS = ("r", "ru", "rv", "ruu", "ruv", "rvv")
+
+
+def _reference_masks(spec, jet, U, V):
+    """sample_grid's and dual_grid's masks, with every test over the last axis."""
+    bad = ~hard_valid(spec, U, V) | (singular_distance(spec, U, V) < SINGULAR_MARGIN)
+    with np.errstate(all="ignore"):
+        for field in JET_FIELDS:
+            bad |= ~np.all(np.isfinite(getattr(jet, field)), axis=-1)
+        hj, singular = monge_jet(jet)
+        H, K = relative_curvatures(hj)
+        bad |= singular | ~(np.isfinite(H) & np.isfinite(K))
+        dual = bad | ~np.all(np.isfinite(dual_surface_point(hj)), axis=-1)
+    return bad, dual | ~(np.abs(K) >= K_EPS)
+
+
+# a huge finite r makes the dual point overflow where the jet is finite
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("field", JET_FIELDS)
+def test_one_bad_component_masks_as_the_trailing_axis_reduction(field, value, monkeypatch):
+    # the axis u = 0 crosses the box: a masked half-plane and a margin band
+    spec = make_spec("rotational_power_1", {"a": -2.0}, (-1.0, 1.0, 0.0, 3.0))
+    nu, nv = 14, 11
+    rng = np.random.default_rng(JET_FIELDS.index(field))
+    nodes = rng.choice(nu * nv, size=12, replace=False)
+    comps = rng.integers(0, 3, size=12)  # one component per node
+    jets = []
+
+    def poisoned(spec, U, V, check=True):
+        jet = evaluate(spec, U, V, check=check)
+        getattr(jet, field)[(*np.unravel_index(nodes, (nu, nv)), comps)] = value
+        jets.append(jet)
+        return jet
+
+    monkeypatch.setattr(isocrpc.meshing, "evaluate", poisoned)
+    grid = sample_grid(spec, nu, nv)
+    dual = dual_grid(spec, nu, nv)
+    U, V = np.meshgrid(grid.us, grid.vs, indexing="ij")
+    want, want_dual = _reference_masks(spec, jets[0], U, V)
+    assert (~want).sum() > 2 * nu
+    if math.isfinite(value):
+        assert field != "r" or (want_dual & ~want).any()
+    else:
+        assert want.ravel()[nodes].all()
+    assert np.array_equal(grid.mask, want)
+    assert np.array_equal(dual.mask, want_dual)
+    for g in (grid, dual):
+        quads = g.quad_indices()
+        assert quads.dtype == int and np.array_equal(quads, _reference_quad_indices(g))
+        assert g.stats()["n_quads"] == len(quads) > 0

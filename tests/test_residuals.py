@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocrpc.duality import dual_curvature_check, dual_law_deviation
 from isocrpc.errors import DegenerateInput, SingularLocus
 from isocrpc.families import family_ids, make_spec
 from isocrpc.meshing import sample_grid
@@ -232,6 +233,23 @@ def test_array_residual_equals_the_per_node_scalar_calls(fid, params):
     np.testing.assert_allclose(batch, nodes, rtol=0.0, atol=1e-14)
     grid_shaped = family_ode_residual(spec, us.reshape(-1, 1), vs.reshape(-1, 1))
     np.testing.assert_array_equal(grid_shaped[:, 0], batch)
+
+
+@pytest.mark.parametrize("res", [(50, 50), (31, 17)])
+@pytest.mark.parametrize("fid,params", FAMILY_CASES,
+                         ids=[f"{f}-{p}" for f, p in FAMILY_CASES])
+def test_dual_law_on_the_grid_curvatures_is_bit_equal_to_the_dual_check(fid, params, res):
+    # a verify row feeds the grid's H and K at its sampled nodes to the dual
+    # law instead of evaluating the chart there again
+    spec = make_spec(fid, params)
+    grid = sample_grid(spec, *res)
+    ii, jj = np.nonzero(~grid.mask)
+    take = np.sort(np.random.default_rng(len(ii)).choice(len(ii), 64, replace=False))
+    ii, jj = ii[take], jj[take]
+    us, vs = grid.us[ii], grid.vs[jj]
+    got = dual_law_deviation(spec, us, vs, grid.H[ii, jj], grid.K[ii, jj])
+    want = dual_curvature_check(spec, us, vs)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_helpers_on_arrays_match_their_scalar_calls():
