@@ -37,7 +37,8 @@ from .geometry import (
     normal_curvature,
 )
 from .meshing import format_rows, write_text
-from .spheres import CIRCLE_SAMPLES, CYLINDRIC, ELLIPTIC, PARABOLIC, ParabolicSphere, tangent_sphere
+from .spheres import (CIRCLE_SAMPLES, CYLINDRIC, PARABOLIC, IsoCircle, ParabolicSphere,
+                      elliptic_circle, tangent_sphere)
 
 TRACE_KINDS = ("characteristic+", "characteristic-", "principal1", "principal2")
 MAX_TRACE_STEPS = 1_000_000  # 56 bytes a step: bounds a trace's memory and time
@@ -255,38 +256,13 @@ def curve_jet_on_surface(
     return CurveJet.of(jet.r, c1, c2)
 
 
-@dataclass(frozen=True)
-class OsculatingCircle:
-    """Osculating isotropic circle of a curve 2-jet.
-
-    kind "elliptic": carrier is the non-isotropic plane z = px+qy+s
-    (carrier_plane=(p,q,s)) over the top-view circle (center, top_radius).
-    kind "parabolic": carrier_plane=(n1,n2,d) is the isotropic plane
-    n1 x + n2 y + d = 0 and carrier_sphere a parabolic sphere containing
-    the parabola (vertex data from the jet). kind "cylindric": vertical
-    tangent; carrier_plane is an isotropic plane through the point and the
-    parameterization degenerates to the vertical line.
-    """
-
-    kind: str
-    contact_point: np.ndarray
-    carrier_plane: tuple[float, float, float]
-    carrier_sphere: ParabolicSphere | None
-    center: tuple[float, float] | None
-    top_radius: float | None
-    points: np.ndarray  # (n, 3) samples of the circle
-
-    def algebraic_residual_on(self, sphere: ParabolicSphere) -> float:
-        return float(np.max(np.abs(sphere.algebraic_residual(self.points))))
-
-
-def osculating_isotropic_circle(jet: CurveJet) -> OsculatingCircle:
+def osculating_isotropic_circle(jet: CurveJet) -> IsoCircle:
     """The isotropic circle in second-order contact with the jet.
 
     Elliptic when the top view genuinely curves, parabolic when the top
     view is straight but the height accelerates, cylindric when the
     tangent is vertical. A straight-line jet has no circle and raises
-    InflectionPoint.
+    InflectionPoint. An isotropic carrier plane has a unit normal (n1, n2).
     """
     c, cp, cpp = jet.point, jet.d1, jet.d2
     tp = cp[:2]
@@ -306,11 +282,7 @@ def osculating_isotropic_circle(jet: CurveJet) -> OsculatingCircle:
         d = -(n1 * c[0] + n2 * c[1])
         z = c[2] + np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
         pts = np.stack([np.full(CIRCLE_SAMPLES, c[0]), np.full(CIRCLE_SAMPLES, c[1]), z], -1)
-        return OsculatingCircle(
-            kind=CYLINDRIC, contact_point=c, carrier_plane=(n1, n2, d),
-            carrier_sphere=None, center=(float(c[0]), float(c[1])),
-            top_radius=0.0, points=pts,
-        )
+        return IsoCircle(CYLINDRIC, (n1, n2, d), None, (float(c[0]), float(c[1])), 0.0, pts)
 
     kappa_top = _cross2(tp, cpp[:2]) / v ** 3
     if abs(kappa_top) >= _CURVATURE_TOL:
@@ -322,16 +294,8 @@ def osculating_isotropic_circle(jet: CurveJet) -> OsculatingCircle:
         That = tp / v
         nhat = np.array([-That[1], That[0]])
         center = c[:2] + nhat / kappa_top
-        rho = 1.0 / abs(kappa_top)
-        theta = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
-        x = center[0] + rho * np.cos(theta)
-        y = center[1] + rho * np.sin(theta)
-        z = p * x + q * y + s
-        return OsculatingCircle(
-            kind=ELLIPTIC, contact_point=c, carrier_plane=(p, q, s),
-            carrier_sphere=None, center=(float(center[0]), float(center[1])),
-            top_radius=rho, points=np.stack([x, y, z], -1),
-        )
+        return elliptic_circle((float(center[0]), float(center[1])),
+                               1.0 / abs(kappa_top), (p, q, s))
 
     # straight top view: height z as a function of top-view arclength
     z1 = cp[2] / v
@@ -349,11 +313,8 @@ def osculating_isotropic_circle(jet: CurveJet) -> OsculatingCircle:
     B = 2.0 * (z1 * That[0] - A * c[0])
     C = 2.0 * (z1 * That[1] - A * c[1])
     D = 2.0 * c[2] - A * (c[0] ** 2 + c[1] ** 2) - B * c[0] - C * c[1]
-    return OsculatingCircle(
-        kind=PARABOLIC, contact_point=c, carrier_plane=(n1, n2, d),
-        carrier_sphere=ParabolicSphere(A, B, C, D), center=None,
-        top_radius=None, points=np.stack([x, y, z], -1),
-    )
+    return IsoCircle(PARABOLIC, (n1, n2, d), ParabolicSphere(A, B, C, D), None, None,
+                     np.stack([x, y, z], -1))
 
 
 def meusnier_check(

@@ -6,7 +6,8 @@ A parabolic sphere is the paraboloid of revolution
 
 with radius 1/A. Envelopes of one-parameter sphere families touch each
 member along a characteristic curve, cut out by the member together with
-the t-derivative of its equation. Characteristics are isotropic circles:
+the t-derivative of its equation. Characteristics are isotropic circles
+(`IsoCircle`, the type `curves` also gives its osculating circles):
 elliptic when the radius varies, parabolic when it is constant.
 """
 
@@ -93,96 +94,89 @@ def curvature_center(j: Jet2Height, kappa: float) -> np.ndarray:
         raise ZeroCurvature("curvature center needs kappa != 0")
     x0, y0 = float(j.x0), float(j.y0)
     f, fx, fy = float(j.f), float(j.fx), float(j.fy)
-    return point3(
+    center = (
         x0 - fx / kappa,
         y0 - fy / kappa,
         f - (fx * fx + fy * fy - 2.0) / (2.0 * kappa),
     )
+    if not all(map(math.isfinite, center)):
+        raise ZeroCurvature("curvature center is not finite; kappa is too small")
+    return point3(*center)
 
 
 @dataclass(frozen=True)
 class SphereFamily:
     """One-parameter family t -> 2z = A(t)(x^2+y^2)+B(t)x+C(t)y+D(t).
 
-    Coefficient callables come with caller-supplied first derivatives;
-    `audit` cross-checks them against central differences. Callables must
-    be pure (safe to call concurrently and repeatedly).
+    coeffs(t) returns (A, B, C, D) and dcoeffs(t) their caller-supplied
+    t-derivatives; `audit` cross-checks them against central differences.
+    Both callables must be pure (safe to call concurrently and repeatedly).
     """
 
-    A: Callable[[float], float]
-    B: Callable[[float], float]
-    C: Callable[[float], float]
-    D: Callable[[float], float]
-    A_dot: Callable[[float], float]
-    B_dot: Callable[[float], float]
-    C_dot: Callable[[float], float]
-    D_dot: Callable[[float], float]
-    t_interval: tuple[float, float] = (0.0, 1.0)
-
-    def sphere(self, t: float) -> ParabolicSphere:
-        return ParabolicSphere(self.A(t), self.B(t), self.C(t), self.D(t))
+    coeffs: Callable[[float], Sequence[float]]
+    dcoeffs: Callable[[float], Sequence[float]]
 
     def coefficients(self, t: float) -> np.ndarray:
-        return np.array([self.A(t), self.B(t), self.C(t), self.D(t)], float)
+        return np.array(self.coeffs(t), float)
 
     def derivatives(self, t: float) -> np.ndarray:
-        return np.array(
-            [self.A_dot(t), self.B_dot(t), self.C_dot(t), self.D_dot(t)], float
-        )
+        return np.array(self.dcoeffs(t), float)
 
     def audit(self, t: float) -> float:
         """Max mismatch between supplied derivatives and central differences."""
         step = 1e-6 * max(1.0, abs(t))
         fd = (self.coefficients(t + step) - self.coefficients(t - step)) / (2.0 * step)
-        num = np.abs(self.derivatives(t) - fd)
-        den = np.maximum(1.0, np.abs(self.derivatives(t)))
-        return float(np.max(num / den))
-
-
-def sphere_family_from_coeffs(
-    coeffs: Callable[[float], Sequence[float]],
-    dcoeffs: Callable[[float], Sequence[float]],
-) -> SphereFamily:
-    """Build a SphereFamily from a pair of 4-vector callables."""
-    return SphereFamily(
-        A=lambda t: float(coeffs(t)[0]),
-        B=lambda t: float(coeffs(t)[1]),
-        C=lambda t: float(coeffs(t)[2]),
-        D=lambda t: float(coeffs(t)[3]),
-        A_dot=lambda t: float(dcoeffs(t)[0]),
-        B_dot=lambda t: float(dcoeffs(t)[1]),
-        C_dot=lambda t: float(dcoeffs(t)[2]),
-        D_dot=lambda t: float(dcoeffs(t)[3]),
-    )
+        d = self.derivatives(t)
+        return float(np.max(np.abs(d - fd) / np.maximum(1.0, np.abs(d))))
 
 
 @dataclass(frozen=True)
-class IsoCircleClass:
-    """Classified isotropic circle: section of a sphere by a plane.
+class IsoCircle:
+    """Sampled isotropic circle: section of a sphere by a plane.
 
-    kind is "elliptic" (non-isotropic carrier plane; top view a circle),
-    "parabolic" (isotropic carrier plane; a vertical-axis parabola), or
-    "cylindric" (isotropic plane section of a vertical cylinder; a pair of
-    vertical lines). carrier_plane holds (p, q, s) for z = px+qy+s when
-    non-isotropic, else (n1, n2, d) for the vertical plane n1 x + n2 y + d = 0.
+    kind is "elliptic" (non-isotropic carrier plane; top view the circle
+    (center, top_radius)), "parabolic" (isotropic carrier plane; a
+    vertical-axis parabola), or "cylindric" (vertical tangent; the vertical
+    line through the point, top radius 0). carrier_plane holds (p, q, s) for
+    z = px+qy+s when non-isotropic, else (n1, n2, d) for the vertical plane
+    n1 x + n2 y + d = 0.
     """
 
     kind: str
     carrier_plane: tuple[float, float, float]
     carrier_sphere: ParabolicSphere | None
-    center: tuple[float, float] | None = None  # top-view circle center (elliptic)
-    top_radius: float | None = None
+    center: tuple[float, float] | None
+    top_radius: float | None
+    points: np.ndarray  # (n, 3) samples
+
+    def algebraic_residual_on(self, sphere: ParabolicSphere) -> float:
+        return float(np.max(np.abs(sphere.algebraic_residual(self.points))))
+
+
+_THETA = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
+
+
+def elliptic_circle(center, top_radius, plane, sphere=None) -> IsoCircle:
+    """Elliptic circle over the top-view circle (center, top_radius) in z = px+qy+s."""
+    (cx, cy), (p, q, s) = center, plane
+    x = cx + top_radius * np.cos(_THETA)
+    y = cy + top_radius * np.sin(_THETA)
+    z = p * x + q * y + s
+    return IsoCircle(ELLIPTIC, plane, sphere, center, top_radius, np.stack([x, y, z], -1))
 
 
 @dataclass(frozen=True)
 class Characteristic:
-    """Envelope characteristic c(t): classified circle plus a parameterization."""
+    """Envelope characteristic c(t): a sampled circle with its top-view tangents."""
 
     t: float
-    circle: IsoCircleClass
+    circle: IsoCircle
     curvature: float  # principal curvature along c(t): A(t) = 1/r(t)
-    points: np.ndarray  # (n, 3) samples
     top_tangents: np.ndarray  # (n, 2) unit top-view tangents
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.circle.points
 
     def to_trace(self):
         """Repackage the sampled characteristic as a curve trace."""
@@ -207,9 +201,9 @@ def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
     circle; a constant radius with a nontrivial derivative equation yields a
     parabolic circle. Raises StationaryFamily when the derivative vanishes
     identically and EmptyCharacteristic when the system has no real points,
-    and InvalidParams when the family fails its audit by more than 1e-6.
+    and InvalidParams unless the family's audit is finite and at most 1e-6.
     """
-    if fam.audit(t) > 1e-6:
+    if not fam.audit(t) <= 1e-6:
         raise InvalidParams("sphere family derivatives fail the consistency audit")
     A, B, C, D = fam.coefficients(t)
     Ad, Bd, Cd, Dd = fam.derivatives(t)
@@ -233,25 +227,9 @@ def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
         p = (Ad * B - A * Bd) / (2.0 * Ad)
         q = (Ad * C - A * Cd) / (2.0 * Ad)
         s = (Ad * D - A * Dd) / (2.0 * Ad)
-        theta = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
-        x = cx + rho * np.cos(theta)
-        y = cy + rho * np.sin(theta)
-        z = p * x + q * y + s
-        tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        circle = IsoCircleClass(
-            kind=ELLIPTIC,
-            carrier_plane=(p, q, s),
-            carrier_sphere=sphere,
-            center=(cx, cy),
-            top_radius=rho,
-        )
-        return Characteristic(
-            t=t,
-            circle=circle,
-            curvature=A,
-            points=np.stack([x, y, z], axis=-1),
-            top_tangents=tangents,
-        )
+        circle = elliptic_circle((cx, cy), rho, (p, q, s), sphere)
+        tangents = np.stack([-np.sin(_THETA), np.cos(_THETA)], axis=-1)
+        return Characteristic(t, circle, A, tangents)
 
     norm = math.hypot(Bd, Cd)
     if norm <= _CLASS_TOL * max(1.0, dscale):
@@ -265,20 +243,10 @@ def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
     sigma = np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
     x = x0 + sigma * dx
     y = y0 + sigma * dy
-    z = sphere.height(x, y)
+    points = np.stack([x, y, sphere.height(x, y)], axis=-1)
+    circle = IsoCircle(PARABOLIC, (Bd, Cd, Dd), sphere, None, None, points)
     tangents = np.broadcast_to(np.array([dx, dy]), (CIRCLE_SAMPLES, 2)).copy()
-    circle = IsoCircleClass(
-        kind=PARABOLIC,
-        carrier_plane=(Bd, Cd, Dd),
-        carrier_sphere=sphere,
-    )
-    return Characteristic(
-        t=t,
-        circle=circle,
-        curvature=A,
-        points=np.stack([x, y, z], axis=-1),
-        top_tangents=tangents,
-    )
+    return Characteristic(t, circle, A, tangents)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from isocrpc.residuals import (
     helical_ode_residual,
     translational_residual,
 )
-from isocrpc.spheres import channel_checks, envelope_characteristic, sphere_family_from_coeffs
+from isocrpc.spheres import SphereFamily, channel_checks, envelope_characteristic
 
 RATIOS = (-2.0, -0.5, 0.5, 2.0)
 
@@ -259,7 +259,7 @@ def test_criterion_05_meusnier_random_configurations():
 
 
 def test_criterion_06_envelope_characteristics():
-    pipe = sphere_family_from_coeffs(
+    pipe = SphereFamily(
         lambda t: (1.0, -2.0 * t, 0.0, t * t),
         lambda t: (0.0, -2.0, 0.0, 2.0 * t))
     ch = envelope_characteristic(pipe, 0.0)
@@ -283,7 +283,7 @@ def test_criterion_06_envelope_characteristics():
             Bd, Cd = float(rng.uniform(0.5, 2)), float(rng.uniform(-2, -0.5))
             Dd = float(rng.uniform(-1, 1))
             want = "parabolic"
-        fam = sphere_family_from_coeffs(
+        fam = SphereFamily(
             lambda t, c=(A0, Bd, Cd, Dd), d=(Ad, Bd, Cd, Dd):
                 (c[0] + d[0] * t, c[1] * t, c[2] * t, c[3] * t),
             lambda t, d=(Ad, Bd, Cd, Dd): d)

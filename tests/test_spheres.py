@@ -24,7 +24,6 @@ from isocrpc.spheres import (
     channel_checks,
     curvature_center,
     envelope_characteristic,
-    sphere_family_from_coeffs,
     tangent_sphere,
 )
 
@@ -35,7 +34,7 @@ def monge_jet(x, y, f, fx, fy, fxx=0.0, fxy=0.0, fyy=0.0):
 
 def pipe_family():
     # 2z = (x - t)^2 + y^2: unit-radius spheres marching along the x-axis
-    return sphere_family_from_coeffs(
+    return SphereFamily(
         lambda t: (1.0, -2.0 * t, 0.0, t * t),
         lambda t: (0.0, -2.0, 0.0, 2.0 * t),
     )
@@ -107,6 +106,12 @@ def test_curvature_center_zero_kappa():
         curvature_center(monge_jet(0, 0, 0, 0, 0), 0.0)
 
 
+def test_curvature_center_too_far_away():
+    # kappa is nonzero, but the center lies beyond float range
+    with pytest.raises(ZeroCurvature):
+        curvature_center(monge_jet(0, 0, 0, 0, 0), 1e-320)
+
+
 def test_curvature_center_constant_along_principal_line():
     from isocrpc.curves import trace_direction_field
 
@@ -124,11 +129,18 @@ def test_curvature_center_constant_along_principal_line():
 # --- sphere families and their envelopes ----------------------------------
 
 def test_family_audit_catches_wrong_derivatives():
-    fam = sphere_family_from_coeffs(
+    fam = SphereFamily(
         lambda t: (1.0 + t, 0.0, 0.0, 0.0),
         lambda t: (5.0, 0.0, 0.0, 0.0),  # wrong slope
     )
     assert fam.audit(0.0) > 1e-3
+    with pytest.raises(InvalidParams):
+        envelope_characteristic(fam, 0.0)
+
+
+@pytest.mark.parametrize("derivs", [(math.nan, -2.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0)])
+def test_non_finite_derivatives_fail_the_audit(derivs):
+    fam = SphereFamily(pipe_family().coeffs, lambda t: derivs)
     with pytest.raises(InvalidParams):
         envelope_characteristic(fam, 0.0)
 
@@ -143,7 +155,7 @@ def test_pipe_characteristic_is_the_expected_parabola():
 
 
 def test_varying_radius_gives_elliptic_characteristic():
-    fam = sphere_family_from_coeffs(
+    fam = SphereFamily(
         lambda t: (1.0 + t, 2.0 * t, -t, 0.25 * t),
         lambda t: (1.0, 2.0, -1.0, 0.25),
     )
@@ -162,7 +174,7 @@ def test_varying_radius_gives_elliptic_characteristic():
 def test_shrinking_concentric_family_gives_point_circle():
     # radius varies, derivative system pinches to the single point (0,0,0):
     # still the elliptic branch, with top radius zero
-    fam = sphere_family_from_coeffs(
+    fam = SphereFamily(
         lambda t: (1.0 / (1.0 + t), 0.0, 0.0, 0.0),
         lambda t: (-1.0 / (1.0 + t) ** 2, 0.0, 0.0, 0.0),
     )
@@ -173,14 +185,14 @@ def test_shrinking_concentric_family_gives_point_circle():
 
 
 def test_stationary_family_raises():
-    fam = sphere_family_from_coeffs(
+    fam = SphereFamily(
         lambda t: (1.0, 2.0, 3.0, 4.0), lambda t: (0.0, 0.0, 0.0, 0.0))
     with pytest.raises(StationaryFamily):
         envelope_characteristic(fam, 0.0)
 
 
 def test_empty_characteristic_raises():
-    fam = sphere_family_from_coeffs(
+    fam = SphereFamily(
         lambda t: (1.0 + t, 0.0, 0.0, t), lambda t: (1.0, 0.0, 0.0, 1.0))
     with pytest.raises(EmptyCharacteristic):
         envelope_characteristic(fam, 0.0)
@@ -215,7 +227,7 @@ def test_parabolic_rotation_tangency_identity():
 
 
 def test_characteristic_curvature_equals_radius_reciprocal():
-    fam = sphere_family_from_coeffs(
+    fam = SphereFamily(
         lambda t: (1.0 + t, 2.0 * t, -t, 0.25 * t),
         lambda t: (1.0, 2.0, -1.0, 0.25),
     )
@@ -231,11 +243,57 @@ def test_cylindric_constant_exists():
 
 def test_sphere_family_dataclass_direct_use():
     fam = SphereFamily(
-        A=lambda t: 1.0, B=lambda t: t, C=lambda t: 0.0, D=lambda t: 0.0,
-        A_dot=lambda t: 0.0, B_dot=lambda t: 1.0, C_dot=lambda t: 0.0,
-        D_dot=lambda t: 0.0, t_interval=(-1.0, 1.0),
+        coeffs=lambda t: (1.0, t, 0.0, 0.0),
+        dcoeffs=lambda t: (0.0, 1.0, 0.0, 0.0),
     )
     assert fam.audit(0.2) <= 1e-9
     assert_allclose(fam.coefficients(0.5), [1.0, 0.5, 0.0, 0.0])
     ch = envelope_characteristic(fam, 0.0)
     assert ch.circle.kind == PARABOLIC
+
+
+# --- rotational charts as envelopes of coaxial spheres ------------------------
+
+def rotational_sphere_family(spec):
+    # 2z = A(t)(x^2+y^2) + D(t) with A = h'/t and D = 2h - A t^2 touches the
+    # profile z = h(r) along the parallel r = t; h, h', h'' are the z parts
+    # of the chart's exact jet at u = t
+    def profile(t):
+        jet = evaluate(spec, t, 0.0)
+        return float(jet.r[2]), float(jet.ru[2]), float(jet.ruu[2])
+
+    def coeffs(t):
+        h, hp, _ = profile(t)
+        A = hp / t
+        return (A, 0.0, 0.0, 2.0 * h - A * t * t)
+
+    def dcoeffs(t):
+        _, hp, hpp = profile(t)
+        return ((t * hpp - hp) / (t * t), 0.0, 0.0, hp - t * hpp)
+
+    return SphereFamily(coeffs, dcoeffs), profile
+
+
+@pytest.mark.parametrize("fid, a, ratio", [
+    # ratio is t h''/h': a for rotational_power_1, its reciprocal for
+    # rotational_power_2, -1 for the logarithmoid
+    *[("rotational_power_1", a, a) for a in (-2.0, -0.5, 0.5, 2.0, 3.0)],
+    *[("rotational_power_2", a, 1.0 / a) for a in (2.0, -0.5)],
+    ("logarithmoid", None, -1.0),
+])
+def test_rotational_chart_is_a_sphere_envelope(fid, a, ratio):
+    spec = make_spec(fid, {} if a is None else {"a": a})
+    fam, profile = rotational_sphere_family(spec)
+    ts = (0.7, 1.0, 1.5)
+    rep = channel_checks(fam, lambda x, y: profile(math.hypot(x, y))[0], ts)
+    assert rep.max_eigen_residual <= 1e-6
+    assert rep.max_curvature_residual <= 1e-6
+    for t in ts:
+        h, hp, hpp = profile(t)
+        ch = envelope_characteristic(fam, t)
+        # the characteristic is the parallel r = t at height h(t)
+        assert ch.circle.kind == ELLIPTIC
+        assert_allclose(ch.circle.center, [0.0, 0.0], atol=1e-12)
+        assert ch.circle.top_radius == pytest.approx(t, rel=1e-12)
+        assert_allclose(ch.points[:, 2], h, rtol=1e-12, atol=1e-12)
+        assert t * hpp / hp == pytest.approx(ratio, rel=1e-12)
