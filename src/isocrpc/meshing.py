@@ -9,7 +9,6 @@ only when all four corners survive.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -36,8 +35,11 @@ from .geometry import (
     relative_curvatures,
 )
 
-# a 1000x1000 generate peaks near 420 MB; the cap keeps a grid under 4x that
+# a 1000x1000 generate peaks near 345 MB, while obj_text joins the text; the
+# cap keeps a grid under 4x that
 MAX_GRID_NODES = 4_000_000
+# nodes sampled at once by _sample, in whole u-rows
+SAMPLE_BLOCK_NODES = 1 << 13
 # rows of text made by one % operation in format_rows
 FORMAT_BLOCK_ROWS = 1 << 14
 # characters handed to one write call by write_text (1 MiB of ASCII)
@@ -152,8 +154,15 @@ class MeshGrid:
         return out
 
 
-def _sample(spec: FamilySpec, nu: int, nv: int, margin: float):
-    """The masked grid without a residual channel, and its Monge jet."""
+def _sample(spec: FamilySpec, nu: int, nv: int, margin: float, channel) -> MeshGrid:
+    """The masked grid, sampled in blocks of whole u-rows.
+
+    A block holds SAMPLE_BLOCK_NODES nodes or fewer, but at least one row,
+    so no full-grid jet exists, and each distinct u is in one chart
+    evaluation. channel(jet, hj, H, K, bad) gives a block's vertices, mask
+    and residual (None on a grid without one) from its chart jet, Monge
+    jet, curvatures (NaN where bad) and the surface's own mask.
+    """
     if nu < 2 or nv < 2:
         raise ValueError("grid needs at least 2 samples per direction")
     if nu * nv > MAX_GRID_NODES:
@@ -161,24 +170,35 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float):
     u0, u1, v0, v1 = spec.domain
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    with np.errstate(all="ignore"):
-        jet = evaluate(spec, U, V, check=False)
-        bad = ~np.asarray(hard_valid(spec, U, V), bool)
-        bad |= np.asarray(singular_distance(spec, U, V), float) < margin
-        for arr in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
-            bad |= ~_finite_rows(arr)
-
-        hj, singular = monge_jet(jet)
-        bad |= singular
-        H, K = relative_curvatures(hj)
-        bad |= ~(np.isfinite(H) & np.isfinite(K))
-
-    if bad.all():
+    vertices = np.empty((nu, nv, 3))
+    mask = np.empty((nu, nv), bool)
+    H, K = np.empty((nu, nv)), np.empty((nu, nv))
+    residual = None
+    rows = max(1, SAMPLE_BLOCK_NODES // nv)
+    for start in range(0, nu, rows):
+        block = np.s_[start:start + rows]
+        U, V = np.meshgrid(us[block], vs, indexing="ij")
+        with np.errstate(all="ignore"):
+            jet = evaluate(spec, U, V, check=False)
+            bad = ~hard_valid(spec, U, V)
+            bad |= singular_distance(spec, U, V) < margin
+            for arr in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
+                bad |= ~_finite_rows(arr)
+            hj, singular = monge_jet(jet)
+            bad |= singular
+            h, k = relative_curvatures(hj)
+            bad |= ~(np.isfinite(h) & np.isfinite(k))
+            h[bad] = k[bad] = np.nan
+            vertices[block], mask[block], res = channel(jet, hj, h, k, bad)
+        H[block], K[block] = h, k
+        if res is not None:
+            if residual is None:
+                residual = np.empty((nu, nv))
+            residual[block] = res
+    if np.isnan(H).all():  # H is NaN exactly where the surface is masked
         raise EmptyGrid(f"{spec.family_id}: every grid node is masked")
-    H[bad] = K[bad] = np.nan
-    return MeshGrid(spec=spec, us=us, vs=vs, vertices=np.asarray(jet.r, float),
-                    mask=bad, H=H, K=K, residual=None), hj
+    return MeshGrid(spec=spec, us=us, vs=vs, vertices=vertices, mask=mask,
+                    H=H, K=K, residual=residual)
 
 
 def sample_grid(
@@ -193,18 +213,21 @@ def sample_grid(
     `a` overrides the ratio hypothesis behind the residual channel; by
     default the family's own ratio is checked.
     """
-    grid, hj = _sample(spec, nu, nv, margin)
     if a is None:
         a = ratio_for_residual(spec)
-    with np.errstate(all="ignore"):
-        if ratio_kind(spec) == "euclidean":
+    euclidean = ratio_kind(spec) == "euclidean"
+    target = None if euclidean else crpc_target(a)
+
+    def ratio_residual(jet, hj, H, K, bad):
+        if euclidean:
             _Ke, _He, k1e, k2e = euclidean_curvatures(hj)
             residual = principal_ratio_residual(k1e, k2e, a)
         else:
-            H, K = grid.H, grid.K
-            residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - crpc_target(a))
-    residual[grid.mask] = np.nan
-    return dataclasses.replace(grid, residual=residual)
+            residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - target)
+        residual[bad] = np.nan
+        return jet.r, bad, residual
+
+    return _sample(spec, nu, nv, margin, ratio_residual)
 
 
 def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
@@ -214,15 +237,16 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
     raises DegenerateK when no node is left. The curvature channels stay
     the primal surface's.
     """
-    grid, hj = _sample(spec, nu, nv, SINGULAR_MARGIN)
-    with np.errstate(all="ignore"):
-        vertices = dual_surface_point(hj)
-    mask = grid.mask | ~_finite_rows(vertices)
-    mask |= ~(np.abs(grid.K) >= K_EPS)  # the dual surface degenerates where K = 0
-    if mask.all():
+    def dual_points(jet, hj, H, K, bad):
+        points = dual_surface_point(hj)
+        # the dual surface degenerates where K = 0
+        return points, bad | ~_finite_rows(points) | ~(np.abs(K) >= K_EPS), None
+
+    grid = _sample(spec, nu, nv, SINGULAR_MARGIN, dual_points)
+    if grid.mask.all():
         raise DegenerateK(f"{spec.family_id}: relative curvature is numerically "
                           "zero on the whole grid; dual surface undefined")
-    return dataclasses.replace(grid, vertices=vertices, mask=mask)
+    return grid
 
 
 def obj_text(grid: MeshGrid) -> str:

@@ -2,18 +2,21 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import isocrpc.families
 import isocrpc.meshing
 from isocrpc.cli import main
 from isocrpc.duality import dual_surface_point
-from isocrpc.errors import EmptyGrid, InvalidParams, NonAdmissiblePoint
+from isocrpc.errors import EmptyGrid, GeometryError, InvalidParams, NonAdmissiblePoint
 from isocrpc.families import SINGULAR_MARGIN, evaluate, hard_valid, make_spec, singular_distance
 from isocrpc.geometry import K_EPS, height_jet_from_param, monge_jet, relative_curvatures
 from isocrpc.meshing import MeshGrid, dual_grid, fmt_float, obj_text, sample_grid, write_obj
+from test_residuals import FAMILY_CASES
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
 
@@ -340,3 +343,97 @@ def test_one_bad_component_masks_as_the_trailing_axis_reduction(field, value, mo
         quads = g.quad_indices()
         assert quads.dtype == int and np.array_equal(quads, _reference_quad_indices(g))
         assert g.stats()["n_quads"] == len(quads) > 0
+
+
+# --- row-block sampling against the grid sampled in one block -----------------
+
+BLOCK_CASES = {f"{fid}-{params}": (fid, params, None) for fid, params in FAMILY_CASES}
+BLOCK_CASES.update({
+    # u <= 0 is masked: rows 0-5 of an 11-row grid, so the band's edge falls
+    # inside a 4-row block
+    "helicoid_axis": ("helicoid", {}, (-1.0, 1.0, 0.0, 3.0)),
+    # every block is masked: EmptyGrid
+    "pinned_to_locus": ("helical_general", {"a": 2.0}, (LOCUS - 1e-4, LOCUS + 1e-4, 0.0, 1.0)),
+    # K is about 0 on every node: dual_grid raises DegenerateK
+    "flat": ("trans_iso_noniso", {"a": 1.01}, None),
+})
+GRID_FIELDS = ("vertices", "mask", "H", "K", "residual")
+
+
+def _sampled(spec, nu, nv):
+    """sample_grid's and dual_grid's grids, or the error each raises."""
+    out = []
+    for make in (sample_grid, dual_grid):
+        try:
+            out.append(make(spec, nu, nv))
+        except GeometryError as exc:
+            out.append(repr(exc))
+    return out
+
+
+# 11x7 grids: one-row blocks (of 1 node, and of fewer nodes than a row) and
+# 4-row blocks with a ragged last block of 3 rows
+@pytest.mark.parametrize("block_nodes", [1, 6, 28])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_row_blocks_match_one_block_bit_for_bit(case, block_nodes, monkeypatch):
+    fid, params, domain = BLOCK_CASES[case]
+    spec = make_spec(fid, params, domain)
+    monkeypatch.setattr(isocrpc.meshing, "SAMPLE_BLOCK_NODES", 1 << 40)
+    whole = _sampled(spec, 11, 7)
+    monkeypatch.setattr(isocrpc.meshing, "SAMPLE_BLOCK_NODES", block_nodes)
+    blocked = _sampled(spec, 11, 7)
+    for want, got in zip(whole, blocked):
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for field in GRID_FIELDS:
+            a, b = getattr(want, field), getattr(got, field)
+            if a is None:
+                assert b is None
+                continue
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes(), field
+        assert obj_text(got).encode() == obj_text(want).encode()
+
+
+def test_block_cases_cover_their_cases():
+    sampled = {case: _sampled(make_spec(*BLOCK_CASES[case]), 11, 7)
+               for case in ("helicoid_axis", "pinned_to_locus", "flat")}
+    grid, dual = sampled["helicoid_axis"]
+    assert grid.mask[:6].all() and not grid.mask[6:].any() and not dual.mask[6:].any()
+    assert all(s.startswith("EmptyGrid(") for s in sampled["pinned_to_locus"])
+    grid, dual = sampled["flat"]
+    assert not grid.mask.any() and dual.startswith("DegenerateK(")
+
+
+@pytest.mark.parametrize("make", [sample_grid, dual_grid])
+def test_sampling_peak_memory_is_near_the_returned_arrays(make):
+    # blocks of whole rows: no full-grid chart jet or Monge jet is held
+    spec = make_spec("helicoid", {})
+    tracemalloc.start()
+    try:
+        grid = make(spec, 600, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (grid.us, grid.vs, *(getattr(grid, field) for field in GRID_FIELDS))
+    returned = sum(a.nbytes for a in arrays if a is not None)
+    assert peak <= 1.5 * returned
+
+
+def test_each_distinct_u_is_integrated_once(monkeypatch):
+    # euclidean_rotational integrates its profile once per distinct u of a
+    # chart evaluation; a block of whole rows holds each u of the grid once
+    uppers = []
+    quad = isocrpc.families.quad
+
+    def counted(fn, lower, upper, **kwargs):
+        uppers.append(upper)
+        return quad(fn, lower, upper, **kwargs)
+
+    monkeypatch.setattr(isocrpc.families, "quad", counted)
+    nu, nv = 120, 90
+    assert nu > isocrpc.meshing.SAMPLE_BLOCK_NODES // nv  # more than one block
+    grid = sample_grid(make_spec("euclidean_rotational", {"a": 2.0}), nu, nv)
+    assert not grid.mask.all(axis=1).any()
+    assert uppers == grid.us.tolist()
