@@ -82,6 +82,13 @@ class RunConfig:
     dt: float
 
 
+def _typed(name: str, value, kind: type):
+    """value, or a ValueError where it lacks the flag's JSON type (true is no int)."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"--{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _parse_params(value) -> dict:
     if value is None:
         return {}
@@ -115,7 +122,7 @@ def _parse_res(value) -> tuple:
     if value is None:
         return (50, 50)
     if isinstance(value, (list, tuple)):
-        nu, nv = value
+        nu, nv = (_typed("res", n, int) for n in value)
     else:
         txt = str(value).lower()
         if "x" not in txt:
@@ -212,11 +219,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         domain=_parse_domain(pick("domain")),
         res=_parse_res(pick("res")),
         tol=_parse_tol(pick("tol")),
-        out=pick("out"),
+        out=None if pick("out") is None else _typed("out", pick("out"), str),
         seed=None if pick("seed") is None else str(pick("seed")),
-        json_out=bool(pick("json", False)),
+        json_out=_typed("json", pick("json", False), bool),
         kind=str(pick("kind", "characteristic+")),
-        steps=_parse_steps(pick("steps", 1000)),
+        steps=_parse_steps(_typed("steps", pick("steps", 1000), int)),
         dt=float(pick("dt", 1e-3)),
     )
 
@@ -243,10 +250,10 @@ def cmd_list(cfg: RunConfig) -> int:
         rows.append({
             "family": fid,
             "constraint": entry.constraint_text,
-            "ratio": entry.ratio_text,
+            "ratio": entry.ratio_text or ("a" if "a" in spec.params else "-1"),
             "params": dict(spec.params),
             "default_domain": list(spec.domain),
-            "singular_loci": list(spec.singular_loci),
+            "singular_loci": list(entry.loci_desc(spec.params)),
         })
     if cfg.json_out:
         _write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", cfg.out)

@@ -56,7 +56,6 @@ class FamilySpec:
     family_id: str
     params: Mapping[str, float]
     domain: tuple[float, float, float, float]
-    singular_loci: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -406,9 +405,7 @@ def _euclidean_rotational(params, U, V):
 
 
 def _dist_to_sin_roots(V, rhs: float):
-    """Distance from angles V to the solution set of sin(v) = rhs (empty -> inf)."""
-    if abs(rhs) > 1.0:
-        return _INF
+    """Distance from angles V to the solution set of sin(v) = rhs, |rhs| <= 1."""
     r1 = math.asin(rhs)
     r2 = math.pi - r1
 
@@ -419,24 +416,30 @@ def _dist_to_sin_roots(V, rhs: float):
     return np.minimum(angdist(V, r1), angdist(V, r2))
 
 
+def _tin_loci(a: float) -> dict:
+    """The loci sin v = b (key 0, a pole) and b sin v = 1 (key 1, an isotropic
+    tangent plane of trans_iso_noniso) as {key: rhs} of sin v = rhs, for
+    those the chart reaches: sin v = rhs has a root where |rhs| <= 1."""
+    b = _tin_b(a)
+    loci = {0: b, 1: 1.0 / b} if b != 0.0 else {0: b}
+    return {key: rhs for key, rhs in loci.items() if abs(rhs) <= 1.0}
+
+
 def _tin_loci_dist(params, U, V):
-    b = _tin_b(params["a"])
-    d = _dist_to_sin_roots(V, b)  # log pole (reachable if |b|<=1)
-    if b != 0.0:
-        d = np.minimum(d, _dist_to_sin_roots(V, 1.0 / b))  # isotropic tangent plane
+    d = _INF
+    for rhs in _tin_loci(params["a"]).values():
+        d = np.minimum(d, _dist_to_sin_roots(V, rhs))
     return d
 
 
 def _tin_default_v_interval(a: float) -> tuple[float, float]:
     """Widest locus-free v-interval inside [-pi, pi], shrunk by 0.1."""
-    b = _tin_b(a)
     roots = []
-    for rhs in ({b} | ({1.0 / b} if b != 0.0 else set())):
-        if abs(rhs) <= 1.0:
-            r1 = math.asin(rhs)
-            for r in (r1, math.pi - r1, -math.pi - r1):
-                if -math.pi <= r <= math.pi:
-                    roots.append(r)
+    for rhs in _tin_loci(a).values():
+        r1 = math.asin(rhs)
+        for r in (r1, math.pi - r1, -math.pi - r1):
+            if -math.pi <= r <= math.pi:
+                roots.append(r)
     pts = sorted(set([-math.pi, math.pi] + roots))
     lo, hi = max(
         zip(pts[:-1], pts[1:]),
@@ -467,15 +470,16 @@ class _Entry:
 
     A family with a parameter "a" has curvature ratio a (checked against
     excluded_a and, if negative_a, against a < 0); a family without one is
-    isotropic minimal, ratio -1.
+    isotropic minimal, ratio -1. list prints that ratio unless ratio_text
+    annotates it.
     """
 
     family_id: str
     jets: Callable
     defaults: Mapping[str, float]
     constraint_text: str
-    ratio_text: str
     default_domain: Callable[[Mapping[str, float]], tuple[float, float, float, float]]
+    ratio_text: str = ""
     excluded_a: tuple[float, ...] = (0.0,)
     negative_a: bool = False
     ratio_kind: str = "isotropic"  # or "euclidean"
@@ -508,7 +512,6 @@ _register(_Entry(
     jets=_paraboloid,
     defaults={"a": 2.0},
     constraint_text="a != 0 (a = 1 gives the unit sphere of the geometry)",
-    ratio_text="a",
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
 ))
 
@@ -517,7 +520,6 @@ _register(_Entry(
     jets=_trans_paraboloid,
     defaults={"a": 2.0},
     constraint_text="a != 0; both generator parabolas lie in isotropic planes",
-    ratio_text="a",
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
 ))
 
@@ -526,7 +528,6 @@ _register(_Entry(
     jets=_rotational_power_1,
     defaults={"a": 2.0},
     constraint_text="a not in {0, -1}; profile z = r^(1+a)",
-    ratio_text="a",
     excluded_a=(0.0, -1.0),
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (rotation axis)",),
@@ -552,7 +553,6 @@ _register(_Entry(
     jets=_logarithmoid,
     defaults={},
     constraint_text="no parameters; the rotational minimal surface",
-    ratio_text="-1",
     default_domain=lambda p: (0.5, 3.0, 0.0, 2.0 * math.pi),
     loci_desc=lambda p: ("u = 0 (rotation axis)",),
     loci_dist=_axis_dist,
@@ -595,7 +595,6 @@ _register(_Entry(
     jets=_helicoid,
     defaults={},
     constraint_text="no parameters; minimal in both geometries",
-    ratio_text="-1",
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (screw axis)",),
     loci_dist=_axis_dist,
@@ -607,7 +606,6 @@ _register(_Entry(
     jets=_spiral_ruled,
     defaults={"a": -2.0},
     constraint_text="a < 0, a != -1; rulings through the z-axis direction field",
-    ratio_text="a",
     excluded_a=(0.0, -1.0),
     negative_a=True,
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
@@ -654,7 +652,6 @@ _register(_Entry(
     jets=_helical_general,
     defaults={"a": 2.0},
     constraint_text="a not in {0, 1, -1}; helical surface of pitch 1",
-    ratio_text="a",
     excluded_a=(0.0, 1.0, -1.0),
     default_domain=_helical_general_domain,
     loci_desc=_helical_general_loci_desc,
@@ -667,7 +664,6 @@ _register(_Entry(
     jets=_helical_log,
     defaults={"c": 1.0},
     constraint_text="profile c log(u) over u > 0; minimal helical surface",
-    ratio_text="-1",
     default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
     loci_desc=lambda p: ("u = 0 (screw axis)",),
     loci_dist=_axis_dist,
@@ -680,14 +676,10 @@ def _tin_domain(p):
     return (-1.0, 1.0, lo, hi)
 
 
-def _tin_loci_desc(p):
-    b = _tin_b(p["a"])
-    loci = []
-    if abs(b) <= 1.0:
-        loci.append("sin v = b (logarithm pole)")
-    if b != 0.0 and abs(1.0 / b) <= 1.0:
-        loci.append("b sin v = 1 (isotropic tangent plane)")
-    return tuple(loci)
+def _tin_loci_desc(pole: str, image: str):
+    """loci_desc naming the loci of _tin_loci: sin v = b (pole), b sin v = 1 (image)."""
+    names = (f"sin v = b ({pole})", f"b sin v = 1 ({image})")
+    return lambda p: tuple(names[key] for key in _tin_loci(p["a"]))
 
 
 _register(_Entry(
@@ -695,10 +687,9 @@ _register(_Entry(
     jets=_trans_iso_noniso,
     defaults={"a": 2.0},
     constraint_text="a not in {0, 1}; b = (a+1)/(a-1); one isotropic generator",
-    ratio_text="a",
     excluded_a=(0.0, 1.0),
     default_domain=_tin_domain,
-    loci_desc=_tin_loci_desc,
+    loci_desc=_tin_loci_desc("logarithm pole", "isotropic tangent plane"),
     loci_dist=_tin_loci_dist,
 ))
 
@@ -718,7 +709,6 @@ _register(_Entry(
     jets=_trans_noniso_noniso,
     defaults={},
     constraint_text="minimal; (u, v) in (-pi/2, pi/2)^2 off the line u + v = 0",
-    ratio_text="-1",
     default_domain=lambda p: (-1.3, -0.8, 0.2, 0.65),
     loci_desc=lambda p: ("u + v = 0 (isotropic tangent planes)", "|u| = pi/2", "|v| = pi/2"),
     loci_dist=_tnn_dist,
@@ -734,8 +724,7 @@ _register(_Entry(
     ratio_text="1/a",
     excluded_a=(0.0, 1.0),
     default_domain=_tin_domain,
-    loci_desc=lambda p: ("sin v = b (pole of the chart)",
-                         "b sin v = 1 (image of the primal singular locus)"),
+    loci_desc=_tin_loci_desc("pole of the chart", "image of the primal singular locus"),
     loci_dist=_tin_loci_dist,
 ))
 
@@ -744,7 +733,6 @@ _register(_Entry(
     jets=_dual_trans_minimal,
     defaults={},
     constraint_text="metric dual of trans_noniso_noniso; minimal",
-    ratio_text="-1",
     default_domain=lambda p: (0.2, 1.3, 0.2, 1.3),
     loci_desc=lambda p: ("tan u + tan v = 0 (chart pole)", "|u| = pi/2", "|v| = pi/2"),
     loci_dist=_tnn_dist,
@@ -795,12 +783,7 @@ def make_spec(family_id: str, params: Mapping[str, float] | None = None,
         raise InvalidParams(f"domain bounds must be finite, got {dom}")
     if dom[0] == dom[1] or dom[2] == dom[3]:
         raise InvalidParams(f"domain box has zero width, got {dom}")
-    return FamilySpec(family_id=family_id, params=merged, domain=dom,
-                      singular_loci=entry.loci_desc(merged))
-
-
-def default_domain(family_id: str, params: Mapping[str, float] | None = None):
-    return make_spec(family_id, params).domain
+    return FamilySpec(family_id=family_id, params=merged, domain=dom)
 
 
 def ratio_kind(spec: FamilySpec) -> str:
@@ -861,11 +844,6 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
             if (entry.loci_dist(spec.params, U, V) < SINGULAR_MARGIN).any():
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
         return entry.jets(spec.params, U, V)
-
-
-def evaluate_positions(spec: FamilySpec, U, V) -> np.ndarray:
-    """Positions only, shape (..., 3), unchecked."""
-    return evaluate(spec, U, V, check=False).r
 
 
 def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, float], float]:

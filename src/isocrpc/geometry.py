@@ -84,12 +84,6 @@ class Jet2Height:
     fxy: np.ndarray | float
     fyy: np.ndarray | float
 
-    @property
-    def point(self) -> np.ndarray:
-        return np.stack(np.broadcast_arrays(
-            np.asarray(self.x0, float), np.asarray(self.y0, float),
-            np.asarray(self.f, float)), axis=-1)
-
 
 @dataclass(frozen=True)
 class IsoCurvature:
@@ -167,39 +161,39 @@ def monge_gradient(ru, rv):
 def monge_jet(jet: ParamJet2) -> tuple[Jet2Height, np.ndarray]:
     """Height-field 2-jet at the same point as a parametric 2-jet, vectorized.
 
-    Solves the chain-rule systems: the gradient from the 2x2 top-view
-    Jacobian J, the Hessian from Hess = J^-1 Hp J^-T where Hp is the
-    second-order data with the gradient part removed. Never raises; returns
-    the jet and the singular mask of monge_gradient, where the jet is NaN.
+    Never raises; returns the jet and the singular mask of monge_gradient,
+    where the jet is NaN.
     """
     fx, fy, det, singular = monge_gradient(jet.ru, jet.rv)
-    xu, yu = jet.ru[..., 0], jet.ru[..., 1]
-    xv, yv = jet.rv[..., 0], jet.rv[..., 1]
+    seconds = (s[..., i] for s in (jet.ruu, jet.ruv, jet.rvv) for i in range(3))
+    fxx, fxy, fyy = _hessian(det, fx, fy, jet.ru[..., 0], jet.ru[..., 1],
+                             jet.rv[..., 0], jet.rv[..., 1], *seconds)
+    return Jet2Height(
+        x0=jet.r[..., 0], y0=jet.r[..., 1], f=jet.r[..., 2],
+        fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy,
+    ), singular
 
-    def strip(second):
-        return second[..., 2] - fx * second[..., 0] - fy * second[..., 1]
 
-    puu, puv, pvv = strip(jet.ruu), strip(jet.ruv), strip(jet.rvv)
-    # Hess = J^-1 Hp J^-T with J rows (xu, yu), (xv, yv).
+def _hessian(det, fx, fy, xu, yu, xv, yv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv, zvv):
+    """(fxx, fxy, fyy) by the chain rule Hess = J^-1 Hp J^-T: J has rows (xu, yu),
+    (xv, yv) and determinant det, Hp is the second-order data less its gradient
+    part. Operators only: monge_jet's arrays and the point path's floats take
+    the same steps in the same order."""
+    puu = zuu - fx * xuu - fy * yuu
+    puv = zuv - fx * xuv - fy * yuv
+    pvv = zvv - fx * xvv - fy * yvv
     a11, a12 = yv / det, -yu / det
     a21, a22 = -xv / det, xu / det
-    # Temporaries are dropped as soon as they are used up and B = J^-1 Hp is
-    # formed one row at a time: on a mesh grid each is a full channel.
-    del det
+    # B = J^-1 Hp, one row at a time
     b1 = a11 * puu + a12 * puv
     b2 = a11 * puv + a12 * pvv
     fxx = b1 * a11 + b2 * a12
     fxy = b1 * a21 + b2 * a22
     b1 = a21 * puu + a22 * puv
     b2 = a21 * puv + a22 * pvv
-    del puu, puv, pvv
     fyy = b1 * a21 + b2 * a22
     # fxy from either off-diagonal; they agree to rounding. Symmetrize.
-    fxy = 0.5 * (fxy + (b1 * a11 + b2 * a12))
-    return Jet2Height(
-        x0=jet.r[..., 0], y0=jet.r[..., 1], f=jet.r[..., 2],
-        fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy,
-    ), singular
+    return fxx, 0.5 * (fxy + (b1 * a11 + b2 * a12)), fyy
 
 
 def height_jet_from_param(jet: ParamJet2, values=None) -> Jet2Height:
@@ -232,7 +226,7 @@ def _point_height_jet(jet: ParamJet2, values=None) -> Jet2Height | None:
         if not all(field.shape == (3,) for field in fields):
             return None
         values = [c for field in fields for c in field.tolist()]
-    _, _, _, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv, zvv = values
+    xu, yu, zu, xv, yv, zv = values[3:9]
     det = xu * yv - yu * xv
     scale = xu * xu + yu * yu + xv * xv + yv * yv
     if not math.isfinite(scale):
@@ -241,19 +235,7 @@ def _point_height_jet(jet: ParamJet2, values=None) -> Jet2Height | None:
         raise NonAdmissiblePoint(_SINGULAR)
     fx = (zu * yv - yu * zv) / det
     fy = (xu * zv - zu * xv) / det
-    puu = zuu - fx * xuu - fy * yuu
-    puv = zuv - fx * xuv - fy * yuv
-    pvv = zvv - fx * xvv - fy * yvv
-    a11, a12 = yv / det, -yu / det
-    a21, a22 = -xv / det, xu / det
-    b1 = a11 * puu + a12 * puv
-    b2 = a11 * puv + a12 * pvv
-    fxx = b1 * a11 + b2 * a12
-    fxy = b1 * a21 + b2 * a22
-    b1 = a21 * puu + a22 * puv
-    b2 = a21 * puv + a22 * pvv
-    fyy = b1 * a21 + b2 * a22
-    fxy = 0.5 * (fxy + (b1 * a11 + b2 * a12))
+    fxx, fxy, fyy = _hessian(det, fx, fy, xu, yu, xv, yv, *values[9:])
     if not math.isfinite(fx + fy + fxx + fxy + fyy):
         return None
     r = jet.r

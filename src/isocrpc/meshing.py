@@ -54,10 +54,8 @@ def _finite_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def fmt_float(x: float) -> str:
-    """x at 17 significant digits, with -0.0 written as 0."""
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return "%.17g" % x
+    """x at 17 significant digits; adding 0 turns -0.0 into 0."""
+    return "%.17g" % (x + 0.0)
 
 
 def format_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
@@ -253,7 +251,3 @@ def obj_text(grid: MeshGrid) -> str:
     """Wavefront OBJ text: unmasked vertices row-major, whole quads as faces."""
     return "".join([*format_rows("v %.17g %.17g %.17g\n", grid.vertex_rows()),
                     *format_rows("f %d %d %d %d\n", grid.quads)])
-
-
-def write_obj(grid: MeshGrid, path) -> None:
-    write_text(obj_text(grid), path)

@@ -178,20 +178,6 @@ class Characteristic:
     def points(self) -> np.ndarray:
         return self.circle.points
 
-    def to_trace(self):
-        """Repackage the sampled characteristic as a curve trace."""
-        from .curves import CurveTrace
-
-        seg = np.linalg.norm(np.diff(self.points[:, :2], axis=0), axis=1)
-        t = np.concatenate([[0.0], np.cumsum(seg)])
-        return CurveTrace(
-            kind="characteristic+",
-            t=t,
-            uv=None,
-            points=self.points,
-            top_dirs=self.top_tangents,
-        )
-
 
 def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
     """Solve the envelope system of the family at parameter t.

@@ -60,6 +60,46 @@ def test_list_json_output(capsys):
         assert len(r["default_domain"]) == 4
 
 
+# family -> (ratio, singular_loci) that list --json prints at the defaults
+CATALOG_TEXT = {
+    "paraboloid": ("a", []),
+    "trans_paraboloid": ("a", []),
+    "rotational_power_1": ("a", ["u = 0 (rotation axis)"]),
+    "rotational_power_2": ("a (same ratio law, reciprocal exponent)", ["u = 0 (rotation axis)"]),
+    "logarithmoid": ("-1", ["u = 0 (rotation axis)"]),
+    "euclidean_rotational": ("a (Euclidean principal curvatures)",
+                             ["u = 0 (rotation axis)", "u = 1 (profile slope unbounded)"]),
+    "helicoid": ("-1", ["u = 0 (screw axis)"]),
+    "spiral_ruled": ("a", ["u = 0 (directrix axis)"]),
+    "helical_general": ("a", ["u = 0", "u = pi/2 (chart boundary)",
+                              "tan^2(u) = a (singular curve of the surface)"]),
+    "helical_log": ("-1", ["u = 0 (screw axis)"]),
+    "trans_iso_noniso": ("a", ["b sin v = 1 (isotropic tangent plane)"]),
+    "trans_noniso_noniso": ("-1", ["u + v = 0 (isotropic tangent planes)", "|u| = pi/2",
+                                   "|v| = pi/2"]),
+    # a = 2 gives b = 3: sin v = b has no root, only b sin v = 1 is reached
+    "dual_trans_iso_noniso": ("1/a", ["b sin v = 1 (image of the primal singular locus)"]),
+    "dual_trans_minimal": ("-1", ["tan u + tan v = 0 (chart pole)", "|u| = pi/2",
+                                  "|v| = pi/2"]),
+}
+
+
+def test_list_json_catalog_text(capsys):
+    assert main(["list", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {r["family"]: (r["ratio"], r["singular_loci"]) for r in rows} == CATALOG_TEXT
+
+
+@pytest.mark.parametrize("fid", ["trans_iso_noniso", "dual_trans_iso_noniso"])
+def test_translational_loci_are_the_ones_the_chart_reaches(fid):
+    # sin v = b has roots for |b| <= 1 (a <= 0), b sin v = 1 for |b| >= 1 (a >= 0)
+    entry = isocrpc.families.catalog_entry(fid)
+    for a, locus in ((2.0, "b sin v = 1"), (0.5, "b sin v = 1"), (-2.0, "sin v = b"),
+                     (-0.5, "sin v = b")):
+        names = entry.loci_desc(make_spec(fid, {"a": a}).params)
+        assert [name.split(" (")[0] for name in names] == [locus]
+
+
 def test_unknown_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["list", "--bogus"])
@@ -350,6 +390,24 @@ def test_flags_override_config_file(tmp_path):
     assert read_obj_vertices(out).shape == (16, 3)
 
 
+@pytest.mark.parametrize("argv,cfg", [
+    (["generate", "--family", "helicoid"], {"out": True}),
+    (["generate", "--family", "helicoid"], {"out": 5}),
+    (["generate", "--family", "helicoid", "--out", "m.obj"], {"res": [2.9, 3.7]}),
+    (["list"], {"json": "false"}),
+    (["trace", "--family", "helicoid", "--seed", "1,1", "--out", "t.csv"], {"steps": True}),
+])
+def test_config_value_of_the_wrong_json_type_is_refused(tmp_path, monkeypatch, capsys,
+                                                        argv, cfg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert main(argv + ["--config", "run.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_config_file_must_be_flat(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps([1, 2, 3]))
@@ -398,7 +456,8 @@ def test_main_calls_in_one_process_match_fresh_interpreters(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["list"], "ca107dd006550f0d75e7f74564c22286aafe78e627984f52a93bbdd8b9240c65"),
-    (["list", "--json"], "488803d53eae159d294d224f9dda098baecdb736f3d47ff9a0d983a361caabb5"),
+    # dual_trans_iso_noniso lists only the locus b sin v = 1 that its chart reaches at a = 2
+    (["list", "--json"], "a593ba1a340cc624fef9a3c08e3bf3f8dbfbc878e8b1e8b6d5d1cf228c3c7453"),
 ])
 def test_list_output_bytes(capsys, argv, digest):
     assert main(argv) == 0

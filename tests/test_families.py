@@ -13,9 +13,7 @@ from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus, StencilOut
 from isocrpc.families import (
     SINGULAR_MARGIN,
     catalog_entry,
-    default_domain,
     evaluate,
-    evaluate_positions,
     family_ids,
     hard_valid,
     height_field,
@@ -106,13 +104,6 @@ def test_singular_distance_and_hard_valid():
     rp = make_spec("rotational_power_1", {"a": 2.0})
     ok = hard_valid(rp, np.array([0.5, -0.5]), np.array([0.0, 0.0]))
     assert list(ok) == [True, False]
-
-
-def test_evaluate_positions_shape():
-    spec = make_spec("helicoid")
-    P = evaluate_positions(spec, np.linspace(0.6, 1.8, 4), np.linspace(0.1, 2.0, 4))
-    assert P.shape == (4, 3)
-    assert np.all(np.isfinite(P))
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
@@ -240,12 +231,12 @@ def test_height_field_inverts_the_chart():
 
 def test_catalog_entry_text():
     assert "a < 0" in catalog_entry("spiral_ruled").constraint_text
-    dom = default_domain("helicoid")
+    dom = make_spec("helicoid").domain
     assert dom[0] > 0.0  # rotational charts keep away from the axis
 
 
 def test_helicoid_chart_positions():
-    p = evaluate_positions(make_spec("helicoid"), 1.0, math.pi / 2.0)
+    p = evaluate(make_spec("helicoid"), 1.0, math.pi / 2.0, check=False).r
     assert_allclose(p, [0.0, 1.0, math.pi / 2.0], atol=1e-15)
 
 

@@ -55,11 +55,6 @@ def test_point3_and_norm():
     assert_allclose(unit_topdir(3.0, 4.0), [0.6, 0.8])
 
 
-def test_jet2height_point_property():
-    j = monge_jet(1.0, 2.0, 5.0, 0, 0, 0, 0, 0)
-    assert_allclose(j.point, [1.0, 2.0, 5.0])
-
-
 # --- finite-difference oracle -------------------------------------------
 
 def test_fd_jet_matches_analytic_trig_surface():

@@ -15,7 +15,7 @@ from isocrpc.duality import dual_surface_point
 from isocrpc.errors import EmptyGrid, GeometryError, InvalidParams, NonAdmissiblePoint
 from isocrpc.families import SINGULAR_MARGIN, evaluate, hard_valid, make_spec, singular_distance
 from isocrpc.geometry import K_EPS, height_jet_from_param, monge_jet, relative_curvatures
-from isocrpc.meshing import MeshGrid, dual_grid, fmt_float, obj_text, sample_grid, write_obj
+from isocrpc.meshing import MeshGrid, dual_grid, fmt_float, obj_text, sample_grid, write_text
 from test_residuals import FAMILY_CASES
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
@@ -153,11 +153,11 @@ def test_obj_text_layout():
 def test_obj_deterministic_across_calls(tmp_path):
     grid = sample_grid(make_spec("spiral_ruled", {"a": -2.0}), 12, 12)
     p1, p2 = tmp_path / "m1.obj", tmp_path / "m2.obj"
-    write_obj(grid, p1)
-    write_obj(grid, p2)
+    write_text(obj_text(grid), p1)
+    write_text(obj_text(grid), p2)
     assert p1.read_bytes() == p2.read_bytes()
     buf = io.StringIO()
-    write_obj(grid, buf)
+    write_text(obj_text(grid), buf)
     assert buf.getvalue() == p1.read_text()
 
 

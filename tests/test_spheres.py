@@ -198,14 +198,6 @@ def test_empty_characteristic_raises():
         envelope_characteristic(fam, 0.0)
 
 
-def test_characteristic_to_trace_roundtrip():
-    tr = envelope_characteristic(pipe_family(), 0.3).to_trace()
-    assert len(tr) == 64
-    assert tr.t[0] == 0.0
-    assert np.all(np.diff(tr.t) >= 0.0)
-    assert tr.points.shape == (64, 3)
-
-
 # --- channel surface checks -------------------------------------------------
 
 def test_pipe_channel_checks():
