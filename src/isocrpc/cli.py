@@ -82,10 +82,12 @@ class RunConfig:
     dt: float
 
 
-def _typed(name: str, value, kind: type):
-    """value, or a ValueError where it lacks the flag's JSON type (true is no int)."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"--{name} must be {kind.__name__}, got {value!r}")
+def _typed(name: str, value, *kinds: type):
+    """value, or a ValueError where it has none of the flag's JSON types (true
+    is no int or float)."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"--{name} must be {names}, got {value!r}")
     return value
 
 
@@ -93,7 +95,7 @@ def _parse_params(value) -> dict:
     if value is None:
         return {}
     if isinstance(value, dict):
-        return {str(k): float(v) for k, v in value.items()}
+        return {str(k): float(_typed("params", v, int, float)) for k, v in value.items()}
     out = {}
     for item in str(value).split(","):
         item = item.strip()
@@ -109,7 +111,8 @@ def _parse_params(value) -> dict:
 def _parse_domain(value):
     if value is None:
         return None
-    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    parts = ([_typed("domain", p, int, float) for p in value] if isinstance(value, (list, tuple))
+             else str(value).split(","))
     vals = tuple(float(p) for p in parts)
     if len(vals) != 4:
         raise ValueError("--domain must be umin,umax,vmin,vmax")
@@ -121,14 +124,12 @@ def _parse_domain(value):
 def _parse_res(value) -> tuple:
     if value is None:
         return (50, 50)
-    if isinstance(value, (list, tuple)):
-        nu, nv = (_typed("res", n, int) for n in value)
-    else:
-        txt = str(value).lower()
-        if "x" not in txt:
-            raise ValueError("--res must look like NUxNV, e.g. 50x50")
-        nu, nv = txt.split("x", 1)
-    nu, nv = int(nu), int(nv)
+    parts = ([_typed("res", n, int) for n in value] if isinstance(value, (list, tuple))
+             else str(value).lower().split("x"))
+    try:
+        nu, nv = map(int, parts)
+    except ValueError:
+        raise ValueError("--res must look like NUxNV, e.g. 50x50") from None
     if nu < 2 or nv < 2:
         raise ValueError("--res needs at least 2 samples per direction")
     return (nu, nv)
@@ -138,8 +139,8 @@ def _parse_tol(value) -> dict:
     if value is None:
         return {}
     if isinstance(value, dict):
-        out = {str(k): float(v) for k, v in value.items()}
-    elif "=" not in str(value):
+        out = {str(k): float(_typed("tol", v, int, float)) for k, v in value.items()}
+    elif "=" not in str(_typed("tol", value, str, int, float)):
         # a bare number tightens the residual checks, not the H/dual ones
         out = dict.fromkeys(("crpc", "ode"), float(value))
     else:
@@ -213,7 +214,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
     return RunConfig(
         subcommand=args.subcommand,
-        family=pick("family"),
+        family=None if pick("family") is None else _typed("family", pick("family"), str),
         a=None if pick("a") is None else str(pick("a")),
         params=_parse_params(pick("params")),
         domain=_parse_domain(pick("domain")),
@@ -224,7 +225,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         json_out=_typed("json", pick("json", False), bool),
         kind=str(pick("kind", "characteristic+")),
         steps=_parse_steps(_typed("steps", pick("steps", 1000), int)),
-        dt=float(pick("dt", 1e-3)),
+        dt=float(_typed("dt", pick("dt", 1e-3), int, float)),
     )
 
 
@@ -253,7 +254,7 @@ def cmd_list(cfg: RunConfig) -> int:
             "ratio": entry.ratio_text or ("a" if "a" in spec.params else "-1"),
             "params": dict(spec.params),
             "default_domain": list(spec.domain),
-            "singular_loci": list(entry.loci_desc(spec.params)),
+            "singular_loci": [name for name, _dist in entry.loci(spec.params)],
         })
     if cfg.json_out:
         _write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", cfg.out)

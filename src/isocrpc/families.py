@@ -399,21 +399,22 @@ def _euclidean_rotational(params, U, V):
 
 # ---------------------------------------------------------------------------
 # validity, singular loci, default domains
-# The hard_valid and loci_dist builders take float arrays U, V and return
-# numpy values unbroadcast against them: evaluate only reduces them, and
-# the public hard_valid and singular_distance broadcast them.
+# The hard_valid and locus distance builders take float arrays U, V and
+# return numpy values unbroadcast against them: evaluate only reduces them,
+# and the public hard_valid and singular_distance broadcast them.
+
+
+def _sin_roots(rhs: float) -> tuple[float, float]:
+    """The roots asin(rhs) and pi - asin(rhs) of sin(v) = rhs, |rhs| <= 1."""
+    r1 = math.asin(rhs)
+    return r1, math.pi - r1
 
 
 def _dist_to_sin_roots(V, rhs: float):
     """Distance from angles V to the solution set of sin(v) = rhs, |rhs| <= 1."""
-    r1 = math.asin(rhs)
-    r2 = math.pi - r1
-
-    def angdist(alpha, root):
-        d = np.mod(alpha - root + math.pi, 2.0 * math.pi) - math.pi
-        return np.abs(d)
-
-    return np.minimum(angdist(V, r1), angdist(V, r2))
+    d1, d2 = (np.abs(np.mod(V - root + math.pi, 2.0 * math.pi) - math.pi)
+              for root in _sin_roots(rhs))
+    return np.minimum(d1, d2)
 
 
 def _tin_loci(a: float) -> dict:
@@ -425,19 +426,12 @@ def _tin_loci(a: float) -> dict:
     return {key: rhs for key, rhs in loci.items() if abs(rhs) <= 1.0}
 
 
-def _tin_loci_dist(params, U, V):
-    d = _INF
-    for rhs in _tin_loci(params["a"]).values():
-        d = np.minimum(d, _dist_to_sin_roots(V, rhs))
-    return d
-
-
 def _tin_default_v_interval(a: float) -> tuple[float, float]:
     """Widest locus-free v-interval inside [-pi, pi], shrunk by 0.1."""
     roots = []
     for rhs in _tin_loci(a).values():
-        r1 = math.asin(rhs)
-        for r in (r1, math.pi - r1, -math.pi - r1):
+        r1, r2 = _sin_roots(rhs)
+        for r in (r1, r2, -math.pi - r1):
             if -math.pi <= r <= math.pi:
                 roots.append(r)
     pts = sorted(set([-math.pi, math.pi] + roots))
@@ -448,20 +442,16 @@ def _tin_default_v_interval(a: float) -> tuple[float, float]:
     return lo + 0.1, hi - 0.1
 
 
-def _no_loci(params, U, V):
-    return _INF
-
-
 def _all_valid(params, U, V):
     return np.True_
 
 
-def _positive_u(params, U, V):
-    return U > 0.0
-
-
-def _axis_dist(params, U, V):
-    return np.abs(U)
+def _polar(axis: str, box=(0.5, 2.0, 0.0, math.pi)) -> dict:
+    """The _Entry fields of a chart in polar coordinates (u, v) about an axis:
+    the locus u = 0, the hard region u > 0 and the default box."""
+    loci = ((f"u = 0 ({axis})", lambda U, V: np.abs(U)),)
+    return {"loci": lambda p: loci, "hard_valid": lambda p, U, V: U > 0.0,
+            "default_domain": lambda p: box}
 
 
 @dataclass(frozen=True)
@@ -471,7 +461,8 @@ class _Entry:
     A family with a parameter "a" has curvature ratio a (checked against
     excluded_a and, if negative_a, against a < 0); a family without one is
     isotropic minimal, ratio -1. list prints that ratio unless ratio_text
-    annotates it.
+    annotates it. loci(params) gives the singular loci the chart reaches
+    as (name, distance(U, V)) records.
     """
 
     family_id: str
@@ -483,9 +474,19 @@ class _Entry:
     excluded_a: tuple[float, ...] = (0.0,)
     negative_a: bool = False
     ratio_kind: str = "isotropic"  # or "euclidean"
-    loci_desc: Callable[[Mapping[str, float]], tuple[str, ...]] = lambda p: ()
-    loci_dist: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray] = _no_loci
+    loci: Callable[[Mapping[str, float]], tuple[tuple[str, Callable], ...]] = lambda p: ()
     hard_valid: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray] = _all_valid
+
+    def locus_distance(self, params, U, V):
+        """Distance to the nearest of loci(params): the first distance folded
+        with np.minimum over the rest, inf if there is none."""
+        loci = self.loci(params)
+        if not loci:
+            return _INF
+        d = loci[0][1](U, V)
+        for _name, dist in loci[1:]:
+            d = np.minimum(d, dist(U, V))
+        return d
 
 
 def _check_a(entry: _Entry, a: float) -> None:
@@ -529,10 +530,7 @@ _register(_Entry(
     defaults={"a": 2.0},
     constraint_text="a not in {0, -1}; profile z = r^(1+a)",
     excluded_a=(0.0, -1.0),
-    default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
-    loci_desc=lambda p: ("u = 0 (rotation axis)",),
-    loci_dist=_axis_dist,
-    hard_valid=_positive_u,
+    **_polar("rotation axis"),
 ))
 
 _register(_Entry(
@@ -542,10 +540,7 @@ _register(_Entry(
     constraint_text="a not in {0, -1}; profile z = r^((1+a)/a)",
     ratio_text="a (same ratio law, reciprocal exponent)",
     excluded_a=(0.0, -1.0),
-    default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
-    loci_desc=lambda p: ("u = 0 (rotation axis)",),
-    loci_dist=_axis_dist,
-    hard_valid=_positive_u,
+    **_polar("rotation axis"),
 ))
 
 _register(_Entry(
@@ -553,10 +548,7 @@ _register(_Entry(
     jets=_logarithmoid,
     defaults={},
     constraint_text="no parameters; the rotational minimal surface",
-    default_domain=lambda p: (0.5, 3.0, 0.0, 2.0 * math.pi),
-    loci_desc=lambda p: ("u = 0 (rotation axis)",),
-    loci_dist=_axis_dist,
-    hard_valid=_positive_u,
+    **_polar("rotation axis", box=(0.5, 3.0, 0.0, 2.0 * math.pi)),
 ))
 
 
@@ -572,10 +564,10 @@ def _euclid_hard(params, U, V):
     return _euclid_on_profile(params["a"], U)
 
 
-def _euclid_loci_dist(params, U, V):
-    Ua = np.abs(U)
-    return np.minimum(Ua, np.abs(Ua - 1.0))  # axis and the slope singularity r = 1
-
+_EUCLID_LOCI = (
+    ("u = 0 (rotation axis)", lambda U, V: np.abs(U)),
+    ("u = 1 (profile slope unbounded)", lambda U, V: np.abs(np.abs(U) - 1.0)),
+)
 
 _register(_Entry(
     family_id="euclidean_rotational",
@@ -585,8 +577,7 @@ _register(_Entry(
     ratio_kind="euclidean",
     ratio_text="a (Euclidean principal curvatures)",
     default_domain=_euclid_domain,
-    loci_desc=lambda p: ("u = 0 (rotation axis)", "u = 1 (profile slope unbounded)"),
-    loci_dist=_euclid_loci_dist,
+    loci=lambda p: _EUCLID_LOCI,
     hard_valid=_euclid_hard,
 ))
 
@@ -595,10 +586,7 @@ _register(_Entry(
     jets=_helicoid,
     defaults={},
     constraint_text="no parameters; minimal in both geometries",
-    default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
-    loci_desc=lambda p: ("u = 0 (screw axis)",),
-    loci_dist=_axis_dist,
-    hard_valid=_positive_u,
+    **_polar("screw axis"),
 ))
 
 _register(_Entry(
@@ -608,10 +596,7 @@ _register(_Entry(
     constraint_text="a < 0, a != -1; rulings through the z-axis direction field",
     excluded_a=(0.0, -1.0),
     negative_a=True,
-    default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
-    loci_desc=lambda p: ("u = 0 (directrix axis)",),
-    loci_dist=_axis_dist,
-    hard_valid=_positive_u,
+    **_polar("directrix axis"),
 ))
 
 
@@ -628,19 +613,14 @@ def _helical_general_domain(p):
     return (lo, hi, 0.0, math.pi)
 
 
-def _helical_general_loci_desc(p):
-    loci = ["u = 0", "u = pi/2 (chart boundary)"]
+def _helical_general_loci(p):
+    loci = [("u = 0", lambda U, V: np.abs(U)),
+            ("u = pi/2 (chart boundary)", lambda U, V: np.abs(math.pi / 2.0 - U))]
     if p["a"] > 0:
-        loci.append("tan^2(u) = a (singular curve of the surface)")
+        ustar = math.atan(math.sqrt(p["a"]))
+        loci.append(("tan^2(u) = a (singular curve of the surface)",
+                     lambda U, V: np.abs(U - ustar)))
     return tuple(loci)
-
-
-def _helical_general_loci_dist(params, U, V):
-    a = params["a"]
-    d = np.minimum(np.abs(U), np.abs(math.pi / 2.0 - U))
-    if a > 0:
-        d = np.minimum(d, np.abs(U - math.atan(math.sqrt(a))))
-    return d
 
 
 def _helical_general_hard(params, U, V):
@@ -654,8 +634,7 @@ _register(_Entry(
     constraint_text="a not in {0, 1, -1}; helical surface of pitch 1",
     excluded_a=(0.0, 1.0, -1.0),
     default_domain=_helical_general_domain,
-    loci_desc=_helical_general_loci_desc,
-    loci_dist=_helical_general_loci_dist,
+    loci=_helical_general_loci,
     hard_valid=_helical_general_hard,
 ))
 
@@ -664,10 +643,7 @@ _register(_Entry(
     jets=_helical_log,
     defaults={"c": 1.0},
     constraint_text="profile c log(u) over u > 0; minimal helical surface",
-    default_domain=lambda p: (0.5, 2.0, 0.0, math.pi),
-    loci_desc=lambda p: ("u = 0 (screw axis)",),
-    loci_dist=_axis_dist,
-    hard_valid=_positive_u,
+    **_polar("screw axis"),
 ))
 
 
@@ -676,10 +652,11 @@ def _tin_domain(p):
     return (-1.0, 1.0, lo, hi)
 
 
-def _tin_loci_desc(pole: str, image: str):
-    """loci_desc naming the loci of _tin_loci: sin v = b (pole), b sin v = 1 (image)."""
+def _tin_named_loci(pole: str, image: str):
+    """The loci field over _tin_loci: sin v = b named pole, b sin v = 1 named image."""
     names = (f"sin v = b ({pole})", f"b sin v = 1 ({image})")
-    return lambda p: tuple(names[key] for key in _tin_loci(p["a"]))
+    return lambda p: tuple((names[key], lambda U, V, rhs=rhs: _dist_to_sin_roots(V, rhs))
+                           for key, rhs in _tin_loci(p["a"]).items())
 
 
 _register(_Entry(
@@ -689,15 +666,17 @@ _register(_Entry(
     constraint_text="a not in {0, 1}; b = (a+1)/(a-1); one isotropic generator",
     excluded_a=(0.0, 1.0),
     default_domain=_tin_domain,
-    loci_desc=_tin_loci_desc("logarithm pole", "isotropic tangent plane"),
-    loci_dist=_tin_loci_dist,
+    loci=_tin_named_loci("logarithm pole", "isotropic tangent plane"),
 ))
 
 
-def _tnn_dist(params, U, V):
-    d = np.abs(U + V) / math.sqrt(2.0)
-    edge = np.minimum(math.pi / 2.0 - np.abs(U), math.pi / 2.0 - np.abs(V))
-    return np.minimum(d, np.maximum(edge, 0.0))
+def _tnn_loci(line: str):
+    """The loci field of a chart on (-pi/2, pi/2)^2: the line u + v = 0 named
+    line, and the box edges |u| = pi/2 and |v| = pi/2."""
+    loci = ((line, lambda U, V: np.abs(U + V) / math.sqrt(2.0)),
+            ("|u| = pi/2", lambda U, V: np.maximum(math.pi / 2.0 - np.abs(U), 0.0)),
+            ("|v| = pi/2", lambda U, V: np.maximum(math.pi / 2.0 - np.abs(V), 0.0)))
+    return lambda p: loci
 
 
 def _tnn_hard(params, U, V):
@@ -710,8 +689,7 @@ _register(_Entry(
     defaults={},
     constraint_text="minimal; (u, v) in (-pi/2, pi/2)^2 off the line u + v = 0",
     default_domain=lambda p: (-1.3, -0.8, 0.2, 0.65),
-    loci_desc=lambda p: ("u + v = 0 (isotropic tangent planes)", "|u| = pi/2", "|v| = pi/2"),
-    loci_dist=_tnn_dist,
+    loci=_tnn_loci("u + v = 0 (isotropic tangent planes)"),
     hard_valid=_tnn_hard,
 ))
 
@@ -724,8 +702,7 @@ _register(_Entry(
     ratio_text="1/a",
     excluded_a=(0.0, 1.0),
     default_domain=_tin_domain,
-    loci_desc=_tin_loci_desc("pole of the chart", "image of the primal singular locus"),
-    loci_dist=_tin_loci_dist,
+    loci=_tin_named_loci("pole of the chart", "image of the primal singular locus"),
 ))
 
 _register(_Entry(
@@ -734,8 +711,7 @@ _register(_Entry(
     defaults={},
     constraint_text="metric dual of trans_noniso_noniso; minimal",
     default_domain=lambda p: (0.2, 1.3, 0.2, 1.3),
-    loci_desc=lambda p: ("tan u + tan v = 0 (chart pole)", "|u| = pi/2", "|v| = pi/2"),
-    loci_dist=_tnn_dist,
+    loci=_tnn_loci("tan u + tan v = 0 (chart pole)"),
     hard_valid=_tnn_hard,
 ))
 
@@ -813,7 +789,7 @@ def _broadcast_predicate(builder, spec: FamilySpec, U, V, dtype) -> np.ndarray:
 def singular_distance(spec: FamilySpec, U, V) -> np.ndarray:
     """Parameter-space distance to the nearest singular locus (inf if none),
     as an owned float array of the broadcast shape of U and V."""
-    return _broadcast_predicate(catalog_entry(spec.family_id).loci_dist, spec, U, V, float)
+    return _broadcast_predicate(catalog_entry(spec.family_id).locus_distance, spec, U, V, float)
 
 
 def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
@@ -841,7 +817,7 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
                 raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
             if not entry.hard_valid(spec.params, U, V).all():
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-            if (entry.loci_dist(spec.params, U, V) < SINGULAR_MARGIN).any():
+            if (entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN).any():
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
         return entry.jets(spec.params, U, V)
 

@@ -96,7 +96,7 @@ def test_translational_loci_are_the_ones_the_chart_reaches(fid):
     entry = isocrpc.families.catalog_entry(fid)
     for a, locus in ((2.0, "b sin v = 1"), (0.5, "b sin v = 1"), (-2.0, "sin v = b"),
                      (-0.5, "sin v = b")):
-        names = entry.loci_desc(make_spec(fid, {"a": a}).params)
+        names = [name for name, _dist in entry.loci(make_spec(fid, {"a": a}).params)]
         assert [name.split(" (")[0] for name in names] == [locus]
 
 
@@ -396,6 +396,15 @@ def test_flags_override_config_file(tmp_path):
     (["generate", "--family", "helicoid", "--out", "m.obj"], {"res": [2.9, 3.7]}),
     (["list"], {"json": "false"}),
     (["trace", "--family", "helicoid", "--seed", "1,1", "--out", "t.csv"], {"steps": True}),
+    (["trace", "--family", "helicoid", "--seed", "1,1", "--out", "t.csv"], {"dt": True}),
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"tol": True}),
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"tol": {"crpc": True}}),
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"params": {"a": True}}),
+    (["generate", "--family", "helicoid", "--out", "m.obj"], {"domain": [True, 2, 0, 1]}),
+    (["generate", "--family", "helicoid", "--out", "m.obj"], {"res": [3]}),
+    (["generate", "--family", "helicoid", "--out", "m.obj"], {"res": [3, 3, 3]}),
+    (["generate", "--family", "helicoid", "--out", "m.obj", "--res", "50x50x2"], {}),
+    (["generate", "--out", "m.obj"], {"family": ["helicoid"]}),
 ])
 def test_config_value_of_the_wrong_json_type_is_refused(tmp_path, monkeypatch, capsys,
                                                         argv, cfg):

@@ -353,6 +353,19 @@ def _locus_points(spec):
     return []
 
 
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_each_locus_name_is_paired_with_its_own_distance(fid):
+    spec = make_spec(fid)
+    points = _locus_points(spec)
+    loci = isocrpc.families.catalog_entry(fid).loci(spec.params)
+    on = [[float(dist(np.float64(u), np.float64(v))) <= 1e-12 for u, v in points]
+          for _name, dist in loci]
+    for (name, _dist), hits in zip(loci, on):
+        assert any(hits), name
+    for k, point in enumerate(points):
+        assert any(hits[k] for hits in on), point
+
+
 def _validity_points(spec, rng):
     """Seeded points in the box and around it, near each locus, and non-finite."""
     u0, u1, v0, v1 = spec.domain
