@@ -111,8 +111,9 @@ def _parse_params(value) -> dict:
 def _parse_domain(value):
     if value is None:
         return None
-    parts = ([_typed("domain", p, int, float) for p in value] if isinstance(value, (list, tuple))
-             else str(value).split(","))
+    value = _typed("domain", value, str, list)
+    parts = ([_typed("domain", p, int, float) for p in value] if isinstance(value, list)
+             else value.split(","))
     vals = tuple(float(p) for p in parts)
     if len(vals) != 4:
         raise ValueError("--domain must be umin,umax,vmin,vmax")
@@ -215,13 +216,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         subcommand=args.subcommand,
         family=None if pick("family") is None else _typed("family", pick("family"), str),
-        a=None if pick("a") is None else str(pick("a")),
+        a=None if pick("a") is None else str(_typed("a", pick("a"), str, int, float)),
         params=_parse_params(pick("params")),
         domain=_parse_domain(pick("domain")),
         res=_parse_res(pick("res")),
         tol=_parse_tol(pick("tol")),
         out=None if pick("out") is None else _typed("out", pick("out"), str),
-        seed=None if pick("seed") is None else str(pick("seed")),
+        seed=None if pick("seed") is None else str(_typed("seed", pick("seed"), str, int)),
         json_out=_typed("json", pick("json", False), bool),
         kind=str(pick("kind", "characteristic+")),
         steps=_parse_steps(_typed("steps", pick("steps", 1000), int)),
@@ -356,7 +357,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     nu, nv = cfg.res
     tol = dict(DEFAULT_TOL)
     tol.update(cfg.tol)
-    seed = int(cfg.seed) if cfg.seed is not None else 0
+    try:
+        seed = int(cfg.seed) if cfg.seed is not None else 0
+    except ValueError:
+        raise ValueError(f"--seed must be an integer for verify, got {cfg.seed!r}") from None
 
     # a family that refuses a combination drops it, named on stderr, but
     # every --a value must give at least one row

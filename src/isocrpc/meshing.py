@@ -10,8 +10,11 @@ only when all four corners survive.
 from __future__ import annotations
 
 import functools
+import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +39,43 @@ from .geometry import (
 )
 
 # a 1000x1000 generate peaks near 345 MB, while obj_text joins the text; the
-# cap keeps a grid under 4x that
+# cap keeps a grid under 4x that, and face indices below 10**8, the bound of
+# format_rows's %d kernel
 MAX_GRID_NODES = 4_000_000
 # nodes sampled at once by _sample, in whole u-rows
 SAMPLE_BLOCK_NODES = 1 << 13
-# rows of text made by one % operation in format_rows
-FORMAT_BLOCK_ROWS = 1 << 14
+# rows of text made at once by format_rows, whose kernel arrays are per
+# block; 16,384 was no faster and left a 1000x1000 generate 1-3 MB higher
+FORMAT_BLOCK_ROWS = 1 << 12
 # characters handed to one write call by write_text (1 MiB of ASCII)
 WRITE_CHUNK_CHARS = 1 << 20
+
+# the conversions format_rows can write
+_CONVERSION = re.compile(r"(%\.17g|%d)")
+# the decimal exponent e10 and the binary one e2 (of np.frexp) of a nonzero
+# finite double span these ranges; %.17g scales by 10**(16 - e10)
+_E10_MIN, _E10_MAX = -324, 308
+_E2_MIN, _E2_MAX = -1073, 1024
+# the scaled value is known to within 1e-14 (see _decimal); a fraction
+# this close to one half may be a tie, which % settles
+_TIE_MARGIN = 1e-9
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_NUL, _DOT, _MINUS = np.uint64(0), np.uint64(ord(".")), np.uint64(ord("-"))
+_VELTKAMP = np.float64(2.0 ** 27 + 1)
+_E8, _E16, _E17 = np.uint64(10 ** 8), np.int64(10 ** 16), np.int64(10 ** 17)
+_POW10_8 = np.array([10 ** k for k in range(1, 8)], dtype=np.uint64)  # digit counts of n < 10**8
+# The 16 digits after a float's leading one sit in two words, digits 0-7 in
+# A and 8-15 in B, a digit a byte. For j in 0..16, by row A and B: the mask
+# of the first j digits in the word; the word of the byte put in before
+# digit j (0 when j is past the word; below 8, B's byte 0 takes the digit A
+# pushes out); and the mask of B's top byte when it is pushed out.
+_LOW_BYTES = [(1 << 8 * k) - 1 for k in range(9)]
+_HEADS = np.array([[_LOW_BYTES[min(j, 8)] for j in range(17)],
+                   [_LOW_BYTES[max(j - 8, 0)] for j in range(17)]], dtype=np.uint64)
+_BYTE_AT = np.array([[1 << 8 * j if j < 8 else 0 for j in range(17)],
+                     [1 << 8 * max(j - 8, 0) if j < 16 else 0 for j in range(17)]],
+                    dtype=np.uint64)
+_PUSHED_OUT = np.array([0xFF] * 16 + [0], dtype=np.uint64)
 
 
 def _finite_rows(vectors: np.ndarray) -> np.ndarray:
@@ -58,16 +90,266 @@ def fmt_float(x: float) -> str:
     return "%.17g" % (x + 0.0)
 
 
+class _Tables(NamedTuple):
+    """Tables of the %.17g kernel, all but floor_k indexed by k = e10 - _E10_MIN.
+
+    floor_k: by e2 - _E2_MIN, the k of 2**(e2 - 1), the least double of that
+    binade; a binade spans a factor 2, so a value's k is this or one more.
+    ceil_next: the least double >= 10**(e10 + 1) (inf past the doubles), so
+    x >= 10**(e10 + 1) exactly when x >= ceil_next. hi, lo, b: 10**(16 -
+    e10) = (hi + lo) * 2**b with hi in [1, 2] its nearest 53-bit head and lo
+    the rest, rounded: the pair is off by at most 2**-106 of the power, and
+    lo is 0 where the power is a double. Exact int arithmetic builds them.
+    prefix: the word of "0." and -e10 - 1 zeros after a sign byte, for
+    e10 in [-4, -1] (fixed form, below 1). exponent: the word of "e+XX"
+    after one free byte where e10 < -4 or e10 >= 17 (exponent form).
+    whole: digits after the leading one that are integer digits (e10 in
+    [0, 16]). point: digits after the leading one before the point (16, no
+    point, when the point is in the prefix).
+    """
+
+    floor_k: np.ndarray
+    ceil_next: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    b: np.ndarray
+    prefix: np.ndarray
+    exponent: np.ndarray
+    whole: np.ndarray
+    point: np.ndarray
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's tables, built once per process, in 2-3 ms."""
+    powers = [1]
+    for _ in range(16 - _E10_MIN):
+        powers.append(powers[-1] * 10)
+    ceil_pow10, his, los, bs = [], [], [], []
+    for e10 in range(_E10_MIN, _E10_MAX + 1):
+        if e10 >= 0:  # int -> float rounds correctly
+            least = float(powers[e10])
+            low = int(least) < powers[e10]
+        else:  # so does int / int
+            least = 1 / powers[-e10]
+            num, den = least.as_integer_ratio()
+            low = num * powers[-e10] < den
+        ceil_pow10.append(math.nextafter(least, math.inf) if low else least)
+        s = 16 - e10
+        num, den = (powers[s], 1) if s >= 0 else (1, powers[-s])
+        b = num.bit_length() - den.bit_length()
+        num, den = (num, den << b) if b >= 0 else (num << -b, den)
+        if num < den:  # num / den in (1/2, 1): one binary place more
+            num, b = num << 1, b - 1
+        scaled = (num << 160) // den  # 10**s / 2**b to 160 binary places
+        top = (scaled + (1 << 107)) >> 108  # its nearest 53-bit head
+        his.append(math.ldexp(top, -52))
+        los.append(math.ldexp(scaled - (top << 108), -160))
+        bs.append(b)
+    e10 = np.arange(_E10_MIN, _E10_MAX + 1)
+    ceil_pow10 = np.array(ceil_pow10)
+    binade_floor = np.ldexp(1.0, np.arange(_E2_MIN - 1, _E2_MAX, dtype=np.int32))
+    floor_k = np.searchsorted(ceil_pow10, binade_floor, side="right") - 1
+    exp_form, below_one = (e10 < -4) | (e10 >= 17), (e10 >= -4) & (e10 < 0)
+    # "e", the sign and three digit bytes, the first one NUL below 100
+    mag = np.abs(e10).astype(np.uint64)
+    ten, zero_char = np.uint64(10), np.uint64(ord("0"))
+    digits = (np.where(mag >= 100, mag // np.uint64(100) + zero_char, _NUL),
+              mag // ten % ten + zero_char, mag % ten + zero_char)
+    sign = np.where(e10 < 0, _MINUS, np.uint64(ord("+")))
+    exponent = np.uint64(ord("e") << 8) | (sign << np.uint64(16))
+    for byte, digit in enumerate(digits, start=3):
+        exponent |= digit << np.uint64(8 * byte)
+    prefix = np.array([int.from_bytes(b"\0" + b"0." + b"0" * (-e - 1), "little")
+                       for e in range(-4, 0)], dtype=np.uint64)
+    whole = np.where((e10 >= 0) & (e10 < 17), e10, 0)
+    return _Tables(floor_k.astype(np.intp), np.append(ceil_pow10[1:], np.inf),
+                   np.array(his), np.array(los), np.array(bs, dtype=np.int32),
+                   np.where(below_one, prefix[(e10 + 4) % 4], _NUL),
+                   np.where(exp_form, exponent, _NUL), whole.astype(np.intp),
+                   np.where(below_one, 16, whole).astype(np.intp))
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Veltkamp's split of a into two 26-bit halves, hi + lo == a."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _decimal(ax: np.ndarray) -> tuple:
+    """For finite ax > 0: the 17 significant digits d in [10**16, 10**17)
+    of ax, k = e10 - _E10_MIN of its exponent once rounded to them, and the
+    mask of values whose rounding the kernel cannot decide (a possible tie).
+
+    y = ax * 10**(16 - e10), with e10 exact, is in [10**16, 10**17). It is
+    formed as the double-double p + c from ax = m * 2**e2: Dekker's
+    TwoProduct gives the exact m * hi', and c adds m * lo', where hi' and
+    lo' are the table pair scaled by 2**(e2 + b) (exact). With |e| <= 8 and
+    |m * lo'| <= 16, the rounding of m * lo', of the sum and the table's
+    2**-106 leave y - (p + c) below 1e-14. p is an even integer, as y >=
+    2**53, so rint of c rounds y to even on a tie, as % does, wherever the
+    power is a double (lo == 0) and p + c is y.
+    """
+    t = _tables()
+    m, e2 = np.frexp(ax)
+    k = t.floor_k[e2 - _E2_MIN]
+    k += ax >= t.ceil_next[k]
+    shift = e2 + t.b[k]
+    q = np.ldexp(t.hi[k], shift)
+    lo = t.lo[k]
+    m_hi, m_lo = _split(m)
+    q_hi, q_lo = _split(q)
+    p = m * q
+    e = ((m_hi * q_hi - p) + m_hi * q_lo + m_lo * q_hi) + m_lo * q_lo
+    c = e + m * np.ldexp(lo, shift)
+    r = np.rint(c)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    undecided = (np.abs(c - r) > 0.5 - _TIE_MARGIN) & (lo != 0)
+    top = d == _E17  # y in [10**17 - 1/2, 10**17) rounds up to the next exponent
+    d[top] = _E16
+    return d, k + top, undecided
+
+
+def _digit_word(n: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each n < 10**8 (uint64), one digit value a byte,
+    the leading digit in the low byte: the printing order of a little-endian
+    word. Each step splits every lane of the word in two at once (SWAR):
+    with q = lane // base, x * 2**w - q * (base * 2**w - 1) keeps q in the
+    lane's low half and puts lane - base * q in its high half."""
+    q = n // np.uint64(10_000)
+    x = n * np.uint64(1 << 32) - q * np.uint64((10_000 << 32) - 1)
+    # lanes of 32 bits below 10**4: lane * 5243 >> 19 == lane // 100
+    q = ((x * np.uint64(5243)) >> np.uint64(19)) & np.uint64(0x0000007F0000007F)
+    x = x * np.uint64(1 << 16) - q * np.uint64((100 << 16) - 1)
+    # lanes of 16 bits below 100: lane * 103 >> 10 == lane // 10
+    q = ((x * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
+    return x * np.uint64(1 << 8) - q * np.uint64((10 << 8) - 1)
+
+
+def _float_words(x: np.ndarray) -> tuple:
+    """(n, 4) uint64 words of the %.17g text of x + 0, zero bytes as padding,
+    and the mask of values the kernel leaves to %: NaN, inf and ties.
+
+    Word 0 holds the sign, the "0.000" of a fixed-form value below 1 and the
+    leading digit; words 1 and 2 (A and B) the other 16 digits with
+    trailing zeros cut and the point put in; word 3 the digit the point
+    pushed out and the exponent. The form follows e10 as % chooses it.
+    """
+    t = _tables()
+    finite = np.isfinite(x)
+    x = np.where(finite, x, 1.0)  # no arithmetic on NaN: % writes those
+    ax = np.abs(x)
+    zero = ax == 0  # written as 1, then its lead digit made 0
+    d, k, fallback = _decimal(ax + zero)
+    fallback |= ~finite
+    lead, rest = np.divmod(d.astype(np.uint64), np.uint64(_E16))
+    ab = np.empty((2, len(x)), dtype=np.uint64)
+    np.divmod(rest, _E8, out=(ab[0], ab[1]))
+    ab = _digit_word(ab)
+    # digits through the last nonzero one: the bytes up to a word's top set
+    # bit, which frexp finds (no digit byte exceeds 9, so the conversion to
+    # float cannot round up into the next byte)
+    used = (np.frexp(ab.astype(np.float64))[1] + 7) >> 3
+    keep = np.maximum(np.where(used[1] > 0, used[1] + 8, used[0]), t.whole[k])
+    ab = (ab | _ASCII_ZEROS) & _HEADS[:, keep]
+    # the point goes in before digit `at`; what it pushes out of A opens B
+    at = t.point[k]
+    put = np.empty_like(ab)
+    put[0] = np.multiply(keep > at, _DOT, dtype=np.uint64)
+    put[1] = np.where(at < 8, ab[0] >> np.uint64(56), put[0])
+    heads = _HEADS[:, at]
+    words = np.empty((len(x), 4), dtype=np.uint64)
+    words[:, 0] = (t.prefix[k] | np.multiply(x < 0, _MINUS, dtype=np.uint64)
+                   | ((lead - zero + np.uint64(ord("0"))) << np.uint64(56)))
+    words[:, 1:3] = ((ab & heads) | (put * _BYTE_AT[:, at]) | ((ab & ~heads) << np.uint64(8))).T
+    words[:, 3] = ((ab[1] >> np.uint64(56)) & _PUSHED_OUT[at]) | t.exponent[k]
+    return words, fallback
+
+
+def _int_words(n: np.ndarray) -> tuple:
+    """(n, 1) uint64 words of the %d text of integers 0 <= n < 10**8, zero
+    bytes as padding, and the mask of the other values, which % writes."""
+    u = n.astype(np.uint64)  # a negative n wraps to 2**64 + n
+    fallback = u >= _E8  # their words are garbage, replaced by % text
+    leading_zeros = 7 - np.searchsorted(_POW10_8, u, side="right")
+    words = (_digit_word(u) | _ASCII_ZEROS) & ~_HEADS[0, leading_zeros]
+    return words[:, None], fallback
+
+
+def _text_fields(conversion: str, values: np.ndarray) -> tuple:
+    """(n, width) uint8 text of each value under conversion, padded with zero
+    bytes, and the mask of values that % wrote."""
+    if conversion == "%d":
+        words, fallback = _int_words(values)
+    else:
+        words, fallback = _float_words(values.astype(np.float64, copy=False))
+    fields = words.astype("<u8", copy=False).view(np.uint8)
+    if fallback.any():
+        where = np.flatnonzero(fallback)
+        texts = [(conversion % (v + 0)).encode("ascii") for v in values[where].tolist()]
+        width = max(fields.shape[1], *map(len, texts))
+        fields = np.pad(fields, ((0, 0), (0, width - fields.shape[1])))
+        fields[where] = 0
+        for i, text in zip(where, texts):
+            fields[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return fields, fallback
+
+
+@functools.lru_cache(maxsize=8)
+def _row_layout(row_fmt: str) -> tuple:
+    """row_fmt as format_rows lays it out: the literal before the first
+    conversion, the literal after each conversion (zero-padded to one
+    width, read-only), and (conversion, its columns) pairs."""
+    parts = _CONVERSION.split(row_fmt)
+    literals, conversions = parts[::2], parts[1::2]
+    if any("%" in lit or "\0" in lit for lit in literals) or not row_fmt.isascii():
+        raise ValueError(f"format_rows writes only %.17g and %d in ASCII text, got {row_fmt!r}")
+    after = np.zeros((len(conversions), max(map(len, literals[1:]), default=0)), np.uint8)
+    for row, lit in zip(after, literals[1:]):
+        row[:len(lit)] = np.frombuffer(lit.encode("ascii"), np.uint8)
+    after.flags.writeable = False
+    groups = {}
+    for j, conv in enumerate(conversions):
+        groups.setdefault(conv, []).append(j)
+    if len(groups) == 1:  # every column: a slice, not a copy
+        columns = ((conversions[0], slice(None)),)
+    else:
+        columns = tuple((conv, np.array(cols)) for conv, cols in groups.items())
+    return np.frombuffer(literals[0].encode("ascii"), np.uint8), after, columns
+
+
 def format_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
     """Text of row_fmt applied to each row of a 2-D array, in blocks of rows.
 
-    One % operation formats each block. Floats are written as fmt_float
-    writes them: adding 0 turns -0.0 into 0.
+    The text is byte for byte that of (row_fmt * len(rows)) % tuple(values
+    + 0), so -0.0 prints as 0. row_fmt may hold only %.17g and %d
+    conversions, %d only for integer rows (ValueError otherwise). A numpy
+    kernel writes the digits: %.17g from an exact double-double scaling,
+    %d for 0 <= n < 10**8. % writes the rest: NaN, inf, other ints, and a
+    float within _TIE_MARGIN of a 17-digit tie where 10**(16 - e10) is no
+    double (e10 < -6 or e10 > 16), which sampled grids do not hold.
     """
+    first, after, columns = _row_layout(row_fmt)
     rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != len(after):
+        raise ValueError(f"{row_fmt!r} needs rows of {len(after)} values")
+    if rows.dtype.kind not in "biu" and any(conv == "%d" for conv, _ in columns):
+        raise ValueError(f"%d writes integers, got {rows.dtype} rows")
     for start in range(0, len(rows), FORMAT_BLOCK_ROWS):
         block = rows[start:start + FORMAT_BLOCK_ROWS]
-        yield (row_fmt * len(block)) % tuple((block + 0).ravel().tolist())
+        fields = [(cols, _text_fields(conv, block[:, cols].ravel())[0])
+                  for conv, cols in columns]
+        width = max(field.shape[1] for _, field in fields)
+        # each row: first, then one cell a conversion: its field, zero bytes
+        # up to width, and the literal after it
+        out = np.zeros((len(block), len(first) + after.size + len(after) * width), np.uint8)
+        out[:, :len(first)] = first
+        cells = out[:, len(first):].reshape(len(block), len(after), -1)  # a view
+        cells[:, :, width:] = after
+        for cols, field in fields:
+            cells[:, cols, :field.shape[1]] = field.reshape(len(block), -1, field.shape[1])
+        yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_text(text: str, path) -> None:

@@ -417,6 +417,43 @@ def test_config_value_of_the_wrong_json_type_is_refused(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
+@pytest.mark.parametrize("argv,cfg", [
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"a": True}),
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"a": [1, 2]}),
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"seed": 2.0}),
+    (["trace", "--family", "helicoid", "--out", "t.csv"], {"seed": [0.1, 0.2]}),
+    (["verify", "--family", "paraboloid", "--out", "v.csv"], {"domain": {"a": 1}}),
+    (["generate", "--family", "helicoid", "--out", "m.obj"], {"domain": 5}),
+])
+def test_config_a_seed_and_domain_of_the_wrong_json_type_name_the_flag(
+        tmp_path, monkeypatch, capsys, argv, cfg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert main(argv + ["--config", "run.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    flag = next(iter(cfg))
+    assert err.startswith(f"error: --{flag} must be ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_config_numbers_for_a_seed_and_domain_read_as_their_argv_text(tmp_path):
+    argv = ["verify", "--family", "paraboloid", "--res", "8x8"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"a": 2, "seed": 7, "domain": "-1,1,-1,1"}))
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(argv + ["--a", "2", "--seed", "7", "--domain=-1,1,-1,1",
+                        "--out", str(tmp_path / "f.csv")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
+def test_verify_seed_that_is_no_integer_names_the_flag(tmp_path, capsys):
+    assert main(["verify", "--family", "paraboloid", "--seed", "2.0",
+                 "--out", str(tmp_path / "v.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be an integer for verify, got '2.0'\n"
+
+
 def test_config_file_must_be_flat(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps([1, 2, 3]))

@@ -4,9 +4,12 @@ import io
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isocrpc.families
 import isocrpc.meshing
@@ -15,7 +18,8 @@ from isocrpc.duality import dual_surface_point
 from isocrpc.errors import EmptyGrid, GeometryError, InvalidParams, NonAdmissiblePoint
 from isocrpc.families import SINGULAR_MARGIN, evaluate, hard_valid, make_spec, singular_distance
 from isocrpc.geometry import K_EPS, height_jet_from_param, monge_jet, relative_curvatures
-from isocrpc.meshing import MeshGrid, dual_grid, fmt_float, obj_text, sample_grid, write_text
+from isocrpc.meshing import (MeshGrid, dual_grid, fmt_float, format_rows, obj_text, sample_grid,
+                             write_text)
 from test_residuals import FAMILY_CASES
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
@@ -243,6 +247,128 @@ def test_emitter_grids_cover_their_cases():
     assert len(grids["checkerboard"].quad_indices()) == 0
     assert grids["checkerboard"].vertex_rows().shape == (10, 3)
     assert len(grids["two_by_two"].quads) == 1
+
+
+# --- the format_rows text kernel ----------------------------------------------
+
+ROW_FORMATS = (  # the formats obj_text and CurveTrace.to_csv write
+    "v %.17g %.17g %.17g\n",
+    "f %d %d %d %d\n",
+    "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
+)
+
+
+def _percent_rows(row_fmt, rows):
+    """The reference: one % operation on the values + 0, so -0.0 prints as 0
+    (Python arithmetic: a signaling NaN raises no numpy warning)."""
+    return (row_fmt * len(rows)) % tuple(v + 0 for v in rows.ravel().tolist())
+
+
+def _assert_rows_match_percent(values, row_fmts):
+    """values cycled into whole rows of each format, in one block and in two."""
+    for row_fmt in row_fmts:
+        width = row_fmt.count("%")
+        rows = np.resize(values, (-(-len(values) // width), width))
+        want = _percent_rows(row_fmt, rows)
+        for block_rows in (isocrpc.meshing.FORMAT_BLOCK_ROWS, len(rows) // 2 + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(isocrpc.meshing, "FORMAT_BLOCK_ROWS", block_rows)
+                assert "".join(format_rows(row_fmt, rows)) == want
+
+
+FLOAT_FORMATS = tuple(f for f in ROW_FORMATS if "%.17g" in f)
+RAW_FLOATS = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+INT64S = st.lists(st.one_of(st.integers(0, 10 ** 8 + 5), st.integers(-2 ** 63, 2 ** 63 - 1)),
+                  min_size=1, max_size=40).map(lambda ints: np.array(ints, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_FLOATS)
+def test_kernel_matches_percent_on_any_float64_bits(values):
+    # subnormals, -0.0, NaN (signaling too), inf and huge values all occur
+    _assert_rows_match_percent(values, FLOAT_FORMATS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INT64S)
+def test_kernel_matches_percent_on_any_int64(values):
+    _assert_rows_match_percent(values, ROW_FORMATS)
+
+
+def _edge_floats():
+    vals = [2.0 ** 53, 5e-324, 1.7976931348623157e308, 0.0, -0.0,
+            999043027220165.625,  # an exact tie at 17 digits: % rounds it to even
+            3 * 2.0 ** -24]  # a tie where 10**(16 - e10) is no double
+    for k in range(-300, 301):
+        x = float(f"1e{k}")
+        vals += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    for switch in (1e-5, 1e-4, 1e16, 1e17):  # fixed or exponent form
+        below = above = switch
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            vals += [switch, below, above]
+    vals = np.array(vals, dtype=np.float64)
+    return np.concatenate([vals, -vals])
+
+
+def test_kernel_matches_percent_on_powers_of_ten_and_form_switches():
+    _assert_rows_match_percent(_edge_floats(), FLOAT_FORMATS)
+    assert "".join(format_rows("%.17g\n", _edge_floats()[:, None])) == "".join(
+        fmt_float(x) + "\n" for x in _edge_floats().tolist())
+
+
+def test_kernel_leaves_only_nan_inf_and_inexact_ties_to_percent():
+    values = np.array([np.nan, np.inf, -np.inf, 3 * 2.0 ** -24, 999043027220165.625,
+                       0.0, -0.0, 1.0, 0.1, 5e-324], dtype=np.float64)
+    fallback = isocrpc.meshing._text_fields("%.17g", values)[1]
+    assert fallback.tolist() == [True] * 4 + [False] * 6
+    ints = np.array([0, 7, 10 ** 8 - 1, 10 ** 8, -1], dtype=np.int64)
+    assert isocrpc.meshing._text_fields("%d", ints)[1].tolist() == [False] * 3 + [True] * 2
+
+
+def test_kernel_writes_every_value_of_a_helicoid_grid():
+    grid = sample_grid(make_spec("helicoid", {}), 60, 40)
+    vertices = grid.vertex_rows().ravel()
+    assert isocrpc.meshing._text_fields("%.17g", vertices)[1].sum() == 0
+    assert isocrpc.meshing._text_fields("%d", grid.quads.ravel())[1].sum() == 0
+    # face indices stay inside the %d kernel's range
+    assert isocrpc.meshing.MAX_GRID_NODES < 10 ** 8
+
+
+def test_power_of_ten_tables_hold_what_the_kernel_assumes():
+    t = isocrpc.meshing._tables()
+    e10s = range(isocrpc.meshing._E10_MIN, isocrpc.meshing._E10_MAX + 1)
+    for k, e10 in enumerate(e10s):
+        exact = Fraction(10) ** (16 - e10) / Fraction(2) ** int(t.b[k])
+        assert 1 <= t.hi[k] <= 2
+        assert abs(Fraction(t.hi[k]) + Fraction(t.lo[k]) - exact) <= Fraction(2) ** -106 * exact
+        # lo is 0 exactly where the power is a double, which decides ties
+        assert (t.lo[k] == 0) == (0 <= 16 - e10 <= 22)
+        # the least double >= 10**(e10 + 1)
+        if e10 < isocrpc.meshing._E10_MAX:
+            least = Fraction(t.ceil_next[k])
+            below = Fraction(np.nextafter(t.ceil_next[k], -1.0))
+            assert least >= Fraction(10) ** (e10 + 1) > below
+    assert t.ceil_next[-1] == np.inf
+    for i, e2 in enumerate(range(isocrpc.meshing._E2_MIN, isocrpc.meshing._E2_MAX + 1)):
+        # the decimal exponent of 2**(e2 - 1), the binade's least double
+        e10 = e10s[t.floor_k[i]]
+        assert Fraction(10) ** e10 <= Fraction(2) ** (e2 - 1) < Fraction(10) ** (e10 + 1)
+
+
+@pytest.mark.parametrize("row_fmt", ["%.16g\n", "%f\n", "%s\n", "%5d\n", "%i\n",
+                                     "%.17G\n", "100%% %d\n", "%r\n"])
+def test_kernel_refuses_other_conversions(row_fmt):
+    with pytest.raises(ValueError):
+        list(format_rows(row_fmt, np.ones((2, row_fmt.count("%")))))
+
+
+def test_kernel_refuses_rows_of_the_wrong_width_or_type():
+    with pytest.raises(ValueError):
+        list(format_rows("v %.17g %.17g %.17g\n", np.ones((2, 2))))
+    with pytest.raises(ValueError):
+        list(format_rows("f %d %d %d %d\n", np.ones((2, 4))))
 
 
 def test_generate_extracts_quads_once(tmp_path, monkeypatch):
