@@ -27,11 +27,9 @@ from .geometry import (
     fd_jet,
     height_jet_from_param,
     isotropic_curvatures,
-    isotropic_norm,
     monge_jet,
     normal_curvature,
     point3,
-    unit_topdir,
 )
 
 __all__ = [
@@ -50,12 +48,10 @@ __all__ = [
     "fd_jet",
     "height_jet_from_param",
     "isotropic_curvatures",
-    "isotropic_norm",
     "make_spec",
     "monge_jet",
     "normal_curvature",
     "point3",
-    "unit_topdir",
 ]
 
 __version__ = "0.1.0"

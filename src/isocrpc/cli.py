@@ -1,10 +1,13 @@
 """Command line front end: catalog listing, meshes, checks, traces, duals.
 
 Subcommands: list | generate | verify | trace | dual, each with only the
-flags it reads (SUBCOMMANDS). Options may come from flags or from a flat
-JSON config file (--config) with the same keys; flags win. All
-emitters use fixed float formatting and fixed iteration order, so outputs
-are byte-deterministic for a given configuration and seed.
+flags it reads (SUBCOMMANDS); argparse only splits argv. A value comes from
+the flag, else from a flat JSON config file (--config) with the same keys,
+else from the default, and the flag's one reader reads it (Flag). A value
+that cannot be read exits 1 with an `error: --<flag> ...` line; a flag the
+subcommand does not read exits 2. All emitters use fixed float formatting
+and fixed iteration order, so outputs are byte-deterministic for a given
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +31,9 @@ from .curves import MAX_TRACE_STEPS, TRACE_KINDS, trace_direction_field
 from .residuals import family_ode_residual
 
 FAMILY_ALIASES = {"rotational_power": "rotational_power_1"}
-KIND_ALIASES = {"char+": "characteristic+", "char-": "characteristic-"}
+# trace --kind: each direction field by its name and by its alias
+KINDS = {**dict(zip(TRACE_KINDS, TRACE_KINDS)), "char+": "characteristic+",
+         "char-": "characteristic-"}
 DEFAULT_TOL = {"crpc": 1e-8, "H": 1e-9, "ode": 1e-8, "dual": 1e-4}
 VERIFY_HEADER = ("family,a,nu,nv,max_abs_crpc_residual,max_abs_H,"
                  "ode_residual,dualK_residual,status")
@@ -36,148 +42,158 @@ VERIFY_HEADER = ("family,a,nu,nv,max_abs_crpc_residual,max_abs_H,"
 _NUM_U = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _NEG_NUMBER_LIST = re.compile(rf"^-{_NUM_U}(?:,-?{_NUM_U})*$")
 
-FLAGS = {
-    "family": {"help": "family id (see the list subcommand)"},
-    "a": {"help": "curvature ratio; comma list for verify"},
-    "params": {"help": "extra parameters, k=v,..."},
-    "domain": {"help": "umin,umax,vmin,vmax chart box"},
-    "res": {"help": "grid resolution NUxNV (default 50x50)"},
-    "tol": {"help": "tolerance or name=value,... (crpc, H, ode, dual)"},
-    "seed": {"help": "verify: RNG seed; trace: start point u,v"},
-    "kind": {"help": "characteristic+|characteristic-|principal1|principal2 "
-                     "(char+/char- ok)"},
-    "steps": {"type": int, "help": "integration steps"},
-    "dt": {"type": float, "help": "top-view arclength step"},
-    "json": {"action": "store_true", "default": None, "help": "JSON output"},
-    "out": {"help": "output file (default: stdout)"},
-}
-_MESH_FLAGS = ("family", "a", "params", "domain", "res", "out")
-# subcommand -> (help, the flags and config keys it reads besides --config)
-SUBCOMMANDS = {
-    "list": ("print the family catalog", ("json", "out")),
-    "generate": ("sample a family and write an OBJ mesh", _MESH_FLAGS),
-    "verify": ("run residual checks, write a CSV report", _MESH_FLAGS + ("tol", "seed")),
-    "trace": ("trace a direction field, write a CSV curve",
-              ("family", "a", "params", "seed", "kind", "steps", "dt", "out")),
-    "dual": ("write the OBJ mesh of the dual surface", _MESH_FLAGS),
-}
+
+@dataclass(frozen=True)
+class Flag:
+    """A flag's help, its one reader, and the values a config file may give.
+
+    read turns argv text into what the commands use. It raises ValueError (or
+    KeyError) where the text is not of the form, and InvalidParams with its
+    own message where a well-formed value is refused. json_types are the
+    types a config value may have, where float is any number and true is
+    none; a list's or an object's entries are numbers, and sep joins a list.
+    A flag that takes no str is a switch. default is argv text, or a
+    switch's bool.
+    """
+
+    help: str
+    read: Callable
+    form: str = ""
+    json_types: tuple = (str,)
+    sep: str = ","
+    default: object = None
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one invocation, defaults filled in by config_from_args."""
-
-    subcommand: str
-    family: str | None
-    a: str | None  # single value, or comma list for verify
-    params: dict
-    domain: tuple | None
-    res: tuple
-    tol: dict
-    out: str | None
-    seed: str | None
-    json_out: bool
-    kind: str
-    steps: int
-    dt: float
+def _ratios(text: str) -> tuple:
+    ratios = tuple(float(p) for p in text.split(",") if p.strip())
+    if not all(map(math.isfinite, ratios)):
+        raise InvalidParams(f"--a values must be finite, got {text!r}")
+    return ratios
 
 
-def _typed(name: str, value, *kinds: type):
-    """value, or a ValueError where it has none of the flag's JSON types (true
-    is no int or float)."""
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"--{name} must be {names}, got {value!r}")
-    return value
-
-
-def _parse_params(value) -> dict:
-    if value is None:
-        return {}
-    if isinstance(value, dict):
-        return {str(k): float(_typed("params", v, int, float)) for k, v in value.items()}
+def _pairs(text: str, flag: str, form: str) -> dict:
+    """k=v,... as {k: float(v)}; blank entries are skipped."""
     out = {}
-    for item in str(value).split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(str.strip, text.split(",")):
         if "=" not in item:
-            raise ValueError(f"--params entries must look like k=v, got '{item}'")
+            raise InvalidParams(f"{flag} entries must look like {form}, got {item.strip()!r}")
         k, v = item.split("=", 1)
         out[k.strip()] = float(v)
     return out
 
 
-def _parse_domain(value):
-    if value is None:
-        return None
-    value = _typed("domain", value, str, list)
-    parts = ([_typed("domain", p, int, float) for p in value] if isinstance(value, list)
-             else value.split(","))
-    vals = tuple(float(p) for p in parts)
-    if len(vals) != 4:
-        raise ValueError("--domain must be umin,umax,vmin,vmax")
-    if not (vals[0] < vals[1] and vals[2] < vals[3]):
-        raise InvalidParams(f"--domain needs umin < umax and vmin < vmax, got {vals}")
-    return vals
+def _domain(text: str) -> tuple:
+    umin, umax, vmin, vmax = box = tuple(map(float, text.split(",")))
+    if not (umin < umax and vmin < vmax):
+        raise InvalidParams(f"--domain needs umin < umax and vmin < vmax, got {box}")
+    return box
 
 
-def _parse_res(value) -> tuple:
-    if value is None:
-        return (50, 50)
-    parts = ([_typed("res", n, int) for n in value] if isinstance(value, (list, tuple))
-             else str(value).lower().split("x"))
-    try:
-        nu, nv = map(int, parts)
-    except ValueError:
-        raise ValueError("--res must look like NUxNV, e.g. 50x50") from None
+def _res(text: str) -> tuple:
+    nu, nv = map(int, text.lower().split("x"))
     if nu < 2 or nv < 2:
-        raise ValueError("--res needs at least 2 samples per direction")
-    return (nu, nv)
+        raise InvalidParams("--res needs at least 2 samples per direction")
+    return nu, nv
 
 
-def _parse_tol(value) -> dict:
-    if value is None:
-        return {}
-    if isinstance(value, dict):
-        out = {str(k): float(_typed("tol", v, int, float)) for k, v in value.items()}
-    elif "=" not in str(_typed("tol", value, str, int, float)):
+def _tol(text: str) -> dict:
+    if text.strip() and "=" not in text:
         # a bare number tightens the residual checks, not the H/dual ones
-        out = dict.fromkeys(("crpc", "ode"), float(value))
+        tol = dict.fromkeys(("crpc", "ode"), float(text))
     else:
-        out = {}
-        for item in str(value).split(","):
-            if "=" not in item:
-                raise ValueError(f"--tol entries must look like name=value, got '{item}'")
-            k, v = item.split("=", 1)
-            out[k.strip()] = float(v)
-    for k, v in out.items():
+        tol = _pairs(text, "--tol", "name=value")
+    for k, v in tol.items():
         if k not in DEFAULT_TOL:
-            raise ValueError(f"unknown tolerance '{k}' (use {sorted(DEFAULT_TOL)})")
+            raise InvalidParams(f"--tol names unknown tolerance {k!r} (use {sorted(DEFAULT_TOL)})")
         # a NaN or negative bound fails every row, an infinite one none
         if not 0.0 <= v < math.inf:
-            raise InvalidParams(f"tolerance {k} must be finite and >= 0, got {v}")
-    return out
+            raise InvalidParams(f"--tol {k} must be finite and >= 0, got {v}")
+    return tol
 
 
-def _parse_steps(value) -> int:
-    steps = int(value)
+def _rng_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise InvalidParams(f"--seed must be >= 0 for verify, got {seed}")
+    return seed
+
+
+def _start_point(text: str) -> tuple:
+    u, v = map(float, text.split(","))
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise InvalidParams(f"trace --seed must be finite, got {text!r}")
+    return u, v
+
+
+def _steps(text: str) -> int:
+    steps = int(text)
     if steps > MAX_TRACE_STEPS:
         raise InvalidParams(f"--steps {steps} is more than {MAX_TRACE_STEPS}")
     return steps
 
 
-def _parse_a_list(value: str | None) -> list | None:
-    if value is None:
-        return None
-    vals = [float(p) for p in value.split(",") if p.strip()]
-    if not np.all(np.isfinite(vals)):
-        raise InvalidParams(f"--a values must be finite, got {value}")
-    return vals
+FLAGS = {
+    "family": Flag("family id (see the list subcommand)",
+                   lambda text: FAMILY_ALIASES.get(text, text)),
+    "a": Flag("curvature ratio", float, "a number", (str, float)),
+    "params": Flag("extra parameters, k=v,...",
+                   lambda text: _pairs(text, "--params", "k=v"), "k=v,... with numbers v",
+                   (str, dict), default=""),
+    "domain": Flag("umin,umax,vmin,vmax chart box", _domain, "umin,umax,vmin,vmax", (str, list)),
+    "res": Flag("grid resolution NUxNV (default 50x50)", _res, "NUxNV", (str, list), "x",
+                default="50x50"),
+    "tol": Flag("tolerance or name=value,... (crpc, H, ode, dual)", _tol,
+                "a number or name=value,...", (str, float, dict), default=""),
+    "kind": Flag("characteristic+|characteristic-|principal1|principal2 (char+/char- ok)",
+                 KINDS.__getitem__, "one of " + ", ".join(KINDS),
+                 default="characteristic+"),
+    "steps": Flag("integration steps", _steps, "an integer", (str, int), default="1000"),
+    "dt": Flag("top-view arclength step", float, "a number", (str, float), default="1e-3"),
+    "json": Flag("JSON output", bool, json_types=(bool,), default=False),
+    "out": Flag("output file (default: stdout)", str),
+}
+# verify reads --a as a comma list of ratios; --seed is verify's RNG seed
+# and trace's start point
+RATIOS = Flag("curvature ratios, comma list", _ratios, "numbers a1,a2,...", (str, float))
+RNG_SEED = Flag("RNG seed (default 0)", _rng_seed, "an integer for verify", (str, int),
+                default="0")
+START_POINT = Flag("start point u,v", _start_point, "two numbers u,v")
 
 
-def _resolve_family(name: str) -> str:
-    return FAMILY_ALIASES.get(name, name)
+def _table(names: str, **own: Flag) -> dict:
+    """name -> Flag for the flags a subcommand reads besides --config."""
+    flags = {**FLAGS, **own}
+    return {name: flags[name] for name in names.split()}
+
+
+_JSON_NAMES = {float: "number", list: "list of numbers", dict: "dict of numbers"}
+
+
+def _is(value, kind: type) -> bool:
+    """Whether value has the JSON type kind: float is any number, and true is none."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and isinstance(value, bool) == (kind is bool))
+
+
+def _read(name: str, flag: Flag, value):
+    """What the commands use for one flag's argv text or config value; a
+    ValueError naming the flag where the value cannot be read."""
+    entries = (value.values() if isinstance(value, dict)
+               else value if isinstance(value, list) else ())
+    if not (any(_is(value, kind) for kind in flag.json_types)
+            and all(_is(entry, float) for entry in entries)):
+        names = " or ".join(_JSON_NAMES.get(kind, kind.__name__) for kind in flag.json_types)
+        raise ValueError(f"--{name} must be {names}, got {value!r}")
+    if isinstance(value, dict):
+        text = ",".join(f"{k}={v!r}" for k, v in value.items())
+    elif isinstance(value, list):
+        text = flag.sep.join(map(repr, value))
+    else:
+        text = value if isinstance(value, (str, bool)) else repr(value)
+    try:
+        return flag.read(text)
+    except (ValueError, KeyError):
+        raise ValueError(f"--{name} must be {flag.form}, got {text!r}") from None
 
 
 @functools.lru_cache(maxsize=1)
@@ -188,63 +204,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Surfaces with a constant ratio of principal curvatures: "
                     "meshes, traces, duals, and numerical verification.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in SUBCOMMANDS.items():
+    for name, (help_text, flags, _cmd) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(f"--{flag}", **FLAGS[flag])
+        for flag_name, flag in flags.items():
+            switch = {} if str in flag.json_types else {"action": "store_const", "const": True}
+            p.add_argument(f"--{flag_name}", help=flag.help, **switch)
         p.add_argument("--config", help="JSON file with flat keys mirroring the flags")
         p._negative_number_matcher = _NEG_NUMBER_LIST
     parser._negative_number_matcher = _NEG_NUMBER_LIST
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The subcommand and the values of the flags it reads, each read by its
+    flag's reader; None where no value is given and the flag has no default,
+    and for the flags of FLAGS that the subcommand does not read."""
+    flags = SUBCOMMANDS[args.subcommand][1]
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a flat JSON object")
-        unread = sorted(set(file_cfg) - set(SUBCOMMANDS[args.subcommand][1]))
+        unread = sorted(set(file_cfg) - set(flags))
         if unread:
             raise ValueError(f"{args.subcommand} does not read config keys {unread}")
-
-    def pick(name, default=None):
-        v = getattr(args, name, None)
-        return file_cfg.get(name, default) if v is None else v
-
-    return RunConfig(
-        subcommand=args.subcommand,
-        family=None if pick("family") is None else _typed("family", pick("family"), str),
-        a=None if pick("a") is None else str(_typed("a", pick("a"), str, int, float)),
-        params=_parse_params(pick("params")),
-        domain=_parse_domain(pick("domain")),
-        res=_parse_res(pick("res")),
-        tol=_parse_tol(pick("tol")),
-        out=None if pick("out") is None else _typed("out", pick("out"), str),
-        seed=None if pick("seed") is None else str(_typed("seed", pick("seed"), str, int)),
-        json_out=_typed("json", pick("json", False), bool),
-        kind=str(pick("kind", "characteristic+")),
-        steps=_parse_steps(_typed("steps", pick("steps", 1000), int)),
-        dt=float(_typed("dt", pick("dt", 1e-3), int, float)),
-    )
+    values = dict.fromkeys(FLAGS)
+    for name, flag in flags.items():
+        value = getattr(args, name)
+        if value is None:
+            value = file_cfg.get(name)
+        if value is None:
+            value = flag.default
+        values[name] = None if value is None else _read(name, flag, value)
+    return argparse.Namespace(subcommand=args.subcommand, **values)
 
 
 def _write_text(text: str, out: str | None) -> None:
     write_text(text, out or sys.stdout)
 
 
-def _spec_from_cfg(cfg: RunConfig) -> fam.FamilySpec:
+def _spec_from_cfg(cfg: argparse.Namespace) -> fam.FamilySpec:
     if not cfg.family:
         raise InvalidParams("a --family is required")
-    fid = _resolve_family(cfg.family)
     params = dict(cfg.params)
-    if cfg.a is not None and "a" not in params:
-        params["a"] = float(cfg.a)
-    return fam.make_spec(fid, params, cfg.domain)
+    if cfg.a is not None:
+        params.setdefault("a", cfg.a)
+    return fam.make_spec(cfg.family, params, cfg.domain)
 
 
-def cmd_list(cfg: RunConfig) -> int:
+def cmd_list(cfg: argparse.Namespace) -> int:
     rows = []
     for fid in fam.family_ids():
         entry = fam.catalog_entry(fid)
@@ -257,7 +266,7 @@ def cmd_list(cfg: RunConfig) -> int:
             "default_domain": list(spec.domain),
             "singular_loci": [name for name, _dist in entry.loci(spec.params)],
         })
-    if cfg.json_out:
+    if cfg.json:
         _write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", cfg.out)
         return 0
     lines = []
@@ -270,7 +279,7 @@ def cmd_list(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     spec = _spec_from_cfg(cfg)
     grid = sample_grid(spec, *cfg.res)
     _write_text(obj_text(grid), cfg.out)
@@ -280,25 +289,16 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_dual(cfg: RunConfig) -> int:
+def cmd_dual(cfg: argparse.Namespace) -> int:
     _write_text(obj_text(dual_grid(_spec_from_cfg(cfg), *cfg.res)), cfg.out)
     return 0
 
 
-def cmd_trace(cfg: RunConfig) -> int:
+def cmd_trace(cfg: argparse.Namespace) -> int:
     spec = _spec_from_cfg(cfg)
     if cfg.seed is None:
         raise ValueError("trace needs --seed u,v (the start point)")
-    parts = cfg.seed.split(",")
-    if len(parts) != 2:
-        raise ValueError("trace --seed must be two numbers u,v")
-    seed_uv = (float(parts[0]), float(parts[1]))
-    if not all(map(math.isfinite, seed_uv)):
-        raise InvalidParams(f"trace --seed must be finite, got {cfg.seed}")
-    kind = KIND_ALIASES.get(cfg.kind, cfg.kind)
-    if kind not in TRACE_KINDS:
-        raise ValueError(f"--kind must be one of {TRACE_KINDS} (or char+/char-)")
-    tr = trace_direction_field(spec, seed_uv, kind, steps=cfg.steps, dt=cfg.dt)
+    tr = trace_direction_field(spec, cfg.seed, cfg.kind, steps=cfg.steps, dt=cfg.dt)
     tr.to_csv(cfg.out or sys.stdout)
     if tr.stopped:
         print(f"{spec.family_id}: trace stopped after {len(tr) - 1} steps "
@@ -306,16 +306,16 @@ def cmd_trace(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_combos(fid: str, cfg: RunConfig, hyps: list | None):
+def _verify_combos(fid: str, cfg: argparse.Namespace):
     """(hypothesis a, params) pairs for one family; --params a=... wins over --a.
 
     The hypothesis is None, to be read off the spec, without --a and for a
     family that takes no ratio.
     """
-    if hyps is None or "a" not in fam.catalog_entry(fid).defaults:
+    if cfg.a is None or "a" not in fam.catalog_entry(fid).defaults:
         yield None, dict(cfg.params)
     else:
-        for aval in hyps:
+        for aval in cfg.a:
             yield aval, {"a": aval, **cfg.params}
 
 
@@ -347,33 +347,27 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     return crpc, max_h, ode, dual_val
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    hyps = _parse_a_list(cfg.a)
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.family in (None, "all"):
         fids = fam.family_ids()
     else:
-        fids = (_resolve_family(cfg.family),)
+        fids = (cfg.family,)
         fam.catalog_entry(fids[0])  # fail fast on unknown names
     nu, nv = cfg.res
-    tol = dict(DEFAULT_TOL)
-    tol.update(cfg.tol)
-    try:
-        seed = int(cfg.seed) if cfg.seed is not None else 0
-    except ValueError:
-        raise ValueError(f"--seed must be an integer for verify, got {cfg.seed!r}") from None
+    tol = {**DEFAULT_TOL, **cfg.tol}
 
     # a family that refuses a combination drops it, named on stderr, but
     # every --a value must give at least one row
     specs, refused, skipped = [], {}, []
     for fid in fids:
-        for a_hyp, params in _verify_combos(fid, cfg, hyps):
+        for a_hyp, params in _verify_combos(fid, cfg):
             try:
                 specs.append((fam.make_spec(fid, params, cfg.domain), a_hyp))
             except InvalidParams as exc:
                 refused.setdefault(a_hyp, exc)
                 shown = ",".join(f"{k}={fmt_float(v)}" for k, v in params.items())
                 skipped.append(f"verify: skipped {fid} {shown or '(defaults)'}: {exc}")
-    for aval in hyps or ():
+    for aval in cfg.a or ():
         if not any(a_hyp == aval for _spec, a_hyp in specs):
             why = refused.get(aval, "the requested families take no ratio")
             raise InvalidParams(f"--a {aval!r} gives no row: {why}")
@@ -381,22 +375,20 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(line, file=sys.stderr)
 
     rows = []
-    any_fail = False
     for spec, a_hyp in specs:
         if a_hyp is None:
             a_hyp = fam.ratio_for_residual(spec)
         try:
-            crpc, max_h, ode, dual_val = _verify_row(spec, a_hyp, nu, nv, seed)
+            crpc, max_h, ode, dual_val = _verify_row(spec, a_hyp, nu, nv, cfg.seed)
             ok = (crpc <= tol["crpc"] and ode <= tol["ode"]
                   and dual_val <= tol["dual"])
             if fam.is_minimal(spec):
                 ok = ok and max_h <= tol["H"]
             status = "PASS" if ok else "FAIL"
         except GeometryError:
-            crpc = max_h = ode = dual_val = float("nan")
+            crpc = max_h = ode = dual_val = math.nan
             status = "ERROR"
-        any_fail = any_fail or status != "PASS"
-        rows.append((spec.family_id, float(a_hyp), crpc, max_h, ode, dual_val, status))
+        rows.append((spec.family_id, a_hyp, crpc, max_h, ode, dual_val, status))
 
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = [VERIFY_HEADER]
@@ -409,15 +401,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not rows:
         print("verify: no valid (family, a) combination", file=sys.stderr)
         return 1
-    return 1 if any_fail else 0
+    return 1 if any(row[-1] != "PASS" for row in rows) else 0
 
 
-_DISPATCH = {
-    "list": cmd_list,
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "trace": cmd_trace,
-    "dual": cmd_dual,
+_MESH_FLAGS = "family a params domain res out"
+# subcommand -> (help, the flags it reads besides --config, its command)
+SUBCOMMANDS = {
+    "list": ("print the family catalog", _table("json out"), cmd_list),
+    "generate": ("sample a family and write an OBJ mesh", _table(_MESH_FLAGS), cmd_generate),
+    "verify": ("run residual checks, write a CSV report",
+               _table(f"{_MESH_FLAGS} tol seed", a=RATIOS, seed=RNG_SEED), cmd_verify),
+    "trace": ("trace a direction field, write a CSV curve",
+              _table("family a params seed kind steps dt out", seed=START_POINT), cmd_trace),
+    "dual": ("write the OBJ mesh of the dual surface", _table(_MESH_FLAGS), cmd_dual),
 }
 
 
@@ -425,7 +421,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return SUBCOMMANDS[cfg.subcommand][2](cfg)
     except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

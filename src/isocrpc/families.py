@@ -728,7 +728,7 @@ def catalog_entry(family_id: str) -> _Entry:
     try:
         return _REGISTRY[family_id]
     except KeyError:
-        raise InvalidParams(f"unknown family '{family_id}'") from None
+        raise InvalidParams(f"unknown family {family_id!r}") from None
 
 
 def make_spec(family_id: str, params: Mapping[str, float] | None = None,
@@ -745,7 +745,7 @@ def make_spec(family_id: str, params: Mapping[str, float] | None = None,
     merged = dict(entry.defaults)
     for k, v in (params or {}).items():
         if k not in entry.defaults:
-            raise InvalidParams(f"{family_id} does not take parameter '{k}'")
+            raise InvalidParams(f"{family_id} does not take parameter {k!r}")
         merged[k] = float(v)
     for k, v in merged.items():
         if not math.isfinite(v):

@@ -44,21 +44,6 @@ def point3(x: float, y: float, z: float) -> np.ndarray:
     return p
 
 
-def isotropic_norm(v) -> np.ndarray | float:
-    """Semi-norm sqrt(x^2 + y^2) of a vector (..., 3); z does not contribute."""
-    v = np.asarray(v, float)
-    return np.hypot(v[..., 0], v[..., 1])
-
-
-def unit_topdir(t1, t2) -> np.ndarray:
-    """Normalize a top-view direction to unit Euclidean length, shape (..., 2)."""
-    t = np.stack([np.asarray(t1, float), np.asarray(t2, float)], axis=-1)
-    n = np.linalg.norm(t, axis=-1, keepdims=True)
-    if np.any(n == 0.0):
-        raise ValueError("zero top-view direction")
-    return t / n
-
-
 @dataclass(frozen=True)
 class ParamJet2:
     """Second-order jet of a parametric surface r(u, v), fields shaped (..., 3)."""
@@ -409,7 +394,7 @@ def characteristic_directions(j: Jet2Height):
         raise Umbilic("characteristic directions undefined at an umbilic")
     if (np.abs(np.asarray(c.K, float)) < K_EPS).any():
         raise DegenerateK("characteristic directions undefined where K = 0")
-    if c.d1.shape == (2,):  # one point: k2 = 0 is left to numpy, which warns there
+    if c.d1.shape == (2,):  # one point; k2 = 0 takes the array path
         k1, k2 = float(c.k1), float(c.k2)
         if k2 != 0.0:
             phi = np.arctan(math.sqrt(abs(k1 / k2)))
@@ -417,7 +402,10 @@ def characteristic_directions(j: Jet2Height):
             x, y = c.d1.tolist()
             return (np.array([cph * x + sph * -y, cph * y + sph * x]),
                     np.array([cph * x - sph * -y, cph * y - sph * x]))
-    ratio = np.abs(np.asarray(c.k1, float) / np.asarray(c.k2, float))
+    # k2 rounds to 0 where |k1| >> |k2| (K is computed apart): the ratio is
+    # then inf, and phi its limit pi/2
+    with np.errstate(divide="ignore"):
+        ratio = np.abs(np.asarray(c.k1, float) / np.asarray(c.k2, float))
     phi = np.arctan(np.sqrt(ratio))
     cph, sph = np.cos(phi), np.sin(phi)
     # Build on the rigid frame (d1, rot90 d1): d2's own sign normalization

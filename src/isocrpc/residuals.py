@@ -226,8 +226,12 @@ def _helical_general(spec, U, V, jet):
 
 
 def _two_iso(spec, U, V, jet):
-    return np.abs(translational_residual(
-        "two_iso", spec.params["a"], fpp=jet.ruu[..., 2], gpp=jet.rvv[..., 2]).normalized)
+    # on the paraboloid f''/g'' is 1/a: for |a| below about 1e-154 both sides
+    # overflow, and the residual is NaN, as the ratio residual of so flat a
+    # grid is
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(translational_residual(
+            "two_iso", spec.params["a"], fpp=jet.ruu[..., 2], gpp=jet.rvv[..., 2]).normalized)
 
 
 def _iso_noniso(spec, U, V, jet):

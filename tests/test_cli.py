@@ -460,6 +460,103 @@ def test_config_file_must_be_flat(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--family", "helicoid", "--domain", "a,1,0,1"], "domain"),
+    (["generate", "--family", "paraboloid", "--params", "a=x"], "params"),
+    (["trace", "--family", "helicoid", "--seed", "a,b"], "seed"),
+    (["verify", "--family", "paraboloid", "--tol", "crpc=x"], "tol"),
+    (["verify", "--family", "paraboloid", "--a", "x"], "a"),
+    (["generate", "--family", "paraboloid", "--a", "1,2"], "a"),
+    # read by the flag's reader, not by argparse: exit 1, not 2
+    (["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "x"], "steps"),
+    (["trace", "--family", "helicoid", "--seed", "1,1", "--dt", "x"], "dt"),
+])
+def test_argv_text_that_is_no_number_names_the_flag(argv, flag, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --{flag} ") and err.count("\n") == 1, err
+
+
+# a cheap run of each subcommand, every value from the config file
+CONFIG_BASE = {
+    "list": {},
+    "generate": {"family": "paraboloid", "res": "4x4"},
+    "dual": {"family": "paraboloid", "res": "4x4"},
+    "verify": {"family": "paraboloid", "res": "4x4"},
+    "trace": {"family": "paraboloid", "seed": "0.5,0.5", "steps": 3},
+}
+# JSON text, so that literals json.dumps does not write (1e400 reads as inf)
+# are drawn too; strings from the characters the flag grammars use
+_TEXT = "0123456789.,=x-+eainfbcrp \n"
+JSON_NUMBERS = st.one_of(
+    st.sampled_from(["1e400", "-1e999", "NaN", "-Infinity"]),
+    st.integers(-3, 12).map(str),
+    st.integers(10**18, 10**400).map(str),
+    st.floats().map(json.dumps),
+)
+JSON_SCALARS = st.one_of(
+    st.sampled_from(["null", "true", "false"]),
+    JSON_NUMBERS,
+    st.sampled_from(["2", "-0.5,2", "a=2", "crpc=1e-3", "8x8", "-1,1,-1,1", "0.7,0.3", "char-",
+                     "helicoid", "all"]).map(json.dumps),
+    st.text(_TEXT, max_size=12).map(json.dumps),
+)
+
+
+def _json_list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _json_object(entries):
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in entries.items()) + "}"
+
+
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_NUMBERS, max_size=5).map(_json_list),
+    st.dictionaries(st.sampled_from(["a", "c", "crpc", "ode", "dual", "x"]), JSON_NUMBERS,
+                    max_size=3).map(_json_object),
+    st.recursive(JSON_SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=4).map(_json_list),
+        st.dictionaries(st.text(_TEXT, max_size=4), children, max_size=4).map(_json_object),
+    ), max_leaves=8),
+)
+
+
+@st.composite
+def config_case(draw):
+    sub = draw(st.sampled_from(sorted(CONFIG_BASE)))
+    return sub, draw(st.sampled_from(list(isocrpc.cli.SUBCOMMANDS[sub][1]))), draw(JSON_VALUES)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=config_case())
+@example(case=("trace", "dt", "1" + "0" * 400))  # float() of it once raised OverflowError
+@example(case=("verify", "tol", '{"crpc": 1e400}'))
+@example(case=("generate", "family", '"a\\nb"'))  # one error line, the newline escaped
+@example(case=("generate", "params", '{"a\\nb": 1}'))
+def test_any_config_value_exits_cleanly(tmp_path, monkeypatch, case):
+    sub, key, value = case
+    monkeypatch.chdir(tmp_path)  # a drawn --out names a file here
+    base = {k: json.dumps(v) for k, v in CONFIG_BASE[sub].items()}
+    (tmp_path / "run.json").write_text(_json_object({**base, key: value}))
+    argv = [sub, "--config", "run.json"] + ([] if key == "out" else ["--out", "out"])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc in (0, 1), (key, value, stderr.getvalue())
+    lines = stderr.getvalue().splitlines()
+    if rc == 1 and any(line.startswith("error:") for line in lines):
+        assert len(lines) == 1, (key, value, lines)
+        assert "could not convert" not in lines[0] and "invalid literal" not in lines[0]
+    elif rc == 1:  # a verify report with a row that did not pass
+        assert sub == "verify", (key, value, lines)
+
+
 # --- module execution --------------------------------------------------------------
 
 def test_module_entry_point_smoke():

@@ -35,10 +35,8 @@ from isocrpc.geometry import (
     fd_jet,
     height_jet_from_param,
     isotropic_curvatures,
-    isotropic_norm,
     normal_curvature,
     point3,
-    unit_topdir,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -51,8 +49,6 @@ def monge_jet(x, y, f, fx, fy, fxx, fxy, fyy):
 def test_point3_and_norm():
     p = point3(3.0, 4.0, 7.0)
     assert p.shape == (3,)
-    assert isotropic_norm(p) == 5.0
-    assert_allclose(unit_topdir(3.0, 4.0), [0.6, 0.8])
 
 
 # --- finite-difference oracle -------------------------------------------
@@ -240,7 +236,7 @@ def test_normal_curvature_euler_values():
     j = monge_jet(0, 0, 0, 0, 0, 2.0, 0.0, 4.0)
     assert normal_curvature(j, (1.0, 0.0)) == pytest.approx(2.0)
     assert normal_curvature(j, (0.0, 1.0)) == pytest.approx(4.0)
-    t = unit_topdir(1.0, 1.0)
+    t = (0.7071067811865476, 0.7071067811865476)  # (1, 1) / |(1, 1)|
     assert normal_curvature(j, t) == pytest.approx(3.0)
 
 
