@@ -4,7 +4,7 @@ Library layout:
 
 - geometry: jets, the Monge (height-field) conversion with its admissibility
   test, isotropic/Euclidean curvatures, characteristic directions
-- families: the catalog of exact surface families and similarity transforms
+- families: the catalog of exact surface families
 - curves: direction-field tracing, top-view angles, osculating circles,
   contact with parabolic spheres
 - spheres: parabolic spheres, one-parameter families, envelope
@@ -15,7 +15,7 @@ Library layout:
 - cli: list / generate / verify / trace / dual subcommands
 """
 
-from .families import FamilySpec, G8Element, apply_similarity, evaluate, family_ids, make_spec
+from .families import FamilySpec, evaluate, family_ids, make_spec
 from .geometry import (
     IsoCurvature,
     Jet2Height,
@@ -29,16 +29,13 @@ from .geometry import (
     isotropic_curvatures,
     monge_jet,
     normal_curvature,
-    point3,
 )
 
 __all__ = [
     "FamilySpec",
-    "G8Element",
     "IsoCurvature",
     "Jet2Height",
     "ParamJet2",
-    "apply_similarity",
     "characteristic_directions",
     "crpc_residual",
     "crpc_target",
@@ -51,7 +48,6 @@ __all__ = [
     "make_spec",
     "monge_jet",
     "normal_curvature",
-    "point3",
 ]
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 from . import families as fam
 from .duality import dual_law_deviation
 from .errors import GeometryError, InvalidParams, NonAdmissiblePoint
-from .meshing import dual_grid, fmt_float, obj_text, sample_grid, write_text
+from .meshing import MAX_GRID_NODES, dual_grid, fmt_float, obj_text, sample_grid, write_text
 from .curves import MAX_TRACE_STEPS, TRACE_KINDS, trace_direction_field
 from .residuals import family_ode_residual
 
@@ -93,6 +93,8 @@ def _res(text: str) -> tuple:
     nu, nv = map(int, text.lower().split("x"))
     if nu < 2 or nv < 2:
         raise InvalidParams("--res needs at least 2 samples per direction")
+    if nu * nv > MAX_GRID_NODES:
+        raise InvalidParams(f"--res {nu}x{nv} has more than {MAX_GRID_NODES} nodes")
     return nu, nv
 
 
@@ -127,9 +129,16 @@ def _start_point(text: str) -> tuple:
 
 def _steps(text: str) -> int:
     steps = int(text)
-    if steps > MAX_TRACE_STEPS:
-        raise InvalidParams(f"--steps {steps} is more than {MAX_TRACE_STEPS}")
+    if not 1 <= steps <= MAX_TRACE_STEPS:
+        raise InvalidParams(f"--steps must be from 1 to {MAX_TRACE_STEPS}, got {steps}")
     return steps
+
+
+def _dt(text: str) -> float:
+    dt = float(text)
+    if not 0.0 < dt < math.inf:
+        raise InvalidParams(f"--dt must be finite and > 0, got {text!r}")
+    return dt
 
 
 FLAGS = {
@@ -148,7 +157,7 @@ FLAGS = {
                  KINDS.__getitem__, "one of " + ", ".join(KINDS),
                  default="characteristic+"),
     "steps": Flag("integration steps", _steps, "an integer", (str, int), default="1000"),
-    "dt": Flag("top-view arclength step", float, "a number", (str, float), default="1e-3"),
+    "dt": Flag("top-view arclength step", _dt, "a number", (str, float), default="1e-3"),
     "json": Flag("JSON output", bool, json_types=(bool,), default=False),
     "out": Flag("output file (default: stdout)", str),
 }
@@ -334,9 +343,9 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     ii, jj = ii[take], jj[take]
     us, vs = grid.us[ii], grid.vs[jj]
     # the equations read chart derivatives the grid does not keep, so the
-    # nodes are evaluated again; a NaN residual is ignored (fmax), as in
-    # dual_law_deviation
-    ode = float(np.fmax.reduce(family_ode_residual(spec, us, vs), initial=0.0))
+    # nodes are evaluated again; a NaN residual is ignored (fmax), unless
+    # every one is NaN (the sample is never empty: sample_grid raises first)
+    ode = float(np.fmax.reduce(family_ode_residual(spec, us, vs)))
 
     # the dual law K* K = 1 on the sampled nodes that are not too flat, from
     # the grid's curvatures there

@@ -3,8 +3,8 @@
 Traces live in the chart's (u, v) parameter plane: the chosen unit
 top-view direction field is pulled back through the top-view Jacobian and
 integrated with fixed-step RK4, so surface membership never has to be
-re-solved. Osculating isotropic circles, the tangent-sphere contact check,
-and least-squares sphere fits of traced curves complete the module.
+re-solved. The included angle of two traces from one seed, osculating
+isotropic circles and the tangent-sphere contact check complete the module.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    DegenerateFit,
     DegenerateJet,
     GeometryError,
     InflectionPoint,
@@ -180,46 +179,17 @@ def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _segments_cross(p0, p1, q0, q1) -> bool:
-    """Whether two top-view segments cross, by endpoint side tests.
-
-    Collinear segments have no transversal crossing.
-    """
-    w = q1 - q0
-    s0 = _cross2(w, p0 - q0)
-    s1 = _cross2(w, p1 - q0)
-    if s0 == 0.0 and s1 == 0.0:
-        return False
-    u = p1 - p0
-    r0 = _cross2(u, q0 - p0)
-    r1 = _cross2(u, q1 - p0)
-    return not ((s0 > 0 and s1 > 0) or (s0 < 0 and s1 < 0)
-                or (r0 > 0 and r1 > 0) or (r0 < 0 and r1 < 0))
-
-
 def included_angle_topview(c1: CurveTrace, c2: CurveTrace) -> float:
-    """Top-view line angle (in [0, pi/2]) where the two traces cross.
+    """Top-view line angle (in [0, pi/2]) between two traces from one seed.
 
-    Uses the recorded field directions at the samples bracketing the first
-    crossing; traces sharing their seed intersect there. Raises
-    NoIntersection when the top views never cross.
+    Uses the recorded field directions at the shared first sample. Raises
+    NoIntersection when the traces do not start at one top-view point.
     """
-    a1 = np.asarray(c1.points[:, :2], float)
-    a2 = np.asarray(c2.points[:, :2], float)
-
-    def line_angle(d1, d2) -> float:
-        c = abs(float(np.dot(d1, d2))) / (
-            np.linalg.norm(d1) * np.linalg.norm(d2)
-        )
-        return math.acos(min(1.0, max(-1.0, c)))
-
-    if np.linalg.norm(a1[0] - a2[0]) < 1e-12:
-        return line_angle(c1.top_dirs[0], c2.top_dirs[0])
-    for i in range(len(a1) - 1):
-        for j in range(len(a2) - 1):
-            if _segments_cross(a1[i], a1[i + 1], a2[j], a2[j + 1]):
-                return line_angle(c1.top_dirs[i], c2.top_dirs[j])
-    raise NoIntersection("trace top views do not cross")
+    if not np.linalg.norm(c1.points[0, :2] - c2.points[0, :2]) < 1e-12:
+        raise NoIntersection("traces do not start at one top-view point")
+    d1, d2 = c1.top_dirs[0], c2.top_dirs[0]
+    c = abs(float(np.dot(d1, d2))) / (np.linalg.norm(d1) * np.linalg.norm(d2))
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 @dataclass(frozen=True)
@@ -343,22 +313,3 @@ def meusnier_check(
         circ = osculating_isotropic_circle(cj)
         worst = max(worst, circ.algebraic_residual_on(sphere))
     return worst
-
-
-def sphere_membership(curve: CurveTrace) -> tuple[ParabolicSphere, float]:
-    """Least-squares parabolic sphere through a trace, with max residual.
-
-    Fits (A, B, C, D) in 2z = A(x^2+y^2) + Bx + Cy + D over all samples.
-    Raises DegenerateFit for fewer than 4 samples or a flat fit (|A| ~ 0).
-    """
-    pts = np.asarray(curve.points, float)
-    if pts.shape[0] < 4:
-        raise DegenerateFit("need at least 4 samples to fit a sphere")
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    M = np.stack([x * x + y * y, x, y, np.ones_like(x)], axis=-1)
-    coef, *_ = np.linalg.lstsq(M, 2.0 * z, rcond=None)
-    if abs(coef[0]) <= 1e-10:
-        raise DegenerateFit("fitted sphere degenerates to a plane")
-    sphere = ParabolicSphere(*map(float, coef))
-    residual = float(np.max(np.abs(sphere.algebraic_residual(pts))))
-    return sphere, residual

@@ -1,17 +1,14 @@
-"""Point/plane duality for the degenerate metric and its curvature laws.
+"""The metric duality of isotropic space and its curvature laws.
 
 A point (p1, p2, p3) corresponds to the non-vertical plane
 z = p1 x + p2 y - p3 and back again; the correspondence is an involution.
-Distances between points (top-view distance) equal angles between the
-dual planes. Applied pointwise to an admissible surface the map produces
-the dual surface, whose curvatures satisfy K* = 1/K and H* = H/K.
+Applied to the tangent planes of an admissible surface it produces the
+dual surface, whose curvatures satisfy K* = 1/K and H* = H/K.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,41 +22,6 @@ from .geometry import (
     isotropic_curvatures,
     monge_gradient,
 )
-
-
-@dataclass(frozen=True)
-class NonIsoPlane:
-    """Non-vertical plane z = p1 x + p2 y - p3."""
-
-    p1: float
-    p2: float
-    p3: float
-
-    def height(self, x, y):
-        return self.p1 * np.asarray(x, float) + self.p2 * np.asarray(y, float) - self.p3
-
-
-def dual_point(point) -> NonIsoPlane:
-    """Plane dual to a point."""
-    p = np.asarray(point, float).reshape(3)
-    return NonIsoPlane(float(p[0]), float(p[1]), float(p[2]))
-
-
-def dual_plane(plane: NonIsoPlane) -> np.ndarray:
-    """Point dual to a plane (exact inverse of dual_point)."""
-    return np.array([plane.p1, plane.p2, plane.p3])
-
-
-def isotropic_distance(p, q) -> float:
-    """Distance in the degenerate metric: top-view Euclidean distance."""
-    p = np.asarray(p, float).reshape(3)
-    q = np.asarray(q, float).reshape(3)
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def isotropic_angle(e1: NonIsoPlane, e2: NonIsoPlane) -> float:
-    """Angle between two non-vertical planes; equals the dual points' distance."""
-    return math.hypot(e1.p1 - e2.p1, e1.p2 - e2.p2)
 
 
 def _plane_point(x, y, z, fx, fy) -> np.ndarray:

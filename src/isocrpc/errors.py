@@ -41,10 +41,6 @@ class InvalidParams(GeometryError):
     """Family parameters violate the family's constraints."""
 
 
-class SingularSimilarity(GeometryError):
-    """Similarity matrix is not invertible (c3 = 0 or h1 = h2 = 0)."""
-
-
 class StencilOutOfDomain(GeometryError):
     """Finite-difference stencil left the surface's definition domain."""
 
@@ -61,16 +57,8 @@ class ZeroNormalCurvature(GeometryError):
     """Normal curvature vanishes along the requested tangent direction."""
 
 
-class ZeroCurvature(GeometryError):
-    """A curvature value of zero admits no finite curvature center."""
-
-
 class ZeroRadius(GeometryError):
     """A sphere of radius zero (or coefficient A = 0) was requested."""
-
-
-class DegenerateFit(GeometryError):
-    """Least-squares sphere fit is rank-deficient or yields A ~ 0."""
 
 
 class StationaryFamily(GeometryError):

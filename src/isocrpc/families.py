@@ -40,7 +40,6 @@ from .errors import (
     InvalidParams,
     OutOfDomain,
     SingularLocus,
-    SingularSimilarity,
     StencilOutOfDomain,
 )
 from .geometry import ParamJet2, crpc_target, monge_gradient
@@ -56,50 +55,6 @@ class FamilySpec:
     family_id: str
     params: Mapping[str, float]
     domain: tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
-class G8Element:
-    """Isotropic similarity x' = A x + b with A = [[h1,-h2,0],[h2,h1,0],[c1,c2,c3]].
-
-    Congruences are the subgroup with h1 = cos(phi), h2 = sin(phi), c3 = 1.
-    Invertible iff c3 != 0 and h1^2 + h2^2 != 0.
-    """
-
-    h1: float = 1.0
-    h2: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
-    c3: float = 1.0
-    b: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([
-            [self.h1, -self.h2, 0.0],
-            [self.h2, self.h1, 0.0],
-            [self.c1, self.c2, self.c3],
-        ])
-
-    def require_invertible(self) -> None:
-        if self.c3 == 0.0 or (self.h1 == 0.0 and self.h2 == 0.0):
-            raise SingularSimilarity("similarity needs c3 != 0 and (h1, h2) != 0")
-
-
-def apply_similarity(g: G8Element, jet: ParamJet2) -> ParamJet2:
-    """Push a parametric jet through an isotropic similarity."""
-    g.require_invertible()
-    A = g.matrix
-    b = np.asarray(g.b, float)
-
-    def lin(w):
-        return np.einsum("ij,...j->...i", A, w)
-
-    return ParamJet2(
-        r=lin(jet.r) + b,
-        ru=lin(jet.ru), rv=lin(jet.rv),
-        ruu=lin(jet.ruu), ruv=lin(jet.ruv), rvv=lin(jet.rvv),
-    )
 
 
 def _jet(U, V, parts) -> ParamJet2:

@@ -36,14 +36,6 @@ FD_STEP = 1e-4
 _SINGULAR = "top-view Jacobian is singular: tangent plane is isotropic"
 
 
-def point3(x: float, y: float, z: float) -> np.ndarray:
-    """Pack coordinates into a point array of shape (..., 3)."""
-    p = np.stack([np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)], axis=-1)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
-    return p
-
-
 @dataclass(frozen=True)
 class ParamJet2:
     """Second-order jet of a parametric surface r(u, v), fields shaped (..., 3)."""

@@ -13,12 +13,11 @@ chart is the graph of the profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, SingularLocus
+from .errors import DegenerateInput
 from .families import (FamilySpec, _helical_general_profile, _tin_b, evaluate,
                        ratio_for_residual, ratio_kind)
 from .geometry import (
@@ -59,43 +58,6 @@ def helical_ode_residual(fp, fpp, u, a: float) -> OdeResidual:
     lhs = a * u * u * (fp + u * fpp) ** 2
     rhs = (a + 1.0) ** 2 * (u ** 3 * fpp * fp - 1.0)
     return OdeResidual(lhs, rhs)
-
-
-def helical_substitution_check(s, a: float):
-    """Finite-difference audit of the helical profile's closed form.
-
-    The closed-form solution parameterizes radius and height by an angle
-    s in (0, pi/2): w(s) = (cos s sin^a s)^(-1/(a+1)) and
-    zeta(s) = s + cot 2s + c_a csc 2s. Their s-derivatives must satisfy
-    w' = w (tan s - a cot s)/(a+1) and
-    zeta' = (tan s + a cot s)(tan s - a cot s)/((a-1)(a+1)).
-    Returns the two absolute mismatches using 5-point stencils of step 1e-3.
-    """
-    h = 1e-3
-    if a == 0:
-        raise ValueError("ratio a must be nonzero")
-    if a in (1.0, -1.0):
-        raise SingularLocus("closed form degenerates at ratio +-1")
-    s = np.asarray(s, float)
-    if not np.all((2.0 * h < s) & (s < 0.5 * math.pi - 2.0 * h)):
-        raise SingularLocus("substitution parameter outside (0, pi/2)")
-    t = np.tan(s)
-    if a > 0 and np.any(np.abs(t ** 2 - a) < 1e-6):
-        raise SingularLocus("radial turning point: tan^2 s = a")
-
-    def w_of(x):
-        return _helical_general_profile(a, x)[0]
-
-    def zeta_of(x):
-        return _helical_general_profile(a, x)[3]
-
-    def d5(f, x):
-        return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-    ct = 1.0 / t
-    w_rate = w_of(s) * (t - a * ct) / (a + 1.0)
-    z_rate = (t + a * ct) * (t - a * ct) / ((a - 1.0) * (a + 1.0))
-    return np.abs(d5(w_of, s) - w_rate), np.abs(d5(zeta_of, s) - z_rate)
 
 
 def translational_residual(case: str, a: float, fp=None, fpp=None, gp=None, gpp=None,

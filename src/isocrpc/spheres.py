@@ -23,10 +23,9 @@ from .errors import (
     EmptyCharacteristic,
     InvalidParams,
     StationaryFamily,
-    ZeroCurvature,
     ZeroRadius,
 )
-from .geometry import Jet2Height, fd_jet, point3
+from .geometry import Jet2Height, fd_jet
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -86,22 +85,6 @@ def tangent_sphere(j: Jet2Height, radius: float) -> ParabolicSphere:
     C = 2.0 * (fy - A * y0)
     D = 2.0 * f - A * (x0 * x0 + y0 * y0) - B * x0 - C * y0
     return ParabolicSphere(A, B, C, D)
-
-
-def curvature_center(j: Jet2Height, kappa: float) -> np.ndarray:
-    """Center of the tangent sphere with curvature kappa: vertex + (0,0,radius)."""
-    if kappa == 0.0 or not math.isfinite(kappa):
-        raise ZeroCurvature("curvature center needs kappa != 0")
-    x0, y0 = float(j.x0), float(j.y0)
-    f, fx, fy = float(j.f), float(j.fx), float(j.fy)
-    center = (
-        x0 - fx / kappa,
-        y0 - fy / kappa,
-        f - (fx * fx + fy * fy - 2.0) / (2.0 * kappa),
-    )
-    if not all(map(math.isfinite, center)):
-        raise ZeroCurvature("curvature center is not finite; kappa is too small")
-    return point3(*center)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,17 @@ def test_verify_multi_a_deterministic(tmp_path):
     assert [l.split(",")[1] for l in lines[1:]] == ["-2", "2"]
 
 
+def test_verify_all_nan_ode_residuals_print_nan(tmp_path):
+    # on so flat a paraboloid every sampled ODE residual overflows to NaN;
+    # the column once read 0 there
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "paraboloid", "--a", "1e-200", "--res", "4x4",
+               "--out", str(out)])
+    assert rc == 1
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[6] == "nan" and row[-1] == "FAIL"
+
+
 def test_verify_unknown_family_fails_fast(tmp_path, capsys):
     rc = main(["verify", "--family", "moebius", "--out", str(tmp_path / "v.csv")])
     assert rc == 1
@@ -470,6 +481,10 @@ def test_config_file_must_be_flat(tmp_path, capsys):
     # read by the flag's reader, not by argparse: exit 1, not 2
     (["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "x"], "steps"),
     (["trace", "--family", "helicoid", "--seed", "1,1", "--dt", "x"], "dt"),
+    # well-formed values out of range, once refused by the library without the flag
+    (["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "0"], "steps"),
+    (["trace", "--family", "helicoid", "--seed", "1,1", "--dt", "0"], "dt"),
+    (["generate", "--family", "paraboloid", "--res", "3000x3000"], "res"),
 ])
 def test_argv_text_that_is_no_number_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1

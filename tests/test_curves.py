@@ -1,4 +1,4 @@
-"""Curve tracing, included angles, osculating circles, Meusnier, sphere fits."""
+"""Curve tracing, included angles, osculating circles, Meusnier, sphere membership."""
 
 import io
 import math
@@ -18,11 +18,9 @@ from isocrpc.curves import (
     included_angle_topview,
     meusnier_check,
     osculating_isotropic_circle,
-    sphere_membership,
     trace_direction_field,
 )
 from isocrpc.errors import (
-    DegenerateFit,
     DegenerateJet,
     GeometryError,
     InflectionPoint,
@@ -34,6 +32,7 @@ from isocrpc.errors import (
 from isocrpc.families import evaluate, make_spec
 from isocrpc.geometry import characteristic_directions, height_jet_from_param
 from isocrpc.meshing import fmt_float
+from isocrpc.spheres import ParabolicSphere
 
 
 def line_fit_gap(xy):
@@ -347,26 +346,22 @@ def test_angle_law_for_negative_ratio():
     assert abs(1.0 / math.tan(gamma / 2.0) ** 2 - 4.0) <= 1e-6
 
 
-@pytest.mark.parametrize("p0,p1,q0,q1,cross", [
-    ((0, 0), (2, 2), (0, 2), (2, 0), True),     # transversal
-    ((0, 0), (2, 0), (1, 0), (1, 3), True),     # T: q0 on the segment
-    ((0, 0), (1, 1), (1, 1), (2, 0), True),     # shared endpoint
-    ((0, 0), (1, 0), (2, -1), (2, 1), False),   # q-line crosses past p1
-    ((0, 0), (1, 1), (0, 1), (1, 2), False),    # parallel
-    ((0, 0), (2, 0), (1, 0), (3, 0), False),    # collinear overlap is not transversal
-])
-def test_segments_cross_by_side_tests(p0, p1, q0, q1, cross):
-    pts = [np.array(p, float) for p in (p0, p1, q0, q1)]
-    assert curves._segments_cross(*pts) is cross
-    assert curves._segments_cross(*pts[2:], *pts[:2]) is cross
-
-
 def test_parallel_traces_raise_no_intersection():
     # the a = -1 translational surface has a constant characteristic field,
     # so traces from offset seeds are parallel lines in the top view
     spec = make_spec("trans_paraboloid", {"a": -1.0})
     c1 = trace_direction_field(spec, (0.0, 0.0), "characteristic+", 100, 1e-3)
     c2 = trace_direction_field(spec, (0.5, 0.0), "characteristic+", 100, 1e-3)
+    with pytest.raises(NoIntersection):
+        included_angle_topview(c1, c2)
+
+
+def test_crossing_traces_from_two_seeds_raise_no_intersection():
+    # the second trace starts on the first, so the top views cross, but the
+    # angle is taken only at a seed the two traces share
+    spec = make_spec("trans_paraboloid", {"a": -1.0})
+    c1 = trace_direction_field(spec, (0.0, 0.0), "characteristic+", 100, 1e-3)
+    c2 = trace_direction_field(spec, tuple(c1.uv[50]), "characteristic-", 100, 1e-3)
     with pytest.raises(NoIntersection):
         included_angle_topview(c1, c2)
 
@@ -474,13 +469,23 @@ def test_meusnier_rejects_asymptotic_direction():
 
 # --- sphere membership --------------------------------------------------------
 
+def sphere_fit(points):
+    """Least-squares parabolic sphere 2z = A(x^2+y^2) + Bx + Cy + D, with max residual."""
+    x, y, z = points.T
+    M = np.stack([x * x + y * y, x, y, np.ones_like(x)], axis=-1)
+    sphere = ParabolicSphere(*map(float, np.linalg.lstsq(M, 2.0 * z, rcond=None)[0]))
+    return sphere, float(np.max(np.abs(sphere.algebraic_residual(points))))
+
+
 def test_spiral_characteristic_lies_on_a_sphere():
+    # one characteristic family is the straight ruling, the other lies on a sphere
     spec = make_spec("spiral_ruled", {"a": -2.0})
-    tr = trace_direction_field(spec, (1.0, 0.0), "characteristic+", 400, 1e-3)
-    branch = tr
-    if line_fit_gap(tr.points[:, :2]) <= 1e-8:  # picked the straight ruling
-        branch = trace_direction_field(spec, (1.0, 0.0), "characteristic-", 400, 1e-3)
-    sphere, residual = sphere_membership(branch)
+    ruling, branch = sorted(
+        (trace_direction_field(spec, (1.0, 0.0), kind, 400, 1e-3)
+         for kind in ("characteristic+", "characteristic-")),
+        key=lambda tr: line_fit_gap(tr.points[:, :2]))
+    assert line_fit_gap(ruling.points[:, :2]) <= 1e-8
+    sphere, residual = sphere_fit(branch.points)
     assert residual <= 1e-6
     a_fit, b_fit, c_fit, d_fit = sphere.coefficients()
     assert abs(b_fit) <= 1e-6
@@ -489,34 +494,10 @@ def test_spiral_characteristic_lies_on_a_sphere():
     assert a_fit == pytest.approx(2.0, abs=1e-6)
 
 
-def test_straight_trace_gives_degenerate_fit():
-    spec = make_spec("spiral_ruled", {"a": -2.0})
-    tr = trace_direction_field(spec, (1.0, 0.0), "characteristic+", 200, 1e-3)
-    branch = tr
-    if line_fit_gap(tr.points[:, :2]) > 1e-8:
-        branch = trace_direction_field(spec, (1.0, 0.0), "characteristic-", 200, 1e-3)
-    assert line_fit_gap(branch.points[:, :2]) <= 1e-8
-    with pytest.raises(DegenerateFit):
-        sphere_membership(branch)
-
-
-def test_too_few_samples_rejected():
-    tr = CurveTrace(
-        kind="principal1", t=np.zeros(3), uv=None,
-        points=np.zeros((3, 3)), top_dirs=np.zeros((3, 2)),
-    )
-    with pytest.raises(DegenerateFit):
-        sphere_membership(tr)
-
-
 def test_parallel_circle_membership():
     # a single parallel of a rotational member lies on a parabolic sphere
     spec = make_spec("rotational_power_1", {"a": -2.0})
     vs = np.linspace(0.0, math.pi, 40)
     pts = np.array([evaluate(spec, 1.3, float(v)).r for v in vs])
-    tr = CurveTrace(
-        kind="principal2", t=vs, uv=None, points=pts,
-        top_dirs=np.stack([-np.sin(vs), np.cos(vs)], -1),
-    )
-    _, residual = sphere_membership(tr)
+    _, residual = sphere_fit(pts)
     assert residual <= 1e-9

@@ -1,24 +1,17 @@
-"""Metric duality: point/plane polarity, dual surfaces, curvature relations."""
-
-import math
+"""Metric duality: dual surfaces and their curvature relations."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from isocrpc.duality import (
-    NonIsoPlane,
     conjugate_geodesic_net_check,
     dual_curvature_check,
     dual_from_tangent,
     dual_map_jet,
-    dual_plane,
-    dual_point,
     dual_surface_point,
     dual_velocity,
     involution_check,
-    isotropic_angle,
-    isotropic_distance,
     line_fit_residual,
 )
 from isocrpc.errors import NonAdmissiblePoint
@@ -37,48 +30,6 @@ def grid(spec, n=5, shrink=0.2):
     us = np.linspace(u0 + shrink * du, u1 - shrink * du, n)
     vs = np.linspace(v0 + shrink * dv, v1 - shrink * dv, n)
     return us, vs
-
-
-# --- points and planes --------------------------------------------------------
-
-def test_dual_point_is_the_displayed_plane():
-    e = dual_point((1.0, 2.0, 3.0))
-    assert (e.p1, e.p2, e.p3) == (1.0, 2.0, 3.0)
-    assert e.height(1.0, 1.0) == pytest.approx(1.0 + 2.0 - 3.0)
-    assert e.height(0.0, 0.0) == pytest.approx(-3.0)
-
-
-def test_polarity_is_an_involution_at_origin():
-    e = dual_point((0.0, 0.0, 0.0))
-    assert e.height(5.0, -7.0) == 0.0
-    assert_allclose(dual_plane(e), [0.0, 0.0, 0.0])
-
-
-def test_dual_plane_inverts_dual_point_exactly():
-    for p in [(1.0, 2.0, 3.0), (-0.5, 0.0, 7.25), (0.0, -3.0, 0.125)]:
-        assert_allclose(dual_plane(dual_point(p)), p)
-
-
-def test_parallel_points_give_parallel_planes():
-    e1 = dual_point((1.0, 2.0, 3.0))
-    e2 = dual_point((1.0, 2.0, 5.0))
-    assert (e1.p1, e1.p2) == (e2.p1, e2.p2)
-    assert e1.p3 != e2.p3
-
-
-def test_distance_equals_dual_angle():
-    p, q = (3.0, 4.0, 0.0), (0.0, 0.0, 9.0)
-    assert isotropic_distance(p, q) == pytest.approx(5.0)
-    assert isotropic_angle(dual_point(p), dual_point(q)) == pytest.approx(5.0)
-
-
-def test_identical_top_views_have_distance_zero():
-    assert isotropic_distance((1.0, 2.0, 3.0), (1.0, 2.0, -8.0)) == 0.0
-
-
-def test_angle_of_planes_dual_to_axis_points():
-    a = isotropic_angle(dual_point((1.0, 0.0, 0.0)), dual_point((2.0, 0.0, 0.0)))
-    assert a == pytest.approx(1.0)
 
 
 # --- dual surface points ------------------------------------------------------

@@ -20,11 +20,10 @@ from isocrpc.errors import (
     DegenerateK,
     GeometryError,
     NonAdmissiblePoint,
-    SingularSimilarity,
     StencilOutOfDomain,
     Umbilic,
 )
-from isocrpc.families import G8Element, apply_similarity, evaluate, family_ids, make_spec
+from isocrpc.families import evaluate, family_ids, make_spec
 from isocrpc.geometry import (
     Jet2Height,
     ParamJet2,
@@ -36,7 +35,6 @@ from isocrpc.geometry import (
     height_jet_from_param,
     isotropic_curvatures,
     normal_curvature,
-    point3,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -44,11 +42,6 @@ finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 def monge_jet(x, y, f, fx, fy, fxx, fxy, fyy):
     return Jet2Height(x0=x, y0=y, f=f, fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy)
-
-
-def test_point3_and_norm():
-    p = point3(3.0, 4.0, 7.0)
-    assert p.shape == (3,)
 
 
 # --- finite-difference oracle -------------------------------------------
@@ -305,10 +298,13 @@ def test_helicoid_is_euclidean_minimal_too():
 )
 @settings(max_examples=100, deadline=None)
 def test_similarity_scaling_law_and_ratio_invariance(h1, h2, c1, c2, c3, u, v):
-    g = G8Element(h1=h1, h2=h2, c1=c1, c2=c2, c3=c3, b=(0.4, -0.2, 1.5))
+    # the isotropic similarity x -> A x + b, applied to each field of the jet
+    A = np.array([[h1, -h2, 0.0], [h2, h1, 0.0], [c1, c2, c3]])
     jet = evaluate(make_spec("paraboloid", {"a": 2.0}), u, v)
+    moved = ParamJet2(r=A @ jet.r + np.array([0.4, -0.2, 1.5]), ru=A @ jet.ru, rv=A @ jet.rv,
+                      ruu=A @ jet.ruu, ruv=A @ jet.ruv, rvv=A @ jet.rvv)
     c_before = isotropic_curvatures(height_jet_from_param(jet))
-    c_after = isotropic_curvatures(height_jet_from_param(apply_similarity(g, jet)))
+    c_after = isotropic_curvatures(height_jet_from_param(moved))
     sigma2 = h1 * h1 + h2 * h2
     fac = c3 / sigma2
     assert_allclose(float(c_after.H), fac * float(c_before.H), rtol=1e-10, atol=1e-12)
@@ -316,12 +312,6 @@ def test_similarity_scaling_law_and_ratio_invariance(h1, h2, c1, c2, c3, u, v):
     before = float(c_before.H) ** 2 / float(c_before.K)
     after = float(c_after.H) ** 2 / float(c_after.K)
     assert abs(before - after) <= 1e-12 * max(1.0, abs(before))
-
-
-def test_singular_similarity_rejected():
-    jet = evaluate(make_spec("paraboloid", {"a": 2.0}), 0.1, 0.1)
-    with pytest.raises(SingularSimilarity):
-        apply_similarity(G8Element(c3=0.0), jet)
 
 
 # --- the component-wise eigen decomposition against the stacked one ----------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocrpc.duality import dual_curvature_check, dual_law_deviation
-from isocrpc.errors import DegenerateInput, SingularLocus
+from isocrpc.errors import DegenerateInput
 from isocrpc.families import family_ids, make_spec
 from isocrpc.meshing import sample_grid
 from isocrpc.residuals import (
@@ -18,7 +18,6 @@ from isocrpc.residuals import (
     discriminant_identity_check,
     family_ode_residual,
     helical_ode_residual,
-    helical_substitution_check,
     translational_residual,
 )
 
@@ -61,26 +60,6 @@ def test_quadratic_profile_fails_the_ode():
 def test_helical_ode_rejects_zero_ratio():
     with pytest.raises(ValueError):
         helical_ode_residual(1.0, 1.0, 1.0, 0.0)
-
-
-# --- closed-form substitution audit ---------------------------------------------
-
-def test_substitution_identities_hold():
-    r1, r2 = helical_substitution_check(math.pi / 6.0, 2.0)
-    assert r1 <= 1e-8
-    assert r2 <= 1e-8
-    r1, r2 = helical_substitution_check(math.pi / 3.0, -2.0)
-    assert r1 <= 1e-8
-    assert r2 <= 1e-8
-
-
-def test_substitution_singular_cases():
-    with pytest.raises(SingularLocus):
-        helical_substitution_check(math.pi / 4.0, 1.0)   # a = 1 excluded
-    with pytest.raises(SingularLocus):
-        helical_substitution_check(-0.1, 2.0)            # s outside (0, pi/2)
-    with pytest.raises(SingularLocus):
-        helical_substitution_check(math.atan(math.sqrt(2.0)), 2.0)  # tan^2 s = a
 
 
 # --- translational identities ----------------------------------------------------
@@ -254,12 +233,12 @@ def test_dual_law_on_the_grid_curvatures_is_bit_equal_to_the_dual_check(fid, par
 
 def test_helpers_on_arrays_match_their_scalar_calls():
     rng = np.random.default_rng(7)
-    x = rng.uniform(0.2, 2.0, (6, 40))
+    x = rng.uniform(0.2, 2.0, (5, 40))
     a = -2.5
 
-    def same(batch, scalar_calls, atol=0.0):
+    def same(batch, scalar_calls):
         for got, want in zip(batch, zip(*scalar_calls)):
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=atol)
+            np.testing.assert_allclose(got, want, rtol=1e-15)
 
     r = helical_ode_residual(x[0], x[1], x[2], a)
     same((r.lhs, r.rhs, r.normalized), [
@@ -273,10 +252,6 @@ def test_helpers_on_arrays_match_their_scalar_calls():
                 for c in x.T.tolist())])
     same(discriminant_identity_check(a, *x[:4]),
          [discriminant_identity_check(a, *c) for c in x[:4].T.tolist()])
-    s = 0.5 + 0.5 * x[5]
-    # stencil differences of O(1) values: rounding moves them by ~1e-13
-    same(helical_substitution_check(s, a),
-         [helical_substitution_check(t, a) for t in s.tolist()], atol=1e-12)
     same(_tin_normal_form(a, x[0], x[1]),
          [_tin_normal_form(a, u, v) for u, v in zip(x[0].tolist(), x[1].tolist())])
 

@@ -1,0 +1,44 @@
+"""The package source: no unused import, no error class that nothing raises."""
+
+import ast
+import pathlib
+
+import pytest
+
+import isocrpc
+
+SRC = pathlib.Path(isocrpc.__file__).parent
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "__init__.py"])  # it re-exports
+def test_every_module_level_import_is_used(name):
+    tree = TREES[name]
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"{name} imports {sorted(imported - used)} and never uses it"
+
+
+def test_every_error_class_is_raised_or_a_raised_one_derives_from_it():
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    # a class counts when it is raised or is an ancestor of one that is
+    reached = set(raised)
+    while True:
+        more = set().union(*(bases.get(c, set()) for c in reached)) - reached
+        if not more:
+            break
+        reached |= more
+    unraised = sorted(c for c in bases if c != "GeometryError" and c not in reached)
+    assert not unraised, f"errors.py defines {unraised} and src/ never raises them"

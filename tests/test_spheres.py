@@ -10,7 +10,6 @@ from isocrpc.errors import (
     EmptyCharacteristic,
     InvalidParams,
     StationaryFamily,
-    ZeroCurvature,
     ZeroRadius,
 )
 from isocrpc.families import evaluate, make_spec
@@ -22,7 +21,6 @@ from isocrpc.spheres import (
     ParabolicSphere,
     SphereFamily,
     channel_checks,
-    curvature_center,
     envelope_characteristic,
     tangent_sphere,
 )
@@ -90,28 +88,6 @@ def test_tangent_sphere_zero_radius():
 
 # --- curvature centers ----------------------------------------------------
 
-def test_curvature_center_at_sphere_vertex():
-    m = curvature_center(monge_jet(0.0, 0.0, 0.0, 0.0, 0.0), 1.0)
-    assert_allclose(m, [0.0, 0.0, 1.0])
-
-
-def test_curvature_center_constant_on_the_sphere():
-    # same unit sphere 2z = x^2 + y^2 at the point (1, 0, 1/2)
-    m = curvature_center(monge_jet(1.0, 0.0, 0.5, 1.0, 0.0), 1.0)
-    assert_allclose(m, [0.0, 0.0, 1.0])
-
-
-def test_curvature_center_zero_kappa():
-    with pytest.raises(ZeroCurvature):
-        curvature_center(monge_jet(0, 0, 0, 0, 0), 0.0)
-
-
-def test_curvature_center_too_far_away():
-    # kappa is nonzero, but the center lies beyond float range
-    with pytest.raises(ZeroCurvature):
-        curvature_center(monge_jet(0, 0, 0, 0, 0), 1e-320)
-
-
 def test_curvature_center_constant_along_principal_line():
     from isocrpc.curves import trace_direction_field
 
@@ -121,7 +97,10 @@ def test_curvature_center_constant_along_principal_line():
     for u, v in tr.uv:
         hj = height_jet_from_param(evaluate(spec, float(u), float(v)))
         cur = isotropic_curvatures(hj)
-        centers.append(curvature_center(hj, float(cur.k1)))
+        # the centre of the tangent sphere of curvature k1: vertex + (0, 0, 1/k1)
+        k = float(cur.k1)
+        centers.append((hj.x0 - hj.fx / k, hj.y0 - hj.fy / k,
+                        hj.f - (hj.fx * hj.fx + hj.fy * hj.fy - 2.0) / (2.0 * k)))
     drift = float(np.max(np.ptp(np.array(centers), axis=0)))
     assert drift <= 1e-8
 
