@@ -485,6 +485,9 @@ def test_config_file_must_be_flat(tmp_path, capsys):
     (["trace", "--family", "helicoid", "--seed", "1,1", "--steps", "0"], "steps"),
     (["trace", "--family", "helicoid", "--seed", "1,1", "--dt", "0"], "dt"),
     (["generate", "--family", "paraboloid", "--res", "3000x3000"], "res"),
+    (["generate", "--family", "paraboloid", "--res", "1x5"], "res"),
+    (["verify", "--family", "paraboloid", "--tol", "bogus=1"], "tol"),
+    (["verify", "--family", "paraboloid", "--seed", "-1"], "seed"),
 ])
 def test_argv_text_that_is_no_number_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1

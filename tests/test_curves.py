@@ -209,6 +209,13 @@ def test_umbilic_seed_raises():
         trace_direction_field(spec, (0.2, 0.1), "characteristic+", 10, 1e-3)
 
 
+@pytest.mark.parametrize("kind", ["principal1", "principal2"])
+def test_umbilic_seed_raises_for_principal_fields(kind):
+    spec = make_spec("paraboloid", {"a": 1.0})  # every point is an umbilic
+    with pytest.raises(UmbilicEncountered):
+        trace_direction_field(spec, (0.2, 0.1), kind, 10, 1e-3)
+
+
 def test_rotational_characteristic_is_a_log_spiral():
     spec = make_spec("rotational_power_1", {"a": -2.0})
     tr = trace_direction_field(spec, (1.0, 1.0), "characteristic+", 400, 1e-3)
@@ -429,6 +436,14 @@ def test_vertical_tangent_gives_cylindric_circle():
     assert circ.top_radius == 0.0
     assert_allclose(circ.points[:, 0], 0.3)
     assert_allclose(circ.points[:, 1], -0.2)
+
+
+def test_vertical_tangent_without_horizontal_curvature():
+    # no horizontal acceleration picks no plane: the carrier is x = 0.3
+    cj = CurveJet.of((0.3, -0.2, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    circ = osculating_isotropic_circle(cj)
+    assert circ.kind == "cylindric"
+    assert_allclose(circ.carrier_plane, [1.0, 0.0, -0.3], atol=1e-15)
 
 
 def test_zero_velocity_jet_rejected():

@@ -68,6 +68,22 @@ def test_make_spec_rejects_bad_input():
         make_spec("paraboloid", domain=(0.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("domain", [(0.5, 0.5, 0.0, 1.0), (0.5, 1.0, 2.0, 2.0)])
+def test_make_spec_rejects_a_zero_width_domain(domain):
+    with pytest.raises(InvalidParams):
+        make_spec("helicoid", domain=domain)
+
+
+@pytest.mark.parametrize("a", [0.01, 2.0])
+def test_helical_general_default_domain_keeps_off_the_singular_parallel(a):
+    # the chart is singular on u = u*; the default box takes the branch left
+    # of u* when it is at least 0.2 wide (a = 2), else the one right of it
+    u_star = math.atan(math.sqrt(a))
+    lo, hi = make_spec("helical_general", {"a": a}).domain[:2]
+    assert (hi <= u_star - 0.05) if a == 2.0 else (lo >= u_star + 0.05)
+    assert hi - lo >= 0.2
+
+
 @pytest.mark.parametrize("fid,params", [
     ("paraboloid", {"a": 0.0}),
     ("rotational_power_1", {"a": 0.0}),
@@ -252,6 +268,17 @@ def test_height_field_rejects_a_frame_inside_the_admissibility_bound():
     assert 0.0 < abs(det) < 1e-12
     with pytest.raises(StencilOutOfDomain):
         height_field(spec, u, v)(float(jet.r[0]), float(jet.r[1]))
+
+
+def test_height_field_refuses_a_point_it_does_not_reach():
+    # 40 Newton steps from the middle of the helicoid's box do not reach a
+    # top-view point 1e8 away; the inversion raises, not returns a height
+    # of some other point
+    spec = make_spec("helicoid")
+    u0, u1, v0, v1 = spec.domain
+    f = height_field(spec, 0.5 * (u0 + u1), 0.5 * (v0 + v1))
+    with pytest.raises(StencilOutOfDomain):
+        f(1e8, 1.0)
 
 
 # --- jets filled field by field against the stacked construction -------------

@@ -364,6 +364,13 @@ def test_kernel_refuses_other_conversions(row_fmt):
         list(format_rows(row_fmt, np.ones((2, row_fmt.count("%")))))
 
 
+def test_kernel_mixes_both_conversions_in_one_row():
+    # integer rows through %d and %.17g side by side, each conversion on
+    # its own columns; 10**8 and up and negatives take the % path
+    values = np.array([1, 25, 3, 0, -6, 10 ** 8 - 1, 10 ** 8, 123456789012, -1], np.int64)
+    _assert_rows_match_percent(values, ["%d %.17g,%d\n", "%.17g %d\n"])
+
+
 def test_kernel_refuses_rows_of_the_wrong_width_or_type():
     with pytest.raises(ValueError):
         list(format_rows("v %.17g %.17g %.17g\n", np.ones((2, 2))))

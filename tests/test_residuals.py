@@ -96,6 +96,17 @@ def test_noniso_noniso_log_cos_pair_is_minimal():
         assert abs(r.raw) <= 1e-10
 
 
+@pytest.mark.parametrize("case, derivs", [
+    ("iso_noniso", {"fp": 1.0, "fpp": 1.0, "gp": 0.5, "gpp": 0.0}),
+    ("noniso_noniso", {"fp": 1.0, "fpp": 0.0, "gp": 0.5, "gpp": 1.0}),
+])
+def test_flat_generator_leaves_the_ratio_undefined(case, derivs):
+    # a zero second derivative of either generator makes the ratio 0 or
+    # infinite, whichever curvature it is taken against
+    with pytest.raises(DegenerateInput):
+        translational_residual(case, 2.0, **derivs)
+
+
 def test_translational_degenerate_inputs():
     with pytest.raises(DegenerateInput):
         translational_residual("two_iso", 2.0, fpp=0.0, gpp=1.0)

@@ -177,6 +177,13 @@ def test_empty_characteristic_raises():
         envelope_characteristic(fam, 0.0)
 
 
+def test_vertically_translated_spheres_have_no_characteristic():
+    # 2z = x^2 + y^2 + t: the derivative equation reads 1 = 0
+    fam = SphereFamily(lambda t: (1.0, 0.0, 0.0, t), lambda t: (0.0, 0.0, 0.0, 1.0))
+    with pytest.raises(EmptyCharacteristic):
+        envelope_characteristic(fam, 0.3)
+
+
 # --- channel surface checks -------------------------------------------------
 
 def test_pipe_channel_checks():
