@@ -121,8 +121,11 @@ def dual_law_deviation(spec: FamilySpec, u, v, H, K,
     if not keep.any():
         raise NonAdmissiblePoint("no point had usable curvature for the dual check")
     K, H = K[keep], H[keep]
-    dj = dual_map_jet(functools.partial(evaluate, spec, check=False), U[keep], V[keep])
-    dcur = isotropic_curvatures(height_jet_from_param(dj))
+    # a chart this flat (spiral_ruled at |a| below about 5e-14) meets inf - inf
+    # in the stencil Hessians and overflows the dual frame: NaN deviations
+    with np.errstate(over="ignore", invalid="ignore"):
+        dj = dual_map_jet(functools.partial(evaluate, spec, check=False), U[keep], V[keep])
+        dcur = isotropic_curvatures(height_jet_from_param(dj))
     # fmax skips NaN deviations, as a running Python max would
     worst_k = np.fmax.reduce(np.abs(dcur.K * K - 1.0), initial=0.0)
     worst_h = np.fmax.reduce(np.abs(dcur.H - H / K), initial=0.0)

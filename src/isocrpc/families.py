@@ -355,8 +355,8 @@ def _euclidean_rotational(params, U, V):
 # ---------------------------------------------------------------------------
 # validity, singular loci, default domains
 # The hard_valid and locus distance builders take float arrays U, V and
-# return numpy values unbroadcast against them: evaluate only reduces them,
-# and the public hard_valid and singular_distance broadcast them.
+# return numpy values unbroadcast against them: evaluate reduces them, grid
+# sampling ORs them into its mask, and the public predicates broadcast them.
 
 
 def _sin_roots(rhs: float) -> tuple[float, float]:

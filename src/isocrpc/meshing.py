@@ -23,11 +23,10 @@ from .errors import DegenerateK, EmptyGrid, InvalidParams
 from .families import (
     SINGULAR_MARGIN,
     FamilySpec,
+    catalog_entry,
     evaluate,
-    hard_valid,
     ratio_for_residual,
     ratio_kind,
-    singular_distance,
 )
 from .geometry import (
     K_EPS,
@@ -439,9 +438,11 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float, channel) -> MeshG
 
     A block holds SAMPLE_BLOCK_NODES nodes or fewer, but at least one row,
     so no full-grid jet exists, and each distinct u is in one chart
-    evaluation. channel(jet, hj, H, K, bad) gives a block's vertices, mask
-    and residual (None on a grid without one) from its chart jet, Monge
-    jet, curvatures (NaN where bad) and the surface's own mask.
+    evaluation. The chart and its predicates see one u column and one v row,
+    so work that reads u or v alone runs once per row or column; the jet
+    broadcasts to the block. channel(jet, hj, H, K, bad) gives a block's
+    vertices, mask and residual (None on a grid without one) from its chart
+    jet, Monge jet, curvatures (NaN where bad) and the surface's own mask.
     """
     if nu < 2 or nv < 2:
         raise ValueError("grid needs at least 2 samples per direction")
@@ -454,16 +455,19 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float, channel) -> MeshG
     mask = np.empty((nu, nv), bool)
     H, K = np.empty((nu, nv)), np.empty((nu, nv))
     residual = None
+    entry = catalog_entry(spec.family_id)
+    V = vs[None, :]
     rows = max(1, SAMPLE_BLOCK_NODES // nv)
     for start in range(0, nu, rows):
         block = np.s_[start:start + rows]
-        U, V = np.meshgrid(us[block], vs, indexing="ij")
+        U = us[block][:, None]
         with np.errstate(all="ignore"):
             jet = evaluate(spec, U, V, check=False)
-            bad = ~hard_valid(spec, U, V)
-            bad |= singular_distance(spec, U, V) < margin
-            for arr in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
+            bad = ~_finite_rows(jet.r)
+            for arr in (jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
                 bad |= ~_finite_rows(arr)
+            bad |= ~entry.hard_valid(spec.params, U, V)
+            bad |= entry.locus_distance(spec.params, U, V) < margin
             hj, singular = monge_jet(jet)
             bad |= singular
             h, k = relative_curvatures(hj)

@@ -218,7 +218,9 @@ def _ratio_law(spec, U, V, jet):
     if ratio_kind(spec) == "euclidean":
         _K, _H, k1, k2 = euclidean_curvatures(hjet)
         return principal_ratio_residual(k1, k2, a)
-    return np.abs(crpc_residual(hjet, a))
+    # spiral_ruled at |a| below about 1e-157: H * H overflows to an inf residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(crpc_residual(hjet, a))
 
 
 # family id -> equation; the duals audit the identity of their primal surface

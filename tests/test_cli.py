@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -205,6 +207,19 @@ def test_verify_all_nan_ode_residuals_print_nan(tmp_path):
     assert rc == 1
     row = out.read_text().splitlines()[1].split(",")
     assert row[6] == "nan" and row[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("a", ["-4.85e-14", "-1e-20", "-1e-149", "-4.85e-158", "-1e-200",
+                               "-1e-302"])
+def test_verify_of_a_nearly_flat_spiral_fails_without_warnings(a, capsys):
+    # the dual stencil's Hessians meet inf - inf and the ratio residual
+    # overflows: a FAIL row with NaN or inf columns, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--family", "spiral_ruled", f"--a={a}", "--res", "20x20"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[1].startswith("spiral_ruled,") and out.endswith(",FAIL\n")
 
 
 def test_verify_unknown_family_fails_fast(tmp_path, capsys):
@@ -577,13 +592,17 @@ def test_any_config_value_exits_cleanly(tmp_path, monkeypatch, case):
 
 # --- module execution --------------------------------------------------------------
 
-def test_module_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "isocrpc", "list"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert "helicoid" in proc.stdout
+def test_module_entry_point_smoke(capsys):
+    # python -m isocrpc runs __main__.py from the source tree
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "isocrpc", "list"], env=env,
+                          capture_output=True, timeout=120)
+    assert main(["list"]) == 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert b"helicoid" in proc.stdout
 
 
 # each call follows one that set an option it leaves at its default

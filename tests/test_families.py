@@ -469,3 +469,50 @@ def test_validity_predicates_return_owned_full_shape_arrays(fid):
             out = fn(spec, U, V)
             assert type(out) is np.ndarray and out.shape == shape and out.dtype == dtype
             assert out.base is None and out.flags.writeable and out.flags.c_contiguous
+
+
+# --- the chart on its axes: a u column and a v row give the meshgrid's bits ----
+
+AXIS_CASES = [(fid, None, None) for fid in ALL_FAMILIES] + [
+    ("paraboloid", -0.5, None), ("paraboloid", 0.3, None),
+    ("trans_paraboloid", -3.0, None), ("trans_paraboloid", 0.7, None),
+    ("rotational_power_1", -2.0, None), ("rotational_power_1", 0.2805, None),
+    ("rotational_power_1", -0.5, None),
+    ("rotational_power_2", -2.0, None), ("rotational_power_2", 0.4, None),
+    ("euclidean_rotational", 0.5, None), ("euclidean_rotational", -2.45527, None),
+    ("spiral_ruled", -0.5, None), ("spiral_ruled", -3.7, None),
+    ("helical_general", -2.0, None), ("helical_general", 0.5, None),
+    ("helical_general", 5.0, None),
+    ("trans_iso_noniso", -2.0, None), ("trans_iso_noniso", 0.9, None),
+    ("dual_trans_iso_noniso", -0.5, None), ("dual_trans_iso_noniso", 3.0, None),
+    # boxes across a locus: the axis u = 0 (and u < 0, off the hard region),
+    # the singular parallel u = atan(sqrt(a)), and both roots of b sin v = 1
+    ("rotational_power_1", -2.0, (-1.0, 1.0, 0.0, 3.0)),
+    ("helical_general", 2.0, (0.3, 1.3, 0.0, 3.0)),
+    ("trans_iso_noniso", 2.0, (-1.0, 1.0, -math.pi, math.pi)),
+]
+
+
+def _same_bits(a, b):
+    """Equal shapes and float64 bits, a NaN anywhere matching a NaN there."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+@pytest.mark.parametrize("fid,a,domain", AXIS_CASES, ids=[f"{f}-{a}-{d}" for f, a, d in AXIS_CASES])
+def test_chart_on_its_axes_matches_the_meshgrid_bit_for_bit(fid, a, domain):
+    # grid sampling hands the chart one u column and one v row
+    spec = make_spec(fid, None if a is None else {"a": a}, domain)
+    u0, u1, v0, v1 = spec.domain
+    us, vs = np.linspace(u0, u1, 23), np.linspace(v0, v1, 17)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    axes = (us[:, None], vs[None, :])
+    on_axes, on_grid = evaluate(spec, *axes, check=False), evaluate(spec, U, V, check=False)
+    for f in dataclasses.fields(ParamJet2):
+        assert _same_bits(getattr(on_axes, f.name), getattr(on_grid, f.name)), f.name
+    assert np.array_equal(hard_valid(spec, *axes), hard_valid(spec, U, V))
+    assert _same_bits(singular_distance(spec, *axes), singular_distance(spec, U, V))
+    if domain is not None:  # the locus passes between the nodes
+        assert singular_distance(spec, U, V).min() < max(us[1] - us[0], vs[1] - vs[0])

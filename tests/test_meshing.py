@@ -16,8 +16,10 @@ import isocrpc.meshing
 from isocrpc.cli import main
 from isocrpc.duality import dual_surface_point
 from isocrpc.errors import EmptyGrid, GeometryError, InvalidParams, NonAdmissiblePoint
-from isocrpc.families import SINGULAR_MARGIN, evaluate, hard_valid, make_spec, singular_distance
-from isocrpc.geometry import K_EPS, height_jet_from_param, monge_jet, relative_curvatures
+from isocrpc.families import (SINGULAR_MARGIN, evaluate, hard_valid, make_spec,
+                              ratio_for_residual, ratio_kind, singular_distance)
+from isocrpc.geometry import (K_EPS, crpc_target, euclidean_curvatures, height_jet_from_param,
+                              monge_jet, principal_ratio_residual, relative_curvatures)
 from isocrpc.meshing import (MeshGrid, dual_grid, fmt_float, format_rows, obj_text, sample_grid,
                              write_text)
 from test_residuals import FAMILY_CASES
@@ -537,6 +539,68 @@ def test_block_cases_cover_their_cases():
     assert all(s.startswith("EmptyGrid(") for s in sampled["pinned_to_locus"])
     grid, dual = sampled["flat"]
     assert not grid.mask.any() and dual.startswith("DegenerateK(")
+
+
+# --- the chart sampled on its axes against the chart on the full meshgrid -----
+
+def _meshgrid_reference(spec, nu, nv):
+    """sample_grid's and dual_grid's fields as tuples in GRID_FIELDS order, from
+    one chart evaluation and one predicate call each on the whole meshgrid."""
+    u0, u1, v0, v1 = spec.domain
+    U, V = np.meshgrid(np.linspace(u0, u1, nu), np.linspace(v0, v1, nv), indexing="ij")
+    jet = evaluate(spec, U, V, check=False)
+    bad, bad_dual = _reference_masks(spec, jet, U, V)
+    a = ratio_for_residual(spec)
+    with np.errstate(all="ignore"):
+        hj, _singular = monge_jet(jet)
+        H, K = relative_curvatures(hj)
+        H[bad] = K[bad] = np.nan
+        if ratio_kind(spec) == "euclidean":
+            residual = principal_ratio_residual(*euclidean_curvatures(hj)[2:], a)
+        else:
+            residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - crpc_target(a))
+        residual[bad] = np.nan
+        return (jet.r, bad, H, K, residual), (dual_surface_point(hj), bad_dual, H, K, None)
+
+
+AXIS_CASES = {f"{fid}-{params}": (fid, params, None) for fid, params in FAMILY_CASES}
+# the middle row or column of an odd grid over these boxes is HALF_MARGIN off
+# a locus, where the chart is finite and only the singular margin masks it
+HALF_MARGIN = 0.5 * SINGULAR_MARGIN
+TIN_ROOT = math.asin(1.0 / 3.0)  # sin v = 1/b: trans_iso_noniso's isotropic tangent plane
+AXIS_CASES.update({
+    # across the axis u = 0, into u < 0 off the hard region
+    "rotational_axis": ("rotational_power_1", {"a": -2.0},
+                        (HALF_MARGIN - 1.0, HALF_MARGIN + 1.0, 0.0, 3.0)),
+    # across the singular parallel u = LOCUS, a u-locus
+    "helical_parallel": ("helical_general", {"a": 2.0},
+                         (LOCUS + HALF_MARGIN - 0.6, LOCUS + HALF_MARGIN + 0.6, 0.0, 3.0)),
+    # across a root of sin v = 1/3, a v-locus
+    "tin_root": ("trans_iso_noniso", {"a": 2.0},
+                 (-1.0, 1.0, TIN_ROOT + HALF_MARGIN - 1.0, TIN_ROOT + HALF_MARGIN + 1.0)),
+})
+
+
+# odd, non-square grids in one-row blocks, blocks of several rows with a
+# ragged last one, and one block
+@pytest.mark.parametrize("block_nodes", [1, 60, 1 << 13])
+@pytest.mark.parametrize("case", sorted(AXIS_CASES))
+def test_axis_sampling_matches_the_meshgrid_bit_for_bit(case, block_nodes, monkeypatch):
+    fid, params, domain = AXIS_CASES[case]
+    spec = make_spec(fid, params, domain)
+    monkeypatch.setattr(isocrpc.meshing, "SAMPLE_BLOCK_NODES", block_nodes)
+    for nu, nv in ((13, 19), (31, 5)):
+        grids = (sample_grid(spec, nu, nv), dual_grid(spec, nu, nv))
+        for grid, want in zip(grids, _meshgrid_reference(spec, nu, nv)):
+            for field, a in zip(GRID_FIELDS, want):
+                b = getattr(grid, field)
+                if a is None:
+                    assert b is None
+                    continue
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+                assert a.tobytes() == b.tobytes(), (field, nu, nv)
+        if domain is not None:
+            assert grids[0].mask.any() and not grids[0].mask.all()
 
 
 @pytest.mark.parametrize("make", [sample_grid, dual_grid])
