@@ -66,7 +66,7 @@ class CurveTrace:
     def to_csv(self, path) -> None:
         """Write t,x,y,z,tx,ty rows at 17 significant digits."""
         rows = np.column_stack((self.t, self.points, self.top_dirs))
-        text = format_rows("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
+        text = format_rows("", "%.17g", ",", rows)
         write_text("".join(["t,x,y,z,tx,ty\n", *text]), path)
 
 
@@ -108,6 +108,9 @@ def _lift(jet, d):
     return (dx * yv - dy * xv) / det, (xu * dy - yu * dx) / det
 
 
+# a nearly flat chart can overflow the curvature arithmetic of a stage; a
+# direction that comes out non-finite stops the trace with DegenerateJet
+@np.errstate(over="ignore", invalid="ignore")
 def trace_direction_field(
     spec: FamilySpec,
     seed: tuple[float, float],

@@ -23,6 +23,8 @@ from .geometry import (
     monge_gradient,
 )
 
+DUAL_K_FLOOR = 1e-6  # the dual laws are checked where |K| is at least this
+
 
 def _plane_point(x, y, z, fx, fy) -> np.ndarray:
     # the tangent plane z = fx x + fy y + c through (x, y, z) is dual to (fx, fy, -c)
@@ -77,47 +79,47 @@ def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) ->
 
     The dual point and its first chart derivatives are exact (primal 2-jet
     data only); the dual's second derivatives come from fourth-order
-    stencils of those exact first derivatives at step FD_STEP. This keeps the
+    stencils of those exact first derivatives at offsets +-1 and +-2
+    FD_STEP, where the centre has weight 0. This keeps the
     check independent of primal third derivatives while avoiding the
     cancellation that direct second differences of large dual coordinates
     would suffer.
 
     u and v may be scalars or arrays of a common broadcast shape S; jet_fn
-    is called once on the (S, 11) stencil (five u-offsets, five v-offsets,
+    is called once on the (S, 9) stencil (four u-offsets, four v-offsets,
     the centre) and must be vectorized. The fields come out shaped (S, 3).
     Raises NonAdmissiblePoint when any stencil point has a vertical tangent.
     """
     u, v = np.broadcast_arrays(np.asarray(u, float)[..., None], np.asarray(v, float)[..., None])
-    # stencil point i < 5 sits at offset (i - 2) FD_STEP along u, point 5 + i
-    # at the same offset along v, point 10 at the centre
-    steps = np.arange(-2, 3) * FD_STEP
-    U = np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1)
-    V = np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1)
+    # stencil point i < 4 sits at offset steps[i] along u, point 4 + i at the
+    # same offset along v, point 8 at the centre
+    steps = np.array([-2, -1, 1, 2]) * FD_STEP
+    U = np.concatenate([u + steps, np.repeat(u, 5, axis=-1)], axis=-1)
+    V = np.concatenate([np.repeat(v, 4, axis=-1), v + steps, v], axis=-1)
     jet = jet_fn(U, V)
     du, dv = dual_velocity(jet)
-    r = dual_from_tangent(jet.r[..., 10, :], jet.ru[..., 10, :], jet.rv[..., 10, :])
-    w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * FD_STEP)
+    r = dual_from_tangent(jet.r[..., 8, :], jet.ru[..., 8, :], jet.rv[..., 8, :])
+    w1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * FD_STEP)
     ruu = sum(w * du[..., i, :] for i, w in enumerate(w1))
-    rvv = sum(w * dv[..., 5 + i, :] for i, w in enumerate(w1))
+    rvv = sum(w * dv[..., 4 + i, :] for i, w in enumerate(w1))
     ruv = 0.5 * (sum(w * dv[..., i, :] for i, w in enumerate(w1))
-                 + sum(w * du[..., 5 + i, :] for i, w in enumerate(w1)))
-    return ParamJet2(r=r, ru=du[..., 10, :], rv=dv[..., 10, :], ruu=ruu, ruv=ruv, rvv=rvv)
+                 + sum(w * du[..., 4 + i, :] for i, w in enumerate(w1)))
+    return ParamJet2(r=r, ru=du[..., 8, :], rv=dv[..., 8, :], ruu=ruu, ruv=ruv, rvv=rvv)
 
 
-def dual_law_deviation(spec: FamilySpec, u, v, H, K,
-                       k_floor: float = 1e-6) -> tuple[float, float]:
+def dual_law_deviation(spec: FamilySpec, u, v, H, K) -> tuple[float, float]:
     """Max deviations of (K* K - 1, H* - H/K) given the primal H and K at (u, v).
 
     u, v, H and K are arrays (or scalars) of a common broadcast shape, H and
     K the primal curvatures at (u, v), e.g. a sampled grid's. Dual
     curvatures come from finite-difference jets of the exact dual points,
     one batched jet over all usable points. Points where the primal surface
-    is too flat (|K| below k_floor, where 1/K is numerically meaningless)
+    is too flat (|K| below DUAL_K_FLOOR, where 1/K is numerically meaningless)
     are skipped, and NonAdmissiblePoint is raised when none is left; NaN
     deviations are ignored.
     """
     U, V, H, K = np.broadcast_arrays(*(np.asarray(x, float) for x in (u, v, H, K)))
-    keep = ~(np.abs(K) < k_floor)
+    keep = ~(np.abs(K) < DUAL_K_FLOOR)
     if not keep.any():
         raise NonAdmissiblePoint("no point had usable curvature for the dual check")
     K, H = K[keep], H[keep]
@@ -132,7 +134,7 @@ def dual_law_deviation(spec: FamilySpec, u, v, H, K,
     return float(worst_k), float(worst_h)
 
 
-def dual_curvature_check(spec: FamilySpec, u, v, k_floor: float = 1e-6) -> tuple[float, float]:
+def dual_curvature_check(spec: FamilySpec, u, v) -> tuple[float, float]:
     """Max deviations of (K* K - 1, H* - H/K) at the chart points (u, v).
 
     u and v are arrays (or scalars) of a common broadcast shape. The primal
@@ -142,7 +144,7 @@ def dual_curvature_check(spec: FamilySpec, u, v, k_floor: float = 1e-6) -> tuple
     """
     U, V = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
     cur = isotropic_curvatures(height_jet_from_param(evaluate(spec, U, V, check=False)))
-    return dual_law_deviation(spec, U, V, cur.H, cur.K, k_floor)
+    return dual_law_deviation(spec, U, V, cur.H, cur.K)
 
 
 def _grid(us, vs):

@@ -75,15 +75,14 @@ class IsoCurvature:
     umbilic: np.ndarray | bool
 
 
-def fd_jet(surface: Callable, x0: float, y0: float, h: float = FD_STEP) -> Jet2Height:
+def fd_jet(surface: Callable, x0: float, y0: float) -> Jet2Height:
     """Independent 9-point central-difference jet of a height-field callable.
 
-    Second-order accurate in h. Used as the oracle against analytic jets;
-    raises StencilOutOfDomain when any stencil evaluation fails or returns
-    a non-finite value.
+    Second-order accurate in its step h = FD_STEP. Used as the oracle against
+    analytic jets; raises StencilOutOfDomain when any stencil evaluation
+    fails or returns a non-finite value.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = FD_STEP
 
     def ev(x, y):
         try:
@@ -360,6 +359,20 @@ def crpc_residual(j: Jet2Height, a: float):
     if np.any(np.abs(K) < K_EPS):
         raise DegenerateK("relative curvature K is numerically zero")
     return H * H / K - target
+
+
+def ratio_law_residual(hj: Jet2Height, H, K, a: float, euclidean: bool):
+    """The ratio law's residual of a Monge jet hj with relative curvatures H, K.
+
+    Euclidean: principal_ratio_residual of hj's Euclidean principal
+    curvatures. Isotropic: H^2/K - crpc_target(a), NaN where |K| < K_EPS.
+    Overflow (a nearly flat chart) gives inf or NaN, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if euclidean:
+            _K, _H, k1, k2 = euclidean_curvatures(hj)
+            return principal_ratio_residual(k1, k2, a)
+        return np.where(np.abs(K) < K_EPS, np.nan, H * H / K - crpc_target(a))
 
 
 def normal_curvature(j: Jet2Height, t) -> np.ndarray | float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,22 +19,9 @@ import numpy as np
 
 from .duality import dual_surface_point
 from .errors import DegenerateK, EmptyGrid, InvalidParams
-from .families import (
-    SINGULAR_MARGIN,
-    FamilySpec,
-    catalog_entry,
-    evaluate,
-    ratio_for_residual,
-    ratio_kind,
-)
-from .geometry import (
-    K_EPS,
-    crpc_target,
-    euclidean_curvatures,
-    monge_jet,
-    principal_ratio_residual,
-    relative_curvatures,
-)
+from .families import (SINGULAR_MARGIN, FamilySpec, catalog_entry, evaluate,
+                       ratio_for_residual, ratio_kind)
+from .geometry import K_EPS, monge_jet, ratio_law_residual, relative_curvatures
 
 # a 1000x1000 generate peaks near 345 MB, while obj_text joins the text; the
 # cap keeps a grid under 4x that, and face indices below 10**8, the bound of
@@ -49,8 +35,6 @@ FORMAT_BLOCK_ROWS = 1 << 12
 # characters handed to one write call by write_text (1 MiB of ASCII)
 WRITE_CHUNK_CHARS = 1 << 20
 
-# the conversions format_rows can write
-_CONVERSION = re.compile(r"(%\.17g|%d)")
 # the decimal exponent e10 and the binary one e2 (of np.frexp) of a nonzero
 # finite double span these ranges; %.17g scales by 10**(16 - e10)
 _E10_MIN, _E10_MAX = -324, 308
@@ -295,59 +279,34 @@ def _text_fields(conversion: str, values: np.ndarray) -> tuple:
     return fields, fallback
 
 
-@functools.lru_cache(maxsize=8)
-def _row_layout(row_fmt: str) -> tuple:
-    """row_fmt as format_rows lays it out: the literal before the first
-    conversion, the literal after each conversion (zero-padded to one
-    width, read-only), and (conversion, its columns) pairs."""
-    parts = _CONVERSION.split(row_fmt)
-    literals, conversions = parts[::2], parts[1::2]
-    if any("%" in lit or "\0" in lit for lit in literals) or not row_fmt.isascii():
-        raise ValueError(f"format_rows writes only %.17g and %d in ASCII text, got {row_fmt!r}")
-    after = np.zeros((len(conversions), max(map(len, literals[1:]), default=0)), np.uint8)
-    for row, lit in zip(after, literals[1:]):
-        row[:len(lit)] = np.frombuffer(lit.encode("ascii"), np.uint8)
-    after.flags.writeable = False
-    groups = {}
-    for j, conv in enumerate(conversions):
-        groups.setdefault(conv, []).append(j)
-    if len(groups) == 1:  # every column: a slice, not a copy
-        columns = ((conversions[0], slice(None)),)
-    else:
-        columns = tuple((conv, np.array(cols)) for conv, cols in groups.items())
-    return np.frombuffer(literals[0].encode("ascii"), np.uint8), after, columns
+def format_rows(head: str, conversion: str, sep: str, rows: np.ndarray) -> Iterator[str]:
+    """Text of the rows of a 2-D array, in blocks of rows: each row is head,
+    its values under conversion joined by sep, and a newline.
 
-
-def format_rows(row_fmt: str, rows: np.ndarray) -> Iterator[str]:
-    """Text of row_fmt applied to each row of a 2-D array, in blocks of rows.
-
-    The text is byte for byte that of (row_fmt * len(rows)) % tuple(values
-    + 0), so -0.0 prints as 0. row_fmt may hold only %.17g and %d
-    conversions, %d only for integer rows (ValueError otherwise). A numpy
-    kernel writes the digits: %.17g from an exact double-double scaling,
-    %d for 0 <= n < 10**8. % writes the rest: NaN, inf, other ints, and a
-    float within _TIE_MARGIN of a 17-digit tie where 10**(16 - e10) is no
-    double (e10 < -6 or e10 > 16), which sampled grids do not hold.
+    conversion is %.17g, or %d for integer rows. The text is byte for byte
+    that of one % operation per row on the values + 0, so -0.0 prints as 0.
+    A numpy kernel writes the digits: %.17g from an exact double-double
+    scaling, %d for 0 <= n < 10**8. % writes the rest: NaN, inf, other
+    ints, and a float within _TIE_MARGIN of a 17-digit tie where
+    10**(16 - e10) is no double (e10 < -6 or e10 > 16), which sampled grids
+    do not hold.
     """
-    first, after, columns = _row_layout(row_fmt)
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != len(after):
-        raise ValueError(f"{row_fmt!r} needs rows of {len(after)} values")
-    if rows.dtype.kind not in "biu" and any(conv == "%d" for conv, _ in columns):
-        raise ValueError(f"%d writes integers, got {rows.dtype} rows")
+    width = rows.shape[1]
+    first = np.frombuffer(head.encode("ascii"), np.uint8)
+    # the literal after each value: sep, and a newline after the last
+    after = np.zeros((width, max(len(sep), 1)), np.uint8)
+    after[:-1, :len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    after[-1, 0] = ord("\n")
     for start in range(0, len(rows), FORMAT_BLOCK_ROWS):
         block = rows[start:start + FORMAT_BLOCK_ROWS]
-        fields = [(cols, _text_fields(conv, block[:, cols].ravel())[0])
-                  for conv, cols in columns]
-        width = max(field.shape[1] for _, field in fields)
-        # each row: first, then one cell a conversion: its field, zero bytes
-        # up to width, and the literal after it
-        out = np.zeros((len(block), len(first) + after.size + len(after) * width), np.uint8)
+        field = _text_fields(conversion, block.ravel())[0]
+        # each row: first, then one cell a value: its field and the literal
+        # after it; every byte is written, and the zero bytes are dropped
+        out = np.empty((len(block), len(first) + after.size + width * field.shape[1]), np.uint8)
         out[:, :len(first)] = first
-        cells = out[:, len(first):].reshape(len(block), len(after), -1)  # a view
-        cells[:, :, width:] = after
-        for cols, field in fields:
-            cells[:, cols, :field.shape[1]] = field.reshape(len(block), -1, field.shape[1])
+        cells = out[:, len(first):].reshape(len(block), width, -1)  # a view
+        cells[:, :, :field.shape[1]] = field.reshape(len(block), width, -1)
+        cells[:, :, field.shape[1]:] = after
         yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -433,7 +392,7 @@ class MeshGrid:
         return out
 
 
-def _sample(spec: FamilySpec, nu: int, nv: int, margin: float, channel) -> MeshGrid:
+def _sample(spec: FamilySpec, nu: int, nv: int, channel) -> MeshGrid:
     """The masked grid, sampled in blocks of whole u-rows.
 
     A block holds SAMPLE_BLOCK_NODES nodes or fewer, but at least one row,
@@ -463,11 +422,11 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float, channel) -> MeshG
         U = us[block][:, None]
         with np.errstate(all="ignore"):
             jet = evaluate(spec, U, V, check=False)
+            # a non-finite derivative leaves the frame singular or H, K
+            # non-finite, which the mask tests below
             bad = ~_finite_rows(jet.r)
-            for arr in (jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv):
-                bad |= ~_finite_rows(arr)
             bad |= ~entry.hard_valid(spec.params, U, V)
-            bad |= entry.locus_distance(spec.params, U, V) < margin
+            bad |= entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN
             hj, singular = monge_jet(jet)
             bad |= singular
             h, k = relative_curvatures(hj)
@@ -485,33 +444,23 @@ def _sample(spec: FamilySpec, nu: int, nv: int, margin: float, channel) -> MeshG
                     H=H, K=K, residual=residual)
 
 
-def sample_grid(
-    spec: FamilySpec,
-    nu: int,
-    nv: int,
-    margin: float = SINGULAR_MARGIN,
-    a: float | None = None,
-) -> MeshGrid:
+def sample_grid(spec: FamilySpec, nu: int, nv: int, a: float | None = None) -> MeshGrid:
     """Sample an nu-by-nv grid over spec.domain with singularity masking.
 
-    `a` overrides the ratio hypothesis behind the residual channel; by
-    default the family's own ratio is checked.
+    Nodes within SINGULAR_MARGIN of a singular locus are masked. `a`
+    overrides the ratio hypothesis behind the residual channel; by default
+    the family's own ratio is checked.
     """
     if a is None:
         a = ratio_for_residual(spec)
     euclidean = ratio_kind(spec) == "euclidean"
-    target = None if euclidean else crpc_target(a)
 
     def ratio_residual(jet, hj, H, K, bad):
-        if euclidean:
-            _Ke, _He, k1e, k2e = euclidean_curvatures(hj)
-            residual = principal_ratio_residual(k1e, k2e, a)
-        else:
-            residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - target)
+        residual = ratio_law_residual(hj, H, K, a, euclidean)
         residual[bad] = np.nan
         return jet.r, bad, residual
 
-    return _sample(spec, nu, nv, margin, ratio_residual)
+    return _sample(spec, nu, nv, ratio_residual)
 
 
 def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
@@ -526,7 +475,7 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
         # the dual surface degenerates where K = 0
         return points, bad | ~_finite_rows(points) | ~(np.abs(K) >= K_EPS), None
 
-    grid = _sample(spec, nu, nv, SINGULAR_MARGIN, dual_points)
+    grid = _sample(spec, nu, nv, dual_points)
     if grid.mask.all():
         raise DegenerateK(f"{spec.family_id}: relative curvature is numerically "
                           "zero on the whole grid; dual surface undefined")
@@ -535,5 +484,5 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
 
 def obj_text(grid: MeshGrid) -> str:
     """Wavefront OBJ text: unmasked vertices row-major, whole quads as faces."""
-    return "".join([*format_rows("v %.17g %.17g %.17g\n", grid.vertex_rows()),
-                    *format_rows("f %d %d %d %d\n", grid.quads)])
+    return "".join([*format_rows("v ", "%.17g", " ", grid.vertex_rows()),
+                    *format_rows("f ", "%d", " ", grid.quads)])

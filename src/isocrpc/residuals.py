@@ -20,12 +20,8 @@ import numpy as np
 from .errors import DegenerateInput
 from .families import (FamilySpec, _helical_general_profile, _tin_b, evaluate,
                        ratio_for_residual, ratio_kind)
-from .geometry import (
-    crpc_residual,
-    euclidean_curvatures,
-    height_jet_from_param,
-    principal_ratio_residual,
-)
+from .geometry import (height_jet_from_param, principal_ratio_residual, ratio_law_residual,
+                       relative_curvatures)
 
 TRANSLATIONAL_CASES = ("two_iso", "iso_noniso", "noniso_noniso")
 
@@ -212,15 +208,11 @@ def _noniso_noniso(spec, U, V, jet):
 
 
 def _ratio_law(spec, U, V, jet):
-    # no reduced equation: the chart's own curvature-ratio condition
-    a = ratio_for_residual(spec)
+    # no reduced equation: the chart's own curvature-ratio condition, NaN at
+    # the nodes too flat for it, as in the grid's residual channel
     hjet = height_jet_from_param(jet)
-    if ratio_kind(spec) == "euclidean":
-        _K, _H, k1, k2 = euclidean_curvatures(hjet)
-        return principal_ratio_residual(k1, k2, a)
-    # spiral_ruled at |a| below about 1e-157: H * H overflows to an inf residual
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(crpc_residual(hjet, a))
+    return np.abs(ratio_law_residual(hjet, *relative_curvatures(hjet), ratio_for_residual(spec),
+                                     ratio_kind(spec) == "euclidean"))
 
 
 # family id -> equation; the duals audit the identity of their primal surface
@@ -240,7 +232,8 @@ def family_ode_residual(spec: FamilySpec, u, v):
 
     Elementwise over scalars or arrays: the chart is evaluated once,
     unchecked, on all nodes, and EQUATIONS names the family's equation.
-    Raises the equation's GeometryError if any node is degenerate, and
+    Raises the equation's GeometryError if any node is degenerate (the
+    isotropic ratio law gives NaN where |K| < K_EPS instead), and
     ValueError for a family without an equation.
     """
     try:

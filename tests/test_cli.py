@@ -222,6 +222,20 @@ def test_verify_of_a_nearly_flat_spiral_fails_without_warnings(a, capsys):
     assert out.splitlines()[1].startswith("spiral_ruled,") and out.endswith(",FAIL\n")
 
 
+def test_verify_of_a_steep_spiral_skips_its_flat_nodes(capsys):
+    # the grid keeps nodes where |K| is below K_EPS (3.7e-19 at a = -50);
+    # the ODE column skips them, as the residual column does, instead of
+    # raising DegenerateK and turning the row into an ERROR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--family", "spiral_ruled", "--a", "-50,-1000", "--res", "50x50"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[1], row[-1]) for row in rows] == [("-1000", "PASS"), ("-50", "PASS")]
+    assert all(float(row[6]) <= 1e-8 for row in rows)
+
+
 def test_verify_unknown_family_fails_fast(tmp_path, capsys):
     rc = main(["verify", "--family", "moebius", "--out", str(tmp_path / "v.csv")])
     assert rc == 1
@@ -330,6 +344,22 @@ def test_trace_stops_before_a_non_finite_chart_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"trace stopped after {len(rows) - 1} steps" in err
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("kind", ["characteristic+", "characteristic-", "principal1",
+                                  "principal2"])
+def test_trace_of_a_flat_spiral_prints_no_warning(kind, capsys):
+    # the curvature arithmetic of so flat a chart overflows on every stage
+    argv = ["trace", "--family", "spiral_ruled", "--a", "-1e-6", "--seed", "1.0,0.5",
+            "--kind", kind, "--steps", "300"]
+    runs = []
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            runs.append((main(argv), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    rc, out, err = runs[1]
+    assert (rc, err) == (0, "") and len(out.splitlines()) == 302
 
 
 def test_trace_needs_a_seed(tmp_path, capsys):
@@ -676,7 +706,7 @@ def test_verify_row_evaluates_the_chart_three_times(family, a, tmp_path, monkeyp
         monkeypatch.setattr(module, "evaluate", counted)
     argv = ["verify", "--family", family, "--res", "12x10", "--out", str(tmp_path / "v.csv")]
     assert main(argv + (["--a", a] if a else [])) == 0
-    assert sizes == [120, 64, 64 * 11]
+    assert sizes == [120, 64, 64 * 9]
 
 
 def test_verify_a_value_without_a_row_is_an_error(tmp_path, capsys):

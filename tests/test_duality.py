@@ -17,6 +17,7 @@ from isocrpc.duality import (
 from isocrpc.errors import NonAdmissiblePoint
 from isocrpc.families import evaluate, make_spec
 from isocrpc.geometry import (
+    FD_STEP,
     Jet2Height,
     crpc_target,
     height_jet_from_param,
@@ -140,6 +141,41 @@ def test_batched_dual_jet_matches_scalar_calls(fid, params):
     assert_jet_matches_pointwise(jet_fn, U.ravel(), V.ravel(), flat)
 
 
+def eleven_point_dual_jet(jet_fn, u, v):
+    """dual_map_jet on an (S, 11) stencil that also evaluates the centre at the
+    zero offsets along u and v, each weighted 0."""
+    u, v = np.broadcast_arrays(np.asarray(u, float)[..., None], np.asarray(v, float)[..., None])
+    steps = np.arange(-2, 3) * FD_STEP
+    jet = jet_fn(np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1),
+                 np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1))
+    du, dv = dual_velocity(jet)
+    w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * FD_STEP)
+    return {
+        "r": dual_from_tangent(jet.r[..., 10, :], jet.ru[..., 10, :], jet.rv[..., 10, :]),
+        "ru": du[..., 10, :], "rv": dv[..., 10, :],
+        "ruu": sum(wi * du[..., i, :] for i, wi in enumerate(w)),
+        "rvv": sum(wi * dv[..., 5 + i, :] for i, wi in enumerate(w)),
+        "ruv": 0.5 * (sum(wi * dv[..., i, :] for i, wi in enumerate(w))
+                      + sum(wi * du[..., 5 + i, :] for i, wi in enumerate(w))),
+    }
+
+
+@pytest.mark.parametrize("fid,params", BATCH_FAMILIES)
+def test_nine_point_dual_jet_matches_the_eleven_point_stencil_bit_for_bit(fid, params):
+    # the two centre points of the u and v stencils enter only as 0 * du
+    spec = make_spec(fid, params)
+    us, vs = grid(spec, n=4)
+    U, V = np.meshgrid(us[:3], vs, indexing="ij")  # a (3, 4) node array
+
+    def jet_fn(uu, vv):
+        return evaluate(spec, uu, vv, check=False)
+
+    dj = dual_map_jet(jet_fn, U, V)
+    for name, want in eleven_point_dual_jet(jet_fn, U, V).items():
+        assert getattr(dj, name).shape == want.shape == (3, 4, 3)
+        assert getattr(dj, name).tobytes() == want.tobytes(), (fid, name)
+
+
 def test_scalar_dual_jet_has_vector_fields():
     spec = make_spec("trans_paraboloid", {"a": 2.0})
     dj = dual_map_jet(lambda uu, vv: evaluate(spec, uu, vv, check=False), 0.4, 0.1)
@@ -186,9 +222,11 @@ def test_dual_curvature_grid_checks():
 
 
 def test_dual_check_needs_nonflat_nodes():
-    spec = make_spec("trans_paraboloid", {"a": 2.0})
+    # |K| is below 1e-6 (DUAL_K_FLOOR) everywhere in this default box
+    spec = make_spec("trans_iso_noniso", {"a": 0.9})
+    us, vs = grid(spec, shrink=0.0)
     with pytest.raises(NonAdmissiblePoint):
-        dual_curvature_check(spec, np.array([0.1]), np.array([0.2]), k_floor=100.0)
+        dual_curvature_check(spec, *np.meshgrid(us, vs, indexing="ij"))
 
 
 def test_crpc_ratio_survives_dualization():
