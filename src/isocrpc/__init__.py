@@ -21,7 +21,6 @@ from .geometry import (
     Jet2Height,
     ParamJet2,
     characteristic_directions,
-    crpc_residual,
     crpc_target,
     euclidean_curvatures,
     fd_jet,
@@ -37,7 +36,6 @@ __all__ = [
     "Jet2Height",
     "ParamJet2",
     "characteristic_directions",
-    "crpc_residual",
     "crpc_target",
     "euclidean_curvatures",
     "evaluate",

@@ -91,8 +91,10 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
             raise Umbilic("principal directions undefined at an umbilic")
         d = cur.d1 if kind == "principal1" else cur.d2
     dx, dy = d.tolist()
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise DegenerateJet("field direction is not finite")
+    # NaN and inf fail the test too; the (0, 0) of an overflowed Hessian
+    # would not move the trace
+    if not 0.5 <= dx * dx + dy * dy <= 2.0:
+        raise DegenerateJet("field direction is not a unit vector")
     if ref is not None and float(d @ ref) < 0.0:
         d = -d
     return d, jet
@@ -109,7 +111,8 @@ def _lift(jet, d):
 
 
 # a nearly flat chart can overflow the curvature arithmetic of a stage; a
-# direction that comes out non-finite stops the trace with DegenerateJet
+# direction that comes out non-finite or of length 0 stops the trace with
+# DegenerateJet
 @np.errstate(over="ignore", invalid="ignore")
 def trace_direction_field(
     spec: FamilySpec,
@@ -121,13 +124,14 @@ def trace_direction_field(
     """Integrate the chosen direction field from seed with fixed-step RK4.
 
     The direction sign at every stage is chosen for continuity against the
-    step's starting direction. A singularity, domain exit, umbilic hit, or
-    non-finite chart jet, direction or parameter state after the first
-    sample truncates the trace before that sample (stopped says why); at
-    the seed itself an umbilic raises UmbilicEncountered and other geometry
-    errors propagate. dt must be finite and positive, and steps at most
-    MAX_TRACE_STEPS. A step evaluates the chart four times: its first stage
-    is the accepted sample's direction.
+    step's starting direction. A singularity, domain exit, umbilic hit,
+    non-finite chart jet or parameter state, or a direction that is not a
+    unit vector after the first sample truncates the trace before that
+    sample (stopped says why); at the seed itself an umbilic raises
+    UmbilicEncountered and other geometry errors propagate. dt must be
+    finite and positive, and steps at most MAX_TRACE_STEPS. A step
+    evaluates the chart four times: its first stage is the accepted
+    sample's direction.
     """
     if kind not in TRACE_KINDS:
         raise ValueError(f"kind must be one of {TRACE_KINDS}")

@@ -126,7 +126,8 @@ def dual_law_deviation(spec: FamilySpec, u, v, H, K) -> tuple[float, float]:
     # a chart this flat (spiral_ruled at |a| below about 5e-14) meets inf - inf
     # in the stencil Hessians and overflows the dual frame: NaN deviations
     with np.errstate(over="ignore", invalid="ignore"):
-        dj = dual_map_jet(functools.partial(evaluate, spec, check=False), U[keep], V[keep])
+        dj = dual_map_jet(functools.partial(evaluate, spec, check=False, heights=False),
+                          U[keep], V[keep])
         dcur = isotropic_curvatures(height_jet_from_param(dj))
     # fmax skips NaN deviations, as a running Python max would
     worst_k = np.fmax.reduce(np.abs(dcur.K * K - 1.0), initial=0.0)
@@ -143,7 +144,8 @@ def dual_curvature_check(spec: FamilySpec, u, v) -> tuple[float, float]:
     admissible, and as dual_law_deviation does.
     """
     U, V = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    cur = isotropic_curvatures(height_jet_from_param(evaluate(spec, U, V, check=False)))
+    cur = isotropic_curvatures(height_jet_from_param(evaluate(spec, U, V, check=False,
+                                                              heights=False)))
     return dual_law_deviation(spec, U, V, cur.H, cur.K)
 
 

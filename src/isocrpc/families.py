@@ -326,26 +326,29 @@ def _euclid_slope(a: float):
     return hp
 
 
-def _euclid_height_values(a: float, U: np.ndarray) -> np.ndarray:
+def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
     """h(u) by adaptive quadrature from the anchor, once per distinct u of
-    the call; nothing is kept between calls.
+    the call; nothing is kept between calls. With heights=False no
+    quadrature runs and 0 stands in for h.
 
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
     the slope law also holds at some u < 0, where r^a is not real.
     """
+    a = params["a"]
+    on_profile = _euclid_on_profile(a, U)
+    if not heights:
+        return np.where(on_profile, 0.0, np.nan)
     hp = _euclid_slope(a)
     anchor = _euclid_anchor(a)
     out = np.full(U.shape, np.nan)
-    on_profile = _euclid_on_profile(a, U)
     us, inverse = np.unique(U[on_profile], return_inverse=True)
     hs = [quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200)[0] for u in us.tolist()]
     out[on_profile] = np.array(hs, float)[inverse]
     return out
 
 
-def _euclidean_rotational(params, U, V):
+def _euclidean_rotational(params, U, V, h):
     a = params["a"]
-    h = _euclid_height_values(a, U)
     g = 1.0 - U ** (2.0 * a)
     hp = U ** a / np.sqrt(g)
     hpp = a * U ** (a - 1.0) * g ** (-1.5)
@@ -431,6 +434,11 @@ class _Entry:
     ratio_kind: str = "isotropic"  # or "euclidean"
     loci: Callable[[Mapping[str, float]], tuple[tuple[str, Callable], ...]] = lambda p: ()
     hard_valid: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray] = _all_valid
+    # a chart height with no closed form, kept out of jets so that evaluate
+    # computes it only where a height is read: height(params, U, heights)
+    # is NaN off the profile and, with heights=False, 0 on it; jets takes
+    # it as a fourth argument
+    height: Callable[[Mapping[str, float], np.ndarray, bool], np.ndarray] | None = None
 
     def locus_distance(self, params, U, V):
         """Distance to the nearest of loci(params): the first distance folded
@@ -534,6 +542,7 @@ _register(_Entry(
     default_domain=_euclid_domain,
     loci=lambda p: _EUCLID_LOCI,
     hard_valid=_euclid_hard,
+    height=_euclid_height,
 ))
 
 _register(_Entry(
@@ -753,13 +762,20 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
     return _broadcast_predicate(catalog_entry(spec.family_id).hard_valid, spec, U, V, bool)
 
 
-def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
+def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> ParamJet2:
     """Exact second-order jet of the chart at (u, v) (scalars or arrays).
 
     With check=True, raises OutOfDomain at a non-finite (u, v) and outside
     the hard validity region, and SingularLocus within SINGULAR_MARGIN of a
     singular locus. check=False is for grid sampling, which masks instead
     of raising.
+
+    heights=False is for callers that read no point height: a chart whose
+    height has no closed form (euclidean_rotational) then writes 0 for
+    r[..., 2] where it is finite, so its finiteness is kept, and runs no
+    quadrature. Each point moves by an isotropic vertical translation,
+    which changes no derivative of r: the Monge jet's derivatives,
+    curvatures, masks and the ratio, ODE and dual laws keep their bits.
     """
     entry = catalog_entry(spec.family_id)
     U, V = np.asarray(u, float), np.asarray(v, float)
@@ -774,7 +790,9 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True) -> ParamJet2:
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
             if (entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN).any():
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
-        return entry.jets(spec.params, U, V)
+        if entry.height is None:
+            return entry.jets(spec.params, U, V)
+        return entry.jets(spec.params, U, V, entry.height(spec.params, U, heights))
 
 
 def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, float], float]:
@@ -787,8 +805,8 @@ def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, flo
     """
     def f(x: float, y: float) -> float:
         u, v = float(u0), float(v0)
-        for _ in range(40):
-            jet = evaluate(spec, u, v, check=False)
+        for _ in range(40):  # the steps read the top view, not the height
+            jet = evaluate(spec, u, v, check=False, heights=False)
             rx = float(jet.r[0]) - x
             ry = float(jet.r[1]) - y
             xu, yu = float(jet.ru[0]), float(jet.ru[1])

@@ -347,20 +347,6 @@ def crpc_target(a: float) -> float:
     return target
 
 
-def crpc_residual(j: Jet2Height, a: float):
-    """H^2/K - (a+1)^2/(4a); zero exactly on constant-ratio surfaces.
-
-    The target is symmetric under a -> 1/a, matching the symmetry of the
-    ratio condition (k1/k2 = a or k2/k1 = a). Raises DegenerateK when |K|
-    is below K_EPS anywhere.
-    """
-    target = crpc_target(a)
-    H, K = relative_curvatures(j)
-    if np.any(np.abs(K) < K_EPS):
-        raise DegenerateK("relative curvature K is numerically zero")
-    return H * H / K - target
-
-
 def ratio_law_residual(hj: Jet2Height, H, K, a: float, euclidean: bool):
     """The ratio law's residual of a Monge jet hj with relative curvatures H, K.
 

@@ -392,7 +392,7 @@ class MeshGrid:
         return out
 
 
-def _sample(spec: FamilySpec, nu: int, nv: int, channel) -> MeshGrid:
+def _sample(spec: FamilySpec, nu: int, nv: int, channel, heights: bool = True) -> MeshGrid:
     """The masked grid, sampled in blocks of whole u-rows.
 
     A block holds SAMPLE_BLOCK_NODES nodes or fewer, but at least one row,
@@ -402,6 +402,7 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel) -> MeshGrid:
     broadcasts to the block. channel(jet, hj, H, K, bad) gives a block's
     vertices, mask and residual (None on a grid without one) from its chart
     jet, Monge jet, curvatures (NaN where bad) and the surface's own mask.
+    heights is passed to the chart evaluation.
     """
     if nu < 2 or nv < 2:
         raise ValueError("grid needs at least 2 samples per direction")
@@ -421,7 +422,7 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel) -> MeshGrid:
         block = np.s_[start:start + rows]
         U = us[block][:, None]
         with np.errstate(all="ignore"):
-            jet = evaluate(spec, U, V, check=False)
+            jet = evaluate(spec, U, V, check=False, heights=heights)
             # a non-finite derivative leaves the frame singular or H, K
             # non-finite, which the mask tests below
             bad = ~_finite_rows(jet.r)
@@ -444,12 +445,15 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel) -> MeshGrid:
                     H=H, K=K, residual=residual)
 
 
-def sample_grid(spec: FamilySpec, nu: int, nv: int, a: float | None = None) -> MeshGrid:
+def sample_grid(spec: FamilySpec, nu: int, nv: int, a: float | None = None,
+                heights: bool = True) -> MeshGrid:
     """Sample an nu-by-nv grid over spec.domain with singularity masking.
 
     Nodes within SINGULAR_MARGIN of a singular locus are masked. `a`
     overrides the ratio hypothesis behind the residual channel; by default
-    the family's own ratio is checked.
+    the family's own ratio is checked. heights=False is for a caller that
+    reads no vertex height: as in families.evaluate, the vertices' z may
+    then be a stand-in, while mask, H, K and residual keep their bits.
     """
     if a is None:
         a = ratio_for_residual(spec)
@@ -460,7 +464,7 @@ def sample_grid(spec: FamilySpec, nu: int, nv: int, a: float | None = None) -> M
         residual[bad] = np.nan
         return jet.r, bad, residual
 
-    return _sample(spec, nu, nv, ratio_residual)
+    return _sample(spec, nu, nv, ratio_residual, heights)
 
 
 def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:

@@ -231,7 +231,8 @@ def family_ode_residual(spec: FamilySpec, u, v):
     """Normalized residual of the family's own generating equation at (u, v).
 
     Elementwise over scalars or arrays: the chart is evaluated once,
-    unchecked, on all nodes, and EQUATIONS names the family's equation.
+    unchecked and without heights (no equation reads one), on all nodes,
+    and EQUATIONS names the family's equation.
     Raises the equation's GeometryError if any node is degenerate (the
     isotropic ratio law gives NaN where |K| < K_EPS instead), and
     ValueError for a family without an equation.
@@ -241,4 +242,4 @@ def family_ode_residual(spec: FamilySpec, u, v):
     except KeyError:
         raise ValueError(f"unknown family: {spec.family_id}") from None
     U, V = np.asarray(u, float), np.asarray(v, float)
-    return equation(spec, U, V, evaluate(spec, U, V, check=False))
+    return equation(spec, U, V, evaluate(spec, U, V, check=False, heights=False))

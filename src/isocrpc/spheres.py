@@ -50,10 +50,6 @@ class ParabolicSphere:
         ):
             raise InvalidParams("parabolic sphere needs finite coefficients and A != 0")
 
-    @property
-    def radius(self) -> float:
-        return 1.0 / self.A
-
     def height(self, x, y):
         """z on the sphere above (x, y)."""
         x = np.asarray(x, float)
@@ -65,9 +61,6 @@ class ParabolicSphere:
         p = np.asarray(points, float)
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         return 2.0 * z - self.A * (x * x + y * y) - self.B * x - self.C * y - self.D
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.A, self.B, self.C, self.D])
 
 
 def tangent_sphere(j: Jet2Height, radius: float) -> ParabolicSphere:

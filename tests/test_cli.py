@@ -349,7 +349,8 @@ def test_trace_stops_before_a_non_finite_chart_point(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["characteristic+", "characteristic-", "principal1",
                                   "principal2"])
 def test_trace_of_a_flat_spiral_prints_no_warning(kind, capsys):
-    # the curvature arithmetic of so flat a chart overflows on every stage
+    # the curvature arithmetic of so flat a chart overflows: the direction at
+    # the seed comes out (0, 0), and a trace that cannot move is refused
     argv = ["trace", "--family", "spiral_ruled", "--a", "-1e-6", "--seed", "1.0,0.5",
             "--kind", kind, "--steps", "300"]
     runs = []
@@ -359,7 +360,20 @@ def test_trace_of_a_flat_spiral_prints_no_warning(kind, capsys):
             runs.append((main(argv), *capsys.readouterr()))
     assert runs[0] == runs[1]
     rc, out, err = runs[1]
-    assert (rc, err) == (0, "") and len(out.splitlines()) == 302
+    assert (rc, out) == (1, "")
+    assert err == "error: field direction is not a unit vector\n"
+
+
+def test_verify_of_a_euclidean_ratio_near_zero_prints_no_warning(capsys):
+    # the profile's quadrature warns at this ratio, and verify runs none
+    argv = ["verify", "--family", "euclidean_rotational", "--a", "1e-14", "--res", "20x20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, err) == (1, "")
+    row = out.splitlines()[1]
+    assert row.startswith("euclidean_rotational,1e-14,20,20,") and row.endswith(",FAIL")
 
 
 def test_trace_needs_a_seed(tmp_path, capsys):

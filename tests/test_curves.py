@@ -293,6 +293,40 @@ def test_a_huge_step_stops_where_the_frame_overflows(fid, params):
     assert len(tr) == 1
 
 
+def test_a_nearly_flat_spiral_cannot_leave_its_seed():
+    # the Hessian overflows and the direction at the seed comes out (0, 0)
+    spec = make_spec("spiral_ruled", {"a": -1e-6})
+    with pytest.raises(DegenerateJet, match="not a unit vector"):
+        trace_direction_field(spec, (1.0, 0.5), "characteristic+", 10, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0), (2.0, 0.0)])
+def test_a_direction_that_is_no_unit_vector_stops_the_trace(bad, monkeypatch):
+    # the direction at the seed is the true one, every later one is bad
+    calls = []
+
+    def field(hj):
+        calls.append(hj)
+        return characteristic_directions(hj) if len(calls) == 1 else (np.array(bad),) * 2
+
+    monkeypatch.setattr(curves, "characteristic_directions", field)
+    tr = trace_direction_field(make_spec("paraboloid", {"a": 2.0}), (0.3, 0.4),
+                               "characteristic+", 10, 1e-2)
+    assert tr.stopped == "DegenerateJet: field direction is not a unit vector"
+    assert len(tr) == 1
+
+
+def test_a_parameter_state_that_overflows_stops_the_trace(monkeypatch):
+    # every stage point, at u + 5e307 or u + 1e308, is finite; the RK4 sum is not
+    spec = make_spec("paraboloid", {"a": 2.0})
+    seed_field = curves._field_direction(spec, 0.3, 0.4, "principal1", None)
+    monkeypatch.setattr(curves, "_field_direction", lambda *args: seed_field)
+    monkeypatch.setattr(curves, "_lift", lambda jet, d: (1e308, 0.0))
+    tr = trace_direction_field(spec, (0.3, 0.4), "principal1", 10, 1.0)
+    assert tr.stopped == "non-finite parameter state"
+    assert len(tr) == 1
+
+
 # --- CSV --------------------------------------------------------------------
 
 def test_trace_csv_header_and_negative_zero():
@@ -409,7 +443,8 @@ def test_osculating_parabola_of_its_own_parabola():
     n1, n2, d = circ.carrier_plane
     assert abs(n1 * 1.0 + n2 * 0.0) <= 1e-15       # plane contains the tangent
     assert np.max(np.abs(circ.points[:, 1])) <= 1e-15
-    assert_allclose(circ.carrier_sphere.coefficients(), [2.0, 0.0, 0.0, 0.0], atol=1e-15)
+    sphere = circ.carrier_sphere
+    assert_allclose([sphere.A, sphere.B, sphere.C, sphere.D], [2.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_osculating_circle_of_a_planar_circle_is_itself():
@@ -502,7 +537,7 @@ def test_spiral_characteristic_lies_on_a_sphere():
     assert line_fit_gap(ruling.points[:, :2]) <= 1e-8
     sphere, residual = sphere_fit(branch.points)
     assert residual <= 1e-6
-    a_fit, b_fit, c_fit, d_fit = sphere.coefficients()
+    a_fit, b_fit, c_fit, d_fit = sphere.A, sphere.B, sphere.C, sphere.D
     assert abs(b_fit) <= 1e-6
     assert abs(c_fit) <= 1e-6
     assert abs(d_fit) <= 1e-6

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import isocrpc.families
+from isocrpc.duality import dual_curvature_check
 from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus, StencilOutOfDomain
 from isocrpc.families import (
     SINGULAR_MARGIN,
@@ -25,12 +26,14 @@ from isocrpc.families import (
 )
 from isocrpc.geometry import (
     ParamJet2,
-    crpc_residual,
     euclidean_curvatures,
     fd_jet,
     height_jet_from_param,
     isotropic_curvatures,
+    ratio_law_residual,
+    relative_curvatures,
 )
+from isocrpc.residuals import family_ode_residual
 
 ALL_FAMILIES = (
     "paraboloid", "trans_paraboloid",
@@ -158,7 +161,8 @@ def test_constant_ratio_on_sample_points(fid, params, a):
     for u in us:
         for v in vs:
             jet = evaluate(spec, float(u), float(v), check=False)
-            res = float(crpc_residual(height_jet_from_param(jet), a))
+            hj = height_jet_from_param(jet)
+            res = float(ratio_law_residual(hj, *relative_curvatures(hj), a, False))
             assert abs(res) < 1e-9, (fid, u, v, res)
 
 
@@ -331,32 +335,74 @@ def test_jet_fields_match_stacked_reference(fid, monkeypatch):
 
 # --- the Euclidean profile: one quadrature per distinct u, and no state --------
 
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The upper limits of the profile quadratures run while the test runs."""
+    uppers = []
+    quad = isocrpc.families.quad
+
+    def counted(f, lo, hi, **kwargs):
+        uppers.append(hi)
+        return quad(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(isocrpc.families, "quad", counted)
+    return uppers
+
+
 @pytest.mark.parametrize("a", [2.0, 0.5, -1.5])
-def test_euclidean_profile_integrates_each_distinct_u_once_per_call(a, monkeypatch):
+def test_euclidean_profile_integrates_each_distinct_u_once_per_call(a, quad_calls):
     spec = make_spec("euclidean_rotational", {"a": a})
     u0, u1, v0, v1 = spec.domain
     us = np.linspace(u0, u1, 7)
     # repeats, and points off the profile: the axis, u < 0, its end r = 1, NaN
     U = np.concatenate([us, us[::-1], [0.0, -u1, 1.0, np.nan]])[:, None]
     V = np.array([v0, v1])
-    calls = []
-    quad = isocrpc.families.quad
-
-    def counted(f, lo, hi, **kwargs):
-        calls.append(hi)
-        return quad(f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(isocrpc.families, "quad", counted)
     z = evaluate(spec, U, V, check=False).r[..., 2]
-    assert sorted(calls) == us.tolist()
-    calls.clear()
+    assert sorted(quad_calls) == us.tolist()
+    quad_calls.clear()
     again = evaluate(spec, U, V, check=False).r[..., 2]
-    assert sorted(calls) == us.tolist()  # nothing is kept from the first call
+    assert sorted(quad_calls) == us.tolist()  # nothing is kept from the first call
     assert np.array_equal(z, again, equal_nan=True)
     assert np.isnan(z[len(us) * 2:]).all()
     for (u,), row in zip(U, z):
         alone = evaluate(spec, u, v0, check=False).r[2]
         assert np.array_equal(row, [alone, alone], equal_nan=True), u
+
+
+@pytest.mark.parametrize("a", [2.0, 0.5, -1.5])
+def test_the_laws_of_a_euclidean_row_integrate_no_height(a, quad_calls):
+    # the ODE column and the dual laws read chart derivatives only
+    spec = make_spec("euclidean_rotational", {"a": a})
+    us, vs = interior_points(spec, n=8)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    jet = evaluate(spec, us[3], vs[2], heights=False)
+    assert jet.r[2] == 0.0
+    assert np.isfinite(family_ode_residual(spec, U, V)).all()
+    assert all(math.isfinite(x) for x in dual_curvature_check(spec, U, V))
+    assert quad_calls == []
+    evaluate(spec, us[3], vs[2])
+    assert quad_calls == [us[3]]
+
+
+@pytest.mark.parametrize("fid", ALL_FAMILIES)
+def test_without_heights_only_the_height_of_a_chart_point_changes(fid):
+    # a box three times the default one, off the Euclidean profile on both
+    # sides, and points off every chart: the axis, NaN and inf
+    spec = make_spec(fid)
+    u0, u1, v0, v1 = spec.domain
+    us = np.append(np.linspace(2 * u0 - u1, 2 * u1 - u0, 23), [0.0, math.nan, math.inf])
+    vs = np.linspace(2 * v0 - v1, 2 * v1 - v0, 7)
+    cases = [(us[:, None], vs[None, :])] + [(float(u), float(v)) for u, v in zip(us[::4], vs)]
+    for u, v in cases:
+        with np.errstate(all="ignore"):
+            full = evaluate(spec, u, v, check=False)
+            bare = evaluate(spec, u, v, check=False, heights=False)
+        assert np.array_equal(np.isfinite(full.r[..., 2]), np.isfinite(bare.r[..., 2]))
+        if fid == "euclidean_rotational":  # the one chart with a stand-in height
+            full.r[..., 2] = bare.r[..., 2]
+        for f in dataclasses.fields(ParamJet2):
+            a, b = getattr(full, f.name), getattr(bare, f.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (fid, f.name)
 
 
 # --- validity decisions against the broadcasting public predicates ------------

@@ -28,13 +28,14 @@ from isocrpc.geometry import (
     Jet2Height,
     ParamJet2,
     characteristic_directions,
-    crpc_residual,
     crpc_target,
     euclidean_curvatures,
     fd_jet,
     height_jet_from_param,
     isotropic_curvatures,
     normal_curvature,
+    ratio_law_residual,
+    relative_curvatures,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -211,16 +212,19 @@ def test_crpc_target_values_and_symmetry():
         crpc_target(0.0)
 
 
-def test_crpc_residual_vanishes_on_the_quadric():
-    jet = evaluate(make_spec("trans_paraboloid", {"a": 2.0}), 0.1, 0.4)
-    assert abs(float(crpc_residual(height_jet_from_param(jet), 2.0))) < 1e-14
+def _isotropic_ratio_residual(hj, a):
+    return float(ratio_law_residual(hj, *relative_curvatures(hj), a, False))
+
+
+def test_ratio_law_residual_vanishes_on_the_quadric():
+    hj = height_jet_from_param(evaluate(make_spec("trans_paraboloid", {"a": 2.0}), 0.1, 0.4))
+    assert abs(_isotropic_ratio_residual(hj, 2.0)) < 1e-14
     # the symmetric hypothesis a -> 1/a leaves the target unchanged
-    assert abs(float(crpc_residual(height_jet_from_param(jet), 0.5))) < 1e-14
+    assert abs(_isotropic_ratio_residual(hj, 0.5)) < 1e-14
 
 
-def test_crpc_residual_degenerate_k():
-    with pytest.raises(DegenerateK):
-        crpc_residual(monge_jet(0, 0, 0, 0, 0, 1.0, 0.0, 0.0), 2.0)
+def test_ratio_law_residual_is_nan_where_k_vanishes():
+    assert math.isnan(_isotropic_ratio_residual(monge_jet(0, 0, 0, 0, 0, 1.0, 0.0, 0.0), 2.0))
 
 
 def test_normal_curvature_euler_values():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isocrpc.families
 import isocrpc.meshing
 from isocrpc.cli import main
 from isocrpc.duality import dual_surface_point
@@ -22,6 +21,7 @@ from isocrpc.geometry import (K_EPS, crpc_target, euclidean_curvatures, height_j
                               monge_jet, principal_ratio_residual, relative_curvatures)
 from isocrpc.meshing import (MeshGrid, dual_grid, fmt_float, format_rows, obj_text, sample_grid,
                              write_text)
+from test_families import quad_calls  # noqa: F401 (a fixture)
 from test_residuals import FAMILY_CASES
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
@@ -436,8 +436,8 @@ def test_one_bad_component_masks_as_the_trailing_axis_reduction(field, value, mo
     comps = rng.integers(0, 3, size=12)  # one component per node
     jets = []
 
-    def poisoned(spec, U, V, check=True):
-        jet = evaluate(spec, U, V, check=check)
+    def poisoned(spec, U, V, check=True, heights=True):
+        jet = evaluate(spec, U, V, check=check, heights=heights)
         getattr(jet, field)[(*np.unravel_index(nodes, (nu, nv)), comps)] = value
         jets.append(jet)
         return jet
@@ -598,19 +598,41 @@ def test_sampling_peak_memory_is_near_the_returned_arrays(make):
     assert peak <= 1.5 * returned
 
 
-def test_each_distinct_u_is_integrated_once(monkeypatch):
+def test_each_distinct_u_is_integrated_once(quad_calls):
     # euclidean_rotational integrates its profile once per distinct u of a
     # chart evaluation; a block of whole rows holds each u of the grid once
-    uppers = []
-    quad = isocrpc.families.quad
-
-    def counted(fn, lower, upper, **kwargs):
-        uppers.append(upper)
-        return quad(fn, lower, upper, **kwargs)
-
-    monkeypatch.setattr(isocrpc.families, "quad", counted)
     nu, nv = 120, 90
     assert nu > isocrpc.meshing.SAMPLE_BLOCK_NODES // nv  # more than one block
     grid = sample_grid(make_spec("euclidean_rotational", {"a": 2.0}), nu, nv)
     assert not grid.mask.all(axis=1).any()
-    assert uppers == grid.us.tolist()
+    assert quad_calls == grid.us.tolist()
+
+
+@pytest.mark.parametrize("a", ["2", "-1.5"])
+def test_verify_integrates_no_height_and_generate_one_per_grid_u(a, tmp_path, quad_calls):
+    # no verify column reads a height; generate writes one per vertex
+    out = tmp_path / "out"
+    family = ["--family", "euclidean_rotational", "--a", a]
+    assert main(["verify", *family, "--res", "200x200", "--out", str(out)]) == 0
+    assert quad_calls == []
+    # the box leaves the profile on both sides of it
+    assert main(["generate", *family, "--domain", "-2,2,0,1", "--res", "200x20",
+                 "--out", str(out)]) == 0
+    us = np.linspace(-2.0, 2.0, 200)
+    on_profile = us[hard_valid(make_spec("euclidean_rotational", {"a": float(a)}), us, 0.0)]
+    assert 0 < len(on_profile) < 100
+    assert quad_calls == on_profile.tolist()
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5, 1.5, -1.5])
+def test_a_grid_without_heights_keeps_its_mask_and_curvature_bits(a):
+    # the box leaves the profile and crosses both loci, u = 0 and u = 1
+    spec = make_spec("euclidean_rotational", {"a": a}, (-2.0, 2.0, 0.0, 1.0))
+    full, bare = sample_grid(spec, 81, 9), sample_grid(spec, 81, 9, heights=False)
+    assert full.mask.any() and not full.mask.all()
+    for name in ("mask", "H", "K", "residual"):
+        assert getattr(full, name).tobytes() == getattr(bare, name).tobytes(), name
+    assert full.vertices[..., :2].tobytes() == bare.vertices[..., :2].tobytes()
+    z_full, z_bare = full.vertices[..., 2], bare.vertices[..., 2]
+    assert np.array_equal(np.isfinite(z_full), np.isfinite(z_bare))
+    assert (z_bare[np.isfinite(z_bare)] == 0.0).all()

@@ -40,13 +40,12 @@ def pipe_family():
 
 # --- ParabolicSphere ------------------------------------------------------
 
-def test_sphere_radius_height_residual():
+def test_sphere_height_residual():
     s = ParabolicSphere(2.0, 1.0, -1.0, 0.5)
-    assert s.radius == pytest.approx(0.5)
     x, y = 0.3, -0.7
     z = s.height(x, y)
     assert s.algebraic_residual(np.array([[x, y, z]]))[0] == pytest.approx(0.0)
-    assert_allclose(s.coefficients(), [2.0, 1.0, -1.0, 0.5])
+    assert (s.A, s.B, s.C, s.D) == (2.0, 1.0, -1.0, 0.5)
 
 
 def test_sphere_requires_nonzero_quadratic_coefficient():
@@ -212,7 +211,7 @@ def test_characteristic_curvature_equals_radius_reciprocal():
     for t in (0.0, 0.5, 1.0):
         ch = envelope_characteristic(fam, t)
         assert ch.curvature == pytest.approx(1.0 + t)
-        assert ch.circle.carrier_sphere.radius == pytest.approx(1.0 / (1.0 + t))
+        assert 1.0 / ch.circle.carrier_sphere.A == pytest.approx(1.0 / (1.0 + t))
 
 
 def test_cylindric_constant_exists():
