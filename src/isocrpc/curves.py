@@ -66,12 +66,14 @@ class CurveTrace:
     def to_csv(self, path) -> None:
         """Write t,x,y,z,tx,ty rows at 17 significant digits."""
         rows = np.column_stack((self.t, self.points, self.top_dirs))
-        text = format_rows("", "%.17g", ",", rows)
+        text = format_rows("", ",", rows)
         write_text("".join(["t,x,y,z,tx,ty\n", *text]), path)
 
 
 def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
-    """Unit top-view direction of the chosen field, sign-aligned with ref."""
+    """Unit top-view direction (dx, dy) of the chosen field, sign-aligned
+    with the direction ref, the parameter velocity (du, dv) whose top view
+    it is, and the chart point (x, y, z), all as floats."""
     jet = evaluate(spec, u, v, check=True)
     fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
     values = [c for field in fields for c in field.tolist()]
@@ -95,19 +97,12 @@ def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
     # would not move the trace
     if not 0.5 <= dx * dx + dy * dy <= 2.0:
         raise DegenerateJet("field direction is not a unit vector")
-    if ref is not None and float(d @ ref) < 0.0:
-        d = -d
-    return d, jet
-
-
-def _lift(jet, d):
-    # parameter velocity with top view exactly d: solve J [du dv]^T = d; the
-    # jet passed height_jet_from_param's admissibility test, so det != 0
-    xu, yu, _ = jet.ru.tolist()
-    xv, yv, _ = jet.rv.tolist()
-    dx, dy = d.tolist()
+    if ref is not None and dx * ref[0] + dy * ref[1] < 0.0:
+        dx, dy = -dx, -dy
+    # solve J [du dv]^T = (dx, dy); the jet passed height_jet_from_param's
+    # admissibility test, so det != 0
     det = xu * yv - yu * xv
-    return (dx * yv - dy * xv) / det, (xu * dy - yu * dx) / det
+    return (dx, dy), ((dx * yv - dy * xv) / det, (xu * dy - yu * dx) / det), values[:3]
 
 
 # a nearly flat chart can overflow the curvature arithmetic of a stage; a
@@ -124,14 +119,14 @@ def trace_direction_field(
     """Integrate the chosen direction field from seed with fixed-step RK4.
 
     The direction sign at every stage is chosen for continuity against the
-    step's starting direction. A singularity, domain exit, umbilic hit,
-    non-finite chart jet or parameter state, or a direction that is not a
-    unit vector after the first sample truncates the trace before that
-    sample (stopped says why); at the seed itself an umbilic raises
-    UmbilicEncountered and other geometry errors propagate. dt must be
-    finite and positive, and steps at most MAX_TRACE_STEPS. A step
-    evaluates the chart four times: its first stage is the accepted
-    sample's direction.
+    step's starting direction. A singularity, domain exit (a non-finite
+    parameter state among them), umbilic hit, non-finite chart jet, or a
+    direction that is not a unit vector after the first sample truncates
+    the trace before that sample (stopped says why); at the seed itself an
+    umbilic raises UmbilicEncountered and other geometry errors propagate.
+    dt must be finite and positive, and steps at most MAX_TRACE_STEPS. A
+    step evaluates the chart four times: its first stage is the accepted
+    sample's velocity.
     """
     if kind not in TRACE_KINDS:
         raise ValueError(f"kind must be one of {TRACE_KINDS}")
@@ -141,36 +136,31 @@ def trace_direction_field(
         raise ValueError("steps must be >= 1 and dt finite and > 0")
     u, v = float(seed[0]), float(seed[1])
     try:
-        d, jet = _field_direction(spec, u, v, kind, None)
+        d, (du, dv), point = _field_direction(spec, u, v, kind, None)
     except Umbilic as exc:
         raise UmbilicEncountered(str(exc)) from exc
 
-    samples = array("d", (u, v, *jet.r.tolist(), *d.tolist()))  # 7 floats per sample
+    samples = array("d", (u, v, *point, *d))  # 7 floats per sample
     stopped = None
 
     def rhs(uu, vv):
-        dd, jj = _field_direction(spec, uu, vv, kind, ref)
-        return _lift(jj, dd)
+        return _field_direction(spec, uu, vv, kind, ref)[1]
 
     for _ in range(steps):
         # d aligned against itself never flips, so the chart evaluated at
-        # the accepted sample again would give k1 = _lift(jet, d) exactly
+        # the accepted sample again would give k1 = (du, dv) exactly
         ref = d
         try:
-            k1u, k1v = _lift(jet, d)
-            k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+            k2u, k2v = rhs(u + 0.5 * dt * du, v + 0.5 * dt * dv)
             k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
             k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
-            u += dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if not (math.isfinite(u) and math.isfinite(v)):
-                stopped = "non-finite parameter state"
-                break
-            d, jet = _field_direction(spec, u, v, kind, ref)
+            u += dt / 6.0 * (du + 2.0 * k2u + 2.0 * k3u + k4u)
+            v += dt / 6.0 * (dv + 2.0 * k2v + 2.0 * k3v + k4v)
+            d, (du, dv), point = _field_direction(spec, u, v, kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break
-        samples.extend((u, v, *jet.r.tolist(), *d.tolist()))
+        samples.extend((u, v, *point, *d))
     rows = np.frombuffer(samples).reshape(-1, 7)
     return CurveTrace(
         kind=kind,

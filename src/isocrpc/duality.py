@@ -17,6 +17,7 @@ from .errors import NonAdmissiblePoint
 from .families import FamilySpec, evaluate
 from .geometry import (
     FD_STEP,
+    Jet2Height,
     ParamJet2,
     height_jet_from_param,
     isotropic_curvatures,
@@ -46,12 +47,9 @@ def dual_from_tangent(r, ru, rv) -> np.ndarray:
     return _plane_point(r[..., 0], r[..., 1], r[..., 2], fx, fy)
 
 
-def dual_surface_point(jet) -> np.ndarray:
-    """Dual point of a surface jet (ParamJet2 or Jet2Height), shape (..., 3)."""
-    if isinstance(jet, ParamJet2):
-        return dual_from_tangent(jet.r, jet.ru, jet.rv)
-    return _plane_point(jet.x0, jet.y0, jet.f,
-                        np.asarray(jet.fx, float), np.asarray(jet.fy, float))
+def dual_surface_point(hj: Jet2Height) -> np.ndarray:
+    """Dual point of a Monge jet's tangent plane, shape (..., 3)."""
+    return _plane_point(hj.x0, hj.y0, hj.f, np.asarray(hj.fx, float), np.asarray(hj.fy, float))
 
 
 def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +157,8 @@ def involution_check(spec: FamilySpec, us: np.ndarray, vs: np.ndarray) -> float:
     U, V = _grid(us, vs)
 
     def D(uu, vv) -> np.ndarray:
-        return dual_surface_point(evaluate(spec, uu, vv, check=False))
+        jet = evaluate(spec, uu, vv, check=False)
+        return dual_from_tangent(jet.r, jet.ru, jet.rv)
 
     h = FD_STEP
     du = (D(U + h, V) - D(U - h, V)) / (2 * h)

@@ -311,13 +311,22 @@ def _dual_trans_minimal(params, U, V):
 # lives on r in (1, inf), anchored at the default domain's left edge.
 
 
-def _euclid_anchor(a: float) -> float:
-    return 0.0 if a > 0 else 0.9 ** (1.0 / a)
+def _euclid_edge(a: float) -> float:
+    """The radius 0.9^(1/a), where r^a = 0.9: an edge of the default box, and
+    for a < 0 the height anchor. Raises InvalidParams where it overflows
+    (-1.48e-4 < a < 0)."""
+    try:
+        edge = 0.9 ** (1.0 / a)
+    except OverflowError:
+        edge = math.inf
+    if not math.isfinite(edge):
+        raise InvalidParams(f"euclidean_rotational: the edge 0.9^(1/a) overflows at a = {a!r}")
+    return edge
 
 
 def _euclid_on_profile(a: float, U):
-    """The profile's hard region: u > 0 and a real slope, u^(2a) < 1."""
-    return (U > 0.0) & (U ** (2.0 * a) < 1.0)
+    """The profile's hard region: finite u > 0 and a real slope, u^(2a) < 1."""
+    return (U > 0.0) & np.isfinite(U) & (U ** (2.0 * a) < 1.0)
 
 
 def _euclid_slope(a: float):
@@ -339,7 +348,7 @@ def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
     if not heights:
         return np.where(on_profile, 0.0, np.nan)
     hp = _euclid_slope(a)
-    anchor = _euclid_anchor(a)
+    anchor = 0.0 if a > 0 else _euclid_edge(a)
     out = np.full(U.shape, np.nan)
     us, inverse = np.unique(U[on_profile], return_inverse=True)
     hs = [quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200)[0] for u in us.tolist()]
@@ -517,7 +526,7 @@ _register(_Entry(
 
 def _euclid_domain(p):
     a = p["a"]
-    edge = 0.9 ** (1.0 / a)
+    edge = _euclid_edge(a)
     if a > 0:
         return (0.1, edge, 0.0, math.pi)
     return (edge, 2.0 * edge, 0.0, math.pi)

@@ -260,12 +260,14 @@ def _int_words(n: np.ndarray) -> tuple:
     return words[:, None], fallback
 
 
-def _text_fields(conversion: str, values: np.ndarray) -> tuple:
-    """(n, width) uint8 text of each value under conversion, padded with zero
-    bytes, and the mask of values that % wrote."""
-    if conversion == "%d":
+def _text_fields(values: np.ndarray) -> tuple:
+    """(n, width) uint8 text of each value (%d if integer, else %.17g), padded
+    with zero bytes, and the mask of values that % wrote."""
+    if values.dtype.kind in "iu":
+        conversion = "%d"
         words, fallback = _int_words(values)
     else:
+        conversion = "%.17g"
         words, fallback = _float_words(values.astype(np.float64, copy=False))
     fields = words.astype("<u8", copy=False).view(np.uint8)
     if fallback.any():
@@ -279,15 +281,15 @@ def _text_fields(conversion: str, values: np.ndarray) -> tuple:
     return fields, fallback
 
 
-def format_rows(head: str, conversion: str, sep: str, rows: np.ndarray) -> Iterator[str]:
+def format_rows(head: str, sep: str, rows: np.ndarray) -> Iterator[str]:
     """Text of the rows of a 2-D array, in blocks of rows: each row is head,
-    its values under conversion joined by sep, and a newline.
+    its values joined by sep, and a newline.
 
-    conversion is %.17g, or %d for integer rows. The text is byte for byte
-    that of one % operation per row on the values + 0, so -0.0 prints as 0.
-    A numpy kernel writes the digits: %.17g from an exact double-double
-    scaling, %d for 0 <= n < 10**8. % writes the rest: NaN, inf, other
-    ints, and a float within _TIE_MARGIN of a 17-digit tie where
+    Integer rows are written as %d, all others as %.17g. The text is byte
+    for byte that of one % operation per row on the values + 0, so -0.0
+    prints as 0. A numpy kernel writes the digits: %.17g from an exact
+    double-double scaling, %d for 0 <= n < 10**8. % writes the rest: NaN,
+    inf, other ints, and a float within _TIE_MARGIN of a 17-digit tie where
     10**(16 - e10) is no double (e10 < -6 or e10 > 16), which sampled grids
     do not hold.
     """
@@ -299,7 +301,7 @@ def format_rows(head: str, conversion: str, sep: str, rows: np.ndarray) -> Itera
     after[-1, 0] = ord("\n")
     for start in range(0, len(rows), FORMAT_BLOCK_ROWS):
         block = rows[start:start + FORMAT_BLOCK_ROWS]
-        field = _text_fields(conversion, block.ravel())[0]
+        field = _text_fields(block.ravel())[0]
         # each row: first, then one cell a value: its field and the literal
         # after it; every byte is written, and the zero bytes are dropped
         out = np.empty((len(block), len(first) + after.size + width * field.shape[1]), np.uint8)
@@ -384,7 +386,6 @@ class MeshGrid:
             "n_valid": int(valid.sum()),
             "n_quads": len(self.quads),
             "max_abs_H": float(np.max(np.abs(self.H[valid]))) if valid.any() else float("nan"),
-            "max_abs_K": float(np.max(np.abs(self.K[valid]))) if valid.any() else float("nan"),
         }
         if self.residual is not None and valid.any():
             # NaN where every residual is NaN (a flat grid), without nanmax's warning
@@ -488,5 +489,5 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
 
 def obj_text(grid: MeshGrid) -> str:
     """Wavefront OBJ text: unmasked vertices row-major, whole quads as faces."""
-    return "".join([*format_rows("v ", "%.17g", " ", grid.vertex_rows()),
-                    *format_rows("f ", "%d", " ", grid.quads)])
+    return "".join([*format_rows("v ", " ", grid.vertex_rows()),
+                    *format_rows("f ", " ", grid.quads)])

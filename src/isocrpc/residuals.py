@@ -23,9 +23,6 @@ from .families import (FamilySpec, _helical_general_profile, _tin_b, evaluate,
 from .geometry import (height_jet_from_param, principal_ratio_residual, ratio_law_residual,
                        relative_curvatures)
 
-TRANSLATIONAL_CASES = ("two_iso", "iso_noniso", "noniso_noniso")
-
-
 @dataclass(frozen=True)
 class OdeResidual:
     """Both sides of a generating equation, at one point or elementwise."""
@@ -56,55 +53,55 @@ def helical_ode_residual(fp, fpp, u, a: float) -> OdeResidual:
     return OdeResidual(lhs, rhs)
 
 
-def translational_residual(case: str, a: float, fp=None, fpp=None, gp=None, gpp=None,
-                           k=0.0) -> OdeResidual:
-    """Profile identity of a translational surface, by generator types.
+def two_iso_residual(a: float, fpp, gpp, k=0.0) -> OdeResidual:
+    """Profile identity of a translational surface with both generators in
+    isotropic planes, chart (u, k u + v, f(u) + g(v)) with shear k:
+    (k^2 + 1 + f''/g'')^2 = ((a+1)^2/a) f''/g''.
 
-    two_iso: both generators in isotropic planes, chart
-        (u, k u + v, f(u) + g(v)); needs fpp, gpp (and the shear k):
-        (k^2 + 1 + f''/g'')^2 = ((a+1)^2/a) f''/g''.
-    iso_noniso: chart (v, -u + g(v), f(u)); needs fp, fpp, gp, gpp:
-        ((1+g'^2) f''/f' + g'')^2 = ((a+1)^2/a) (f''/f') g''.
-    noniso_noniso: chart (u+v, f(u)+g(v), u); needs fp, fpp, gp, gpp:
-        ((1+f'^2) g'' + (1+g'^2) f'')^2 = ((a+1)^2/a) f'' g'' (f'-g')^2.
-
-    Elementwise in the derivatives and k. Raises DegenerateInput when the
-    supplied derivatives make the relative curvature vanish at any point
-    (the ratio is undefined there).
+    Elementwise in the derivatives and k. Raises DegenerateInput where
+    f'' g'' = 0 at any point (the ratio is undefined there).
     """
     if a == 0:
         raise ValueError("ratio a must be nonzero")
-    if case not in TRANSLATIONAL_CASES:
-        raise ValueError(f"case must be one of {TRANSLATIONAL_CASES}")
-    cfac = (a + 1.0) ** 2 / a
-    if case == "two_iso":
-        if fpp is None or gpp is None:
-            raise TypeError("two_iso needs fpp and gpp")
-        if np.any((fpp == 0.0) | (gpp == 0.0)):
-            raise DegenerateInput("f'' g'' = 0: flat generator, ratio undefined")
-        ratio = fpp / gpp
-        lhs = (k * k + 1.0 + ratio) ** 2
-        rhs = cfac * ratio
-        return OdeResidual(lhs, rhs)
-    if any(d is None for d in (fp, fpp, gp, gpp)):
-        raise TypeError(f"{case} needs fp, fpp, gp and gpp")
-    if case == "iso_noniso":
-        if np.any(fp == 0.0):
-            raise DegenerateInput("f' = 0: chart is not a graph there")
-        if np.any((fpp == 0.0) | (gpp == 0.0)):
-            raise DegenerateInput("f' f'' g'' = 0: ratio undefined")
-        ratio = fpp / fp
-        lhs = ((1.0 + gp * gp) * ratio + gpp) ** 2
-        rhs = cfac * ratio * gpp
-        return OdeResidual(lhs, rhs)
-    # noniso_noniso
+    if np.any((fpp == 0.0) | (gpp == 0.0)):
+        raise DegenerateInput("f'' g'' = 0: flat generator, ratio undefined")
+    ratio = fpp / gpp
+    return OdeResidual((k * k + 1.0 + ratio) ** 2, (a + 1.0) ** 2 / a * ratio)
+
+
+def iso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
+    """Profile identity of a translational surface with one generator in an
+    isotropic plane, chart (v, -u + g(v), f(u)):
+    ((1+g'^2) f''/f' + g'')^2 = ((a+1)^2/a) (f''/f') g''.
+
+    Elementwise. Raises DegenerateInput where f' f'' g'' = 0 at any point.
+    """
+    if a == 0:
+        raise ValueError("ratio a must be nonzero")
+    if np.any(fp == 0.0):
+        raise DegenerateInput("f' = 0: chart is not a graph there")
+    if np.any((fpp == 0.0) | (gpp == 0.0)):
+        raise DegenerateInput("f' f'' g'' = 0: ratio undefined")
+    ratio = fpp / fp
+    return OdeResidual(((1.0 + gp * gp) * ratio + gpp) ** 2, (a + 1.0) ** 2 / a * ratio * gpp)
+
+
+def noniso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
+    """Profile identity of a translational surface with no generator in an
+    isotropic plane, chart (u+v, f(u)+g(v), u):
+    ((1+f'^2) g'' + (1+g'^2) f'')^2 = ((a+1)^2/a) f'' g'' (f'-g')^2.
+
+    Elementwise. Raises DegenerateInput where f' = g' (a vertical tangent
+    plane) or f'' g'' = 0 at any point.
+    """
+    if a == 0:
+        raise ValueError("ratio a must be nonzero")
     if np.any(fp == gp):
         raise DegenerateInput("f' = g': tangent plane is vertical there")
     if np.any((fpp == 0.0) | (gpp == 0.0)):
         raise DegenerateInput("f'' g'' = 0: ratio undefined")
     lhs = ((1.0 + fp * fp) * gpp + (1.0 + gp * gp) * fpp) ** 2
-    rhs = cfac * fpp * gpp * (fp - gp) ** 2
-    return OdeResidual(lhs, rhs)
+    return OdeResidual(lhs, (a + 1.0) ** 2 / a * fpp * gpp * (fp - gp) ** 2)
 
 
 def discriminant_identity_check(a: float, gp, L0, L1, Y):
@@ -188,23 +185,21 @@ def _two_iso(spec, U, V, jet):
     # overflow, and the residual is NaN, as the ratio residual of so flat a
     # grid is
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(translational_residual(
-            "two_iso", spec.params["a"], fpp=jet.ruu[..., 2], gpp=jet.rvv[..., 2]).normalized)
+        return np.abs(two_iso_residual(spec.params["a"], jet.ruu[..., 2],
+                                       jet.rvv[..., 2]).normalized)
 
 
 def _iso_noniso(spec, U, V, jet):
     a = spec.params["a"]
     fp, fpp, gp, gpp = _tin_normal_form(a, U, V)
-    return np.abs(translational_residual(
-        "iso_noniso", a, fp=fp, fpp=fpp, gp=gp, gpp=gpp).normalized)
+    return np.abs(iso_noniso_residual(a, fp, fpp, gp, gpp).normalized)
 
 
 def _noniso_noniso(spec, U, V, jet):
     # the log-cos pair f = log|cos u|, g = -log|cos v|
     tu, tv = np.tan(U), np.tan(V)
-    return np.abs(translational_residual(
-        "noniso_noniso", -1.0,
-        fp=-tu, fpp=-(1.0 + tu * tu), gp=tv, gpp=1.0 + tv * tv).normalized)
+    return np.abs(noniso_noniso_residual(-1.0, -tu, -(1.0 + tu * tu), tv,
+                                         1.0 + tv * tv).normalized)
 
 
 def _ratio_law(spec, U, V, jet):

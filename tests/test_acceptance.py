@@ -39,7 +39,7 @@ from isocrpc.residuals import (
     discriminant_identity_check,
     family_ode_residual,
     helical_ode_residual,
-    translational_residual,
+    two_iso_residual,
 )
 from isocrpc.spheres import SphereFamily, channel_checks, envelope_characteristic
 
@@ -349,7 +349,7 @@ def test_criterion_08_generating_equations():
             r = helical_ode_residual(c / u, -c / (u * u), u, -1.0)
             assert r.lhs == 0.0 and r.rhs == 0.0
 
-    assert translational_residual("two_iso", 2.0, fpp=4.0, gpp=2.0).raw == 0.0
+    assert two_iso_residual(2.0, 4.0, 2.0).raw == 0.0
     for fid in ("trans_iso_noniso", "trans_noniso_noniso"):
         spec = make_spec(fid, {"a": 2.0} if fid == "trans_iso_noniso" else {})
         u0, u1, v0, v1 = spec.domain

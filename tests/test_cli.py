@@ -742,6 +742,45 @@ def test_verify_every_a_value_needs_a_row(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_with_no_valid_combination_writes_only_the_header(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "paraboloid", "--params", "b=1", "--res", "6x6",
+               "--out", str(out)])
+    assert rc == 1
+    assert out.read_text() == isocrpc.cli.VERIFY_HEADER + "\n"
+    assert capsys.readouterr().err.splitlines() == [
+        "verify: skipped paraboloid b=1: paraboloid does not take parameter 'b'",
+        "verify: no valid (family, a) combination",
+    ]
+
+
+# between -1.48e-4 and 0, 0.9^(1/a), the edge of euclidean_rotational's default
+# box and its height anchor, overflows a double
+@pytest.mark.parametrize("a", ["-1e-4", "-1e-5", "-1e-300"])
+@pytest.mark.parametrize("subcommand", ["generate", "dual", "verify", "trace"])
+def test_a_tiny_negative_euclidean_ratio_is_refused(subcommand, a, tmp_path, capsys):
+    argv = [subcommand, "--family", "euclidean_rotational", "--a", a, "--out", str(tmp_path / "x")]
+    assert main(argv + (["--seed", "1.5,0.5"] if subcommand == "trace" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0.9^(1/a) overflows" in err
+
+
+def test_a_tiny_negative_euclidean_ratio_reads_no_height_in_verify(tmp_path, capsys):
+    # an explicit box needs no edge, and verify reads no height: only the
+    # height anchor is refused
+    out = tmp_path / "x"
+    box = ["--a", "-1e-5", "--domain", "1.5,2,0,1", "--res", "8x8", "--out", str(out)]
+    assert main(["verify", "--family", "euclidean_rotational", *box]) == 0
+    assert out.read_text().splitlines()[1].endswith(",PASS")
+    assert main(["generate", "--family", "euclidean_rotational", *box]) == 1
+    assert capsys.readouterr().err == ("error: euclidean_rotational: the edge 0.9^(1/a) "
+                                       "overflows at a = -1e-05\n")
+    assert main(["verify", "--family", "all", *box[:2], "--res", "8x8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify: skipped euclidean_rotational a=-1.0000000000000001e-05: ")
+    assert "Traceback" not in err and len(out.read_text().splitlines()) == 1 + 13
+
+
 READ_FLAGS = {
     "list": {"json", "out", "config"},
     "generate": {"family", "a", "params", "domain", "res", "out", "config"},
@@ -978,7 +1017,7 @@ ARGV_VALUES = {
                  "euclidean_rotational", "rotational_power", "helical_general", "all",
                  "nope", ""),
     "--a": ("2", "-2", "0", "1", "-1", "0.5", "nan", "inf", "-0.5,2", "1e-320", "1e200",
-            "x", ""),
+            "-1e-5", "x", ""),
     "--params": ("a=2", "a=-2", "a=nan", "b=1", "a", "a=1e-320", "c=0.5", ""),
     "--domain": ("0.5,2,0,1", "-1,1,-1,1", "0,inf,0,1", "1,-1,-1,1", "nan,1,0,1",
                  "0,1,0", "a,b,c,d", "0,0,0,1", "-1e-300,1e-300,0,1"),
@@ -1031,6 +1070,9 @@ def cli_argv(draw):
 @example(argv=["verify", "--family", "euclidean_rotational", "--a", "-1.5", "--domain",
                "-0.5,0.5,0,1", "--res", "5x5"])
 @example(argv=["verify", "--family", "trans_iso_noniso", "--a", "0.99"])
+@example(argv=["verify", "--family", "all", "--a", "-1e-5", "--res", "8x8"])
+@example(argv=["generate", "--family", "euclidean_rotational", "--a", "-1e-5", "--domain",
+               "1.5,2,0,1", "--res", "8x8"])
 def test_any_argv_exits_cleanly(tmp_path, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \

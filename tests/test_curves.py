@@ -77,14 +77,13 @@ def test_rk4_step_evaluates_the_chart_once_per_stage(monkeypatch):
 def _reference_trace(spec, seed, kind, steps, dt):
     """RK4 that evaluates the chart at all four stages and at the accepted point."""
     u, v = float(seed[0]), float(seed[1])
-    d0, jet0 = curves._field_direction(spec, u, v, kind, None)
-    ts, uvs, pts, dirs = [0.0], [(u, v)], [np.asarray(jet0.r, float).reshape(3)], [d0]
+    d0, _velocity, point0 = curves._field_direction(spec, u, v, kind, None)
+    ts, uvs, pts, dirs = [0.0], [(u, v)], [point0], [d0]
     stopped, ref = None, d0
     for i in range(steps):
         try:
             def rhs(uu, vv):
-                d, jet = curves._field_direction(spec, uu, vv, kind, ref)
-                return np.array(curves._lift(jet, d))
+                return np.array(curves._field_direction(spec, uu, vv, kind, ref)[1])
 
             k1 = rhs(u, v)
             k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
@@ -92,17 +91,14 @@ def _reference_trace(spec, seed, kind, steps, dt):
             k4 = rhs(u + dt * k3[0], v + dt * k3[1])
             du, dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             u, v = u + du, v + dv
-            if not (math.isfinite(u) and math.isfinite(v)):
-                stopped = "non-finite parameter state"
-                break
-            d, jet = curves._field_direction(spec, u, v, kind, ref)
+            d, _velocity, point = curves._field_direction(spec, u, v, kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break
         ref = d
         ts.append((i + 1) * dt)
         uvs.append((u, v))
-        pts.append(np.asarray(jet.r, float).reshape(3))
+        pts.append(point)
         dirs.append(d)
     return CurveTrace(kind=kind, t=np.array(ts), uv=np.array(uvs), points=np.array(pts),
                       top_dirs=np.array(dirs), stopped=stopped)
@@ -317,13 +313,18 @@ def test_a_direction_that_is_no_unit_vector_stops_the_trace(bad, monkeypatch):
 
 
 def test_a_parameter_state_that_overflows_stops_the_trace(monkeypatch):
-    # every stage point, at u + 5e307 or u + 1e308, is finite; the RK4 sum is not
-    spec = make_spec("paraboloid", {"a": 2.0})
-    seed_field = curves._field_direction(spec, 0.3, 0.4, "principal1", None)
-    monkeypatch.setattr(curves, "_field_direction", lambda *args: seed_field)
-    monkeypatch.setattr(curves, "_lift", lambda jet, d: (1e308, 0.0))
-    tr = trace_direction_field(spec, (0.3, 0.4), "principal1", 10, 1.0)
-    assert tr.stopped == "non-finite parameter state"
+    # with a velocity of 1e308 and dt = 4, the first stage point is at u = inf,
+    # which the chart evaluation of that stage refuses
+    field_direction = curves._field_direction
+
+    def huge_velocity(*args):
+        d, _velocity, point = field_direction(*args)
+        return d, (1e308, 0.0), point
+
+    monkeypatch.setattr(curves, "_field_direction", huge_velocity)
+    tr = trace_direction_field(make_spec("paraboloid", {"a": 2.0}), (0.3, 0.4),
+                               "principal1", 10, 4.0)
+    assert tr.stopped == "OutOfDomain: paraboloid: (u, v) is not finite"
     assert len(tr) == 1
 
 

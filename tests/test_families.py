@@ -100,6 +100,7 @@ def test_helical_general_default_domain_keeps_off_the_singular_parallel(a):
     ("helical_general", {"a": 0.0}),
     ("trans_iso_noniso", {"a": 1.0}),
     ("euclidean_rotational", {"a": 0.0}),
+    ("euclidean_rotational", {"a": -1e-5}),  # the default box's edge overflows
 ])
 def test_parameter_constraints(fid, params):
     with pytest.raises(InvalidParams):
@@ -504,6 +505,22 @@ def test_evaluate_check_refuses_a_non_finite_point(fid, params, u, v):
             evaluate(spec, u, v, check=True)
         with pytest.raises(OutOfDomain, match="not finite"):
             evaluate(spec, np.array([1.0, u]), np.array([0.3, v]), check=True)
+
+
+def test_an_infinite_radius_is_off_the_euclidean_profile():
+    # inf^(2a) = 0 < 1 for a < 0, but no quadrature runs to infinity
+    spec = make_spec("euclidean_rotational", {"a": -0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(evaluate(spec, math.inf, 1.0, check=False).r[2])
+        assert not hard_valid(spec, math.inf, 1.0)
+
+
+def test_a_euclidean_ratio_whose_edge_overflows_refuses_only_the_height_anchor():
+    spec = make_spec("euclidean_rotational", {"a": -1e-5}, (1.5, 2.0, 0.0, 1.0))
+    assert evaluate(spec, 1.7, 0.5, heights=False).r[2] == 0.0
+    with pytest.raises(InvalidParams, match=r"0\.9\^\(1/a\) overflows"):
+        evaluate(spec, 1.7, 0.5)
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)

@@ -254,7 +254,9 @@ def test_emitter_grids_cover_their_cases():
 
 # --- the format_rows text kernel ----------------------------------------------
 
-ROW_SHAPES = (  # the (head, conversion, sep, width) of obj_text's and CurveTrace.to_csv's rows
+# the (head, conversion, sep, width) of obj_text's and CurveTrace.to_csv's rows; the
+# conversion is the reference's, format_rows picks it from the dtype
+ROW_SHAPES = (
     ("v ", "%.17g", " ", 3),
     ("f ", "%d", " ", 4),
     ("", "%.17g", ",", 6),
@@ -276,10 +278,11 @@ def _assert_rows_match_percent(values, shapes):
         for block_rows in (isocrpc.meshing.FORMAT_BLOCK_ROWS, len(rows) // 2 + 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(isocrpc.meshing, "FORMAT_BLOCK_ROWS", block_rows)
-                assert "".join(format_rows(head, conversion, sep, rows)) == want
+                assert "".join(format_rows(head, sep, rows)) == want
 
 
 FLOAT_SHAPES = tuple(shape for shape in ROW_SHAPES if shape[1] == "%.17g")
+INT_SHAPES = tuple(shape for shape in ROW_SHAPES if shape[1] == "%d")
 RAW_FLOATS = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40).map(
     lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
 INT64S = st.lists(st.one_of(st.integers(0, 10 ** 8 + 5), st.integers(-2 ** 63, 2 ** 63 - 1)),
@@ -296,7 +299,7 @@ def test_kernel_matches_percent_on_any_float64_bits(values):
 @settings(max_examples=200, deadline=None)
 @given(INT64S)
 def test_kernel_matches_percent_on_any_int64(values):
-    _assert_rows_match_percent(values, ROW_SHAPES)
+    _assert_rows_match_percent(values, INT_SHAPES)
 
 
 def _edge_floats():
@@ -317,24 +320,24 @@ def _edge_floats():
 
 def test_kernel_matches_percent_on_powers_of_ten_and_form_switches():
     _assert_rows_match_percent(_edge_floats(), FLOAT_SHAPES)
-    assert "".join(format_rows("", "%.17g", ",", _edge_floats()[:, None])) == "".join(
+    assert "".join(format_rows("", ",", _edge_floats()[:, None])) == "".join(
         fmt_float(x) + "\n" for x in _edge_floats().tolist())
 
 
 def test_kernel_leaves_only_nan_inf_and_inexact_ties_to_percent():
     values = np.array([np.nan, np.inf, -np.inf, 3 * 2.0 ** -24, 999043027220165.625,
                        0.0, -0.0, 1.0, 0.1, 5e-324], dtype=np.float64)
-    fallback = isocrpc.meshing._text_fields("%.17g", values)[1]
+    fallback = isocrpc.meshing._text_fields(values)[1]
     assert fallback.tolist() == [True] * 4 + [False] * 6
     ints = np.array([0, 7, 10 ** 8 - 1, 10 ** 8, -1], dtype=np.int64)
-    assert isocrpc.meshing._text_fields("%d", ints)[1].tolist() == [False] * 3 + [True] * 2
+    assert isocrpc.meshing._text_fields(ints)[1].tolist() == [False] * 3 + [True] * 2
 
 
 def test_kernel_writes_every_value_of_a_helicoid_grid():
     grid = sample_grid(make_spec("helicoid", {}), 60, 40)
     vertices = grid.vertex_rows().ravel()
-    assert isocrpc.meshing._text_fields("%.17g", vertices)[1].sum() == 0
-    assert isocrpc.meshing._text_fields("%d", grid.quads.ravel())[1].sum() == 0
+    assert isocrpc.meshing._text_fields(vertices)[1].sum() == 0
+    assert isocrpc.meshing._text_fields(grid.quads.ravel())[1].sum() == 0
     # face indices stay inside the %d kernel's range
     assert isocrpc.meshing.MAX_GRID_NODES < 10 ** 8
 

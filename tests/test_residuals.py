@@ -18,7 +18,9 @@ from isocrpc.residuals import (
     discriminant_identity_check,
     family_ode_residual,
     helical_ode_residual,
-    translational_residual,
+    iso_noniso_residual,
+    noniso_noniso_residual,
+    two_iso_residual,
 )
 
 
@@ -65,7 +67,7 @@ def test_helical_ode_rejects_zero_ratio():
 # --- translational identities ----------------------------------------------------
 
 def test_two_iso_paraboloid_pair_is_exact():
-    r = translational_residual("two_iso", 2.0, fpp=4.0, gpp=2.0, k=0.0)
+    r = two_iso_residual(2.0, 4.0, 2.0, k=0.0)
     assert r.raw == 0.0
 
 
@@ -75,14 +77,14 @@ def test_two_iso_paraboloid_pair_is_exact():
     c=st.floats(0.1, 10.0),
 )
 def test_two_iso_constant_hessians_always_satisfy(a, c):
-    r = translational_residual("two_iso", a, fpp=2.0 * a * c, gpp=2.0 * c)
+    r = two_iso_residual(a, 2.0 * a * c, 2.0 * c)
     assert abs(r.normalized) <= 1e-12
 
 
 def test_iso_noniso_chart_profile_satisfies():
     for u, v in [(0.1, 0.4), (0.3, 1.0), (-0.2, 2.0)]:
         fp, fpp, gp, gpp = _tin_normal_form(2.0, u, v)
-        r = translational_residual("iso_noniso", 2.0, fp=fp, fpp=fpp, gp=gp, gpp=gpp)
+        r = iso_noniso_residual(2.0, fp, fpp, gp, gpp)
         assert abs(r.normalized) <= 1e-8
 
 
@@ -90,38 +92,34 @@ def test_noniso_noniso_log_cos_pair_is_minimal():
     # f = log|cos u|, g = -log|cos v| solve the a = -1 case exactly
     for u, v in [(0.3, 0.5), (0.7, 0.2), (1.0, 1.1)]:
         tu, tv = math.tan(u), math.tan(v)
-        r = translational_residual(
-            "noniso_noniso", -1.0,
-            fp=-tu, fpp=-(1.0 + tu * tu), gp=tv, gpp=1.0 + tv * tv)
+        r = noniso_noniso_residual(-1.0, -tu, -(1.0 + tu * tu), tv, 1.0 + tv * tv)
         assert abs(r.raw) <= 1e-10
 
 
-@pytest.mark.parametrize("case, derivs", [
-    ("iso_noniso", {"fp": 1.0, "fpp": 1.0, "gp": 0.5, "gpp": 0.0}),
-    ("noniso_noniso", {"fp": 1.0, "fpp": 0.0, "gp": 0.5, "gpp": 1.0}),
-])
-def test_flat_generator_leaves_the_ratio_undefined(case, derivs):
+@pytest.mark.parametrize("residual, derivs", [
+    (iso_noniso_residual, {"fp": 1.0, "fpp": 1.0, "gp": 0.5, "gpp": 0.0}),
+    (noniso_noniso_residual, {"fp": 1.0, "fpp": 0.0, "gp": 0.5, "gpp": 1.0}),
+], ids=["iso_noniso", "noniso_noniso"])
+def test_flat_generator_leaves_the_ratio_undefined(residual, derivs):
     # a zero second derivative of either generator makes the ratio 0 or
     # infinite, whichever curvature it is taken against
     with pytest.raises(DegenerateInput):
-        translational_residual(case, 2.0, **derivs)
+        residual(2.0, **derivs)
 
 
 def test_translational_degenerate_inputs():
     with pytest.raises(DegenerateInput):
-        translational_residual("two_iso", 2.0, fpp=0.0, gpp=1.0)
+        two_iso_residual(2.0, 0.0, 1.0)
     with pytest.raises(DegenerateInput):
-        translational_residual("iso_noniso", 2.0, fp=0.0, fpp=1.0, gp=0.0, gpp=1.0)
+        iso_noniso_residual(2.0, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(DegenerateInput):
-        translational_residual("noniso_noniso", 2.0, fp=1.0, fpp=1.0, gp=1.0, gpp=1.0)
-    with pytest.raises(TypeError):
-        translational_residual("two_iso", 2.0, fpp=1.0)  # gpp missing
-    with pytest.raises(TypeError):
-        translational_residual("iso_noniso", 2.0, fp=1.0, fpp=1.0)
+        noniso_noniso_residual(2.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        translational_residual("diagonal", 2.0, fpp=1.0, gpp=1.0)
+        two_iso_residual(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        translational_residual("two_iso", 0.0, fpp=1.0, gpp=1.0)
+        iso_noniso_residual(0.0, 1.0, 1.0, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        noniso_noniso_residual(0.0, 1.0, 1.0, 0.5, 1.0)
 
 
 # --- discriminant identity --------------------------------------------------------
@@ -255,12 +253,12 @@ def test_helpers_on_arrays_match_their_scalar_calls():
     same((r.lhs, r.rhs, r.normalized), [
         (q.lhs, q.rhs, q.normalized)
         for q in (helical_ode_residual(*col, a) for col in x[:3].T.tolist())])
-    for case in ("two_iso", "iso_noniso", "noniso_noniso"):
-        r = translational_residual(case, a, fp=x[0], fpp=x[1], gp=-x[2], gpp=x[3], k=x[4])
+    for residual, args in ((two_iso_residual, lambda c: (c[1], c[3], c[4])),
+                           (iso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3])),
+                           (noniso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3]))):
+        r = residual(a, *args(x))
         same((r.lhs, r.rhs), [
-            (q.lhs, q.rhs) for q in (
-                translational_residual(case, a, fp=c[0], fpp=c[1], gp=-c[2], gpp=c[3], k=c[4])
-                for c in x.T.tolist())])
+            (q.lhs, q.rhs) for q in (residual(a, *args(c)) for c in x.T.tolist())])
     same(discriminant_identity_check(a, *x[:4]),
          [discriminant_identity_check(a, *c) for c in x[:4].T.tolist()])
     same(_tin_normal_form(a, x[0], x[1]),
@@ -273,11 +271,9 @@ def _tin_at_its_pole(us, vs):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: translational_residual("two_iso", 2.0, fpp=np.array([1.0, 0.0]), gpp=np.ones(2)),
-    lambda: translational_residual("iso_noniso", 2.0, fp=np.array([1.0, 0.0]), fpp=1.0,
-                                   gp=0.5, gpp=np.ones(2)),
-    lambda: translational_residual("noniso_noniso", 2.0, fp=np.array([0.5, 1.0]), fpp=1.0,
-                                   gp=1.0, gpp=1.0),
+    lambda: two_iso_residual(2.0, np.array([1.0, 0.0]), np.ones(2)),
+    lambda: iso_noniso_residual(2.0, np.array([1.0, 0.0]), 1.0, 0.5, np.ones(2)),
+    lambda: noniso_noniso_residual(2.0, np.array([0.5, 1.0]), 1.0, 1.0, 1.0),
     lambda: _tin_normal_form(-3.0, np.array([0.1, 0.1]), np.array([0.3, math.pi / 6.0])),
     lambda: _tin_at_its_pole(np.array([0.1, 0.1, 0.1]), np.array([0.3, math.pi / 6.0, 0.5])),
 ], ids=["two_iso", "iso_noniso", "noniso_noniso", "tin_normal_form", "family_ode_residual"])
