@@ -83,9 +83,9 @@ def _pairs(text: str, flag: str, form: str) -> dict:
 
 
 def _domain(text: str) -> tuple:
-    umin, umax, vmin, vmax = box = tuple(map(float, text.split(",")))
-    if not (umin < umax and vmin < vmax):
-        raise InvalidParams(f"--domain needs umin < umax and vmin < vmax, got {box}")
+    box = tuple(map(float, text.split(",")))
+    if not fam.valid_domain(box):
+        raise InvalidParams(f"--domain needs umin < umax, vmin < vmax, finite widths: {box}")
     return box
 
 

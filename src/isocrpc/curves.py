@@ -23,7 +23,6 @@ from .errors import (
     InvalidParams,
     NoIntersection,
     Umbilic,
-    UmbilicEncountered,
     ZeroNormalCurvature,
 )
 from .families import FamilySpec, evaluate
@@ -70,11 +69,11 @@ class CurveTrace:
         write_text("".join(["t,x,y,z,tx,ty\n", *text]), path)
 
 
-def _field_direction(spec: FamilySpec, u: float, v: float, kind: str, ref):
-    """Unit top-view direction (dx, dy) of the chosen field, sign-aligned
-    with the direction ref, the parameter velocity (du, dv) whose top view
-    it is, and the chart point (x, y, z), all as floats."""
-    jet = evaluate(spec, u, v, check=True)
+def _field_direction(jet, kind: str, ref):
+    """Unit top-view direction (dx, dy) of the chosen field at the chart
+    jet of one point, sign-aligned with the direction ref, the parameter
+    velocity (du, dv) whose top view it is, and the chart point (x, y, z),
+    all as floats."""
     fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
     values = [c for field in fields for c in field.tolist()]
     if not all(map(math.isfinite, values)):
@@ -122,11 +121,11 @@ def trace_direction_field(
     step's starting direction. A singularity, domain exit (a non-finite
     parameter state among them), umbilic hit, non-finite chart jet, or a
     direction that is not a unit vector after the first sample truncates
-    the trace before that sample (stopped says why); at the seed itself an
-    umbilic raises UmbilicEncountered and other geometry errors propagate.
-    dt must be finite and positive, and steps at most MAX_TRACE_STEPS. A
-    step evaluates the chart four times: its first stage is the accepted
-    sample's velocity.
+    the trace before that sample (stopped says why); at the seed itself
+    every geometry error propagates. dt must be finite and positive, and
+    steps at most MAX_TRACE_STEPS. A step evaluates the chart four times:
+    its first stage is the accepted sample's velocity, and its three inner
+    stages read no point height (heights=False).
     """
     if kind not in TRACE_KINDS:
         raise ValueError(f"kind must be one of {TRACE_KINDS}")
@@ -135,16 +134,13 @@ def trace_direction_field(
     if steps < 1 or not 0.0 < dt < math.inf:
         raise ValueError("steps must be >= 1 and dt finite and > 0")
     u, v = float(seed[0]), float(seed[1])
-    try:
-        d, (du, dv), point = _field_direction(spec, u, v, kind, None)
-    except Umbilic as exc:
-        raise UmbilicEncountered(str(exc)) from exc
+    d, (du, dv), point = _field_direction(evaluate(spec, u, v), kind, None)
 
     samples = array("d", (u, v, *point, *d))  # 7 floats per sample
     stopped = None
 
     def rhs(uu, vv):
-        return _field_direction(spec, uu, vv, kind, ref)[1]
+        return _field_direction(evaluate(spec, uu, vv, heights=False), kind, ref)[1]
 
     for _ in range(steps):
         # d aligned against itself never flips, so the chart evaluated at
@@ -156,7 +152,7 @@ def trace_direction_field(
             k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
             u += dt / 6.0 * (du + 2.0 * k2u + 2.0 * k3u + k4u)
             v += dt / 6.0 * (dv + 2.0 * k2v + 2.0 * k3v + k4v)
-            d, (du, dv), point = _field_direction(spec, u, v, kind, ref)
+            d, (du, dv), point = _field_direction(evaluate(spec, u, v), kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break

@@ -25,10 +25,6 @@ class Umbilic(GeometryError):
     """Principal curvatures coincide; directions are not determined."""
 
 
-class UmbilicEncountered(Umbilic):
-    """An umbilic point blocked a trace at its seed."""
-
-
 class SingularLocus(GeometryError):
     """Evaluation requested within the masked margin of a singular locus."""
 
@@ -46,7 +42,7 @@ class StencilOutOfDomain(GeometryError):
 
 
 class NoIntersection(GeometryError):
-    """Two traces do not cross in the top view."""
+    """Two traces do not start at one top-view point."""
 
 
 class InflectionPoint(GeometryError):

@@ -527,8 +527,8 @@ _register(_Entry(
 def _euclid_domain(p):
     a = p["a"]
     edge = _euclid_edge(a)
-    if a > 0:
-        return (0.1, edge, 0.0, math.pi)
+    if a > 0:  # the edge falls below 0.1 for a < 0.0458
+        return (min(0.1, edge), max(0.1, edge), 0.0, math.pi)
     return (edge, 2.0 * edge, 0.0, math.pi)
 
 
@@ -704,15 +704,21 @@ def catalog_entry(family_id: str) -> _Entry:
         raise InvalidParams(f"unknown family {family_id!r}") from None
 
 
+def valid_domain(dom) -> bool:
+    """The box rule of make_spec and --domain: (u_min, u_max, v_min, v_max)
+    with u_min < u_max, v_min < v_max and both widths finite."""
+    u0, u1, v0, v1 = dom
+    return u0 < u1 and v0 < v1 and math.isfinite(u1 - u0) and math.isfinite(v1 - v0)
+
+
 def make_spec(family_id: str, params: Mapping[str, float] | None = None,
               domain: tuple[float, float, float, float] | None = None) -> FamilySpec:
     """Validate parameters, fill defaults, and build a FamilySpec.
 
     Raises InvalidParams for unknown or non-finite parameters, parameters
     outside the family's constraints (among them a ratio a whose H^2/K
-    target is not finite), and a domain that is not four finite bounds of
-    nonzero width. A reversed interval (u_min > u_max) is allowed: it
-    reverses the sampling direction. The CLI rejects it at parsing.
+    target is not finite), and a domain that is not four bounds that pass
+    valid_domain.
     """
     entry = catalog_entry(family_id)
     merged = dict(entry.defaults)
@@ -728,10 +734,8 @@ def make_spec(family_id: str, params: Mapping[str, float] | None = None,
     dom = tuple(float(t) for t in (domain if domain is not None else entry.default_domain(merged)))
     if len(dom) != 4:
         raise InvalidParams("domain must be (u_min, u_max, v_min, v_max)")
-    if not all(math.isfinite(t) for t in dom):
-        raise InvalidParams(f"domain bounds must be finite, got {dom}")
-    if dom[0] == dom[1] or dom[2] == dom[3]:
-        raise InvalidParams(f"domain box has zero width, got {dom}")
+    if not valid_domain(dom):
+        raise InvalidParams(f"domain needs u_min < u_max, v_min < v_max, finite widths: {dom}")
     return FamilySpec(family_id=family_id, params=merged, domain=dom)
 
 

@@ -336,7 +336,6 @@ class MeshGrid:
     for the Euclidean comparison entry), None on a dual_grid.
     """
 
-    spec: FamilySpec
     us: np.ndarray  # (nu,)
     vs: np.ndarray  # (nv,)
     vertices: np.ndarray  # (nu, nv, 3)
@@ -442,8 +441,7 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel, heights: bool = True) -
             residual[block] = res
     if np.isnan(H).all():  # H is NaN exactly where the surface is masked
         raise EmptyGrid(f"{spec.family_id}: every grid node is masked")
-    return MeshGrid(spec=spec, us=us, vs=vs, vertices=vertices, mask=mask,
-                    H=H, K=K, residual=residual)
+    return MeshGrid(us=us, vs=vs, vertices=vertices, mask=mask, H=H, K=K, residual=residual)
 
 
 def sample_grid(spec: FamilySpec, nu: int, nv: int, a: float | None = None,

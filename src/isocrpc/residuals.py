@@ -53,20 +53,20 @@ def helical_ode_residual(fp, fpp, u, a: float) -> OdeResidual:
     return OdeResidual(lhs, rhs)
 
 
-def two_iso_residual(a: float, fpp, gpp, k=0.0) -> OdeResidual:
+def two_iso_residual(a: float, fpp, gpp) -> OdeResidual:
     """Profile identity of a translational surface with both generators in
-    isotropic planes, chart (u, k u + v, f(u) + g(v)) with shear k:
-    (k^2 + 1 + f''/g'')^2 = ((a+1)^2/a) f''/g''.
+    isotropic planes, chart (u, v, f(u) + g(v)):
+    (1 + f''/g'')^2 = ((a+1)^2/a) f''/g''.
 
-    Elementwise in the derivatives and k. Raises DegenerateInput where
-    f'' g'' = 0 at any point (the ratio is undefined there).
+    Elementwise. Raises DegenerateInput where f'' g'' = 0 at any point
+    (the ratio is undefined there).
     """
     if a == 0:
         raise ValueError("ratio a must be nonzero")
     if np.any((fpp == 0.0) | (gpp == 0.0)):
         raise DegenerateInput("f'' g'' = 0: flat generator, ratio undefined")
     ratio = fpp / gpp
-    return OdeResidual((k * k + 1.0 + ratio) ** 2, (a + 1.0) ** 2 / a * ratio)
+    return OdeResidual((1.0 + ratio) ** 2, (a + 1.0) ** 2 / a * ratio)
 
 
 def iso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:

@@ -304,13 +304,29 @@ def test_ratio_whose_target_overflows_is_an_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_generate_rejects_reversed_domain(tmp_path, capsys):
-    out = tmp_path / "m.obj"
-    rc = main(["generate", "--family", "helicoid", "--domain", "1,-1,-1,1",
-               "--out", str(out)])
+@pytest.mark.parametrize("sub", ["generate", "verify"])
+@pytest.mark.parametrize("domain", ["1,-1,-1,1", "-1,1,1,-1", "-1e308,1e308,-1,1",
+                                    "-1,1,-1e308,1e308"])
+def test_generate_rejects_reversed_domain(tmp_path, capsys, sub, domain):
+    # a width that overflows would make np.linspace warn and mask every node
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([sub, "--family", "paraboloid", f"--domain={domain}", "--res", "3x3",
+                   "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: --domain needs umin < umax")
     assert not out.exists()
+
+
+def test_verify_passes_euclidean_rotational_at_a_small_ratio(tmp_path):
+    # the default box of a < 0.0458 runs from the edge 0.9^(1/a) up to 0.1
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "euclidean_rotational", "--a", "0.01,0.001",
+               "--res", "20x20", "--out", str(out)])
+    rows = out.read_text().splitlines()[1:]
+    assert rc == 0
+    assert len(rows) == 2 and all(row.endswith(",PASS") for row in rows)
 
 
 # --- trace ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
+import isocrpc.families
 import isocrpc.meshing
 from isocrpc import curves
 from isocrpc.curves import (
@@ -26,7 +28,7 @@ from isocrpc.errors import (
     InflectionPoint,
     InvalidParams,
     NoIntersection,
-    UmbilicEncountered,
+    Umbilic,
     ZeroNormalCurvature,
 )
 from isocrpc.families import evaluate, make_spec
@@ -74,16 +76,33 @@ def test_rk4_step_evaluates_the_chart_once_per_stage(monkeypatch):
     assert len(calls) == 1 + 4 * 10
 
 
+def test_rk4_inner_stages_run_no_height_quadrature(monkeypatch):
+    # euclidean_rotational's height is a quadrature; only the seed and the
+    # accepted samples read a height, so a 100-step trace runs 101, not 401
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(isocrpc.families, "quad", counted)
+    spec = make_spec("euclidean_rotational", {})
+    tr = trace_direction_field(spec, (0.5, 1.0), "characteristic+", 100, 1e-3)
+    assert tr.stopped is None and len(tr) == 101
+    assert len(calls) == 101
+
+
 def _reference_trace(spec, seed, kind, steps, dt):
-    """RK4 that evaluates the chart at all four stages and at the accepted point."""
+    """RK4 that evaluates the chart, heights included, at all four stages
+    and at the accepted point."""
     u, v = float(seed[0]), float(seed[1])
-    d0, _velocity, point0 = curves._field_direction(spec, u, v, kind, None)
+    d0, _velocity, point0 = curves._field_direction(evaluate(spec, u, v), kind, None)
     ts, uvs, pts, dirs = [0.0], [(u, v)], [point0], [d0]
     stopped, ref = None, d0
     for i in range(steps):
         try:
             def rhs(uu, vv):
-                return np.array(curves._field_direction(spec, uu, vv, kind, ref)[1])
+                return np.array(curves._field_direction(evaluate(spec, uu, vv), kind, ref)[1])
 
             k1 = rhs(u, v)
             k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
@@ -91,7 +110,7 @@ def _reference_trace(spec, seed, kind, steps, dt):
             k4 = rhs(u + dt * k3[0], v + dt * k3[1])
             du, dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             u, v = u + du, v + dv
-            d, _velocity, point = curves._field_direction(spec, u, v, kind, ref)
+            d, _velocity, point = curves._field_direction(evaluate(spec, u, v), kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break
@@ -119,6 +138,8 @@ REUSE_SEEDS = {
     "helical_log": ({"c": 1.0}, (1.2, 0.4)),
     "trans_iso_noniso": ({"a": 2.0}, (0.0, -1.4)),
     "spiral_ruled": ({"a": -2.0}, (1.0, 1.0)),
+    # its inner stages skip the height quadrature that the reference runs
+    "euclidean_rotational": ({"a": 2.0}, (0.5, 1.0)),
 }
 
 
@@ -201,14 +222,14 @@ def test_minimal_translational_characteristic_is_a_straight_ruling():
 
 def test_umbilic_seed_raises():
     spec = make_spec("paraboloid", {"a": 1.0})  # isotropic unit sphere rep
-    with pytest.raises(UmbilicEncountered):
+    with pytest.raises(Umbilic):
         trace_direction_field(spec, (0.2, 0.1), "characteristic+", 10, 1e-3)
 
 
 @pytest.mark.parametrize("kind", ["principal1", "principal2"])
 def test_umbilic_seed_raises_for_principal_fields(kind):
     spec = make_spec("paraboloid", {"a": 1.0})  # every point is an umbilic
-    with pytest.raises(UmbilicEncountered):
+    with pytest.raises(Umbilic):
         trace_direction_field(spec, (0.2, 0.1), kind, 10, 1e-3)
 
 
@@ -317,8 +338,8 @@ def test_a_parameter_state_that_overflows_stops_the_trace(monkeypatch):
     # which the chart evaluation of that stage refuses
     field_direction = curves._field_direction
 
-    def huge_velocity(*args):
-        d, _velocity, point = field_direction(*args)
+    def huge_velocity(jet, kind, ref):
+        d, _velocity, point = field_direction(jet, kind, ref)
         return d, (1e308, 0.0), point
 
     monkeypatch.setattr(curves, "_field_direction", huge_velocity)

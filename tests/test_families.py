@@ -71,10 +71,26 @@ def test_make_spec_rejects_bad_input():
         make_spec("paraboloid", domain=(0.0, 1.0, 0.0))
 
 
-@pytest.mark.parametrize("domain", [(0.5, 0.5, 0.0, 1.0), (0.5, 1.0, 2.0, 2.0)])
+@pytest.mark.parametrize("domain", [
+    (0.5, 0.5, 0.0, 1.0), (0.5, 1.0, 2.0, 2.0),
+    # reversed boxes
+    (1.0, 0.5, 0.0, 1.0), (0.5, 1.0, 1.0, 0.0),
+    # boxes whose width overflows, or with an infinite or NaN bound
+    (-1e308, 1e308, 0.0, 1.0), (0.5, 1.0, -1e308, 1e308), (0.5, math.inf, 0.0, 1.0),
+    (math.nan, 1.0, 0.0, 1.0),
+])
 def test_make_spec_rejects_a_zero_width_domain(domain):
     with pytest.raises(InvalidParams):
         make_spec("helicoid", domain=domain)
+
+
+@pytest.mark.parametrize("a", [0.01, 0.001, 0.5, 2.0])
+def test_euclidean_rotational_default_box_is_ordered(a):
+    # for a < 0.0458 the edge 0.9^(1/a) falls below 0.1; the box still runs
+    # from the smaller to the larger radius
+    u0, u1, v0, v1 = make_spec("euclidean_rotational", {"a": a}).domain
+    assert 0.0 < u0 < u1 < 1.0 and v0 < v1
+    assert {u0, u1} == {0.1, 0.9 ** (1.0 / a)}
 
 
 @pytest.mark.parametrize("a", [0.01, 2.0])

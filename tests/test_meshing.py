@@ -98,15 +98,6 @@ def test_residual_channel_accepts_ratio_override():
     assert grid.stats()["max_abs_residual"] == pytest.approx(abs(9.0 / 8.0 - 16.0 / 12.0))
 
 
-def test_mask_mirrors_under_orientation_reversal():
-    spec_f = make_spec("helical_general", {"a": 2.0}, domain=BAND)
-    spec_r = make_spec("helical_general", {"a": 2.0},
-                       domain=(BAND[1], BAND[0], BAND[2], BAND[3]))
-    g_f = sample_grid(spec_f, 33, 5)
-    g_r = sample_grid(spec_r, 33, 5)
-    assert np.array_equal(g_f.mask, g_r.mask[::-1])
-
-
 def test_unmasked_nodes_are_admissible(monkeypatch):
     # the tangent plane of trans_noniso_noniso is vertical on u + v = 0; the
     # anti-diagonal of this box sits at u + v = 1.5e-12, just inside the
@@ -214,8 +205,7 @@ def _checkerboard_grid():
     U, V = np.meshgrid(us, vs, indexing="ij")
     mask = (np.add.outer(np.arange(5), np.arange(4)) % 2).astype(bool)
     nan = np.full(mask.shape, np.nan)
-    return MeshGrid(spec=make_spec("paraboloid", {"a": 2.0}), us=us, vs=vs,
-                    vertices=np.stack((U, -V, U * V), axis=-1), mask=mask,
+    return MeshGrid(us=us, vs=vs, vertices=np.stack((U, -V, U * V), axis=-1), mask=mask,
                     H=nan, K=nan, residual=None)
 
 

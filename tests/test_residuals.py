@@ -67,7 +67,7 @@ def test_helical_ode_rejects_zero_ratio():
 # --- translational identities ----------------------------------------------------
 
 def test_two_iso_paraboloid_pair_is_exact():
-    r = two_iso_residual(2.0, 4.0, 2.0, k=0.0)
+    r = two_iso_residual(2.0, 4.0, 2.0)
     assert r.raw == 0.0
 
 
@@ -253,7 +253,7 @@ def test_helpers_on_arrays_match_their_scalar_calls():
     same((r.lhs, r.rhs, r.normalized), [
         (q.lhs, q.rhs, q.normalized)
         for q in (helical_ode_residual(*col, a) for col in x[:3].T.tolist())])
-    for residual, args in ((two_iso_residual, lambda c: (c[1], c[3], c[4])),
+    for residual, args in ((two_iso_residual, lambda c: (c[1], c[3])),
                            (iso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3])),
                            (noniso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3]))):
         r = residual(a, *args(x))
