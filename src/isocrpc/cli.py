@@ -26,8 +26,9 @@ import numpy as np
 from . import families as fam
 from .duality import dual_law_deviation
 from .errors import GeometryError, InvalidParams, NonAdmissiblePoint
-from .meshing import MAX_GRID_NODES, dual_grid, fmt_float, obj_text, sample_grid, write_text
-from .curves import MAX_TRACE_STEPS, TRACE_KINDS, trace_direction_field
+from .geometry import crpc_target
+from .meshing import dual_grid, fmt_float, grid_shape, obj_text, sample_grid, write_text
+from .curves import TRACE_KINDS, trace_direction_field, trace_dt, trace_steps
 from .residuals import family_ode_residual
 
 FAMILY_ALIASES = {"rotational_power": "rotational_power_1"}
@@ -48,8 +49,9 @@ class Flag:
     """A flag's help, its one reader, and the values a config file may give.
 
     read turns argv text into what the commands use. It raises ValueError (or
-    KeyError) where the text is not of the form, and InvalidParams with its
-    own message where a well-formed value is refused. json_types are the
+    KeyError) where the text is not of the form, and InvalidParams, which
+    reads on after the flag's name, where a well-formed value is refused.
+    json_types are the
     types a config value may have, where float is any number and true is
     none; a list's or an object's entries are numbers, and sep joins a list.
     A flag that takes no str is a switch. default is argv text, or a
@@ -64,19 +66,18 @@ class Flag:
     default: object = None
 
 
-def _ratios(text: str) -> tuple:
-    ratios = tuple(float(p) for p in text.split(",") if p.strip())
-    if not all(map(math.isfinite, ratios)):
-        raise InvalidParams(f"--a values must be finite, got {text!r}")
-    return ratios
+def _ratio(text: str) -> float:
+    a = float(text)
+    crpc_target(a)
+    return a
 
 
-def _pairs(text: str, flag: str, form: str) -> dict:
+def _pairs(text: str, form: str) -> dict:
     """k=v,... as {k: float(v)}; blank entries are skipped."""
     out = {}
     for item in filter(str.strip, text.split(",")):
         if "=" not in item:
-            raise InvalidParams(f"{flag} entries must look like {form}, got {item.strip()!r}")
+            raise InvalidParams(f"entries must look like {form}, got {item.strip()!r}")
         k, v = item.split("=", 1)
         out[k.strip()] = float(v)
     return out
@@ -85,17 +86,13 @@ def _pairs(text: str, flag: str, form: str) -> dict:
 def _domain(text: str) -> tuple:
     box = tuple(map(float, text.split(",")))
     if not fam.valid_domain(box):
-        raise InvalidParams(f"--domain needs umin < umax, vmin < vmax, finite widths: {box}")
+        raise InvalidParams(f"needs umin < umax, vmin < vmax, finite widths: {box}")
     return box
 
 
 def _res(text: str) -> tuple:
     nu, nv = map(int, text.lower().split("x"))
-    if nu < 2 or nv < 2:
-        raise InvalidParams("--res needs at least 2 samples per direction")
-    if nu * nv > MAX_GRID_NODES:
-        raise InvalidParams(f"--res {nu}x{nv} has more than {MAX_GRID_NODES} nodes")
-    return nu, nv
+    return grid_shape(nu, nv)
 
 
 def _tol(text: str) -> dict:
@@ -103,50 +100,36 @@ def _tol(text: str) -> dict:
         # a bare number tightens the residual checks, not the H/dual ones
         tol = dict.fromkeys(("crpc", "ode"), float(text))
     else:
-        tol = _pairs(text, "--tol", "name=value")
+        tol = _pairs(text, "name=value")
     for k, v in tol.items():
         if k not in DEFAULT_TOL:
-            raise InvalidParams(f"--tol names unknown tolerance {k!r} (use {sorted(DEFAULT_TOL)})")
+            raise InvalidParams(f"names unknown tolerance {k!r} (use {sorted(DEFAULT_TOL)})")
         # a NaN or negative bound fails every row, an infinite one none
         if not 0.0 <= v < math.inf:
-            raise InvalidParams(f"--tol {k} must be finite and >= 0, got {v}")
+            raise InvalidParams(f"{k} must be finite and >= 0, got {v}")
     return tol
 
 
 def _rng_seed(text: str) -> int:
     seed = int(text)
     if seed < 0:
-        raise InvalidParams(f"--seed must be >= 0 for verify, got {seed}")
+        raise InvalidParams(f"must be >= 0 for verify, got {seed}")
     return seed
 
 
 def _start_point(text: str) -> tuple:
     u, v = map(float, text.split(","))
     if not (math.isfinite(u) and math.isfinite(v)):
-        raise InvalidParams(f"trace --seed must be finite, got {text!r}")
+        raise InvalidParams(f"must be finite, got {text!r}")
     return u, v
-
-
-def _steps(text: str) -> int:
-    steps = int(text)
-    if not 1 <= steps <= MAX_TRACE_STEPS:
-        raise InvalidParams(f"--steps must be from 1 to {MAX_TRACE_STEPS}, got {steps}")
-    return steps
-
-
-def _dt(text: str) -> float:
-    dt = float(text)
-    if not 0.0 < dt < math.inf:
-        raise InvalidParams(f"--dt must be finite and > 0, got {text!r}")
-    return dt
 
 
 FLAGS = {
     "family": Flag("family id (see the list subcommand)",
                    lambda text: FAMILY_ALIASES.get(text, text)),
-    "a": Flag("curvature ratio", float, "a number", (str, float)),
+    "a": Flag("curvature ratio", _ratio, "a number", (str, float)),
     "params": Flag("extra parameters, k=v,...",
-                   lambda text: _pairs(text, "--params", "k=v"), "k=v,... with numbers v",
+                   lambda text: _pairs(text, "k=v"), "k=v,... with numbers v",
                    (str, dict), default=""),
     "domain": Flag("umin,umax,vmin,vmax chart box", _domain, "umin,umax,vmin,vmax", (str, list)),
     "res": Flag("grid resolution NUxNV (default 50x50)", _res, "NUxNV", (str, list), "x",
@@ -156,14 +139,18 @@ FLAGS = {
     "kind": Flag("characteristic+|characteristic-|principal1|principal2 (char+/char- ok)",
                  KINDS.__getitem__, "one of " + ", ".join(KINDS),
                  default="characteristic+"),
-    "steps": Flag("integration steps", _steps, "an integer", (str, int), default="1000"),
-    "dt": Flag("top-view arclength step", _dt, "a number", (str, float), default="1e-3"),
+    "steps": Flag("integration steps", lambda text: trace_steps(int(text)), "an integer",
+                  (str, int), default="1000"),
+    "dt": Flag("top-view arclength step", lambda text: trace_dt(float(text)), "a number",
+               (str, float), default="1e-3"),
     "json": Flag("JSON output", bool, json_types=(bool,), default=False),
     "out": Flag("output file (default: stdout)", str),
 }
 # verify reads --a as a comma list of ratios; --seed is verify's RNG seed
 # and trace's start point
-RATIOS = Flag("curvature ratios, comma list", _ratios, "numbers a1,a2,...", (str, float))
+RATIOS = Flag("curvature ratios, comma list",
+               lambda text: tuple(map(_ratio, filter(str.strip, text.split(",")))),
+               "numbers a1,a2,...", (str, float))
 RNG_SEED = Flag("RNG seed (default 0)", _rng_seed, "an integer for verify", (str, int),
                 default="0")
 START_POINT = Flag("start point u,v", _start_point, "two numbers u,v")
@@ -185,8 +172,8 @@ def _is(value, kind: type) -> bool:
 
 
 def _read(name: str, flag: Flag, value):
-    """What the commands use for one flag's argv text or config value; a
-    ValueError naming the flag where the value cannot be read."""
+    """What the commands use for one flag's argv text or config value; an
+    error that starts with the flag's name where the value cannot be read."""
     entries = (value.values() if isinstance(value, dict)
                else value if isinstance(value, list) else ())
     if not (any(_is(value, kind) for kind in flag.json_types)
@@ -201,6 +188,8 @@ def _read(name: str, flag: Flag, value):
         text = value if isinstance(value, (str, bool)) else repr(value)
     try:
         return flag.read(text)
+    except InvalidParams as exc:
+        raise InvalidParams(f"--{name} {exc}") from None
     except (ValueError, KeyError):
         raise ValueError(f"--{name} must be {flag.form}, got {text!r}") from None
 

@@ -78,10 +78,6 @@ def _field_direction(jet, kind: str, ref):
     values = [c for field in fields for c in field.tolist()]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
-    # far out (a huge step), the admissibility test's frame scale overflows
-    xu, yu, _, xv, yv = values[3:8]
-    if not math.isfinite(xu * xu + yu * yu + xv * xv + yv * yv):
-        raise DegenerateJet("top-view frame overflows")
     hj = height_jet_from_param(jet, values)
     if kind in ("characteristic+", "characteristic-"):
         tp, tm = characteristic_directions(hj)
@@ -100,8 +96,23 @@ def _field_direction(jet, kind: str, ref):
         dx, dy = -dx, -dy
     # solve J [du dv]^T = (dx, dy); the jet passed height_jet_from_param's
     # admissibility test, so det != 0
+    xu, yu, _, xv, yv = values[3:8]
     det = xu * yv - yu * xv
     return (dx, dy), ((dx * yv - dy * xv) / det, (xu * dy - yu * dx) / det), values[:3]
+
+
+def trace_steps(steps: int) -> int:
+    """steps if from 1 to MAX_TRACE_STEPS, else InvalidParams (also --steps)."""
+    if not 1 <= steps <= MAX_TRACE_STEPS:
+        raise InvalidParams(f"{steps} is not from 1 to {MAX_TRACE_STEPS} steps")
+    return steps
+
+
+def trace_dt(dt: float) -> float:
+    """dt if finite and > 0, else InvalidParams (also --dt)."""
+    if not 0.0 < dt < math.inf:
+        raise InvalidParams(f"{dt!r} is not a finite step > 0")
+    return dt
 
 
 # a nearly flat chart can overflow the curvature arithmetic of a stage; a
@@ -122,17 +133,16 @@ def trace_direction_field(
     parameter state among them), umbilic hit, non-finite chart jet, or a
     direction that is not a unit vector after the first sample truncates
     the trace before that sample (stopped says why); at the seed itself
-    every geometry error propagates. dt must be finite and positive, and
-    steps at most MAX_TRACE_STEPS. A step evaluates the chart four times:
-    its first stage is the accepted sample's velocity, and its three inner
-    stages read no point height (heights=False).
+    every geometry error propagates. An unknown kind, and steps or dt that
+    trace_steps or trace_dt refuses, raise InvalidParams before the chart
+    is evaluated. A step evaluates the chart four times: its first stage
+    is the accepted sample's velocity, and its three inner stages read no
+    point height (heights=False).
     """
     if kind not in TRACE_KINDS:
-        raise ValueError(f"kind must be one of {TRACE_KINDS}")
-    if steps > MAX_TRACE_STEPS:
-        raise InvalidParams(f"{steps} trace steps is more than {MAX_TRACE_STEPS}")
-    if steps < 1 or not 0.0 < dt < math.inf:
-        raise ValueError("steps must be >= 1 and dt finite and > 0")
+        raise InvalidParams(f"{kind!r} is not one of {TRACE_KINDS}")
+    trace_steps(steps)
+    trace_dt(dt)
     u, v = float(seed[0]), float(seed[1])
     d, (du, dv), point = _field_direction(evaluate(spec, u, v), kind, None)
 

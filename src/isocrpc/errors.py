@@ -34,7 +34,7 @@ class OutOfDomain(GeometryError):
 
 
 class InvalidParams(GeometryError):
-    """Family parameters violate the family's constraints."""
+    """A refused input: family parameter, ratio, domain, grid shape or trace argument."""
 
 
 class StencilOutOfDomain(GeometryError):

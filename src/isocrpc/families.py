@@ -42,7 +42,7 @@ from .errors import (
     SingularLocus,
     StencilOutOfDomain,
 )
-from .geometry import ParamJet2, crpc_target, monge_gradient
+from .geometry import JACOBIAN_EPS, ParamJet2, crpc_target, monge_gradient
 
 SINGULAR_MARGIN = 1e-3
 _INF = np.float64("inf")
@@ -313,14 +313,16 @@ def _dual_trans_minimal(params, U, V):
 
 def _euclid_edge(a: float) -> float:
     """The radius 0.9^(1/a), where r^a = 0.9: an edge of the default box, and
-    for a < 0 the height anchor. Raises InvalidParams where it overflows
-    (-1.48e-4 < a < 0)."""
+    for a < 0 the height anchor. Raises InvalidParams (-3.8e-3 <= a < 0) where
+    it is not below 1/JACOBIAN_EPS: there the polar frame's |det| = u is at
+    most JACOBIAN_EPS (1 + u^2) on the whole box [edge, 2 edge]."""
     try:
         edge = 0.9 ** (1.0 / a)
     except OverflowError:
         edge = math.inf
-    if not math.isfinite(edge):
-        raise InvalidParams(f"euclidean_rotational: the edge 0.9^(1/a) overflows at a = {a!r}")
+    if not edge < 1.0 / JACOBIAN_EPS:
+        raise InvalidParams(f"euclidean_rotational: the edge 0.9^(1/a) is not below "
+                            f"{1.0 / JACOBIAN_EPS:g} at a = {a!r}")
     return edge
 
 
@@ -425,11 +427,11 @@ def _polar(axis: str, box=(0.5, 2.0, 0.0, math.pi)) -> dict:
 class _Entry:
     """One catalog family. Its parameter names are the keys of defaults.
 
-    A family with a parameter "a" has curvature ratio a (checked against
-    excluded_a and, if negative_a, against a < 0); a family without one is
-    isotropic minimal, ratio -1. list prints that ratio unless ratio_text
-    annotates it. loci(params) gives the singular loci the chart reaches
-    as (name, distance(U, V)) records.
+    A family with a parameter "a" has curvature ratio a (checked by
+    crpc_target, against excluded_a and, if negative_a, against a < 0); a
+    family without one is isotropic minimal, ratio -1. list prints that
+    ratio unless ratio_text annotates it. loci(params) gives the singular
+    loci the chart reaches as (name, distance(U, V)) records.
     """
 
     family_id: str
@@ -438,7 +440,7 @@ class _Entry:
     constraint_text: str
     default_domain: Callable[[Mapping[str, float]], tuple[float, float, float, float]]
     ratio_text: str = ""
-    excluded_a: tuple[float, ...] = (0.0,)
+    excluded_a: tuple[float, ...] = ()
     negative_a: bool = False
     ratio_kind: str = "isotropic"  # or "euclidean"
     loci: Callable[[Mapping[str, float]], tuple[tuple[str, Callable], ...]] = lambda p: ()
@@ -462,15 +464,12 @@ class _Entry:
 
 
 def _check_a(entry: _Entry, a: float) -> None:
+    crpc_target(a)
     for bad in entry.excluded_a:
         if a == bad:
             raise InvalidParams(f"{entry.family_id}: a = {bad} is excluded")
     if entry.negative_a and a >= 0.0:
         raise InvalidParams(f"{entry.family_id}: requires a < 0")
-    try:
-        crpc_target(a)
-    except ValueError as exc:
-        raise InvalidParams(f"{entry.family_id}: {exc}") from None
 
 
 _REGISTRY: dict[str, _Entry] = {}
@@ -501,7 +500,7 @@ _register(_Entry(
     jets=_rotational_power_1,
     defaults={"a": 2.0},
     constraint_text="a not in {0, -1}; profile z = r^(1+a)",
-    excluded_a=(0.0, -1.0),
+    excluded_a=(-1.0,),
     **_polar("rotation axis"),
 ))
 
@@ -511,7 +510,7 @@ _register(_Entry(
     defaults={"a": 2.0},
     constraint_text="a not in {0, -1}; profile z = r^((1+a)/a)",
     ratio_text="a (same ratio law, reciprocal exponent)",
-    excluded_a=(0.0, -1.0),
+    excluded_a=(-1.0,),
     **_polar("rotation axis"),
 ))
 
@@ -567,7 +566,7 @@ _register(_Entry(
     jets=_spiral_ruled,
     defaults={"a": -2.0},
     constraint_text="a < 0, a != -1; rulings through the z-axis direction field",
-    excluded_a=(0.0, -1.0),
+    excluded_a=(-1.0,),
     negative_a=True,
     **_polar("directrix axis"),
 ))
@@ -605,7 +604,7 @@ _register(_Entry(
     jets=_helical_general,
     defaults={"a": 2.0},
     constraint_text="a not in {0, 1, -1}; helical surface of pitch 1",
-    excluded_a=(0.0, 1.0, -1.0),
+    excluded_a=(1.0, -1.0),
     default_domain=_helical_general_domain,
     loci=_helical_general_loci,
     hard_valid=_helical_general_hard,
@@ -637,7 +636,7 @@ _register(_Entry(
     jets=_trans_iso_noniso,
     defaults={"a": 2.0},
     constraint_text="a not in {0, 1}; b = (a+1)/(a-1); one isotropic generator",
-    excluded_a=(0.0, 1.0),
+    excluded_a=(1.0,),
     default_domain=_tin_domain,
     loci=_tin_named_loci("logarithm pole", "isotropic tangent plane"),
 ))
@@ -673,7 +672,7 @@ _register(_Entry(
     defaults={"a": 2.0},
     constraint_text="metric dual of trans_iso_noniso(a); ratio (b-1)/(b+1) = 1/a",
     ratio_text="1/a",
-    excluded_a=(0.0, 1.0),
+    excluded_a=(1.0,),
     default_domain=_tin_domain,
     loci=_tin_named_loci("pole of the chart", "image of the primal singular locus"),
 ))

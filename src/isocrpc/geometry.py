@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateK,
+    InvalidParams,
     NonAdmissiblePoint,
     StencilOutOfDomain,
     Umbilic,
@@ -334,16 +335,16 @@ def principal_ratio_residual(k1, k2, a):
 def crpc_target(a: float) -> float:
     """Value of H^2/K shared by all surfaces whose curvature ratio is a.
 
-    Raises ValueError for a = 0 and for a ratio whose target is not finite.
+    Raises InvalidParams for a = 0 and for a ratio whose target is not finite.
     """
     if a == 0:
-        raise ValueError("ratio a must be nonzero")
+        raise InvalidParams(f"{a!r} is not a nonzero ratio")
     try:
         target = (a + 1.0) ** 2 / (4.0 * a)
     except OverflowError:
         target = math.inf
     if not math.isfinite(target):
-        raise ValueError(f"ratio a = {a} overflows the target (a+1)^2/(4a)")
+        raise InvalidParams(f"{a!r} gives no finite target (a+1)^2/(4a)")
     return target
 
 

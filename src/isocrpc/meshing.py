@@ -392,6 +392,15 @@ class MeshGrid:
         return out
 
 
+def grid_shape(nu: int, nv: int) -> tuple[int, int]:
+    """(nu, nv) if 2 or more and at most MAX_GRID_NODES nodes, else InvalidParams."""
+    if nu < 2 or nv < 2:
+        raise InvalidParams(f"{nu}x{nv} needs at least 2 samples per direction")
+    if nu * nv > MAX_GRID_NODES:
+        raise InvalidParams(f"{nu}x{nv} has more than {MAX_GRID_NODES} nodes")
+    return nu, nv
+
+
 def _sample(spec: FamilySpec, nu: int, nv: int, channel, heights: bool = True) -> MeshGrid:
     """The masked grid, sampled in blocks of whole u-rows.
 
@@ -404,10 +413,7 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel, heights: bool = True) -
     jet, Monge jet, curvatures (NaN where bad) and the surface's own mask.
     heights is passed to the chart evaluation.
     """
-    if nu < 2 or nv < 2:
-        raise ValueError("grid needs at least 2 samples per direction")
-    if nu * nv > MAX_GRID_NODES:
-        raise InvalidParams(f"a {nu}x{nv} grid has more than {MAX_GRID_NODES} nodes")
+    grid_shape(nu, nv)
     u0, u1, v0, v1 = spec.domain
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)

@@ -5,7 +5,8 @@ profile of a rotational or helical surface, or an algebraic identity
 between the two profile functions of a translational surface. The helpers
 here evaluate those equations directly from profile derivatives, giving a
 check that is independent of the curvature pipeline; all of them work
-elementwise on scalars or arrays. family_ode_residual evaluates a catalog
+elementwise on scalars or arrays, and refuse the ratios that
+geometry.crpc_target refuses. family_ode_residual evaluates a catalog
 entry's chart once on all given nodes and applies the family's equation
 from EQUATIONS, reading the profile derivatives off the chart jet where the
 chart is the graph of the profile.
@@ -20,8 +21,8 @@ import numpy as np
 from .errors import DegenerateInput
 from .families import (FamilySpec, _helical_general_profile, _tin_b, evaluate,
                        ratio_for_residual, ratio_kind)
-from .geometry import (height_jet_from_param, principal_ratio_residual, ratio_law_residual,
-                       relative_curvatures)
+from .geometry import (crpc_target, height_jet_from_param, principal_ratio_residual,
+                       ratio_law_residual, relative_curvatures)
 
 @dataclass(frozen=True)
 class OdeResidual:
@@ -46,8 +47,7 @@ def helical_ode_residual(fp, fpp, u, a: float) -> OdeResidual:
     With z = f(r) + angle, constant curvature ratio a at radius u reads
     a u^2 (f' + u f'')^2 = (a+1)^2 (u^3 f'' f' - 1).
     """
-    if a == 0:
-        raise ValueError("ratio a must be nonzero")
+    crpc_target(a)
     lhs = a * u * u * (fp + u * fpp) ** 2
     rhs = (a + 1.0) ** 2 * (u ** 3 * fpp * fp - 1.0)
     return OdeResidual(lhs, rhs)
@@ -61,8 +61,7 @@ def two_iso_residual(a: float, fpp, gpp) -> OdeResidual:
     Elementwise. Raises DegenerateInput where f'' g'' = 0 at any point
     (the ratio is undefined there).
     """
-    if a == 0:
-        raise ValueError("ratio a must be nonzero")
+    crpc_target(a)
     if np.any((fpp == 0.0) | (gpp == 0.0)):
         raise DegenerateInput("f'' g'' = 0: flat generator, ratio undefined")
     ratio = fpp / gpp
@@ -76,8 +75,7 @@ def iso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
 
     Elementwise. Raises DegenerateInput where f' f'' g'' = 0 at any point.
     """
-    if a == 0:
-        raise ValueError("ratio a must be nonzero")
+    crpc_target(a)
     if np.any(fp == 0.0):
         raise DegenerateInput("f' = 0: chart is not a graph there")
     if np.any((fpp == 0.0) | (gpp == 0.0)):
@@ -94,8 +92,7 @@ def noniso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
     Elementwise. Raises DegenerateInput where f' = g' (a vertical tangent
     plane) or f'' g'' = 0 at any point.
     """
-    if a == 0:
-        raise ValueError("ratio a must be nonzero")
+    crpc_target(a)
     if np.any(fp == gp):
         raise DegenerateInput("f' = g': tangent plane is vertical there")
     if np.any((fpp == 0.0) | (gpp == 0.0)):
@@ -113,8 +110,7 @@ def discriminant_identity_check(a: float, gp, L0, L1, Y):
     Y, where L = L0 + L1 Y stands for the linear slot multiplying g''.
     Returns (lhs, rhs, |lhs - rhs|), elementwise in gp, L0, L1 and Y.
     """
-    if a == 0:
-        raise ValueError("ratio a must be nonzero")
+    crpc_target(a)
     L = L0 + L1 * Y
     gp2 = gp * gp
     qa = a * (gp2 + 1.0) ** 2
@@ -229,12 +225,9 @@ def family_ode_residual(spec: FamilySpec, u, v):
     unchecked and without heights (no equation reads one), on all nodes,
     and EQUATIONS names the family's equation.
     Raises the equation's GeometryError if any node is degenerate (the
-    isotropic ratio law gives NaN where |K| < K_EPS instead), and
-    ValueError for a family without an equation.
+    isotropic ratio law gives NaN where |K| < K_EPS instead). spec comes
+    from make_spec, so its family is in the catalog, which EQUATIONS covers.
     """
-    try:
-        equation = EQUATIONS[spec.family_id]
-    except KeyError:
-        raise ValueError(f"unknown family: {spec.family_id}") from None
     U, V = np.asarray(u, float), np.asarray(v, float)
-    return equation(spec, U, V, evaluate(spec, U, V, check=False, heights=False))
+    return EQUATIONS[spec.family_id](spec, U, V,
+                                     evaluate(spec, U, V, check=False, heights=False))

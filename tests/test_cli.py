@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -20,9 +21,11 @@ import isocrpc.cli
 import isocrpc.curves
 import isocrpc.duality
 import isocrpc.families
+import isocrpc.geometry
 import isocrpc.meshing
 import isocrpc.residuals
 from isocrpc.cli import main
+from isocrpc.errors import InvalidParams
 from isocrpc.families import evaluate, make_spec
 
 
@@ -411,7 +414,7 @@ def test_trace_seed_that_is_not_finite_is_an_error(argv, tmp_path, capsys):
         rc = main(["trace", *argv, "--steps", "3", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: trace --seed must be finite") and err.count("\n") == 1
+    assert err.startswith("error: --seed must be finite") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -563,12 +566,52 @@ def test_config_file_must_be_flat(tmp_path, capsys):
     (["generate", "--family", "paraboloid", "--res", "1x5"], "res"),
     (["verify", "--family", "paraboloid", "--tol", "bogus=1"], "tol"),
     (["verify", "--family", "paraboloid", "--seed", "-1"], "seed"),
+    (["verify", "--family", "paraboloid", "--params", "a"], "params"),
 ])
-def test_argv_text_that_is_no_number_names_the_flag(argv, flag, capsys):
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
+def test_argv_text_that_is_no_number_names_the_flag(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
     assert err.startswith(f"error: --{flag} ") and err.count("\n") == 1, err
+    assert err.count(f"--{flag}") == 1, err
+
+
+TRACE = ["trace", "--family", "helicoid", "--seed", "1,0.5"]
+VERIFY = ["verify", "--family", "paraboloid", "--res", "4x4"]
+
+
+@pytest.mark.parametrize("argv,flag,rule", [
+    (["generate", "--family", "paraboloid", "--res", "1x5"], "res",
+     lambda: isocrpc.meshing.grid_shape(1, 5)),
+    (["dual", "--family", "paraboloid", "--res", "5x1"], "res",
+     lambda: isocrpc.meshing.grid_shape(5, 1)),
+    (["generate", "--family", "paraboloid", "--res", "3000x3000"], "res",
+     lambda: isocrpc.meshing.grid_shape(3000, 3000)),
+    (TRACE + ["--steps", "0"], "steps", lambda: isocrpc.curves.trace_steps(0)),
+    (TRACE + ["--steps", str(isocrpc.curves.MAX_TRACE_STEPS + 1)], "steps",
+     lambda: isocrpc.curves.trace_steps(isocrpc.curves.MAX_TRACE_STEPS + 1)),
+    (TRACE + ["--dt", "0"], "dt", lambda: isocrpc.curves.trace_dt(0.0)),
+    (TRACE + ["--dt=-1"], "dt", lambda: isocrpc.curves.trace_dt(-1.0)),
+    (TRACE + ["--dt", "nan"], "dt", lambda: isocrpc.curves.trace_dt(math.nan)),
+    (TRACE + ["--dt", "inf"], "dt", lambda: isocrpc.curves.trace_dt(math.inf)),
+    (VERIFY + ["--a", "2,0"], "a", lambda: isocrpc.geometry.crpc_target(0.0)),
+    (["generate", "--family", "paraboloid", "--a", "0"], "a",
+     lambda: isocrpc.geometry.crpc_target(0.0)),
+    (VERIFY + ["--a", "1e200"], "a", lambda: isocrpc.geometry.crpc_target(1e200)),
+    (VERIFY + ["--a", "nan"], "a", lambda: isocrpc.geometry.crpc_target(math.nan)),
+])
+def test_a_value_a_library_rule_refuses_gets_the_rule_s_message(argv, flag, rule, tmp_path,
+                                                               capsys):
+    # the reader calls the rule the library applies, and only the flag's
+    # name is put in front of its message
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    with pytest.raises(InvalidParams) as refused:
+        rule()
+    assert err == f"error: --{flag} {refused.value}\n"
 
 
 # a cheap run of each subcommand, every value from the config file
@@ -770,15 +813,22 @@ def test_verify_with_no_valid_combination_writes_only_the_header(tmp_path, capsy
     ]
 
 
-# between -1.48e-4 and 0, 0.9^(1/a), the edge of euclidean_rotational's default
-# box and its height anchor, overflows a double
-@pytest.mark.parametrize("a", ["-1e-4", "-1e-5", "-1e-300"])
+# between about -3.8e-3 and 0, 0.9^(1/a), the edge of euclidean_rotational's
+# default box and its height anchor, is 1/JACOBIAN_EPS = 1e12 or more, where no
+# node of the box [edge, 2 edge] is admissible (once an all-NaN ERROR row), and
+# between -1.48e-4 and 0 it overflows a double
+@pytest.mark.parametrize("a", ["-3.8e-3", "-1e-3", "-1.5e-4", "-1e-4", "-1e-5", "-1e-300"])
 @pytest.mark.parametrize("subcommand", ["generate", "dual", "verify", "trace"])
 def test_a_tiny_negative_euclidean_ratio_is_refused(subcommand, a, tmp_path, capsys):
-    argv = [subcommand, "--family", "euclidean_rotational", "--a", a, "--out", str(tmp_path / "x")]
-    assert main(argv + (["--seed", "1.5,0.5"] if subcommand == "trace" else [])) == 1
+    out = tmp_path / "x"
+    argv = [subcommand, "--family", "euclidean_rotational", "--a", a, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + (["--seed", "1.5,0.5"] if subcommand == "trace" else [])) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "0.9^(1/a) overflows" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "0.9^(1/a) is not below 1e+12" in err
+    assert not out.exists()
 
 
 def test_a_tiny_negative_euclidean_ratio_reads_no_height_in_verify(tmp_path, capsys):
@@ -790,11 +840,14 @@ def test_a_tiny_negative_euclidean_ratio_reads_no_height_in_verify(tmp_path, cap
     assert out.read_text().splitlines()[1].endswith(",PASS")
     assert main(["generate", "--family", "euclidean_rotational", *box]) == 1
     assert capsys.readouterr().err == ("error: euclidean_rotational: the edge 0.9^(1/a) "
-                                       "overflows at a = -1e-05\n")
+                                       "is not below 1e+12 at a = -1e-05\n")
     assert main(["verify", "--family", "all", *box[:2], "--res", "8x8", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verify: skipped euclidean_rotational a=-1.0000000000000001e-05: ")
     assert "Traceback" not in err and len(out.read_text().splitlines()) == 1 + 13
+    box[1] = "-1e-3"  # an edge below the overflow, past the bound
+    assert main(["verify", "--family", "euclidean_rotational", *box]) == 0
+    assert out.read_text().splitlines()[1].endswith(",PASS")
 
 
 READ_FLAGS = {

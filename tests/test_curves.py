@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,20 +172,23 @@ def test_first_stage_reuse_matches_on_a_trace_that_stops_early(kind):
     assert_same_trace(tr, _reference_trace(spec, (0.7, 0.9), kind, 40, 2e-2))
 
 
-def test_trace_rejects_bad_arguments():
+@pytest.mark.parametrize("kind,steps,dt,why", [
+    ("x", 10, 1e-3, "^'x' is not one of "),
+    ("principal1", 0, 1e-3, "^0 is not from 1 to 1000000 steps$"),
+    ("principal1", 10, 0.0, "^0.0 is not a finite step > 0$"),
+    ("principal1", 10, -1.0, "^-1.0 is not a finite step > 0$"),
+])
+def test_trace_rejects_bad_arguments(kind, steps, dt, why, monkeypatch):
+    monkeypatch.setattr(curves, "evaluate", None)  # calling it would fail
     spec = make_spec("trans_paraboloid", {"a": 2.0})
-    with pytest.raises(ValueError):
-        trace_direction_field(spec, (0.1, 0.3), "diagonal", 10, 1e-3)
-    with pytest.raises(ValueError):
-        trace_direction_field(spec, (0.1, 0.3), "principal1", 0, 1e-3)
-    with pytest.raises(ValueError):
-        trace_direction_field(spec, (0.1, 0.3), "principal1", 10, 0.0)
+    with pytest.raises(InvalidParams, match=why):
+        trace_direction_field(spec, (0.1, 0.3), kind, steps, dt)
 
 
 def test_trace_refuses_more_steps_than_the_cap_before_evaluating(monkeypatch):
     monkeypatch.setattr(curves, "evaluate", None)  # calling it would fail
     spec = make_spec("trans_paraboloid", {"a": 2.0})
-    with pytest.raises(InvalidParams, match="steps"):
+    with pytest.raises(InvalidParams, match="^1000001 is not from 1 to 1000000 steps$"):
         trace_direction_field(spec, (0.1, 0.3), "principal1", curves.MAX_TRACE_STEPS + 1, 1e-3)
 
 
@@ -206,7 +210,7 @@ def test_trace_keeps_a_few_floats_per_step():
 @pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf])
 def test_trace_rejects_a_step_that_is_not_finite(dt):
     spec = make_spec("trans_iso_noniso", {"a": 2.0})
-    with pytest.raises(ValueError, match="dt"):
+    with pytest.raises(InvalidParams, match="is not a finite step > 0"):
         trace_direction_field(spec, (1.0, 0.5), "characteristic+", 3, dt)
 
 
@@ -304,9 +308,13 @@ def test_trace_truncates_at_singular_locus():
                                         ("rotational_power_1", {"a": -2.0})])
 def test_a_huge_step_stops_where_the_frame_overflows(fid, params):
     # an RK4 stage lands near u = 5e299, where the squared frame of the
-    # admissibility test overflows; that stops the trace without a warning
-    tr = trace_direction_field(make_spec(fid, params), (1.0, 0.5), "characteristic+", 3, 1e300)
-    assert tr.stopped == "DegenerateJet: top-view frame overflows"
+    # admissibility test overflows; that test, the package's one, stops the
+    # trace without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = trace_direction_field(make_spec(fid, params), (1.0, 0.5), "characteristic+", 3,
+                                   1e300)
+    assert tr.stopped.startswith("NonAdmissiblePoint: ")
     assert len(tr) == 1
 
 

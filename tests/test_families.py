@@ -33,6 +33,7 @@ from isocrpc.geometry import (
     ratio_law_residual,
     relative_curvatures,
 )
+from isocrpc.meshing import sample_grid
 from isocrpc.residuals import family_ode_residual
 
 ALL_FAMILIES = (
@@ -117,6 +118,9 @@ def test_helical_general_default_domain_keeps_off_the_singular_parallel(a):
     ("trans_iso_noniso", {"a": 1.0}),
     ("euclidean_rotational", {"a": 0.0}),
     ("euclidean_rotational", {"a": -1e-5}),  # the default box's edge overflows
+    # the edge is past 1/JACOBIAN_EPS: no node of the box is admissible
+    ("euclidean_rotational", {"a": -1e-3}),
+    ("euclidean_rotational", {"a": -3.8e-3}),
 ])
 def test_parameter_constraints(fid, params):
     with pytest.raises(InvalidParams):
@@ -532,11 +536,18 @@ def test_an_infinite_radius_is_off_the_euclidean_profile():
         assert not hard_valid(spec, math.inf, 1.0)
 
 
-def test_a_euclidean_ratio_whose_edge_overflows_refuses_only_the_height_anchor():
-    spec = make_spec("euclidean_rotational", {"a": -1e-5}, (1.5, 2.0, 0.0, 1.0))
+@pytest.mark.parametrize("a", [-1e-5, -1e-3])
+def test_a_euclidean_ratio_whose_edge_overflows_refuses_only_the_height_anchor(a):
+    spec = make_spec("euclidean_rotational", {"a": a}, (1.5, 2.0, 0.0, 1.0))
     assert evaluate(spec, 1.7, 0.5, heights=False).r[2] == 0.0
-    with pytest.raises(InvalidParams, match=r"0\.9\^\(1/a\) overflows"):
+    with pytest.raises(InvalidParams, match=r"0\.9\^\(1/a\) is not below 1e\+12"):
         evaluate(spec, 1.7, 0.5)
+
+
+def test_a_euclidean_box_with_an_edge_below_the_bound_keeps_admissible_nodes():
+    # at a = -3.9e-3 the edge is 5.4e11: part of [edge, 2 edge] is admissible
+    grid = sample_grid(make_spec("euclidean_rotational", {"a": -3.9e-3}), 8, 8)
+    assert 0 < (~grid.mask).sum() < grid.mask.size
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)

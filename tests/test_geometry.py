@@ -19,6 +19,7 @@ from isocrpc.duality import dual_from_tangent
 from isocrpc.errors import (
     DegenerateK,
     GeometryError,
+    InvalidParams,
     NonAdmissiblePoint,
     StencilOutOfDomain,
     Umbilic,
@@ -208,8 +209,12 @@ def test_crpc_target_values_and_symmetry():
     assert crpc_target(1.0) == 1.0
     assert crpc_target(-1.0) == 0.0
     assert crpc_target(0.5) == crpc_target(2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="^0.0 is not a nonzero ratio$"):
         crpc_target(0.0)
+    # no finite target: overflow, a subnormal ratio, and not a number
+    for a in (1e200, -1e200, 1e-320, math.inf, math.nan):
+        with pytest.raises(InvalidParams, match=r"gives no finite target \(a\+1\)\^2/\(4a\)"):
+            crpc_target(a)
 
 
 def _isotropic_ratio_residual(hj, a):

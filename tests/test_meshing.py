@@ -39,10 +39,12 @@ def test_helicoid_grid_is_fully_valid():
 
 def test_grid_needs_two_samples_per_direction():
     spec = make_spec("helicoid", {})
-    with pytest.raises(ValueError):
-        sample_grid(spec, 1, 10)
-    with pytest.raises(ValueError):
-        sample_grid(spec, 10, 1)
+    with pytest.raises(InvalidParams, match="^1x5 needs at least 2 samples per direction$"):
+        sample_grid(spec, 1, 5)
+    with pytest.raises(InvalidParams, match="^5x1 needs"):
+        sample_grid(spec, 5, 1)
+    with pytest.raises(InvalidParams, match="^1x5 needs"):
+        dual_grid(make_spec("paraboloid"), 1, 5)
 
 
 BAND = (LOCUS - 0.4, LOCUS + 0.4, 0.0, 1.0)  # grid center lands on the locus
@@ -173,7 +175,7 @@ def test_grid_above_the_node_cap_is_refused_before_sampling(monkeypatch):
     spec = make_spec("helicoid", {})
     monkeypatch.setattr(isocrpc.meshing, "MAX_GRID_NODES", 100)
     assert sample_grid(spec, 10, 10).mask.size == 100
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="^10x11 has more than 100 nodes$"):
         sample_grid(spec, 10, 11)
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocrpc.duality import dual_curvature_check, dual_law_deviation
-from isocrpc.errors import DegenerateInput
+from isocrpc.errors import DegenerateInput, InvalidParams
 from isocrpc.families import family_ids, make_spec
+from isocrpc.geometry import crpc_target
 from isocrpc.meshing import sample_grid
 from isocrpc.residuals import (
     EQUATIONS,
@@ -60,7 +61,7 @@ def test_quadratic_profile_fails_the_ode():
 
 
 def test_helical_ode_rejects_zero_ratio():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="nonzero ratio"):
         helical_ode_residual(1.0, 1.0, 1.0, 0.0)
 
 
@@ -114,11 +115,11 @@ def test_translational_degenerate_inputs():
         iso_noniso_residual(2.0, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(DegenerateInput):
         noniso_noniso_residual(2.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="nonzero ratio"):
         two_iso_residual(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="nonzero ratio"):
         iso_noniso_residual(0.0, 1.0, 1.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="nonzero ratio"):
         noniso_noniso_residual(0.0, 1.0, 1.0, 0.5, 1.0)
 
 
@@ -156,8 +157,26 @@ def test_discriminant_identity_randomized():
 
 
 def test_discriminant_rejects_zero_ratio():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="nonzero ratio"):
         discriminant_identity_check(0.0, 1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("helper", [
+    lambda a: helical_ode_residual(1.0, 1.0, 1.0, a),
+    lambda a: two_iso_residual(a, 1.0, 2.0),
+    lambda a: iso_noniso_residual(a, 1.0, 1.0, 0.5, 1.0),
+    lambda a: noniso_noniso_residual(a, 1.0, 1.0, 0.5, 1.0),
+    lambda a: discriminant_identity_check(a, 1.0, 1.0, 1.0, 1.0),
+])
+@pytest.mark.parametrize("a", [1e200, 1e-320])
+def test_every_helper_refuses_the_ratios_crpc_target_refuses(helper, a):
+    # one rule, also for the ratios without a finite target: 1e200 once
+    # raised Python's OverflowError from (a + 1)**2
+    with pytest.raises(InvalidParams) as refused:
+        helper(a)
+    with pytest.raises(InvalidParams) as rule:
+        crpc_target(a)
+    assert str(refused.value) == str(rule.value)
 
 
 # --- per-family dispatch -----------------------------------------------------------
@@ -193,13 +212,6 @@ def test_every_family_satisfies_its_equation(fid, params):
     worst = max(family_ode_residual(spec, float(u), float(v))
                 for u in us for v in vs)
     assert worst <= 1e-8
-
-
-def test_dispatch_rejects_unknown_family():
-    spec = make_spec("helicoid", {})
-    object.__setattr__(spec, "family_id", "mystery")
-    with pytest.raises(ValueError):
-        family_ode_residual(spec, 1.0, 0.5)
 
 
 # --- elementwise evaluation --------------------------------------------------------

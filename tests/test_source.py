@@ -42,3 +42,15 @@ def test_every_error_class_is_raised_or_a_raised_one_derives_from_it():
         reached |= more
     unraised = sorted(c for c in bases if c != "GeometryError" and c not in reached)
     assert not unraised, f"errors.py defines {unraised} and src/ never raises them"
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "cli.py"])  # argv form errors
+def test_the_library_refuses_input_with_a_typed_error(name):
+    # a refused value raises InvalidParams (a GeometryError), not ValueError
+    lines = []
+    for node in ast.walk(TREES[name]):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                lines.append(node.lineno)
+    assert not lines, f"{name} raises ValueError at lines {lines}"
