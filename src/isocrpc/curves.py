@@ -18,17 +18,23 @@ import numpy as np
 
 from .errors import (
     DegenerateJet,
+    DegenerateK,
     GeometryError,
     InflectionPoint,
     InvalidParams,
     NoIntersection,
+    NonAdmissiblePoint,
     Umbilic,
     ZeroNormalCurvature,
 )
 from .families import FamilySpec, evaluate
 from .geometry import (
+    _SINGULAR,
+    JACOBIAN_EPS,
     K_EPS,
+    UMBILIC_RTOL,
     Jet2Height,
+    _hessian,
     characteristic_directions,
     height_jet_from_param,
     isotropic_curvatures,
@@ -78,27 +84,90 @@ def _field_direction(jet, kind: str, ref):
     values = [c for field in fields for c in field.tolist()]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
-    hj = height_jet_from_param(jet, values)
-    if kind in ("characteristic+", "characteristic-"):
-        tp, tm = characteristic_directions(hj)
-        d = tp if kind == "characteristic+" else tm
-    else:
-        cur = isotropic_curvatures(hj)
-        if cur.umbilic.any():
-            raise Umbilic("principal directions undefined at an umbilic")
-        d = cur.d1 if kind == "principal1" else cur.d2
-    dx, dy = d.tolist()
+    d = _float_direction(values, kind)
+    if d is None:  # geometry's array functions, on the 0-d values of the jet
+        hj = height_jet_from_param(jet)
+        if kind in ("characteristic+", "characteristic-"):
+            tp, tm = characteristic_directions(hj)
+            d = tp if kind == "characteristic+" else tm
+        else:
+            cur = isotropic_curvatures(hj)
+            if cur.umbilic:
+                raise Umbilic("principal directions undefined at an umbilic")
+            d = cur.d1 if kind == "principal1" else cur.d2
+        d = d.tolist()
+    dx, dy = d
     # NaN and inf fail the test too; the (0, 0) of an overflowed Hessian
     # would not move the trace
     if not 0.5 <= dx * dx + dy * dy <= 2.0:
         raise DegenerateJet("field direction is not a unit vector")
     if ref is not None and dx * ref[0] + dy * ref[1] < 0.0:
         dx, dy = -dx, -dy
-    # solve J [du dv]^T = (dx, dy); the jet passed height_jet_from_param's
-    # admissibility test, so det != 0
+    # solve J [du dv]^T = (dx, dy); the jet passed the admissibility test of
+    # monge_gradient, so det != 0
     xu, yu, _, xv, yv = values[3:8]
     det = xu * yv - yu * xv
     return (dx, dy), ((dx * yv - dy * xv) / det, (xu * dy - yu * dx) / det), values[:3]
+
+
+def _float_direction(values, kind: str):
+    """The unit top-view direction of field kind at a chart point, from the
+    18 finite floats of its 2-jet (r, ru, rv, ruu, ruv, rvv), as two floats.
+
+    The operations of monge_gradient, _hessian, isotropic_curvatures and
+    characteristic_directions in the same order, on Python floats (IEEE
+    arithmetic, as numpy's elementwise loops), so the bits are those of the
+    array functions; it raises their errors, with their messages, in the
+    same order. Returns None where a value is not finite (numpy may warn on
+    the way there) and, for a characteristic kind, where k2 == 0 (numpy
+    divides by it): the array functions then give the direction.
+    """
+    xu, yu, zu, xv, yv, zv = values[3:9]
+    det = xu * yv - yu * xv
+    scale = xu * xu + yu * yu + xv * xv + yv * yv
+    if not math.isfinite(scale):
+        return None
+    if abs(det) <= JACOBIAN_EPS * max(scale, 1e-300):
+        raise NonAdmissiblePoint(_SINGULAR)
+    fx = (zu * yv - yu * zv) / det
+    fy = (xu * zv - zu * xv) / det
+    fxx, fxy, fyy = _hessian(det, fx, fy, xu, yu, xv, yv, *values[9:])
+    H, K = 0.5 * (fxx + fyy), fxx * fyy - fxy * fxy
+    half_gap = float(np.hypot(0.5 * (fxx - fyy), fxy))  # math.hypot rounds differently
+    k1 = H + half_gap
+    k2 = H - half_gap
+    c1y = k1 - fxx
+    c2x = k1 - fyy
+    n1a = math.sqrt(fxy * fxy + c1y * c1y)
+    n1b = math.sqrt(c2x * c2x + fxy * fxy)
+    if not math.isfinite(fx + fy + H + K + k1 + k2 + n1a + n1b):
+        return None
+    principal = kind in ("principal1", "principal2")
+    if abs(k1 - k2) <= UMBILIC_RTOL * max(abs(k1), abs(k2), 1.0):
+        raise Umbilic(f"{'principal' if principal else 'characteristic'} directions "
+                      "undefined at an umbilic")
+    # the eigenvector of k1; n1 rounds to 0 only at an umbilic
+    x, y, n1 = (fxy, c1y, n1a) if n1a >= n1b else (c2x, fxy, n1b)
+    x, y = _lead_positive(x / n1, y / n1)
+    if principal:
+        return (x, y) if kind == "principal1" else _lead_positive(-y, x)
+    if abs(K) < K_EPS:
+        raise DegenerateK("characteristic directions undefined where K = 0")
+    if k2 == 0.0:
+        return None
+    phi = np.arctan(math.sqrt(abs(k1 / k2)))
+    cph, sph = float(np.cos(phi)), float(np.sin(phi))
+    # on the rigid frame (d1, rot90 d1), as characteristic_directions
+    if kind == "characteristic+":
+        return cph * x + sph * -y, cph * y + sph * x
+    return cph * x - sph * -y, cph * y - sph * x
+
+
+def _lead_positive(x, y):
+    """(x, y) times the sign that makes x positive, or y where |x| <= 1e-14:
+    geometry._fix_sign of one direction."""
+    sign = -1.0 if (x if abs(x) > 1e-14 else y) < 0 else 1.0
+    return x * sign, y * sign
 
 
 def trace_steps(steps: int) -> int:

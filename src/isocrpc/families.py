@@ -30,11 +30,12 @@ dual_trans_minimal      metric dual of trans_noniso_noniso, minimal
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     InvalidParams,
@@ -343,7 +344,9 @@ def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
     quadrature runs and 0 stands in for h.
 
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
-    the slope law also holds at some u < 0, where r^a is not real.
+    the slope law also holds at some u < 0, where r^a is not real. Raises
+    InvalidParams where quad warns that it missed its tolerance, as at
+    0 < a <= 1e-8 or so in the default box.
     """
     a = params["a"]
     on_profile = _euclid_on_profile(a, U)
@@ -353,7 +356,14 @@ def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
     anchor = 0.0 if a > 0 else _euclid_edge(a)
     out = np.full(U.shape, np.nan)
     us, inverse = np.unique(U[on_profile], return_inverse=True)
-    hs = [quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200)[0] for u in us.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            hs = [quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                  for u in us.tolist()]
+        except IntegrationWarning:
+            raise InvalidParams(f"euclidean_rotational: the height integral misses its "
+                                f"tolerance 1e-12 at a = {a!r}") from None
     out[on_profile] = np.array(hs, float)[inverse]
     return out
 

@@ -154,8 +154,8 @@ def monge_jet(jet: ParamJet2) -> tuple[Jet2Height, np.ndarray]:
 def _hessian(det, fx, fy, xu, yu, xv, yv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv, zvv):
     """(fxx, fxy, fyy) by the chain rule Hess = J^-1 Hp J^-T: J has rows (xu, yu),
     (xv, yv) and determinant det, Hp is the second-order data less its gradient
-    part. Operators only: monge_jet's arrays and the point path's floats take
-    the same steps in the same order."""
+    part. Operators only: monge_jet's arrays and the Python floats of a trace
+    stage (curves) take the same steps in the same order."""
     puu = zuu - fx * xuu - fy * yuu
     puv = zuv - fx * xuv - fy * yuv
     pvv = zvv - fx * xvv - fy * yvv
@@ -173,50 +173,12 @@ def _hessian(det, fx, fy, xu, yu, xv, yv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv
     return fxx, 0.5 * (fxy + (b1 * a11 + b2 * a12)), fyy
 
 
-def height_jet_from_param(jet: ParamJet2, values=None) -> Jet2Height:
-    """monge_jet's jet; raises NonAdmissiblePoint where its singular mask is set.
-
-    A jet of (3,) fields, one point, takes the point path: the same result
-    types and bits without numpy's per-call overhead on 0-d values. A caller
-    that has read such a jet's 18 components, field by field with tolist(),
-    may pass them as values.
-    """
-    hj = _point_height_jet(jet, values)
-    if hj is None:
-        hj, singular = monge_jet(jet)
-        if singular.any():
-            raise NonAdmissiblePoint(_SINGULAR)
-    return hj
-
-
-def _point_height_jet(jet: ParamJet2, values=None) -> Jet2Height | None:
-    """height_jet_from_param of a jet of (3,) fields, in Python floats.
-
-    monge_jet's operations in the same order; Python float arithmetic is
-    IEEE arithmetic, as numpy's elementwise loops are. Returns None for
-    other shapes, and where the frame scale or a result is not finite (so
-    wherever an input that enters the arithmetic is not): numpy may warn on
-    the way there, and the array path gives the values and the warnings.
-    """
-    if values is None:
-        fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
-        if not all(field.shape == (3,) for field in fields):
-            return None
-        values = [c for field in fields for c in field.tolist()]
-    xu, yu, zu, xv, yv, zv = values[3:9]
-    det = xu * yv - yu * xv
-    scale = xu * xu + yu * yu + xv * xv + yv * yv
-    if not math.isfinite(scale):
-        return None
-    if abs(det) <= JACOBIAN_EPS * max(scale, 1e-300):
+def height_jet_from_param(jet: ParamJet2) -> Jet2Height:
+    """monge_jet's jet; raises NonAdmissiblePoint where its singular mask is set."""
+    hj, singular = monge_jet(jet)
+    if singular.any():
         raise NonAdmissiblePoint(_SINGULAR)
-    fx = (zu * yv - yu * zv) / det
-    fy = (xu * zv - zu * xv) / det
-    fxx, fxy, fyy = _hessian(det, fx, fy, xu, yu, xv, yv, *values[9:])
-    if not math.isfinite(fx + fy + fxx + fxy + fyy):
-        return None
-    r = jet.r
-    return Jet2Height(r[..., 0], r[..., 1], r[..., 2], *map(np.float64, (fx, fy, fxx, fxy, fyy)))
+    return hj
 
 
 def relative_curvatures(j: Jet2Height):
@@ -233,14 +195,8 @@ def isotropic_curvatures(j: Jet2Height) -> IsoCurvature:
     k1 >= k2 always; each direction is normalized with its first
     nonvanishing component positive. At umbilics (|k1 - k2| below
     UMBILIC_RTOL relative to max(|k1|, |k2|, 1)) the directions fall back
-    to the coordinate axes and the umbilic flag is set. Hessian fields
-    that are floats (np.float64 among them), as in the jet of one point,
-    take the point path.
+    to the coordinate axes and the umbilic flag is set.
     """
-    if isinstance(j.fxx, float) and isinstance(j.fxy, float) and isinstance(j.fyy, float):
-        c = _point_curvatures(float(j.fxx), float(j.fxy), float(j.fyy))
-        if c is not None:
-            return c
     H, K = relative_curvatures(j)
     fxx = np.asarray(j.fxx, float)
     fyy = np.asarray(j.fyy, float)
@@ -271,36 +227,6 @@ def isotropic_curvatures(j: Jet2Height) -> IsoCurvature:
 def _fix_sign(x, y):
     """Flip each direction (x, y) so its first nonzero component is positive."""
     sign = np.where(np.where(np.abs(x) > 1e-14, x, y) < 0, -1.0, 1.0)
-    return x * sign, y * sign
-
-
-def _point_curvatures(fxx, fxy, fyy):
-    """isotropic_curvatures of one point in Python floats, op for op.
-
-    Returns None where a value that numpy could warn on is not finite (so
-    every input that is not); the array path then gives values and warnings.
-    """
-    H, K = 0.5 * (fxx + fyy), fxx * fyy - fxy * fxy
-    half_gap = float(np.hypot(0.5 * (fxx - fyy), fxy))  # math.hypot rounds differently
-    k1 = H + half_gap
-    k2 = H - half_gap
-    c1y = k1 - fxx
-    c2x = k1 - fyy
-    n1a = math.sqrt(fxy * fxy + c1y * c1y)
-    n1b = math.sqrt(c2x * c2x + fxy * fxy)
-    if not math.isfinite(H + K + k1 + k2 + n1a + n1b):
-        return None
-    umb = abs(k1 - k2) <= UMBILIC_RTOL * max(abs(k1), abs(k2), 1.0)
-    x, y, n1 = (fxy, c1y, n1a) if n1a >= n1b else (c2x, fxy, n1b)
-    x, y = _point_fix_sign(*((1.0, 0.0) if n1 == 0.0 or umb else (x / n1, y / n1)))
-    return IsoCurvature(H=np.float64(H), K=np.float64(K), k1=np.float64(k1),
-                        k2=np.float64(k2), d1=np.array([x, y]),
-                        d2=np.array(_point_fix_sign(-y, x)), umbilic=np.bool_(umb))
-
-
-def _point_fix_sign(x, y):
-    """_fix_sign of one direction in Python floats."""
-    sign = -1.0 if (x if abs(x) > 1e-14 else y) < 0 else 1.0
     return x * sign, y * sign
 
 
@@ -386,14 +312,6 @@ def characteristic_directions(j: Jet2Height):
         raise Umbilic("characteristic directions undefined at an umbilic")
     if (np.abs(np.asarray(c.K, float)) < K_EPS).any():
         raise DegenerateK("characteristic directions undefined where K = 0")
-    if c.d1.shape == (2,):  # one point; k2 = 0 takes the array path
-        k1, k2 = float(c.k1), float(c.k2)
-        if k2 != 0.0:
-            phi = np.arctan(math.sqrt(abs(k1 / k2)))
-            cph, sph = float(np.cos(phi)), float(np.sin(phi))
-            x, y = c.d1.tolist()
-            return (np.array([cph * x + sph * -y, cph * y + sph * x]),
-                    np.array([cph * x - sph * -y, cph * y - sph * x]))
     # k2 rounds to 0 where |k1| >> |k2| (K is computed apart): the ratio is
     # then inf, and phi its limit pi/2
     with np.errstate(divide="ignore"):

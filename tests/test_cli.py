@@ -831,6 +831,36 @@ def test_a_tiny_negative_euclidean_ratio_is_refused(subcommand, a, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("a", ["1e-14", "4.85e-14", "1e-10"])
+@pytest.mark.parametrize("subcommand", ["generate", "dual", "trace"])
+def test_a_tiny_positive_euclidean_ratio_whose_height_misses_its_tolerance_is_refused(
+        subcommand, a, tmp_path, capsys):
+    # quad warns on the profile's height (too many subdivisions, round-off);
+    # the height raises InvalidParams instead, warnings or not
+    out = tmp_path / "x"
+    argv = [subcommand, "--family", "euclidean_rotational", "--a", a, "--out", str(out),
+            *(["--seed", "0.5,1.0"] if subcommand == "trace" else ["--res", "5x5"])]
+    runs = []
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            runs.append((main(argv), *capsys.readouterr()))
+    assert runs[0] == runs[1] == (1, "", f"error: euclidean_rotational: the height integral "
+                                         f"misses its tolerance 1e-12 at a = {float(a)!r}\n")
+    assert not out.exists()
+
+
+def test_a_small_positive_euclidean_ratio_generates_without_a_warning(tmp_path, capsys):
+    out = tmp_path / "x.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["generate", "--family", "euclidean_rotational", "--a", "1e-6",
+                   "--res", "5x5", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "euclidean_rotational: 20 vertices, 12 quads, "
+                                                "5 nodes masked\n")
+    assert sum(line.startswith("v ") for line in out.read_text().splitlines()) == 20
+
+
 def test_a_tiny_negative_euclidean_ratio_reads_no_height_in_verify(tmp_path, capsys):
     # an explicit box needs no edge, and verify reads no height: only the
     # height anchor is refused

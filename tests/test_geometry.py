@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from isocrpc import geometry
+from isocrpc import curves, geometry
+from isocrpc.curves import TRACE_KINDS
 from isocrpc.duality import dual_from_tangent
 from isocrpc.errors import (
+    DegenerateJet,
     DegenerateK,
     GeometryError,
     InvalidParams,
@@ -417,100 +419,141 @@ def test_curvatures_match_stacked_reference_on_every_family(fid):
         assert_same_curvatures(hj)
 
 
-# --- the point path (one point in Python floats) against the array path -----
+# --- the float direction of a trace stage against the array functions -------
 
 PARAM_FIELDS = ("r", "ru", "rv", "ruu", "ruv", "rvv")
-JET_FIELDS = ("x0", "y0", "f", "fx", "fy", "fxx", "fxy", "fyy")
-CURVATURE_FIELDS = ("H", "K", "k1", "k2", "d1", "d2", "umbilic")
+CHARACTERISTIC = ("characteristic+", "characteristic-")
+UNIT = "field direction is not a unit vector"
 
 
-def _array_height_jet(jet):
-    """height_jet_from_param by the array path, whatever the jet's shape."""
-    hj, singular = geometry.monge_jet(jet)
-    if singular.any():
-        raise NonAdmissiblePoint("top-view Jacobian is singular")
-    return hj
+def _array_direction(jet, kind):
+    """The direction of field kind by geometry's array functions, as a list."""
+    hj = height_jet_from_param(jet)
+    if kind in CHARACTERISTIC:
+        tp, tm = characteristic_directions(hj)
+        return (tp if kind == "characteristic+" else tm).tolist()
+    c = isotropic_curvatures(hj)
+    if c.umbilic:
+        raise Umbilic("principal directions undefined at an umbilic")
+    return (c.d1 if kind == "principal1" else c.d2).tolist()
 
 
-def _height_jet_from_values(jet):
-    """height_jet_from_param given the jet's 18 floats, as a trace stage reads them."""
-    return height_jet_from_param(jet, [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()])
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of the GeometryError it raised."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
 
 
-def _outcome(fn, arg, fields, squeeze=False):
-    """fn(arg)'s fields, each squeezed from (1, ...) if asked, or the class it raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            result = fn(arg)
-        except (GeometryError, RuntimeWarning) as exc:
-            return type(exc)
-    values = [result[f] if isinstance(f, int) else getattr(result, f) for f in fields]
-    return [value[0] for value in values] if squeeze else values
+def _stage(jet, kind):
+    """A trace stage's direction, under the trace's floating-point state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(curves._field_direction(jet, kind, None)[0])
 
 
-def assert_same_outcome(a, b):
-    if isinstance(a, type) or isinstance(b, type):
-        assert a is b
-        return
-    for x, y in zip(a, b, strict=True):
-        assert_same_bits(x, y)
+def assert_float_direction_matches(jet, falls_back=None):
+    """For each kind: _float_direction gives the array direction bit for bit
+    (Python floats), or the same error class and message, or None, and None
+    only where numpy warns on the way, or k2 == 0 for a characteristic kind.
+    The stage gives the array direction, or DegenerateJet where that is no
+    unit vector. falls_back, if given, is the exact set of kinds with None."""
+    values = [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"):
+            k2 = _outcome(lambda: isotropic_curvatures(height_jet_from_param(jet)).k2)
+            want = {kind: _outcome(_array_direction, jet, kind) for kind in TRACE_KINDS}
+    warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+    fell_back = set()
+    for kind in TRACE_KINDS:
+        got = _outcome(curves._float_direction, values, kind)
+        if got is None:
+            fell_back.add(kind)
+            assert warned or (kind in CHARACTERISTIC and k2 == 0.0
+                              and isinstance(want[kind], list))
+        elif isinstance(got, tuple) and isinstance(got[0], type):
+            assert got == want[kind]
+        else:
+            assert all(type(c) is float for c in got)
+            assert_same_bits(np.array(got), np.array(want[kind]))
+        stage = _outcome(_stage, jet, kind)
+        if isinstance(want[kind], list) and not 0.5 <= np.dot(want[kind], want[kind]) <= 2.0:
+            assert stage == (DegenerateJet, UNIT)
+        elif isinstance(stage, list):
+            assert_same_bits(np.array(stage), np.array(want[kind]))
+        else:
+            assert stage == want[kind]
+    if falls_back is not None:
+        assert fell_back == set(falls_back)
+    return fell_back
 
 
-def assert_point_path_matches(hj_point, hj_array):
-    """Curvatures and directions of one point against those of the same point as (1,) arrays."""
-    for fn, fields in ((isotropic_curvatures, CURVATURE_FIELDS),
-                       (characteristic_directions, (0, 1))):
-        assert_same_outcome(_outcome(fn, hj_point, fields),
-                            _outcome(fn, hj_array, fields, squeeze=True))
+def _hessian_jet(fxx, fxy, fyy):
+    """A chart jet over the identity frame at the origin, whose Monge Hessian
+    is (fxx, fxy, fyy) up to the signs of zeros."""
+    zero = np.zeros(3)
+    return ParamJet2(zero, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                     np.array([0.0, 0.0, fxx]), np.array([0.0, 0.0, fxy]),
+                     np.array([0.0, 0.0, fyy]))
 
 
 @pytest.mark.parametrize("fid", family_ids())
-def test_point_path_matches_array_path_on_every_family(fid):
+def test_float_direction_matches_the_array_functions_on_every_family(fid):
     spec = make_spec(fid)
     u0, u1, v0, v1 = spec.domain
     rng = np.random.default_rng(family_ids().index(fid))
     for _ in range(5):
         u, v = u0 + (u1 - u0) * rng.random(), v0 + (v1 - v0) * rng.random()
-        jet = evaluate(spec, u, v)
-        point = _outcome(height_jet_from_param, jet, JET_FIELDS)
-        assert_same_outcome(point, _outcome(_array_height_jet, jet, JET_FIELDS))
-        assert_same_outcome(point, _outcome(_height_jet_from_values, jet, JET_FIELDS))
-        if not isinstance(point, type):
-            # the same chart values as (1, 3) fields: a chart evaluated on
-            # (1,) arrays may round differently from one on scalars
-            jet1 = ParamJet2(*(getattr(jet, name)[None] for name in PARAM_FIELDS))
-            assert_point_path_matches(height_jet_from_param(jet), height_jet_from_param(jet1))
+        assert_float_direction_matches(evaluate(spec, u, v), falls_back=())
 
 
-@pytest.mark.parametrize("fxx,fxy,fyy", HESSIANS)
-def test_point_path_matches_array_path_at_special_points(fxx, fxy, fyy):
-    # umbilics raise Umbilic and K = 0 DegenerateK on both paths; infinite
-    # entries make numpy warn, and the point path leaves them to numpy
-    values = (0.0, 0.0, 0.0, 0.0, 0.0, fxx, fxy, fyy)
-    assert_point_path_matches(monge_jet(*values), monge_jet(*(np.array([t]) for t in values)))
+@pytest.mark.parametrize("fxx,fxy,fyy", [h for h in HESSIANS if all(map(math.isfinite, h))] + [
+    (1.0, 0.0, 1e-13), (-1.0, 2e-7, 1e-13), (1.0, 1e-7, 1e-14),  # |K| < K_EPS, no umbilic
+    (1e160, 1.0, 1e160), (1e300, 1.0, -1e300),  # K overflows: the array functions' values
+    (1.0, -5e-15, 2.0), (1.0, -5e-14, 2.0),  # a negative leading component near 1e-14
+    (-2.9, -1.0, -1.7), (-2.4, 2.7, -1.7),  # math.hypot rounds the half gap differently
+    (-2.9, -1.7, 0.3), (-2.7, 2.0, -1.7),  # math.atan rounds phi differently
+])
+def test_float_direction_matches_the_array_functions_at_special_points(fxx, fxy, fyy):
+    assert_float_direction_matches(_hessian_jet(fxx, fxy, fyy))
 
 
-def test_point_path_matches_array_path_on_random_and_extreme_hessians():
+@pytest.mark.parametrize("hessian,falls_back", [
+    ((2.0, 0.0, 2.0), ()),  # an umbilic: Umbilic, with the message of the kind
+    ((0.0, 0.0, 0.0), ()),
+    ((1.0, 0.0, 1e-13), ()),  # |K| < K_EPS: DegenerateK for a characteristic kind
+    ((1e100, 0.0, 1e-100), CHARACTERISTIC),  # k2 = 0 with K = 1
+    ((1e160, 1.0, 1e160), TRACE_KINDS),  # K overflows
+])
+def test_float_direction_falls_back_only_where_numpy_is_needed(hessian, falls_back):
+    assert_float_direction_matches(_hessian_jet(*hessian), falls_back)
+
+
+def test_float_direction_matches_the_array_functions_on_random_and_extreme_hessians():
     # entries of 1e160 and more overflow on the way to finite curvatures
     rng = np.random.default_rng(11)
     h = rng.normal(size=(400, 3)) * 10.0 ** rng.choice([-200, -8, 0, 3, 160, 200], size=(400, 3))
-    for row in h.tolist():
-        values = (0.0, 0.0, 0.0, 0.0, 0.0, *row)
-        assert_point_path_matches(monge_jet(*values), monge_jet(*(np.array([t]) for t in values)))
+    fell_back = [assert_float_direction_matches(_hessian_jet(*row)) for row in h.tolist()]
+    assert 0 < sum(map(bool, fell_back)) < len(fell_back)
 
 
-@pytest.mark.parametrize("ru,rv,rvv", [
-    ([1.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0]),  # collinear top views
-    ([1.0, math.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]),  # a NaN jet
-    ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.inf, 0.0, 0.0]),  # inf * 0 in the Hessian
-    ([1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 0.0]),  # the frame scale overflows
-    ([1.0, 0.0, 0.0], [0.0, 1e-10, 0.0], [0.0, 0.0, 1e300]),  # admissible, fyy overflows
+@pytest.mark.parametrize("ru,rv,rvv,stage", [
+    ([1.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0],  # collinear top views
+     (NonAdmissiblePoint, geometry._SINGULAR)),
+    ([1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 0.0],  # the frame scale overflows
+     (NonAdmissiblePoint, geometry._SINGULAR)),
+    ([1.0, 0.0, 0.0], [0.0, 1e-10, 0.0], [0.0, 0.0, 1e300],  # admissible, fyy overflows
+     (DegenerateJet, UNIT)),
+    ([1.0, math.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0],  # refused before any direction
+     (DegenerateJet, "chart jet is not finite")),
+    ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.inf, 0.0, 0.0],
+     (DegenerateJet, "chart jet is not finite")),
 ])
-def test_point_path_matches_array_path_on_hard_jets(ru, rv, rvv):
+def test_a_stage_on_a_hard_jet_matches_the_array_functions(ru, rv, rvv, stage):
     zero = np.zeros(3)
     jet = ParamJet2(zero, np.array(ru), np.array(rv), zero, zero, np.array(rvv))
-    assert_same_outcome(_outcome(height_jet_from_param, jet, JET_FIELDS),
-                        _outcome(_array_height_jet, jet, JET_FIELDS))
-    assert_same_outcome(_outcome(_height_jet_from_values, jet, JET_FIELDS),
-                        _outcome(_array_height_jet, jet, JET_FIELDS))
+    for kind in TRACE_KINDS:
+        assert _outcome(_stage, jet, kind) == stage
+    if np.isfinite([ru, rv, rvv]).all():
+        assert_float_direction_matches(jet)
