@@ -79,12 +79,14 @@ def _field_direction(jet, kind: str, ref):
     """Unit top-view direction (dx, dy) of the chosen field at the chart
     jet of one point, sign-aligned with the direction ref, the parameter
     velocity (du, dv) whose top view it is, and the chart point (x, y, z),
-    all as floats."""
+    all as floats. The seed (ref None) takes the direction from geometry's
+    array functions, every later stage from _float_direction, their copy.
+    """
     fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
     values = [c for field in fields for c in field.tolist()]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
-    d = _float_direction(values, kind)
+    d = None if ref is None else _float_direction(values, kind)
     if d is None:  # geometry's array functions, on the 0-d values of the jet
         hj = height_jet_from_param(jet)
         if kind in ("characteristic+", "characteristic-"):

@@ -345,8 +345,8 @@ def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
 
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
     the slope law also holds at some u < 0, where r^a is not real. Raises
-    InvalidParams where quad warns that it missed its tolerance, as at
-    0 < a <= 1e-8 or so in the default box.
+    InvalidParams where quad warns that it missed its tolerance (at some u
+    for 0 < a <= 4e-8 in the default box; README gives the scan).
     """
     a = params["a"]
     on_profile = _euclid_on_profile(a, U)

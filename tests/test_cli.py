@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -848,6 +849,26 @@ def test_a_tiny_positive_euclidean_ratio_whose_height_misses_its_tolerance_is_re
     assert runs[0] == runs[1] == (1, "", f"error: euclidean_rotational: the height integral "
                                          f"misses its tolerance 1e-12 at a = {float(a)!r}\n")
     assert not out.exists()
+
+
+def test_a_euclidean_height_that_misses_its_tolerance_after_the_seed_stops_the_trace(
+        tmp_path, capsys):
+    # at a = 3e-8 quad converges at u = 0.08 and misses at scattered u up to
+    # 0.1: the trace stops at the first such sample, like at any other
+    # error after the seed, and exits 0 with the samples before it
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trace", "--family", "euclidean_rotational", "--a", "3e-8", "--seed",
+                   "0.08,1.0", "--kind", "principal2", "--steps", "200", "--dt", "1e-4",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 0 and err.count("\n") == 1
+    assert re.fullmatch(r"euclidean_rotational: trace stopped after \d+ steps \(InvalidParams: "
+                        r"euclidean_rotational: the height integral misses its tolerance "
+                        r"1e-12 at a = 3e-08\)\n", err)
+    steps = int(err.split("after ")[1].split()[0])
+    assert 1 <= steps < 200 and len(out.read_text().splitlines()) == 1 + 1 + steps
 
 
 def test_a_small_positive_euclidean_ratio_generates_without_a_warning(tmp_path, capsys):

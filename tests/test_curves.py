@@ -327,19 +327,19 @@ def test_a_nearly_flat_spiral_cannot_leave_its_seed():
 
 @pytest.mark.parametrize("bad", [(0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0), (2.0, 0.0)])
 def test_a_direction_that_is_no_unit_vector_stops_the_trace(bad, monkeypatch):
-    # the direction at the seed is the true one, every later one is bad
-    float_direction = curves._float_direction
+    # the seed's direction comes from the array functions and is the true
+    # one; the float direction of every stage is bad
     calls = []
 
     def field(values, kind):
         calls.append(values)
-        return float_direction(values, kind) if len(calls) == 1 else bad
+        return bad
 
     monkeypatch.setattr(curves, "_float_direction", field)
     tr = trace_direction_field(make_spec("paraboloid", {"a": 2.0}), (0.3, 0.4),
                                "characteristic+", 10, 1e-2)
     assert tr.stopped == "DegenerateJet: field direction is not a unit vector"
-    assert len(tr) == 1
+    assert len(tr) == 1 and len(calls) == 1
 
 
 def test_a_parameter_state_that_overflows_stops_the_trace(monkeypatch):

@@ -433,7 +433,7 @@ def _array_direction(jet, kind):
         tp, tm = characteristic_directions(hj)
         return (tp if kind == "characteristic+" else tm).tolist()
     c = isotropic_curvatures(hj)
-    if c.umbilic:
+    if c.umbilic.any():
         raise Umbilic("principal directions undefined at an umbilic")
     return (c.d1 if kind == "principal1" else c.d2).tolist()
 
@@ -446,18 +446,21 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _stage(jet, kind):
-    """A trace stage's direction, under the trace's floating-point state."""
+def _stage(jet, kind, ref):
+    """A trace stage's direction, under the trace's floating-point state:
+    the seed's with ref None, else a later stage's; ref (0, 0) flips no
+    sign."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return list(curves._field_direction(jet, kind, None)[0])
+        return list(curves._field_direction(jet, kind, ref)[0])
 
 
 def assert_float_direction_matches(jet, falls_back=None):
     """For each kind: _float_direction gives the array direction bit for bit
     (Python floats), or the same error class and message, or None, and None
     only where numpy warns on the way, or k2 == 0 for a characteristic kind.
-    The stage gives the array direction, or DegenerateJet where that is no
-    unit vector. falls_back, if given, is the exact set of kinds with None."""
+    The seed and a later stage give the array direction, or DegenerateJet
+    where that is no unit vector. falls_back, if given, is the exact set of
+    kinds with None."""
     values = [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -477,13 +480,14 @@ def assert_float_direction_matches(jet, falls_back=None):
         else:
             assert all(type(c) is float for c in got)
             assert_same_bits(np.array(got), np.array(want[kind]))
-        stage = _outcome(_stage, jet, kind)
-        if isinstance(want[kind], list) and not 0.5 <= np.dot(want[kind], want[kind]) <= 2.0:
-            assert stage == (DegenerateJet, UNIT)
-        elif isinstance(stage, list):
-            assert_same_bits(np.array(stage), np.array(want[kind]))
-        else:
-            assert stage == want[kind]
+        for ref in (None, (0.0, 0.0)):
+            stage = _outcome(_stage, jet, kind, ref)
+            if isinstance(want[kind], list) and not 0.5 <= np.dot(want[kind], want[kind]) <= 2.0:
+                assert stage == (DegenerateJet, UNIT)
+            elif isinstance(stage, list):
+                assert_same_bits(np.array(stage), np.array(want[kind]))
+            else:
+                assert stage == want[kind]
     if falls_back is not None:
         assert fell_back == set(falls_back)
     return fell_back
@@ -503,9 +507,20 @@ def test_float_direction_matches_the_array_functions_on_every_family(fid):
     spec = make_spec(fid)
     u0, u1, v0, v1 = spec.domain
     rng = np.random.default_rng(family_ids().index(fid))
+    jets = []
     for _ in range(5):
         u, v = u0 + (u1 - u0) * rng.random(), v0 + (v1 - v0) * rng.random()
-        assert_float_direction_matches(evaluate(spec, u, v), falls_back=())
+        jets.append(evaluate(spec, u, v))
+        assert_float_direction_matches(jets[-1], falls_back=())
+    # the five jets as one of (5, 3) fields: the array functions on (N,)
+    # arrays give each point's float direction too
+    batch = ParamJet2(*(np.stack([getattr(j, f) for j in jets]) for f in PARAM_FIELDS))
+    for kind in TRACE_KINDS:
+        want = [_outcome(curves._float_direction,
+                         [c for f in PARAM_FIELDS for c in getattr(j, f).tolist()], kind)
+                for j in jets]
+        if all(isinstance(d, tuple) and type(d[0]) is float for d in want):
+            assert_same_bits(np.array(_array_direction(batch, kind)), np.array(want))
 
 
 @pytest.mark.parametrize("fxx,fxy,fyy", [h for h in HESSIANS if all(map(math.isfinite, h))] + [
@@ -554,6 +569,7 @@ def test_a_stage_on_a_hard_jet_matches_the_array_functions(ru, rv, rvv, stage):
     zero = np.zeros(3)
     jet = ParamJet2(zero, np.array(ru), np.array(rv), zero, zero, np.array(rvv))
     for kind in TRACE_KINDS:
-        assert _outcome(_stage, jet, kind) == stage
+        assert _outcome(_stage, jet, kind, None) == stage
+        assert _outcome(_stage, jet, kind, (0.0, 0.0)) == stage
     if np.isfinite([ru, rv, rvv]).all():
         assert_float_direction_matches(jet)
