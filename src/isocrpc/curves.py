@@ -80,24 +80,23 @@ def _field_direction(jet, kind: str, ref):
     jet of one point, sign-aligned with the direction ref, the parameter
     velocity (du, dv) whose top view it is, and the chart point (x, y, z),
     all as floats. The seed (ref None) takes the direction from geometry's
-    array functions, every later stage from _float_direction, their copy.
+    array functions on the 0-d values of the jet, every later stage from
+    _float_direction, which gives their bits and errors on any finite jet.
     """
     fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
     values = [c for field in fields for c in field.tolist()]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
-    d = None if ref is None else _float_direction(values, kind)
-    if d is None:  # geometry's array functions, on the 0-d values of the jet
-        hj = height_jet_from_param(jet)
-        if kind in ("characteristic+", "characteristic-"):
-            tp, tm = characteristic_directions(hj)
-            d = tp if kind == "characteristic+" else tm
-        else:
-            cur = isotropic_curvatures(hj)
-            if cur.umbilic:
-                raise Umbilic("principal directions undefined at an umbilic")
-            d = cur.d1 if kind == "principal1" else cur.d2
-        d = d.tolist()
+    if ref is not None:
+        d = _float_direction(values, kind)
+    elif kind in ("characteristic+", "characteristic-"):
+        tp, tm = characteristic_directions(height_jet_from_param(jet))
+        d = (tp if kind == "characteristic+" else tm).tolist()
+    else:
+        cur = isotropic_curvatures(height_jet_from_param(jet))
+        if cur.umbilic:
+            raise Umbilic("principal directions undefined at an umbilic")
+        d = (cur.d1 if kind == "principal1" else cur.d2).tolist()
     dx, dy = d
     # NaN and inf fail the test too; the (0, 0) of an overflowed Hessian
     # would not move the trace
@@ -117,18 +116,15 @@ def _float_direction(values, kind: str):
     18 finite floats of its 2-jet (r, ru, rv, ruu, ruv, rvv), as two floats.
 
     The operations of monge_gradient, _hessian, isotropic_curvatures and
-    characteristic_directions in the same order, on Python floats (IEEE
-    arithmetic, as numpy's elementwise loops), so the bits are those of the
-    array functions; it raises their errors, with their messages, in the
-    same order. Returns None where a value is not finite (numpy may warn on
-    the way there) and, for a characteristic kind, where k2 == 0 (numpy
-    divides by it): the array functions then give the direction.
+    characteristic_directions in the same order, on Python floats, which
+    follow IEEE arithmetic on inf and NaN as numpy's elementwise loops do.
+    So on every finite jet it gives the array functions' direction, bit for
+    bit (NaN where theirs is NaN), or raises their error with their message,
+    in the same order; a value that overflows on the way is no exception.
     """
     xu, yu, zu, xv, yv, zv = values[3:9]
     det = xu * yv - yu * xv
     scale = xu * xu + yu * yu + xv * xv + yv * yv
-    if not math.isfinite(scale):
-        return None
     if abs(det) <= JACOBIAN_EPS * max(scale, 1e-300):
         raise NonAdmissiblePoint(_SINGULAR)
     fx = (zu * yv - yu * zv) / det
@@ -142,8 +138,6 @@ def _float_direction(values, kind: str):
     c2x = k1 - fyy
     n1a = math.sqrt(fxy * fxy + c1y * c1y)
     n1b = math.sqrt(c2x * c2x + fxy * fxy)
-    if not math.isfinite(fx + fy + H + K + k1 + k2 + n1a + n1b):
-        return None
     principal = kind in ("principal1", "principal2")
     if abs(k1 - k2) <= UMBILIC_RTOL * max(abs(k1), abs(k2), 1.0):
         raise Umbilic(f"{'principal' if principal else 'characteristic'} directions "
@@ -155,9 +149,9 @@ def _float_direction(values, kind: str):
         return (x, y) if kind == "principal1" else _lead_positive(-y, x)
     if abs(K) < K_EPS:
         raise DegenerateK("characteristic directions undefined where K = 0")
-    if k2 == 0.0:
-        return None
-    phi = np.arctan(math.sqrt(abs(k1 / k2)))
+    # abs(k1) * inf is IEEE's abs(k1 / k2) at k2 = +-0, where Python would
+    # raise (k1 = 0 there is an umbilic)
+    phi = np.arctan(math.sqrt(abs(k1 / k2) if k2 else abs(k1) * math.inf))
     cph, sph = float(np.cos(phi)), float(np.sin(phi))
     # on the rigid frame (d1, rot90 d1), as characteristic_directions
     if kind == "characteristic+":
@@ -201,14 +195,14 @@ def trace_direction_field(
 
     The direction sign at every stage is chosen for continuity against the
     step's starting direction. A singularity, domain exit (a non-finite
-    parameter state among them), umbilic hit, non-finite chart jet, or a
-    direction that is not a unit vector after the first sample truncates
-    the trace before that sample (stopped says why); at the seed itself
-    every geometry error propagates. An unknown kind, and steps or dt that
-    trace_steps or trace_dt refuses, raise InvalidParams before the chart
-    is evaluated. A step evaluates the chart four times: its first stage
-    is the accepted sample's velocity, and its three inner stages read no
-    point height (heights=False).
+    parameter state among them), umbilic hit, non-finite chart jet, a
+    direction that is not a unit vector, or a step below the rounding of
+    (u, v) after the first sample truncates the trace before that sample
+    (stopped says why); at the seed itself every geometry error propagates.
+    An unknown kind, and steps or dt that trace_steps or trace_dt refuses,
+    raise InvalidParams before the chart is evaluated. A step evaluates the
+    chart four times: its first stage is the accepted sample's velocity,
+    and its three inner stages read no point height (heights=False).
     """
     if kind not in TRACE_KINDS:
         raise InvalidParams(f"{kind!r} is not one of {TRACE_KINDS}")
@@ -231,8 +225,11 @@ def trace_direction_field(
             k2u, k2v = rhs(u + 0.5 * dt * du, v + 0.5 * dt * dv)
             k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
             k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
+            step = u, v
             u += dt / 6.0 * (du + 2.0 * k2u + 2.0 * k3u + k4u)
             v += dt / 6.0 * (dv + 2.0 * k2v + 2.0 * k3v + k4v)
+            if (u, v) == step:  # a step below the rounding of u and v
+                raise DegenerateJet("the step does not move the trace")
             d, (du, dv), point = _field_direction(evaluate(spec, u, v), kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"

@@ -384,6 +384,40 @@ def test_trace_of_a_flat_spiral_prints_no_warning(kind, capsys):
     assert err == "error: field direction is not a unit vector\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "helicoid", "--seed", "1,0.5", "--dt", "1e-17"],
+    ["--family", "helicoid", "--seed", "1,0.5", "--dt", "1e-320"],
+    ["--family", "paraboloid", "--seed", "0.3,0.4", "--kind", "principal1", "--dt", "1e-17"],
+])
+def test_a_step_below_the_rounding_of_u_and_v_stops_the_trace(argv, capsys):
+    # t would advance while the seed point is written again and again
+    assert main(["trace", *argv, "--steps", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2 and out.splitlines()[1].startswith("0,")
+    assert err == (f"{argv[1]}: trace stopped after 0 steps "
+                   "(DegenerateJet: the step does not move the trace)\n")
+
+
+@pytest.mark.parametrize("kind,sha256", [
+    ("char+", "808706a4390fe928b9f51f2054f265aad5847bcce71eb8fcf3bca7aa2f476432"),
+    ("char-", "5724b33837a57f9b4c15042daec625dff99be79e17395954f3f07fb26667240f"),
+])
+def test_a_trace_whose_curvatures_overflow_keeps_its_bytes(kind, sha256, capsys, monkeypatch):
+    # k2 rounds to 0 at every stage, and every stage's direction is a
+    # Python-float one: the array functions run at the seed only
+    seeds = []
+    height_jet = isocrpc.curves.height_jet_from_param
+    monkeypatch.setattr(isocrpc.curves, "height_jet_from_param",
+                        lambda jet: seeds.append(jet) or height_jet(jet))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trace", "--family", "paraboloid", "--a", "1e150", "--seed", "0.9,0.5",
+                   "--steps", "300", "--kind", kind])
+    out, err = capsys.readouterr()
+    assert (rc, err, len(seeds)) == (0, "", 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_of_a_euclidean_ratio_near_zero_prints_no_warning(capsys):
     # the profile's quadrature warns at this ratio, and verify runs none
     argv = ["verify", "--family", "euclidean_rotational", "--a", "1e-14", "--res", "20x20"]

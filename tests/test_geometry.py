@@ -439,11 +439,25 @@ def _array_direction(jet, kind):
 
 
 def _outcome(fn, *args):
-    """fn(*args), or the class and message of the GeometryError it raised."""
-    try:
-        return fn(*args)
-    except GeometryError as exc:
-        return type(exc), str(exc)
+    """fn(*args) under the trace's floating-point state, where any warning is
+    an error, or the class and message of the GeometryError it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return fn(*args)
+            except GeometryError as exc:
+                return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """got, a _float_direction outcome, is want, an _array_direction one: two
+    Python floats with want's bits (NaN where it is NaN), or its error."""
+    if isinstance(want, list):
+        assert type(got) is tuple and all(type(c) is float for c in got)
+        assert_same_bits(np.array(got), np.array(want))
+    else:
+        assert got == want
 
 
 def _stage(jet, kind, ref):
@@ -454,43 +468,23 @@ def _stage(jet, kind, ref):
         return list(curves._field_direction(jet, kind, ref)[0])
 
 
-def assert_float_direction_matches(jet, falls_back=None):
+def assert_float_direction_matches(jet):
     """For each kind: _float_direction gives the array direction bit for bit
-    (Python floats), or the same error class and message, or None, and None
-    only where numpy warns on the way, or k2 == 0 for a characteristic kind.
-    The seed and a later stage give the array direction, or DegenerateJet
-    where that is no unit vector. falls_back, if given, is the exact set of
-    kinds with None."""
+    (Python floats), or the same error class and message. The seed and a
+    later stage give the array direction, or DegenerateJet where that is no
+    unit vector."""
     values = [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"):
-            k2 = _outcome(lambda: isotropic_curvatures(height_jet_from_param(jet)).k2)
-            want = {kind: _outcome(_array_direction, jet, kind) for kind in TRACE_KINDS}
-    warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
-    fell_back = set()
     for kind in TRACE_KINDS:
-        got = _outcome(curves._float_direction, values, kind)
-        if got is None:
-            fell_back.add(kind)
-            assert warned or (kind in CHARACTERISTIC and k2 == 0.0
-                              and isinstance(want[kind], list))
-        elif isinstance(got, tuple) and isinstance(got[0], type):
-            assert got == want[kind]
-        else:
-            assert all(type(c) is float for c in got)
-            assert_same_bits(np.array(got), np.array(want[kind]))
+        want = _outcome(_array_direction, jet, kind)
+        assert_same_outcome(_outcome(curves._float_direction, values, kind), want)
         for ref in (None, (0.0, 0.0)):
             stage = _outcome(_stage, jet, kind, ref)
-            if isinstance(want[kind], list) and not 0.5 <= np.dot(want[kind], want[kind]) <= 2.0:
+            if isinstance(want, list) and not 0.5 <= np.dot(want, want) <= 2.0:
                 assert stage == (DegenerateJet, UNIT)
             elif isinstance(stage, list):
-                assert_same_bits(np.array(stage), np.array(want[kind]))
+                assert_same_bits(np.array(stage), np.array(want))
             else:
-                assert stage == want[kind]
-    if falls_back is not None:
-        assert fell_back == set(falls_back)
-    return fell_back
+                assert stage == want
 
 
 def _hessian_jet(fxx, fxy, fyy):
@@ -511,7 +505,7 @@ def test_float_direction_matches_the_array_functions_on_every_family(fid):
     for _ in range(5):
         u, v = u0 + (u1 - u0) * rng.random(), v0 + (v1 - v0) * rng.random()
         jets.append(evaluate(spec, u, v))
-        assert_float_direction_matches(jets[-1], falls_back=())
+        assert_float_direction_matches(jets[-1])
     # the five jets as one of (5, 3) fields: the array functions on (N,)
     # arrays give each point's float direction too
     batch = ParamJet2(*(np.stack([getattr(j, f) for j in jets]) for f in PARAM_FIELDS))
@@ -534,23 +528,44 @@ def test_float_direction_matches_the_array_functions_at_special_points(fxx, fxy,
     assert_float_direction_matches(_hessian_jet(fxx, fxy, fyy))
 
 
-@pytest.mark.parametrize("hessian,falls_back", [
-    ((2.0, 0.0, 2.0), ()),  # an umbilic: Umbilic, with the message of the kind
-    ((0.0, 0.0, 0.0), ()),
-    ((1.0, 0.0, 1e-13), ()),  # |K| < K_EPS: DegenerateK for a characteristic kind
-    ((1e100, 0.0, 1e-100), CHARACTERISTIC),  # k2 = 0 with K = 1
-    ((1e160, 1.0, 1e160), TRACE_KINDS),  # K overflows
+@pytest.mark.parametrize("hessian", [
+    (2.0, 0.0, 2.0),  # an umbilic: Umbilic, with the message of the kind
+    (0.0, 0.0, 0.0),
+    (1.0, 0.0, 1e-13),  # |K| < K_EPS: DegenerateK for a characteristic kind
+    (1e100, 0.0, 1e-100),  # k2 = 0 with K = 1: numpy divides k1 by it
+    (1e160, 1.0, 1e160),  # K overflows
 ])
-def test_float_direction_falls_back_only_where_numpy_is_needed(hessian, falls_back):
-    assert_float_direction_matches(_hessian_jet(*hessian), falls_back)
+def test_float_direction_matches_the_array_functions_at_zero_k2_and_overflow(hessian):
+    assert_float_direction_matches(_hessian_jet(*hessian))
 
 
 def test_float_direction_matches_the_array_functions_on_random_and_extreme_hessians():
     # entries of 1e160 and more overflow on the way to finite curvatures
     rng = np.random.default_rng(11)
     h = rng.normal(size=(400, 3)) * 10.0 ** rng.choice([-200, -8, 0, 3, 160, 200], size=(400, 3))
-    fell_back = [assert_float_direction_matches(_hessian_jet(*row)) for row in h.tolist()]
-    assert 0 < sum(map(bool, fell_back)) < len(fell_back)
+    for row in h.tolist():
+        assert_float_direction_matches(_hessian_jet(*row))
+
+
+# float64 bit patterns: any, or of a magnitude where admissible frames are
+# as common as singular ones, or where products overflow
+RAW_ENTRY = st.one_of(st.integers(0, 2 ** 64 - 1),
+                      st.integers(0x3BF0 << 48, 0x43F0 << 48),  # 2**-64 to 2**64
+                      st.integers(0xBBF0 << 48, 0xC3F0 << 48),  # the same, negative
+                      st.integers(0x5000 << 48, 0x7FEF << 48))  # 2**257 and more
+FINITE_JETS = st.lists(RAW_ENTRY, min_size=18, max_size=18).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)).filter(
+    lambda values: np.isfinite(values).all())
+
+
+@settings(max_examples=500, deadline=None)
+@given(FINITE_JETS)
+def test_float_direction_matches_the_array_functions_on_any_finite_jet(values):
+    # subnormals, -0.0, huge entries and products that overflow all occur
+    jet = ParamJet2(*values.reshape(6, 3))
+    for kind in TRACE_KINDS:
+        assert_same_outcome(_outcome(curves._float_direction, values.tolist(), kind),
+                            _outcome(_array_direction, jet, kind))
 
 
 @pytest.mark.parametrize("ru,rv,rvv,stage", [
