@@ -201,8 +201,8 @@ def trace_direction_field(
     (stopped says why); at the seed itself every geometry error propagates.
     An unknown kind, and steps or dt that trace_steps or trace_dt refuses,
     raise InvalidParams before the chart is evaluated. A step evaluates the
-    chart four times: its first stage is the accepted sample's velocity,
-    and its three inner stages read no point height (heights=False).
+    chart (on numpy scalars) four times: its first stage is the accepted
+    sample's velocity, and its three inner stages read no point height.
     """
     if kind not in TRACE_KINDS:
         raise InvalidParams(f"{kind!r} is not one of {TRACE_KINDS}")

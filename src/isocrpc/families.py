@@ -63,12 +63,12 @@ def _jet(U, V, parts) -> ParamJet2:
 
     Each field is its own (..., 3) array: a mesh keeps r as its vertices,
     not the other five. Every field has the broadcast shape of U and V, so a
-    component may be a plain constant. At one point a field is a single
-    np.array call.
+    component may be a plain constant. At one point (numpy scalars U and V)
+    a field is a single np.array call.
     """
-    shape = _shape(U, V)
-    if not shape:
+    if U.ndim == V.ndim == 0:
         return ParamJet2(*(np.array(xyz, float) for xyz in parts))
+    shape = _shape(U, V)
     fields = []
     for x, y, z in parts:
         field = np.empty(shape + (3,))
@@ -124,7 +124,8 @@ def _polar_chart(U, V, h, hp, hpp, pitch=0.0):
 
 
 def _rot_power(m: float, U, V):
-    return _polar_chart(U, V, U ** m, m * U ** (m - 1.0), m * (m - 1.0) * U ** (m - 2.0))
+    return _polar_chart(U, V, np.power(U, m), m * np.power(U, m - 1.0),
+                        m * (m - 1.0) * np.power(U, m - 2.0))
 
 
 def _rotational_power_1(params, U, V):
@@ -329,7 +330,7 @@ def _euclid_edge(a: float) -> float:
 
 def _euclid_on_profile(a: float, U):
     """The profile's hard region: finite u > 0 and a real slope, u^(2a) < 1."""
-    return (U > 0.0) & np.isfinite(U) & (U ** (2.0 * a) < 1.0)
+    return (U > 0.0) & np.isfinite(U) & (np.power(U, 2.0 * a) < 1.0)
 
 
 def _euclid_slope(a: float):
@@ -370,9 +371,9 @@ def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
 
 def _euclidean_rotational(params, U, V, h):
     a = params["a"]
-    g = 1.0 - U ** (2.0 * a)
-    hp = U ** a / np.sqrt(g)
-    hpp = a * U ** (a - 1.0) * g ** (-1.5)
+    g = 1.0 - np.power(U, 2.0 * a)
+    hp = np.power(U, a) / np.sqrt(g)
+    hpp = a * np.power(U, a - 1.0) * g ** (-1.5)
     return _polar_chart(U, V, h, hp, hpp)
 
 
@@ -787,6 +788,10 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
 def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> ParamJet2:
     """Exact second-order jet of the chart at (u, v) (scalars or arrays).
 
+    One point (scalars or 0-d arrays) runs on numpy scalars with the bits
+    of 0-d arrays, so a chart writes U ** m as np.power(U, m): ** on a
+    numpy scalar calls libm's pow, which rounds otherwise.
+
     With check=True, raises OutOfDomain at a non-finite (u, v) and outside
     the hard validity region, and SingularLocus within SINGULAR_MARGIN of a
     singular locus. check=False is for grid sampling, which masks instead
@@ -801,16 +806,19 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
     """
     entry = catalog_entry(spec.family_id)
     U, V = np.asarray(u, float), np.asarray(v, float)
+    point = U.ndim == V.ndim == 0
+    if point:  # one point, as a trace stage asks for
+        U, V = U[()], V[()]
+    every, some = (bool, bool) if point else (np.all, np.any)
     with np.errstate(all="ignore"):
         if check:
-            # one point, as a trace stage asks for, is tested in Python floats
-            finite = (math.isfinite(U) and math.isfinite(V) if U.ndim == V.ndim == 0
-                      else np.isfinite(U).all() and np.isfinite(V).all())
+            finite = (math.isfinite(U) and math.isfinite(V) if point
+                      else every(np.isfinite(U)) and every(np.isfinite(V)))
             if not finite:
                 raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
-            if not entry.hard_valid(spec.params, U, V).all():
+            if not every(entry.hard_valid(spec.params, U, V)):
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-            if (entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN).any():
+            if some(entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN):
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
         if entry.height is None:
             return entry.jets(spec.params, U, V)

@@ -484,12 +484,18 @@ def _reference_decision(spec, U, V):
     return None
 
 
-def _checked_decision(spec, U, V):
+def _refusal(spec, U, V):
+    """The class and message of evaluate's check at (U, V), or None."""
     try:
         evaluate(spec, U, V, check=True)
     except (OutOfDomain, SingularLocus) as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return None
+
+
+def _checked_decision(spec, U, V):
+    refusal = _refusal(spec, U, V)
+    return refusal and refusal[0]
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
@@ -500,6 +506,8 @@ def test_evaluate_check_decides_as_the_broadcasting_predicates(fid):
     for u, v in _validity_points(spec, rng):
         decision = _checked_decision(spec, u, v)
         assert decision is _reference_decision(spec, u, v), (u, v)
+        # a point, on numpy scalars, is refused with a (1,) array's message
+        assert _refusal(spec, u, v) == _refusal(spec, np.array([u]), np.array([v])), (u, v)
         if math.isfinite(u) and math.isfinite(v):
             decisions.add(decision)
     # the finite points reach every decision the family can make
@@ -606,3 +614,39 @@ def test_chart_on_its_axes_matches_the_meshgrid_bit_for_bit(fid, a, domain):
     assert _same_bits(singular_distance(spec, *axes), singular_distance(spec, U, V))
     if domain is not None:  # the locus passes between the nodes
         assert singular_distance(spec, U, V).min() < max(us[1] - us[0], vs[1] - vs[0])
+
+
+# --- one point on numpy scalars keeps the bits of the 0-d chart -----------------
+
+# the family defaults, and ratios whose exponents at the bare parameter reach
+# numpy's power fast paths (u^2, u^0.5, u^-1) or differ most from libm's pow
+POINT_CASES = [(fid, None) for fid in ALL_FAMILIES] + [
+    ("rotational_power_1", a) for a in (1.0, -0.5, -2.0, -3.0)] + [
+    ("rotational_power_2", a) for a in (1.0, -2.0, -0.5)] + [
+    ("euclidean_rotational", a) for a in (0.5, 2.0, -2.0)]
+
+
+def _zero_d_jet(spec, u, v, heights):
+    """The chart at 0-d arrays u and v, the path every recorded trace digest
+    came from."""
+    entry = catalog_entry(spec.family_id)
+    U, V = np.asarray(u), np.asarray(v)
+    with np.errstate(all="ignore"):
+        if entry.height is None:
+            return entry.jets(spec.params, U, V)
+        return entry.jets(spec.params, U, V, entry.height(spec.params, U, heights))
+
+
+@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
+def test_a_point_keeps_the_bits_of_the_zero_d_chart(fid, a):
+    spec = make_spec(fid, None if a is None else {"a": a})
+    u0, u1, v0, v1 = spec.domain
+    rng = np.random.default_rng(POINT_CASES.index((fid, a)))
+    for x, y in rng.random((100, 2)):
+        u, v = u0 + (u1 - u0) * x, v0 + (v1 - v0) * y
+        for heights in (True, False):
+            point = evaluate(spec, u, v, check=False, heights=heights)
+            ref = _zero_d_jet(spec, u, v, heights)
+            for f in dataclasses.fields(ParamJet2):
+                assert _same_bits(getattr(point, f.name), getattr(ref, f.name)), (f.name, u, v)
+
