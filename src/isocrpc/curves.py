@@ -41,8 +41,8 @@ from .geometry import (
     normal_curvature,
 )
 from .meshing import format_rows, write_text
-from .spheres import (CIRCLE_SAMPLES, CYLINDRIC, PARABOLIC, IsoCircle, ParabolicSphere,
-                      elliptic_circle, tangent_sphere)
+from .spheres import (CIRCLE_SAMPLES, CYLINDRIC, IsoCircle, elliptic_circle, parabolic_circle,
+                      tangent_sphere)
 
 TRACE_KINDS = ("characteristic+", "characteristic-", "principal1", "principal2")
 MAX_TRACE_STEPS = 1_000_000  # 56 bytes a step: bounds a trace's memory and time
@@ -344,18 +344,7 @@ def osculating_isotropic_circle(jet: CurveJet) -> IsoCircle:
     if abs(z2) < _CURVATURE_TOL:
         raise InflectionPoint("jet is straight to second order; no circle")
     That = tp / v
-    sigma = np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
-    x = c[0] + That[0] * sigma
-    y = c[1] + That[1] * sigma
-    z = c[2] + z1 * sigma + 0.5 * z2 * sigma * sigma
-    n1, n2 = -That[1], That[0]
-    d = -(n1 * c[0] + n2 * c[1])
-    A = z2
-    B = 2.0 * (z1 * That[0] - A * c[0])
-    C = 2.0 * (z1 * That[1] - A * c[1])
-    D = 2.0 * c[2] - A * (c[0] ** 2 + c[1] ** 2) - B * c[0] - C * c[1]
-    return IsoCircle(PARABOLIC, (n1, n2, d), ParabolicSphere(A, B, C, D), None, None,
-                     np.stack([x, y, z], -1))
+    return parabolic_circle(c[:2], That, tangent_sphere(c, z1 * That, z2))
 
 
 def meusnier_check(
@@ -368,8 +357,9 @@ def meusnier_check(
 
     All curves must touch the surface at p with top-view tangent T. Their
     osculating isotropic circles are predicted to lie on the parabolic
-    sphere of radius 1/kappa_n(T) tangent to the surface there; the return
-    value is the worst algebraic sphere residual over the sampled circles.
+    sphere with A = kappa_n(T) (radius 1/kappa_n) tangent to the surface
+    there; the return value is the worst algebraic sphere residual over the
+    sampled circles.
     """
     jet = evaluate(spec, p[0], p[1], check=True)
     hj: Jet2Height = height_jet_from_param(jet)
@@ -378,7 +368,7 @@ def meusnier_check(
     kn = float(normal_curvature(hj, t))
     if abs(kn) < K_EPS:
         raise ZeroNormalCurvature("tangent sphere undefined along an asymptotic direction")
-    sphere = tangent_sphere(hj, 1.0 / kn)
+    sphere = tangent_sphere((hj.x0, hj.y0, hj.f), (hj.fx, hj.fy), kn)
     worst = 0.0
     for cj in curves:
         circ = osculating_isotropic_circle(cj)

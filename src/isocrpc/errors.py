@@ -53,10 +53,6 @@ class ZeroNormalCurvature(GeometryError):
     """Normal curvature vanishes along the requested tangent direction."""
 
 
-class ZeroRadius(GeometryError):
-    """A sphere of radius zero (or coefficient A = 0) was requested."""
-
-
 class StationaryFamily(GeometryError):
     """All derivative coefficients of a sphere family vanish at t."""
 

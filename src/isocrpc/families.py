@@ -61,10 +61,9 @@ class FamilySpec:
 def _jet(U, V, parts) -> ParamJet2:
     """Jet from the (x, y, z) components of r, ru, rv, ruu, ruv, rvv.
 
-    Each field is its own (..., 3) array: a mesh keeps r as its vertices,
-    not the other five. Every field has the broadcast shape of U and V, so a
-    component may be a plain constant. At one point (numpy scalars U and V)
-    a field is a single np.array call.
+    Each field is its own (..., 3) array of the broadcast shape of U and
+    V, so a component may be a plain constant. At one point (numpy scalars
+    U and V) a field is a single np.array call.
     """
     if U.ndim == V.ndim == 0:
         return ParamJet2(*(np.array(xyz, float) for xyz in parts))
@@ -333,16 +332,9 @@ def _euclid_on_profile(a: float, U):
     return (U > 0.0) & np.isfinite(U) & (np.power(U, 2.0 * a) < 1.0)
 
 
-def _euclid_slope(a: float):
-    def hp(r):  # quad samples r strictly inside the profile, where the root is real
-        return r ** a / math.sqrt(1.0 - r ** (2.0 * a))
-    return hp
-
-
-def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
+def _euclid_height(params, U: np.ndarray) -> np.ndarray:
     """h(u) by adaptive quadrature from the anchor, once per distinct u of
-    the call; nothing is kept between calls. With heights=False no
-    quadrature runs and 0 stands in for h.
+    the call; nothing is kept between calls.
 
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
     the slope law also holds at some u < 0, where r^a is not real. Raises
@@ -351,9 +343,10 @@ def _euclid_height(params, U: np.ndarray, heights: bool) -> np.ndarray:
     """
     a = params["a"]
     on_profile = _euclid_on_profile(a, U)
-    if not heights:
-        return np.where(on_profile, 0.0, np.nan)
-    hp = _euclid_slope(a)
+
+    def hp(r):  # quad samples r strictly inside the profile, where the root is real
+        return r ** a / math.sqrt(1.0 - r ** (2.0 * a))
+
     anchor = 0.0 if a > 0 else _euclid_edge(a)
     out = np.full(U.shape, np.nan)
     us, inverse = np.unique(U[on_profile], return_inverse=True)
@@ -456,11 +449,10 @@ class _Entry:
     ratio_kind: str = "isotropic"  # or "euclidean"
     loci: Callable[[Mapping[str, float]], tuple[tuple[str, Callable], ...]] = lambda p: ()
     hard_valid: Callable[[Mapping[str, float], np.ndarray, np.ndarray], np.ndarray] = _all_valid
-    # a chart height with no closed form, kept out of jets so that evaluate
-    # computes it only where a height is read: height(params, U, heights)
-    # is NaN off the profile and, with heights=False, 0 on it; jets takes
-    # it as a fourth argument
-    height: Callable[[Mapping[str, float], np.ndarray, bool], np.ndarray] | None = None
+    # a chart height with no closed form, NaN outside hard_valid: jets takes
+    # it as a fourth argument, and evaluate computes it only where a height
+    # is read, writing 0 inside hard_valid for heights=False
+    height: Callable[[Mapping[str, float], np.ndarray], np.ndarray] | None = None
 
     def locus_distance(self, params, U, V):
         """Distance to the nearest of loci(params): the first distance folded
@@ -797,12 +789,13 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
     singular locus. check=False is for grid sampling, which masks instead
     of raising.
 
-    heights=False is for callers that read no point height: a chart whose
-    height has no closed form (euclidean_rotational) then writes 0 for
-    r[..., 2] where it is finite, so its finiteness is kept, and runs no
-    quadrature. Each point moves by an isotropic vertical translation,
-    which changes no derivative of r: the Monge jet's derivatives,
-    curvatures, masks and the ratio, ODE and dual laws keep their bits.
+    heights=False is for callers that read no point height: for a chart
+    whose height has no closed form (euclidean_rotational), evaluate then
+    writes 0 for the height inside hard_valid and NaN outside it, so the
+    finiteness of r[..., 2] is kept, and no quadrature runs. Each point
+    moves by an isotropic vertical translation, which changes no derivative
+    of r: the Monge jet's derivatives, curvatures, masks and the ratio, ODE
+    and dual laws keep their bits.
     """
     entry = catalog_entry(spec.family_id)
     U, V = np.asarray(u, float), np.asarray(v, float)
@@ -822,7 +815,9 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
         if entry.height is None:
             return entry.jets(spec.params, U, V)
-        return entry.jets(spec.params, U, V, entry.height(spec.params, U, heights))
+        h = (entry.height(spec.params, U) if heights
+             else np.where(entry.hard_valid(spec.params, U, V), 0.0, np.nan))
+        return entry.jets(spec.params, U, V, h)
 
 
 def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, float], float]:

@@ -19,13 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyCharacteristic,
-    InvalidParams,
-    StationaryFamily,
-    ZeroRadius,
-)
-from .geometry import Jet2Height, fd_jet
+from .errors import EmptyCharacteristic, InvalidParams, StationaryFamily
+from .geometry import fd_jet
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -63,20 +58,16 @@ class ParabolicSphere:
         return 2.0 * z - self.A * (x * x + y * y) - self.B * x - self.C * y - self.D
 
 
-def tangent_sphere(j: Jet2Height, radius: float) -> ParabolicSphere:
-    """The parabolic sphere of the given radius touching the jet's graph.
-
-    Touching means equal value and gradient at the base point; the three
-    conditions determine B, C, D once A = 1/radius is fixed.
+def tangent_sphere(point, gradient, A: float) -> ParabolicSphere:
+    """The parabolic sphere with coefficient A (radius 1/A) touching a graph
+    at point = (x0, y0, z0) with the given gradient: equal value and gradient
+    there determine B, C, D. ParabolicSphere refuses A = 0 and non-finite A.
     """
-    if radius == 0.0 or not math.isfinite(radius):
-        raise ZeroRadius("tangent sphere needs a finite nonzero radius")
-    A = 1.0 / radius
-    x0, y0 = float(j.x0), float(j.y0)
-    f, fx, fy = float(j.f), float(j.fx), float(j.fy)
-    B = 2.0 * (fx - A * x0)
-    C = 2.0 * (fy - A * y0)
-    D = 2.0 * f - A * (x0 * x0 + y0 * y0) - B * x0 - C * y0
+    x0, y0, z0 = map(float, point)
+    gx, gy = map(float, gradient)
+    B = 2.0 * (gx - A * x0)
+    C = 2.0 * (gy - A * y0)
+    D = 2.0 * z0 - A * (x0 * x0 + y0 * y0) - B * x0 - C * y0
     return ParabolicSphere(A, B, C, D)
 
 
@@ -115,7 +106,7 @@ class IsoCircle:
     vertical-axis parabola), or "cylindric" (vertical tangent; the vertical
     line through the point, top radius 0). carrier_plane holds (p, q, s) for
     z = px+qy+s when non-isotropic, else (n1, n2, d) for the vertical plane
-    n1 x + n2 y + d = 0.
+    n1 x + n2 y + d = 0, with a unit normal (n1, n2).
     """
 
     kind: str
@@ -130,6 +121,7 @@ class IsoCircle:
 
 
 _THETA = np.linspace(0.0, 2.0 * math.pi, CIRCLE_SAMPLES, endpoint=False)
+_SIGMA = np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
 
 
 def elliptic_circle(center, top_radius, plane, sphere=None) -> IsoCircle:
@@ -139,6 +131,20 @@ def elliptic_circle(center, top_radius, plane, sphere=None) -> IsoCircle:
     y = cy + top_radius * np.sin(_THETA)
     z = p * x + q * y + s
     return IsoCircle(ELLIPTIC, plane, sphere, center, top_radius, np.stack([x, y, z], -1))
+
+
+def parabolic_circle(foot, direction, sphere: ParabolicSphere) -> IsoCircle:
+    """Parabolic circle of the sphere over the top-view line through foot
+    along the unit direction, sampled at foot + sigma direction, |sigma| <= 1.
+
+    Its carrier plane is n1 x + n2 y + d = 0 with the unit normal
+    (n1, n2) = (-dy, dx), the direction turned by 90 degrees.
+    """
+    (x0, y0), (dx, dy) = foot, direction
+    x, y = x0 + _SIGMA * dx, y0 + _SIGMA * dy
+    n1, n2 = -dy, dx
+    return IsoCircle(PARABOLIC, (n1, n2, -(n1 * x0 + n2 * y0)), sphere, None, None,
+                     np.stack([x, y, sphere.height(x, y)], -1))
 
 
 @dataclass(frozen=True)
@@ -200,13 +206,8 @@ def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
         )
     # isotropic carrier plane Bd x + Cd y + Dd = 0: a parabolic circle
     ex, ey = Bd / norm, Cd / norm
-    x0, y0 = -Dd * ex / norm, -Dd * ey / norm
     dx, dy = -ey, ex
-    sigma = np.linspace(-1.0, 1.0, CIRCLE_SAMPLES)
-    x = x0 + sigma * dx
-    y = y0 + sigma * dy
-    points = np.stack([x, y, sphere.height(x, y)], axis=-1)
-    circle = IsoCircle(PARABOLIC, (Bd, Cd, Dd), sphere, None, None, points)
+    circle = parabolic_circle((-Dd * ex / norm, -Dd * ey / norm), (dx, dy), sphere)
     tangents = np.broadcast_to(np.array([dx, dy]), (CIRCLE_SAMPLES, 2)).copy()
     return Characteristic(t, circle, A, tangents)
 

@@ -541,9 +541,12 @@ def test_meusnier_sphere_osculates_itself():
     assert dev <= 1e-10
 
 
-def test_meusnier_rejects_asymptotic_direction():
+@pytest.mark.parametrize("eps", [0.0, 1e-14])
+def test_meusnier_rejects_asymptotic_direction(eps):
+    # kappa_n = -2 cos(2 phi) at the origin: 0 at phi = pi/4 and about 4e-14
+    # just off it, a coefficient the sphere would take but below K_EPS
     spec = make_spec("trans_paraboloid", {"a": -1.0})
-    t = (math.sqrt(0.5), math.sqrt(0.5))  # kappa_n = 0 at the origin
+    t = (math.cos(math.pi / 4 + eps), math.sin(math.pi / 4 + eps))
     with pytest.raises(ZeroNormalCurvature):
         meusnier_check(spec, (0.0, 0.0), t, [])
 

@@ -634,7 +634,9 @@ def _zero_d_jet(spec, u, v, heights):
     with np.errstate(all="ignore"):
         if entry.height is None:
             return entry.jets(spec.params, U, V)
-        return entry.jets(spec.params, U, V, entry.height(spec.params, U, heights))
+        h = (entry.height(spec.params, U) if heights
+             else np.where(entry.hard_valid(spec.params, U, V), 0.0, np.nan))
+        return entry.jets(spec.params, U, V, h)
 
 
 @pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])

@@ -1,5 +1,6 @@
 """Parabolic spheres, curvature centers, and envelopes of sphere families."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from isocrpc.errors import (
     EmptyCharacteristic,
     InvalidParams,
     StationaryFamily,
-    ZeroRadius,
 )
 from isocrpc.families import evaluate, make_spec
-from isocrpc.geometry import Jet2Height, height_jet_from_param, isotropic_curvatures
+from isocrpc.curves import CurveJet, osculating_isotropic_circle
+from isocrpc.geometry import height_jet_from_param, isotropic_curvatures
 from isocrpc.spheres import (
     CYLINDRIC,
     ELLIPTIC,
@@ -24,10 +25,6 @@ from isocrpc.spheres import (
     envelope_characteristic,
     tangent_sphere,
 )
-
-
-def monge_jet(x, y, f, fx, fy, fxx=0.0, fxy=0.0, fyy=0.0):
-    return Jet2Height(x0=x, y0=y, f=f, fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy)
 
 
 def pipe_family():
@@ -56,22 +53,20 @@ def test_sphere_requires_nonzero_quadratic_coefficient():
 # --- tangent spheres ------------------------------------------------------
 
 def test_tangent_sphere_unit_sphere_is_its_own():
-    j = monge_jet(0.0, 0.0, 0.0, 0.0, 0.0)
-    s = tangent_sphere(j, 1.0)
+    s = tangent_sphere((0.0, 0.0, 0.0), (0.0, 0.0), 1.0)
     assert_allclose([s.A, s.B, s.C, s.D], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_tangent_sphere_flat_jet():
-    s = tangent_sphere(monge_jet(0.0, 0.0, 0.0, 0.0, 0.0), 1.0)
+    s = tangent_sphere((0.0, 0.0, 0.0), (0.0, 0.0), 1.0)
     # 2z = x^2 + y^2
     assert s.height(0.3, 0.4) == pytest.approx(0.5 * (0.09 + 0.16))
 
 
 def test_tangent_sphere_matches_value_and_gradient():
     # z = x^2 + 2y^2 at (1, 0): gradient (2, 0), kappa = 2 along the first
-    # principal direction, radius 1/2
-    j = monge_jet(1.0, 0.0, 1.0, 2.0, 0.0, 2.0, 0.0, 4.0)
-    s = tangent_sphere(j, 0.5)
+    # principal direction, A = 2 (radius 1/2)
+    s = tangent_sphere((1.0, 0.0, 1.0), (2.0, 0.0), 2.0)
     assert s.A == pytest.approx(2.0)
     assert s.height(1.0, 0.0) == pytest.approx(1.0)
     h = 1e-7  # gradient of the sphere's height at the contact point
@@ -80,9 +75,14 @@ def test_tangent_sphere_matches_value_and_gradient():
     assert_allclose([gx, gy], [2.0, 0.0], atol=1e-6)
 
 
-def test_tangent_sphere_zero_radius():
-    with pytest.raises(ZeroRadius):
-        tangent_sphere(monge_jet(0, 0, 0, 0, 0), 0.0)
+@pytest.mark.parametrize("A", [0.0, math.inf, -math.inf, math.nan])
+def test_tangent_sphere_refuses_what_a_parabolic_sphere_refuses(A):
+    # one rule: the coefficient goes to ParabolicSphere, which refuses it
+    with pytest.raises(InvalidParams) as tangent:
+        tangent_sphere((0.3, -0.2, 0.1), (0.5, 1.0), A)
+    with pytest.raises(InvalidParams) as sphere:
+        ParabolicSphere(A, 0.0, 0.0, 0.0)
+    assert str(tangent.value) == str(sphere.value)
 
 
 # --- curvature centers ----------------------------------------------------
@@ -212,6 +212,43 @@ def test_characteristic_curvature_equals_radius_reciprocal():
         ch = envelope_characteristic(fam, t)
         assert ch.curvature == pytest.approx(1.0 + t)
         assert 1.0 / ch.circle.carrier_sphere.A == pytest.approx(1.0 / (1.0 + t))
+
+
+def _random_parabolic_characteristic(seed):
+    # constant A: the derivative equation Bd x + Cd y + Dd = 0 is a line
+    rng = np.random.default_rng(seed)
+    A0, (B0, C0, D0) = float(rng.uniform(0.5, 2.0)), rng.uniform(-2.0, 2.0, 3)
+    Bd, Cd, Dd = map(float, rng.uniform(-2.0, 2.0, 3))
+    fam = SphereFamily(lambda t: (A0, B0 + Bd * t, C0 + Cd * t, D0 + Dd * t),
+                       lambda t: (0.0, Bd, Cd, Dd))
+    return envelope_characteristic(fam, 0.0).circle
+
+
+VERTICAL_CARRIERS = {
+    "pipe characteristic": lambda: envelope_characteristic(pipe_family(), 0.0).circle,
+    **{f"random characteristic {seed}": functools.partial(_random_parabolic_characteristic, seed)
+       for seed in range(5)},
+    "osculating parabola": lambda: osculating_isotropic_circle(
+        CurveJet.of((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 2.0))),
+    "oblique osculating parabola": lambda: osculating_isotropic_circle(
+        CurveJet.of((0.4, -1.1, 0.3), (0.6, 0.8, -0.5), (1.2, 1.6, 3.0))),
+    "cylindric": lambda: osculating_isotropic_circle(
+        CurveJet.of((0.3, -0.2, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))),
+    "cylindric without horizontal curvature": lambda: osculating_isotropic_circle(
+        CurveJet.of((0.3, -0.2, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("build", list(VERTICAL_CARRIERS.values()), ids=list(VERTICAL_CARRIERS))
+def test_a_vertical_carrier_plane_has_a_unit_normal(build):
+    # one convention for parabolic and cylindric circles: n1 x + n2 y + d = 0
+    # with n1^2 + n2^2 = 1, so that the plane equation is a top-view distance
+    circle = build()
+    assert circle.kind in (PARABOLIC, CYLINDRIC)
+    n1, n2, d = circle.carrier_plane
+    assert abs(n1 * n1 + n2 * n2 - 1.0) <= 1e-15
+    x, y = circle.points[:, 0], circle.points[:, 1]
+    assert float(np.max(np.abs(n1 * x + n2 * y + d))) <= 1e-12
 
 
 def test_cylindric_constant_exists():
