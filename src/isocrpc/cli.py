@@ -282,7 +282,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     grid = sample_grid(spec, *cfg.res)
     _write_text(obj_text(grid), cfg.out)
     st = grid.stats()
-    print(f"{spec.family_id}: {st['n_valid']} vertices, {st['n_quads']} quads, "
+    print(f"{spec.family_id}: {st['n_valid']} vertices, {len(grid.quads)} quads, "
           f"{st['n_masked']} nodes masked", file=sys.stderr)
     return 0
 
@@ -320,12 +320,9 @@ def _verify_combos(fid: str, cfg: argparse.Namespace):
 def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
                 seed: int) -> tuple:
     grid = sample_grid(spec, nu, nv, a=a_hyp, heights=False)
-    valid = ~grid.mask
-    # NaN skipped as by nanmax, which warns where every residual is NaN
-    crpc = float(np.fmax.reduce(np.abs(grid.residual[valid])))
-    max_h = float(np.max(np.abs(grid.H[valid])))
+    st = grid.stats()
 
-    ii, jj = np.where(valid)
+    ii, jj = np.where(~grid.mask)
     rng = np.random.default_rng(seed)
     take = rng.choice(len(ii), size=min(64, len(ii)), replace=False)
     take.sort()
@@ -342,7 +339,7 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
         dual_val, _ = dual_law_deviation(spec, us, vs, grid.H[ii, jj], grid.K[ii, jj])
     except NonAdmissiblePoint:
         dual_val = float("nan")  # every sampled node is too flat
-    return crpc, max_h, ode, dual_val
+    return st["max_abs_residual"], st["max_abs_H"], ode, dual_val
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:

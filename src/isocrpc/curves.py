@@ -54,13 +54,13 @@ class CurveTrace:
     """Sampled curve on a surface: parameter values, points, top-view tangents.
 
     t is cumulative top-view arclength (the integrated field has unit
-    top-view speed). uv carries the parameter-plane path when the trace
-    came from a chart; stopped records why integration ended early.
+    top-view speed). uv carries the parameter-plane path; stopped records
+    why integration ended early.
     """
 
     kind: str
     t: np.ndarray  # (n,)
-    uv: np.ndarray | None  # (n, 2) or None
+    uv: np.ndarray  # (n, 2)
     points: np.ndarray  # (n, 3)
     top_dirs: np.ndarray  # (n, 2)
     stopped: str | None = None

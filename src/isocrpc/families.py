@@ -30,12 +30,11 @@ dual_trans_minimal      metric dual of trans_noniso_noniso, minimal
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import (
     InvalidParams,
@@ -202,12 +201,16 @@ def _tin_b(a: float) -> float:
     return (a + 1.0) / (a - 1.0)
 
 
-def _trans_iso_noniso(params, U, V):
-    a = params["a"]
+def _tin_profile(a: float, V):
+    """b = (a+1)/(a-1), B2 = b^2 - 1, sin v, cos v and beta = b - sin v: the
+    v-profile of both mixed translational charts and of their identity."""
     b = _tin_b(a)
-    B2 = b * b - 1.0
-    s, c = np.sin(V), np.cos(V)
-    beta = b - s
+    s = np.sin(V)
+    return b, b * b - 1.0, s, np.cos(V), b - s
+
+
+def _trans_iso_noniso(params, U, V):
+    b, B2, s, c, beta = _tin_profile(params["a"], V)
     x = V + b * c
     y = b * s + B2 * np.log(np.abs(beta)) - B2 * U
     z = np.exp(U)
@@ -240,10 +243,7 @@ def _dtin_parts(a: float, V):
     P = cos v / (b - sin v)
     Q = v cos v / (B2 (b - sin v)) - b/(b - sin v) - log|b - sin v|,  B2 = b^2 - 1
     """
-    b = _tin_b(a)
-    B2 = b * b - 1.0
-    s, c = np.sin(V), np.cos(V)
-    beta = b - s
+    b, B2, s, c, beta = _tin_profile(a, V)
     P = c / beta
     Pp = (1.0 - b * s) / (beta * beta)
     Ppp = c * (2.0 - b * b - b * s) / (beta ** 3)
@@ -338,7 +338,7 @@ def _euclid_height(params, U: np.ndarray) -> np.ndarray:
 
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
     the slope law also holds at some u < 0, where r^a is not real. Raises
-    InvalidParams where quad warns that it missed its tolerance (at some u
+    InvalidParams where quad reports that it missed its tolerance (at some u
     for 0 < a <= 4e-8 in the default box; README gives the scan).
     """
     a = params["a"]
@@ -350,14 +350,13 @@ def _euclid_height(params, U: np.ndarray) -> np.ndarray:
     anchor = 0.0 if a > 0 else _euclid_edge(a)
     out = np.full(U.shape, np.nan)
     us, inverse = np.unique(U[on_profile], return_inverse=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            hs = [quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-                  for u in us.tolist()]
-        except IntegrationWarning:
+    hs = []
+    for u in us.tolist():
+        result = quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
+        if len(result) > 3:  # quad appends its message where it missed
             raise InvalidParams(f"euclidean_rotational: the height integral misses its "
-                                f"tolerance 1e-12 at a = {a!r}") from None
+                                f"tolerance 1e-12 at a = {a!r}")
+        hs.append(result[0])
     out[on_profile] = np.array(hs, float)[inverse]
     return out
 

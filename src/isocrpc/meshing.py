@@ -378,15 +378,20 @@ class MeshGrid:
         return self.quad_indices()
 
     def stats(self) -> dict:
+        """Node counts, max |H| and, on a grid with a residual channel, its
+        NaN-skipping max |residual|, over the unmasked nodes.
+
+        Builds no quads. A grid has an unmasked node: _sample raises
+        EmptyGrid and dual_grid DegenerateK before one without exists.
+        """
         valid = ~self.mask
         out = {
             "n_nodes": int(self.mask.size),
             "n_masked": int(self.mask.sum()),
             "n_valid": int(valid.sum()),
-            "n_quads": len(self.quads),
-            "max_abs_H": float(np.max(np.abs(self.H[valid]))) if valid.any() else float("nan"),
+            "max_abs_H": float(np.max(np.abs(self.H[valid]))),
         }
-        if self.residual is not None and valid.any():
+        if self.residual is not None:
             # NaN where every residual is NaN (a flat grid), without nanmax's warning
             out["max_abs_residual"] = float(np.fmax.reduce(np.abs(self.residual[valid])))
         return out

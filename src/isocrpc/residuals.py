@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .families import (FamilySpec, _helical_general_profile, _tin_b, evaluate,
+from .families import (FamilySpec, _helical_general_profile, _tin_profile, evaluate,
                        ratio_for_residual, ratio_kind)
 from .geometry import (crpc_target, height_jet_from_param, principal_ratio_residual,
                        ratio_law_residual, relative_curvatures)
@@ -101,14 +101,14 @@ def noniso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
     return OdeResidual(lhs, (a + 1.0) ** 2 / a * fpp * gpp * (fp - gp) ** 2)
 
 
-def discriminant_identity_check(a: float, gp, L0, L1, Y):
+def discriminant_identity_check(a: float, gp, L0, L1, Y) -> OdeResidual:
     """Discriminant factorization used to solve the mixed translational case.
 
     The profile identity, read as a quadratic q_a X^2 + q_b X + q_c = 0 in
     the remaining second derivative X, has discriminant q_b^2 - 4 q_a q_c
     that factors as (a+1)^2 (Y - g')^2 L^2 times an explicit quadratic in
     Y, where L = L0 + L1 Y stands for the linear slot multiplying g''.
-    Returns (lhs, rhs, |lhs - rhs|), elementwise in gp, L0, L1 and Y.
+    Both sides as an OdeResidual, elementwise in gp, L0, L1 and Y.
     """
     crpc_target(a)
     L = L0 + L1 * Y
@@ -122,7 +122,7 @@ def discriminant_identity_check(a: float, gp, L0, L1, Y):
               - 2.0 * (a + 1.0) ** 2 * gp * Y
               + ((a - 1.0) ** 2 - 4.0 * a * gp2) * Y * Y)
     rhs = (a + 1.0) ** 2 * (Y - gp) ** 2 * L * L * quad_y
-    return lhs, rhs, abs(lhs - rhs)
+    return OdeResidual(lhs, rhs)
 
 
 def _tin_normal_form(a: float, u, v):
@@ -132,10 +132,7 @@ def _tin_normal_form(a: float, u, v):
     X = v + b cos v, f(t) = exp(t/(b^2-1)) and g the height of the
     non-isotropic generator over X. Elementwise in u and v.
     """
-    b = _tin_b(a)
-    B2 = b * b - 1.0
-    s, c = np.sin(v), np.cos(v)
-    beta = b - s
+    b, B2, s, c, beta = _tin_profile(a, v)
     xp = 1.0 - b * s
     if np.any((np.abs(xp) < 1e-12) | (np.abs(beta) < 1e-12)):
         raise DegenerateInput("generator parameterization is singular there")

@@ -149,9 +149,8 @@ def parabolic_circle(foot, direction, sphere: ParabolicSphere) -> IsoCircle:
 
 @dataclass(frozen=True)
 class Characteristic:
-    """Envelope characteristic c(t): a sampled circle with its top-view tangents."""
+    """Envelope characteristic: a sampled circle with its top-view tangents."""
 
-    t: float
     circle: IsoCircle
     curvature: float  # principal curvature along c(t): A(t) = 1/r(t)
     top_tangents: np.ndarray  # (n, 2) unit top-view tangents
@@ -197,7 +196,7 @@ def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
         s = (Ad * D - A * Dd) / (2.0 * Ad)
         circle = elliptic_circle((cx, cy), rho, (p, q, s), sphere)
         tangents = np.stack([-np.sin(_THETA), np.cos(_THETA)], axis=-1)
-        return Characteristic(t, circle, A, tangents)
+        return Characteristic(circle, A, tangents)
 
     norm = math.hypot(Bd, Cd)
     if norm <= _CLASS_TOL * max(1.0, dscale):
@@ -209,47 +208,27 @@ def envelope_characteristic(fam: SphereFamily, t: float) -> Characteristic:
     dx, dy = -ey, ex
     circle = parabolic_circle((-Dd * ex / norm, -Dd * ey / norm), (dx, dy), sphere)
     tangents = np.broadcast_to(np.array([dx, dy]), (CIRCLE_SAMPLES, 2)).copy()
-    return Characteristic(t, circle, A, tangents)
-
-
-@dataclass(frozen=True)
-class ChannelReport:
-    """Residuals of the channel-surface predictions along characteristics."""
-
-    ts: np.ndarray
-    eigen_residual: np.ndarray  # per t: max |Hess d - (d.Hess d) d| over samples
-    curvature_residual: np.ndarray  # per t: max |kappa_d - A(t)| over samples
-
-    @property
-    def max_eigen_residual(self) -> float:
-        return float(np.max(self.eigen_residual))
-
-    @property
-    def max_curvature_residual(self) -> float:
-        return float(np.max(self.curvature_residual))
+    return Characteristic(circle, A, tangents)
 
 
 def channel_checks(
     fam: SphereFamily,
     surface: Callable[[float, float], float],
     ts: Sequence[float],
-) -> ChannelReport:
+) -> tuple[float, float]:
     """Check the envelope surface against the sphere family's predictions.
 
     At five sampled points of each characteristic c(t), the top-view
     tangent of c(t) must be an eigenvector of the envelope's Hessian, and
     the normal curvature along it must equal A(t). `surface` is the
     caller's envelope height field; its second derivatives come from the
-    fd stencil.
+    fd stencil. Returns the worst |Hess d - (d.Hess d) d| and the worst
+    |kappa_d - A(t)| over all samples.
     """
-    ts = np.asarray(list(ts), float)
-    eig = np.empty(len(ts))
-    cur = np.empty(len(ts))
-    for i, t in enumerate(ts):
+    worst_e = worst_c = 0.0
+    for t in ts:
         ch = envelope_characteristic(fam, float(t))
         idx = np.linspace(0, len(ch.points) - 1, 5).round().astype(int)
-        worst_e = 0.0
-        worst_c = 0.0
         for k in idx:
             x, y = float(ch.points[k, 0]), float(ch.points[k, 1])
             d = ch.top_tangents[k]
@@ -258,6 +237,4 @@ def channel_checks(
             kd = float(d @ hess @ d)
             worst_e = max(worst_e, float(np.linalg.norm(hess @ d - kd * d)))
             worst_c = max(worst_c, abs(kd - ch.curvature))
-        eig[i] = worst_e
-        cur[i] = worst_c
-    return ChannelReport(ts=ts, eigen_residual=eig, curvature_residual=cur)
+    return worst_e, worst_c

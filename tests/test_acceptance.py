@@ -296,9 +296,9 @@ def test_criterion_06_envelope_characteristics():
         assert dev <= 1e-8, i
         worst_c = max(worst_c, dev)
 
-    rep = channel_checks(pipe, lambda x, y: 0.5 * y * y, [-0.5, 0.0, 0.3])
-    assert rep.max_eigen_residual <= 1e-8
-    assert rep.max_curvature_residual <= 1e-8
+    eig, cur = channel_checks(pipe, lambda x, y: 0.5 * y * y, [-0.5, 0.0, 0.3])
+    assert eig <= 1e-8
+    assert cur <= 1e-8
     print(f"criterion 6: pipe characteristic exact to 1e-12; 20 randomized "
           f"classifications correct; worst curvature gap {worst_c:.2e} (tol 1e-8)")
 
@@ -358,8 +358,8 @@ def test_criterion_08_generating_equations():
             assert res <= 1e-8, fid
             worst_ode = max(worst_ode, res)
 
-    lhs, rhs, diff = discriminant_identity_check(2.0, 0.0, 1.0, 0.0, 1.0)
-    assert lhs == pytest.approx(-63.0) and rhs == pytest.approx(-63.0)
+    r = discriminant_identity_check(2.0, 0.0, 1.0, 0.0, 1.0)
+    assert r.lhs == pytest.approx(-63.0) and r.rhs == pytest.approx(-63.0)
     rng = np.random.default_rng(808)
     worst_disc = 0.0
     for _ in range(1000):
@@ -367,8 +367,7 @@ def test_criterion_08_generating_equations():
         if abs(a) < 1e-3:
             a = 0.5
         args = [float(rng.uniform(-2.0, 2.0)) for _ in range(4)]
-        lhs, rhs, diff = discriminant_identity_check(a, *args)
-        scaled = diff / max(1.0, abs(lhs), abs(rhs))
+        scaled = abs(discriminant_identity_check(a, *args).normalized)
         assert scaled <= 1e-9
         worst_disc = max(worst_disc, scaled)
     print(f"criterion 8: generating equations worst residual {worst_ode:.2e} "

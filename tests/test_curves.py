@@ -364,7 +364,7 @@ def test_trace_csv_header_and_negative_zero():
     tr = CurveTrace(
         kind="principal1",
         t=np.array([0.0, 1.0]),
-        uv=None,
+        uv=np.zeros((2, 2)),
         points=np.array([[-0.0, 1.0, 2.0], [3.0, -4.0, 5.0]]),
         top_dirs=np.array([[1.0, -0.0], [0.0, 1.0]]),
     )

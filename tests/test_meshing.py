@@ -33,7 +33,7 @@ def test_helicoid_grid_is_fully_valid():
     assert s["n_nodes"] == 100
     assert s["n_masked"] == 0
     assert s["n_valid"] == 100
-    assert s["n_quads"] == 81
+    assert len(grid.quads) == 81
     assert grid.vertex_rows().shape == (100, 3)
 
 
@@ -231,7 +231,7 @@ def test_emitter_matches_scalar_reference(name, block_rows, monkeypatch):
     assert quads.dtype == _reference_quad_indices(grid).dtype
     assert np.array_equal(quads, _reference_quad_indices(grid))
     assert obj_text(grid).encode() == _reference_obj_text(grid).encode()
-    assert grid.stats()["n_quads"] == len(quads)
+    assert len(grid.quads) == len(quads)
 
 
 def test_emitter_grids_cover_their_cases():
@@ -452,7 +452,7 @@ def test_one_bad_component_masks_as_the_trailing_axis_reduction(field, value, mo
     for g in (grid, dual):
         quads = g.quad_indices()
         assert quads.dtype == int and np.array_equal(quads, _reference_quad_indices(g))
-        assert g.stats()["n_quads"] == len(quads) > 0
+        assert len(g.quads) == len(quads) > 0
 
 
 # --- row-block sampling against the grid sampled in one block -----------------

@@ -126,17 +126,17 @@ def test_translational_degenerate_inputs():
 # --- discriminant identity --------------------------------------------------------
 
 def test_discriminant_hand_point():
-    lhs, rhs, diff = discriminant_identity_check(2.0, 0.0, 1.0, 0.0, 1.0)
-    assert lhs == pytest.approx(-63.0)
-    assert rhs == pytest.approx(-63.0)
-    assert diff <= 1e-12
+    r = discriminant_identity_check(2.0, 0.0, 1.0, 0.0, 1.0)
+    assert r.lhs == pytest.approx(-63.0)
+    assert r.rhs == pytest.approx(-63.0)
+    assert abs(r.raw) <= 1e-12
 
 
 def test_discriminant_degenerate_linear_slot():
-    lhs, rhs, diff = discriminant_identity_check(2.0, 0.7, 0.0, 0.0, 1.3)
-    assert lhs == 0.0
-    assert rhs == 0.0
-    assert diff == 0.0
+    r = discriminant_identity_check(2.0, 0.7, 0.0, 0.0, 1.3)
+    assert r.lhs == 0.0
+    assert r.rhs == 0.0
+    assert r.raw == 0.0
 
 
 def test_discriminant_identity_randomized():
@@ -150,9 +150,7 @@ def test_discriminant_identity_randomized():
         L0 = float(rng.uniform(-2.0, 2.0))
         L1 = float(rng.uniform(-2.0, 2.0))
         Y = float(rng.uniform(-2.0, 2.0))
-        lhs, rhs, diff = discriminant_identity_check(a, gp, L0, L1, Y)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, diff / scale)
+        worst = max(worst, abs(discriminant_identity_check(a, gp, L0, L1, Y).normalized))
     assert worst <= 1e-9
 
 
@@ -267,12 +265,11 @@ def test_helpers_on_arrays_match_their_scalar_calls():
         for q in (helical_ode_residual(*col, a) for col in x[:3].T.tolist())])
     for residual, args in ((two_iso_residual, lambda c: (c[1], c[3])),
                            (iso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3])),
-                           (noniso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3]))):
+                           (noniso_noniso_residual, lambda c: (c[0], c[1], -c[2], c[3])),
+                           (discriminant_identity_check, lambda c: c[:4])):
         r = residual(a, *args(x))
         same((r.lhs, r.rhs), [
             (q.lhs, q.rhs) for q in (residual(a, *args(c)) for c in x.T.tolist())])
-    same(discriminant_identity_check(a, *x[:4]),
-         [discriminant_identity_check(a, *c) for c in x[:4].T.tolist()])
     same(_tin_normal_form(a, x[0], x[1]),
          [_tin_normal_form(a, u, v) for u, v in zip(x[0].tolist(), x[1].tolist())])
 

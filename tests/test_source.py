@@ -71,3 +71,15 @@ def test_no_power_in_the_charts_has_the_bare_parameter_as_its_base():
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
              and isinstance(node.left, ast.Name) and node.left.id in ("U", "V")]
     assert not lines, f"families.py raises U or V to a power with ** at lines {lines}"
+
+
+def test_the_library_leaves_the_warning_filters_alone():
+    """No module changes the process's warning filters, which belong to the
+    caller: warnings.catch_warnings swaps them for the whole process, not
+    for one thread, and simplefilter or filterwarnings changes them."""
+    names = {"catch_warnings", "simplefilter", "filterwarnings"}
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (node.func.attr if isinstance(node.func, ast.Attribute)
+                  else getattr(node.func, "id", None)) in names]
+    assert not found, f"warning filters changed at {found}"
