@@ -27,7 +27,7 @@ from .errors import (
     Umbilic,
     ZeroNormalCurvature,
 )
-from .families import FamilySpec, evaluate
+from .families import FamilySpec, evaluate, point_jet
 from .geometry import (
     _SINGULAR,
     JACOBIAN_EPS,
@@ -79,12 +79,13 @@ def _field_direction(jet, kind: str, ref):
     """Unit top-view direction (dx, dy) of the chosen field at the chart
     jet of one point, sign-aligned with the direction ref, the parameter
     velocity (du, dv) whose top view it is, and the chart point (x, y, z),
-    all as floats. The seed (ref None) takes the direction from geometry's
-    array functions on the 0-d values of the jet, every later stage from
-    _float_direction, which gives their bits and errors on any finite jet.
+    all as floats. At a stage the jet is point_jet's 18 floats and
+    _float_direction gives the direction. At the seed (ref None) the jet is
+    evaluate's ParamJet2 and geometry's array functions give it;
+    _float_direction gives their bits and errors on any finite jet.
     """
-    fields = (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv)
-    values = [c for field in fields for c in field.tolist()]
+    values = jet if ref is not None else [
+        c for field in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv) for c in field.tolist()]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
     if ref is not None:
@@ -180,10 +181,7 @@ def trace_dt(dt: float) -> float:
     return dt
 
 
-# a nearly flat chart can overflow the curvature arithmetic of a stage; a
-# direction that comes out non-finite or of length 0 stops the trace with
-# DegenerateJet
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def trace_direction_field(
     spec: FamilySpec,
     seed: tuple[float, float],
@@ -201,8 +199,13 @@ def trace_direction_field(
     (stopped says why); at the seed itself every geometry error propagates.
     An unknown kind, and steps or dt that trace_steps or trace_dt refuses,
     raise InvalidParams before the chart is evaluated. A step evaluates the
-    chart (on numpy scalars) four times: its first stage is the accepted
+    chart four times, as point_jet's floats: its first stage is the accepted
     sample's velocity, and its three inner stages read no point height.
+    The trace runs under np.errstate(all="ignore"), as each chart ran inside
+    evaluate, since a nearly flat chart can overflow the seed's curvature
+    arithmetic; beyond the charts that newly silences only divide, in the
+    seed's geometry calls and _float_direction's four numpy calls, none of
+    which divides by zero.
     """
     if kind not in TRACE_KINDS:
         raise InvalidParams(f"{kind!r} is not one of {TRACE_KINDS}")
@@ -215,7 +218,7 @@ def trace_direction_field(
     stopped = None
 
     def rhs(uu, vv):
-        return _field_direction(evaluate(spec, uu, vv, heights=False), kind, ref)[1]
+        return _field_direction(point_jet(spec, uu, vv, heights=False), kind, ref)[1]
 
     for _ in range(steps):
         # d aligned against itself never flips, so the chart evaluated at
@@ -230,7 +233,7 @@ def trace_direction_field(
             v += dt / 6.0 * (dv + 2.0 * k2v + 2.0 * k3v + k4v)
             if (u, v) == step:  # a step below the rounding of u and v
                 raise DegenerateJet("the step does not move the trace")
-            d, (du, dv), point = _field_direction(evaluate(spec, u, v), kind, ref)
+            d, (du, dv), point = _field_direction(point_jet(spec, u, v), kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break

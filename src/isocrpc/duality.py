@@ -163,8 +163,9 @@ def involution_check(spec: FamilySpec, us: np.ndarray, vs: np.ndarray) -> float:
     h = FD_STEP
     du = (D(U + h, V) - D(U - h, V)) / (2 * h)
     dv = (D(U, V + h) - D(U, V - h)) / (2 * h)
-    back = dual_from_tangent(D(U, V), du, dv)
-    dev = np.max(np.abs(back - evaluate(spec, U, V, check=False).r), axis=-1)
+    jet = evaluate(spec, U, V, check=False)
+    back = dual_from_tangent(dual_from_tangent(jet.r, jet.ru, jet.rv), du, dv)
+    dev = np.max(np.abs(back - jet.r), axis=-1)
     # fmax skips points with a NaN deviation, as a running Python max would
     return float(np.fmax.reduce(dev.ravel(), initial=0.0))
 

@@ -57,15 +57,15 @@ class FamilySpec:
     domain: tuple[float, float, float, float]
 
 
-def _jet(U, V, parts) -> ParamJet2:
+def _jet(U, V, parts) -> ParamJet2 | list[float]:
     """Jet from the (x, y, z) components of r, ru, rv, ruu, ruv, rvv.
 
     Each field is its own (..., 3) array of the broadcast shape of U and
     V, so a component may be a plain constant. At one point (numpy scalars
-    U and V) a field is a single np.array call.
+    U and V) the jet is its 18 components in that order, as Python floats.
     """
     if U.ndim == V.ndim == 0:
-        return ParamJet2(*(np.array(xyz, float) for xyz in parts))
+        return [float(c) for xyz in parts for c in xyz]
     shape = _shape(U, V)
     fields = []
     for x, y, z in parts:
@@ -224,9 +224,14 @@ def _trans_iso_noniso(params, U, V):
     ])
 
 
-def _trans_noniso_noniso(params, U, V):
+def _log_cos_profile(U, V):
+    """tan u, tan v, 1 + tan^2 u and 1 + tan^2 v of both log-cos charts."""
     tu, tv = np.tan(U), np.tan(V)
-    su, sv = 1.0 + tu * tu, 1.0 + tv * tv
+    return tu, tv, 1.0 + tu * tu, 1.0 + tv * tv
+
+
+def _trans_noniso_noniso(params, U, V):
+    tu, tv, su, sv = _log_cos_profile(U, V)
     return _jet(U, V, [
         (U + V, np.log(np.abs(np.cos(U))) - np.log(np.abs(np.cos(V))), U + 0.0),
         (1.0, -tu, 1.0),
@@ -274,8 +279,7 @@ def _dual_trans_iso_noniso(params, U, V):
 
 
 def _dual_trans_minimal(params, U, V):
-    tu, tv = np.tan(U), np.tan(V)
-    su, sv = 1.0 + tu * tu, 1.0 + tv * tv
+    tu, tv, su, sv = _log_cos_profile(U, V)
     S = tu + tv
     R = np.log(np.abs(np.cos(V))) - np.log(np.abs(np.cos(U))) - U * tu + V * tv
     Ru, Rv = -U * su, V * sv
@@ -777,11 +781,9 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
 
 
 def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> ParamJet2:
-    """Exact second-order jet of the chart at (u, v) (scalars or arrays).
-
-    One point (scalars or 0-d arrays) runs on numpy scalars with the bits
-    of 0-d arrays, so a chart writes U ** m as np.power(U, m): ** on a
-    numpy scalar calls libm's pow, which rounds otherwise.
+    """Exact second-order jet of the chart at (u, v) (scalars or arrays). One
+    point (scalars or 0-d arrays) is point_jet's 18 floats under
+    np.errstate(all="ignore"), as six owned (3,) arrays.
 
     With check=True, raises OutOfDomain at a non-finite (u, v) and outside
     the hard validity region, and SingularLocus within SINGULAR_MARGIN of a
@@ -796,27 +798,47 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
     of r: the Monge jet's derivatives, curvatures, masks and the ratio, ODE
     and dual laws keep their bits.
     """
-    entry = catalog_entry(spec.family_id)
     U, V = np.asarray(u, float), np.asarray(v, float)
-    point = U.ndim == V.ndim == 0
-    if point:  # one point, as a trace stage asks for
-        U, V = U[()], V[()]
-    every, some = (bool, bool) if point else (np.all, np.any)
     with np.errstate(all="ignore"):
+        if U.ndim == V.ndim == 0:
+            values = point_jet(spec, U, V, check, heights)
+            return ParamJet2(*(np.array(values[i:i + 3]) for i in range(0, 18, 3)))
+        entry = catalog_entry(spec.family_id)
         if check:
-            finite = (math.isfinite(U) and math.isfinite(V) if point
-                      else every(np.isfinite(U)) and every(np.isfinite(V)))
-            if not finite:
+            if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
                 raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
-            if not every(entry.hard_valid(spec.params, U, V)):
+            if not np.all(entry.hard_valid(spec.params, U, V)):
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-            if some(entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN):
+            if np.any(entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN):
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
-        if entry.height is None:
-            return entry.jets(spec.params, U, V)
-        h = (entry.height(spec.params, U) if heights
-             else np.where(entry.hard_valid(spec.params, U, V), 0.0, np.nan))
-        return entry.jets(spec.params, U, V, h)
+        return _chart(entry, spec.params, U, V, heights)
+
+
+def point_jet(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> list[float]:
+    """The chart 2-jet at one point as the 18 floats of r, ru, rv, ruu, ruv,
+    rvv, with check and heights, errors and bits as evaluate's, under the
+    caller's np.errstate. It runs on numpy scalars, so a chart writes U ** m
+    as np.power(U, m): ** on a numpy scalar calls libm's pow, which rounds
+    otherwise."""
+    entry = catalog_entry(spec.family_id)
+    U, V = np.float64(u), np.float64(v)
+    if check:
+        if not (math.isfinite(U) and math.isfinite(V)):
+            raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
+        if not entry.hard_valid(spec.params, U, V):
+            raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
+        if entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN:
+            raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
+    return _chart(entry, spec.params, U, V, heights)
+
+
+def _chart(entry: _Entry, params, U, V, heights: bool):
+    """The family's chart at U and V, its height computed as evaluate says."""
+    if entry.height is None:
+        return entry.jets(params, U, V)
+    h = (entry.height(params, U) if heights
+         else np.where(entry.hard_valid(params, U, V), 0.0, np.nan))
+    return entry.jets(params, U, V, h)
 
 
 def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, float], float]:

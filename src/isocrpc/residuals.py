@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .families import (FamilySpec, _helical_general_profile, _tin_profile, evaluate,
-                       ratio_for_residual, ratio_kind)
+from .families import (FamilySpec, _helical_general_profile, _log_cos_profile, _tin_profile,
+                       evaluate, ratio_for_residual, ratio_kind)
 from .geometry import (crpc_target, height_jet_from_param, principal_ratio_residual,
                        ratio_law_residual, relative_curvatures)
 
@@ -190,9 +190,8 @@ def _iso_noniso(spec, U, V, jet):
 
 def _noniso_noniso(spec, U, V, jet):
     # the log-cos pair f = log|cos u|, g = -log|cos v|
-    tu, tv = np.tan(U), np.tan(V)
-    return np.abs(noniso_noniso_residual(-1.0, -tu, -(1.0 + tu * tu), tv,
-                                         1.0 + tv * tv).normalized)
+    tu, tv, su, sv = _log_cos_profile(U, V)
+    return np.abs(noniso_noniso_residual(-1.0, -tu, -su, tv, sv).normalized)
 
 
 def _ratio_law(spec, U, V, jet):

@@ -418,6 +418,23 @@ def test_a_trace_whose_curvatures_overflow_keeps_its_bytes(kind, sha256, capsys,
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("kind,sha256", [
+    ("char+", "b6fda1022f654382dd21328ff98c4c8140e2c917b7a7b4472bb71d2504b54ee3"),
+    ("char-", "4f158f4d805c30559856e4be49fd8276a4a06acd7e8c2f93ca8c4eea39227b48"),
+    ("principal1", "b8f4ea538d104af3a7025de9f7c098f1303f49613e1d89be5acb7c04afbcc310"),
+    ("principal2", "7a55156f914df393ded607116b2038de096681aa7cac6775e1e0fb0d3536e81b"),
+])
+def test_a_trace_of_a_nearly_flat_spiral_keeps_its_bytes(kind, sha256, capsys):
+    # m = (a + 1)/sqrt|a| is about 31.6: a steep chart, traced to the end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["trace", "--family", "spiral_ruled", "--a", "-1e-3", "--seed", "1.0,0.5",
+                   "--steps", "300", "--kind", kind])
+    out, err = capsys.readouterr()
+    assert (rc, err, len(out.splitlines())) == (0, "", 302)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_of_a_euclidean_ratio_near_zero_prints_no_warning(capsys):
     # the profile's quadrature warns at this ratio, and verify runs none
     argv = ["verify", "--family", "euclidean_rotational", "--a", "1e-14", "--res", "20x20"]

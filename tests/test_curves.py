@@ -1,5 +1,6 @@
 """Curve tracing, included angles, osculating circles, Meusnier, sphere membership."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -32,7 +33,7 @@ from isocrpc.errors import (
     Umbilic,
     ZeroNormalCurvature,
 )
-from isocrpc.families import evaluate, make_spec
+from isocrpc.families import evaluate, make_spec, point_jet
 from isocrpc.geometry import characteristic_directions, height_jet_from_param
 from isocrpc.meshing import fmt_float
 from isocrpc.spheres import ParabolicSphere
@@ -62,19 +63,19 @@ def test_trace_shapes_and_time_grid():
 
 
 def test_rk4_step_evaluates_the_chart_once_per_stage(monkeypatch):
-    calls = []
+    calls = {"evaluate": [], "point_jet": []}
+    for name, fn in (("evaluate", evaluate), ("point_jet", point_jet)):
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name].append(args[1:3])
+            return fn(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(curves, "evaluate", counted)
+        monkeypatch.setattr(curves, name, counted)
     spec = make_spec("rotational_power_1", {"a": 2.0})
     tr = trace_direction_field(spec, (1.0, 0.5), "principal1", 10, 1e-2)
     assert tr.stopped is None
     # the seed, then three RK4 stages and the accepted point per step; the
     # first stage of a step is the accepted point's direction
-    assert len(calls) == 1 + 4 * 10
+    assert (len(calls["evaluate"]), len(calls["point_jet"])) == (1, 4 * 10)
 
 
 def test_rk4_inner_stages_run_no_height_quadrature(monkeypatch):
@@ -93,6 +94,11 @@ def test_rk4_inner_stages_run_no_height_quadrature(monkeypatch):
     assert len(calls) == 101
 
 
+def _floats(jet):
+    """The 18 floats of a one-point jet, as a trace stage reads them."""
+    return [c for f in dataclasses.fields(jet) for c in getattr(jet, f.name).tolist()]
+
+
 def _reference_trace(spec, seed, kind, steps, dt):
     """RK4 that evaluates the chart, heights included, at all four stages
     and at the accepted point."""
@@ -103,7 +109,8 @@ def _reference_trace(spec, seed, kind, steps, dt):
     for i in range(steps):
         try:
             def rhs(uu, vv):
-                return np.array(curves._field_direction(evaluate(spec, uu, vv), kind, ref)[1])
+                return np.array(curves._field_direction(_floats(evaluate(spec, uu, vv)), kind,
+                                                        ref)[1])
 
             k1 = rhs(u, v)
             k2 = rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1])
@@ -111,7 +118,8 @@ def _reference_trace(spec, seed, kind, steps, dt):
             k4 = rhs(u + dt * k3[0], v + dt * k3[1])
             du, dv = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             u, v = u + du, v + dv
-            d, _velocity, point = curves._field_direction(evaluate(spec, u, v), kind, ref)
+            d, _velocity, point = curves._field_direction(_floats(evaluate(spec, u, v)),
+                                                          kind, ref)
         except GeometryError as exc:
             stopped = f"{type(exc).__name__}: {exc}"
             break

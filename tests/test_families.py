@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 
 import isocrpc.families
 from isocrpc.duality import dual_curvature_check
-from isocrpc.errors import InvalidParams, OutOfDomain, SingularLocus, StencilOutOfDomain
+from isocrpc.errors import (GeometryError, InvalidParams, OutOfDomain, SingularLocus,
+                            StencilOutOfDomain)
 from isocrpc.families import (
     SINGULAR_MARGIN,
     catalog_entry,
@@ -20,6 +21,7 @@ from isocrpc.families import (
     height_field,
     is_minimal,
     make_spec,
+    point_jet,
     ratio_for_residual,
     ratio_kind,
     singular_distance,
@@ -309,13 +311,20 @@ def test_height_field_refuses_a_point_it_does_not_reach():
 # --- jets filled field by field against the stacked construction -------------
 
 def _reference_jet(U, V, parts):
-    """_jet by np.stack of the components, each broadcast to the shape of (U, V)."""
+    """_jet by np.stack of the components, each broadcast to the shape of (U, V);
+    at one point the stacked fields' 18 floats, as _jet gives a point."""
     shape = np.broadcast(U, V).shape
 
     def stack(x, y, z):
         return np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in (x, y, z)],
                         axis=-1)
-    return ParamJet2(*(stack(*xyz) for xyz in parts))
+    jet = ParamJet2(*(stack(*xyz) for xyz in parts))
+    return _floats(jet) if shape == () else jet
+
+
+def _floats(jet):
+    """The 18 floats of a one-point jet, field by field."""
+    return [c for f in dataclasses.fields(jet) for c in getattr(jet, f.name).tolist()]
 
 
 def _chart_inputs(spec):
@@ -484,10 +493,11 @@ def _reference_decision(spec, U, V):
     return None
 
 
-def _refusal(spec, U, V):
-    """The class and message of evaluate's check at (U, V), or None."""
+def _refusal(spec, U, V, jet=evaluate, heights=True):
+    """The class and message of jet's check at (U, V), or None."""
     try:
-        evaluate(spec, U, V, check=True)
+        with np.errstate(all="ignore"):
+            jet(spec, U, V, check=True, heights=heights)
     except (OutOfDomain, SingularLocus) as exc:
         return type(exc), str(exc)
     return None
@@ -627,8 +637,8 @@ POINT_CASES = [(fid, None) for fid in ALL_FAMILIES] + [
 
 
 def _zero_d_jet(spec, u, v, heights):
-    """The chart at 0-d arrays u and v, the path every recorded trace digest
-    came from."""
+    """The chart's 18 floats at 0-d arrays u and v, the path every recorded
+    trace digest came from."""
     entry = catalog_entry(spec.family_id)
     U, V = np.asarray(u), np.asarray(v)
     with np.errstate(all="ignore"):
@@ -639,16 +649,40 @@ def _zero_d_jet(spec, u, v, heights):
         return entry.jets(spec.params, U, V, h)
 
 
-@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
-def test_a_point_keeps_the_bits_of_the_zero_d_chart(fid, a):
+def _point_cases(fid, a, seed):
+    """The spec of a POINT_CASES entry, 100 seeded points of its default box,
+    then points around the box, near each locus and non-finite."""
     spec = make_spec(fid, None if a is None else {"a": a})
     u0, u1, v0, v1 = spec.domain
-    rng = np.random.default_rng(POINT_CASES.index((fid, a)))
-    for x, y in rng.random((100, 2)):
-        u, v = u0 + (u1 - u0) * x, v0 + (v1 - v0) * y
-        for heights in (True, False):
-            point = evaluate(spec, u, v, check=False, heights=heights)
-            ref = _zero_d_jet(spec, u, v, heights)
-            for f in dataclasses.fields(ParamJet2):
-                assert _same_bits(getattr(point, f.name), getattr(ref, f.name)), (f.name, u, v)
+    rng = np.random.default_rng(seed + POINT_CASES.index((fid, a)))
+    points = [(u0 + (u1 - u0) * x, v0 + (v1 - v0) * y) for x, y in rng.random((100, 2))]
+    return spec, points + _validity_points(spec, rng)
 
+
+@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
+def test_a_point_keeps_the_bits_of_the_zero_d_chart(fid, a):
+    spec, points = _point_cases(fid, a, 0)
+    for u, v in points:
+        for heights in (True, False):
+            with np.errstate(all="ignore"):
+                point = point_jet(spec, u, v, check=False, heights=heights)
+            ref = _zero_d_jet(spec, u, v, heights)
+            assert all(type(c) is float for c in point) and len(point) == len(ref) == 18
+            assert _same_bits(point, ref), (u, v, heights)
+
+
+@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
+def test_point_jet_is_evaluate_at_a_point(fid, a):
+    # the refusals are evaluate's on (1,) arrays, whose checks are its own
+    spec, points = _point_cases(fid, a, 100)
+    refused = set()
+    for u, v in points:
+        for heights in (True, False):
+            why = _refusal(spec, u, v, point_jet, heights)
+            assert why == _refusal(spec, np.array([u]), np.array([v]), evaluate, heights), (u, v)
+            if why is None:
+                assert _same_bits(point_jet(spec, u, v, heights=heights),
+                                  _floats(evaluate(spec, u, v, heights=heights)))
+            else:
+                refused.add(why[0])
+    assert OutOfDomain in refused and (SingularLocus in refused) == bool(_locus_points(spec))

@@ -439,8 +439,10 @@ def _array_direction(jet, kind):
 
 
 def _outcome(fn, *args):
-    """fn(*args) under the trace's floating-point state, where any warning is
-    an error, or the class and message of the GeometryError it raised."""
+    """fn(*args) under the trace's floating-point state but with divide left
+    to warn, and any warning an error; or the class and message of the
+    GeometryError it raised. A divide by zero, which the trace ignores, so
+    fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -461,11 +463,12 @@ def assert_same_outcome(got, want):
 
 
 def _stage(jet, kind, ref):
-    """A trace stage's direction, under the trace's floating-point state:
-    the seed's with ref None, else a later stage's; ref (0, 0) flips no
-    sign."""
+    """A trace stage's direction, as _outcome runs it: the seed's from the
+    jet with ref None, else a later stage's from the jet's 18 floats; ref
+    (0, 0) flips no sign."""
+    values = [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
-        return list(curves._field_direction(jet, kind, ref)[0])
+        return list(curves._field_direction(jet if ref is None else values, kind, ref)[0])
 
 
 def assert_float_direction_matches(jet):

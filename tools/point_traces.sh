@@ -9,7 +9,9 @@
 # u^-1.5 in both rotational charts, u, u^0.5 and u^-0.5 in the Euclidean
 # one) run under -W error; at a = 1 (u^2, numpy's square fast path) the
 # chart is the isotropic sphere, umbilic everywhere, so the seed is one
-# error line. Exits non-zero at the first trace that warns or fails.
+# error line. Then 300 steps where k2 rounds to 0 at every stage (the
+# paraboloid at a = 1e150), and of each kind through a steep spiral
+# (a = -1e-3). Exits non-zero at the first trace that warns or fails.
 set -eu
 
 stderr=$(mktemp)
@@ -21,6 +23,13 @@ for chart in "rotational_power_1 --a -0.5 --seed 1,0.5" "rotational_power_2 --a 
     # $chart is split into its flags on purpose
     python -W error -m isocrpc trace --family $chart --steps 200 --kind "$kind" > /dev/null
   done
+done
+# k2 rounds to 0 at every stage of these traces
+for kind in char+ char-; do
+  python -W error -m isocrpc trace --family paraboloid --a 1e150 --seed 0.9,0.5 --steps 300 --kind "$kind" > /dev/null
+done
+for kind in char+ char- principal1 principal2; do
+  python -W error::RuntimeWarning -m isocrpc trace --family spiral_ruled --a -1e-3 --seed 1.0,0.5 --steps 300 --kind "$kind" > /dev/null
 done
 rc=0
 python -W error -m isocrpc trace --family rotational_power_1 --a 1 --seed 1,0.5 --steps 200 > /dev/null 2> "$stderr" || rc=$?
