@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng  # numpy 2 loads it lazily: here, not in the first verify row
 
 from . import families as fam
 from .duality import dual_law_deviation
@@ -323,7 +324,7 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     st = grid.stats()
 
     ii, jj = np.where(~grid.mask)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     take = rng.choice(len(ii), size=min(64, len(ii)), replace=False)
     take.sort()
     ii, jj = ii[take], jj[take]

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InvalidParams,
@@ -43,6 +42,7 @@ from .errors import (
     StencilOutOfDomain,
 )
 from .geometry import JACOBIAN_EPS, ParamJet2, crpc_target, monge_gradient
+from .quadpack import qags
 
 SINGULAR_MARGIN = 1e-3
 _INF = np.float64("inf")
@@ -342,13 +342,13 @@ def _euclid_height(params, U: np.ndarray) -> np.ndarray:
 
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
     the slope law also holds at some u < 0, where r^a is not real. Raises
-    InvalidParams where quad reports that it missed its tolerance (at some u
-    for 0 < a <= 4e-8 in the default box; README gives the scan).
+    InvalidParams where QAGS reports that it missed its tolerance (at some
+    u for 0 < a <= 4e-8 in the default box; README gives the scan).
     """
     a = params["a"]
     on_profile = _euclid_on_profile(a, U)
 
-    def hp(r):  # quad samples r strictly inside the profile, where the root is real
+    def hp(r):  # qags samples r strictly inside the profile, where the root is real
         return r ** a / math.sqrt(1.0 - r ** (2.0 * a))
 
     anchor = 0.0 if a > 0 else _euclid_edge(a)
@@ -356,11 +356,11 @@ def _euclid_height(params, U: np.ndarray) -> np.ndarray:
     us, inverse = np.unique(U[on_profile], return_inverse=True)
     hs = []
     for u in us.tolist():
-        result = quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
-        if len(result) > 3:  # quad appends its message where it missed
+        h, _abserr, ier = qags(hp, anchor, u, 1e-12, 1e-12, 200)
+        if ier != 0:
             raise InvalidParams(f"euclidean_rotational: the height integral misses its "
                                 f"tolerance 1e-12 at a = {a!r}")
-        hs.append(result[0])
+        hs.append(h)
     out[on_profile] = np.array(hs, float)[inverse]
     return out
 

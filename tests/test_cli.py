@@ -436,7 +436,7 @@ def test_a_trace_of_a_nearly_flat_spiral_keeps_its_bytes(kind, sha256, capsys):
 
 
 def test_verify_of_a_euclidean_ratio_near_zero_prints_no_warning(capsys):
-    # the profile's quadrature warns at this ratio, and verify runs none
+    # the profile's quadrature misses its tolerance at this ratio, and verify runs none
     argv = ["verify", "--family", "euclidean_rotational", "--a", "1e-14", "--res", "20x20"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -887,8 +887,8 @@ def test_a_tiny_negative_euclidean_ratio_is_refused(subcommand, a, tmp_path, cap
 @pytest.mark.parametrize("subcommand", ["generate", "dual", "trace"])
 def test_a_tiny_positive_euclidean_ratio_whose_height_misses_its_tolerance_is_refused(
         subcommand, a, tmp_path, capsys):
-    # quad warns on the profile's height (too many subdivisions, round-off);
-    # the height raises InvalidParams instead, warnings or not
+    # QAGS misses its tolerance on the profile's height (too many
+    # subdivisions, round-off); the height raises InvalidParams, warnings or not
     out = tmp_path / "x"
     argv = [subcommand, "--family", "euclidean_rotational", "--a", a, "--out", str(out),
             *(["--seed", "0.5,1.0"] if subcommand == "trace" else ["--res", "5x5"])]
@@ -904,7 +904,7 @@ def test_a_tiny_positive_euclidean_ratio_whose_height_misses_its_tolerance_is_re
 
 def test_a_euclidean_height_that_misses_its_tolerance_after_the_seed_stops_the_trace(
         tmp_path, capsys):
-    # at a = 3e-8 quad converges at u = 0.08 and misses at scattered u up to
+    # at a = 3e-8 QAGS converges at u = 0.08 and misses at scattered u up to
     # 0.1: the trace stops at the first such sample, like at any other
     # error after the seed, and exits 0 with the samples before it
     out = tmp_path / "t.csv"

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
 import isocrpc.families
 import isocrpc.meshing
@@ -82,12 +81,13 @@ def test_rk4_inner_stages_run_no_height_quadrature(monkeypatch):
     # euclidean_rotational's height is a quadrature; only the seed and the
     # accepted samples read a height, so a 100-step trace runs 101, not 401
     calls = []
+    qags = isocrpc.families.qags
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return quad(*args, **kwargs)
+        return qags(*args)
 
-    monkeypatch.setattr(isocrpc.families, "quad", counted)
+    monkeypatch.setattr(isocrpc.families, "qags", counted)
     spec = make_spec("euclidean_rotational", {})
     tr = trace_direction_field(spec, (0.5, 1.0), "characteristic+", 100, 1e-3)
     assert tr.stopped is None and len(tr) == 101

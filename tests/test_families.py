@@ -369,13 +369,13 @@ def test_jet_fields_match_stacked_reference(fid, monkeypatch):
 def quad_calls(monkeypatch):
     """The upper limits of the profile quadratures run while the test runs."""
     uppers = []
-    quad = isocrpc.families.quad
+    qags = isocrpc.families.qags
 
-    def counted(f, lo, hi, **kwargs):
+    def counted(f, lo, hi, *args):
         uppers.append(hi)
-        return quad(f, lo, hi, **kwargs)
+        return qags(f, lo, hi, *args)
 
-    monkeypatch.setattr(isocrpc.families, "quad", counted)
+    monkeypatch.setattr(isocrpc.families, "qags", counted)
     return uppers
 
 
