@@ -12,6 +12,8 @@ Library layout:
 - duality: the isotropic metric duality (polarity in the unit sphere)
 - residuals: governing ODE / identity residuals used for verification
 - meshing: masked grid sampling with per-vertex curvature channels
+- quadpack: QUADPACK's QAGS in Python floats, for the Euclidean height
+- errors: the exception types, all GeometryError subclasses
 - cli: list / generate / verify / trace / dual subcommands
 """
 

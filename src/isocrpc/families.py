@@ -57,73 +57,47 @@ class FamilySpec:
     domain: tuple[float, float, float, float]
 
 
-def _jet(U, V, parts) -> ParamJet2 | list[float]:
-    """Jet from the (x, y, z) components of r, ru, rv, ruu, ruv, rvv.
-
-    Each field is its own (..., 3) array of the broadcast shape of U and
-    V, so a component may be a plain constant. At one point (numpy scalars
-    U and V) the jet is its 18 components in that order, as Python floats.
-    """
-    if U.ndim == V.ndim == 0:
-        return [float(c) for xyz in parts for c in xyz]
-    shape = _shape(U, V)
-    fields = []
-    for x, y, z in parts:
-        field = np.empty(shape + (3,))
-        field[..., 0], field[..., 1], field[..., 2] = x, y, z
-        fields.append(field)
-    return ParamJet2(*fields)
-
-
-def _shape(U, V) -> tuple:
-    """Broadcast shape of the chart parameters."""
-    return np.broadcast(U, V).shape
-
-
 # ---------------------------------------------------------------------------
-# chart builders, one per family
+# chart builders: each returns the (x, y, z) components of r, ru, rv, ruu,
+# ruv and rvv, which evaluate stacks into arrays and point_jet turns into
+# floats, so a component may be a plain constant
 
 
-def _paraboloid(params, U, V):
-    a = params["a"]
-    return _jet(U, V, [
-        (U, V, U * U + a * V * V),
-        (1.0, 0.0, 2.0 * U),
-        (0.0, 1.0, 2.0 * a * V),
-        (0.0, 0.0, 2.0),
+def _quadric(c_u, c_v, U, V):
+    # (u, v, c_u u^2 + c_v v^2)
+    return [
+        (U, V, c_u * U * U + c_v * V * V),
+        (1.0, 0.0, 2.0 * c_u * U),
+        (0.0, 1.0, 2.0 * c_v * V),
+        (0.0, 0.0, 2.0 * c_u),
         (0.0, 0.0, 0.0),
-        (0.0, 0.0, 2.0 * a),
-    ])
+        (0.0, 0.0, 2.0 * c_v),
+    ]
 
 
-def _trans_paraboloid(params, U, V):
-    a = params["a"]
-    return _jet(U, V, [
-        (U, V, V * V + a * U * U),
-        (1.0, 0.0, 2.0 * a * U),
-        (0.0, 1.0, 2.0 * V),
-        (0.0, 0.0, 2.0 * a),
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 2.0),
-    ])
-
-
-def _polar_chart(U, V, h, hp, hpp, pitch=0.0):
-    # (u cos v, u sin v, h(u) + pitch*v); rotational for pitch = 0
+def _polar_chart(U, V, radius, height, turn):
+    """(w(u) cos v, w(u) sin v, h(u) + g(v)) from the 2-jets (w, w', w''),
+    (h, h', h'') and (g, g', g'')."""
+    (w, wp, wpp), (h, hp, hpp), (g, gp, gpp) = radius, height, turn
     c, s = np.cos(V), np.sin(V)
-    return _jet(U, V, [
-        (U * c, U * s, h + pitch * V),
-        (c, s, hp),
-        (-U * s, U * c, pitch),
-        (0.0, 0.0, hpp),
-        (-s, c, 0.0),
-        (-U * c, -U * s, 0.0),
-    ])
+    return [
+        (w * c, w * s, h + g),
+        (wp * c, wp * s, hp),
+        (-w * s, w * c, gp),
+        (wpp * c, wpp * s, hpp),
+        (-wp * s, wp * c, 0.0),
+        (-w * c, -w * s, gpp),
+    ]
+
+
+def _u_polar(U, V, height, pitch=0.0):
+    # (u cos v, u sin v, h(u) + pitch*v); rotational for pitch = 0
+    return _polar_chart(U, V, (U, 1.0, 0.0), height, (pitch * V, pitch, 0.0))
 
 
 def _rot_power(m: float, U, V):
-    return _polar_chart(U, V, np.power(U, m), m * np.power(U, m - 1.0),
-                        m * (m - 1.0) * np.power(U, m - 2.0))
+    return _u_polar(U, V, (np.power(U, m), m * np.power(U, m - 1.0),
+                           m * (m - 1.0) * np.power(U, m - 2.0)))
 
 
 def _rotational_power_1(params, U, V):
@@ -136,31 +110,23 @@ def _rotational_power_2(params, U, V):
 
 
 def _logarithmoid(params, U, V):
-    return _polar_chart(U, V, 2.0 * np.log(U), 2.0 / U, -2.0 / (U * U))
+    return _u_polar(U, V, (2.0 * np.log(U), 2.0 / U, -2.0 / (U * U)))
 
 
 def _helicoid(params, U, V):
-    return _polar_chart(U, V, 0.0, 0.0, 0.0, pitch=1.0)
+    return _u_polar(U, V, (0.0, 0.0, 0.0), pitch=1.0)
 
 
 def _helical_log(params, U, V):
     c = params["c"]
-    return _polar_chart(U, V, c * np.log(U), c / U, -c / (U * U), pitch=1.0)
+    return _u_polar(U, V, (c * np.log(U), c / U, -c / (U * U)), pitch=1.0)
 
 
 def _spiral_ruled(params, U, V):
     a = params["a"]
     m = (a + 1.0) / math.sqrt(abs(a))
-    c, s = np.cos(V), np.sin(V)
     e = np.exp(m * V)
-    return _jet(U, V, [
-        (U * c, U * s, e),
-        (c, s, 0.0),
-        (-U * s, U * c, m * e),
-        (0.0, 0.0, 0.0),
-        (-s, c, 0.0),
-        (-U * c, -U * s, m * m * e),
-    ])
+    return _polar_chart(U, V, (U, 1.0, 0.0), (0.0, 0.0, 0.0), (e, m * e, m * m * e))
 
 
 def _helical_general_profile(a: float, U):
@@ -186,15 +152,7 @@ def _helical_general_profile(a: float, U):
 def _helical_general(params, U, V):
     a = params["a"]
     w, wp, wpp, zeta, zeta_u, zeta_uu = _helical_general_profile(a, U)
-    c, s = np.cos(V), np.sin(V)
-    return _jet(U, V, [
-        (w * c, w * s, zeta + V),
-        (wp * c, wp * s, zeta_u),
-        (-w * s, w * c, 1.0),
-        (wpp * c, wpp * s, zeta_uu),
-        (-wp * s, wp * c, 0.0),
-        (-w * c, -w * s, 0.0),
-    ])
+    return _polar_chart(U, V, (w, wp, wpp), (zeta, zeta_u, zeta_uu), (V, 1.0, 0.0))
 
 
 def _tin_b(a: float) -> float:
@@ -214,14 +172,14 @@ def _trans_iso_noniso(params, U, V):
     x = V + b * c
     y = b * s + B2 * np.log(np.abs(beta)) - B2 * U
     z = np.exp(U)
-    return _jet(U, V, [
+    return [
         (x, y, z),
         (0.0, -B2, z),
         (1.0 - b * s, b * c - B2 * c / beta, 0.0),
         (0.0, 0.0, z),
         (0.0, 0.0, 0.0),
         (-b * c, -b * s - B2 * (1.0 - b * s) / (beta * beta), 0.0),
-    ])
+    ]
 
 
 def _log_cos_profile(U, V):
@@ -232,14 +190,14 @@ def _log_cos_profile(U, V):
 
 def _trans_noniso_noniso(params, U, V):
     tu, tv, su, sv = _log_cos_profile(U, V)
-    return _jet(U, V, [
+    return [
         (U + V, np.log(np.abs(np.cos(U))) - np.log(np.abs(np.cos(V))), U + 0.0),
         (1.0, -tu, 1.0),
         (1.0, tv, 0.0),
         (0.0, -su, 0.0),
         (0.0, 0.0, 0.0),
         (0.0, sv, 0.0),
-    ])
+    ]
 
 
 def _dtin_parts(a: float, V):
@@ -268,14 +226,14 @@ def _dual_trans_iso_noniso(params, U, V):
     a = params["a"]
     P, Pp, Ppp, Q, Qp, Qpp = _dtin_parts(a, V)
     e = np.exp(U)
-    return _jet(U, V, [
+    return [
         (e * P, e, e * (Q + U)),
         (e * P, e, e * (Q + U + 1.0)),
         (e * Pp, 0.0, e * Qp),
         (e * P, e, e * (Q + U + 2.0)),
         (e * Pp, 0.0, e * Qp),
         (e * Ppp, 0.0, e * Qpp),
-    ])
+    ]
 
 
 def _dual_trans_minimal(params, U, V):
@@ -304,10 +262,10 @@ def _dual_trans_minimal(params, U, V):
     zuu = (Ruu * S2 - 2.0 * su * tu * R * S - 2.0 * su * (Ru * S - R * su)) / S3
     zuv = (-Ru * sv * S - Rv * su * S + 2.0 * su * sv * R) / S3
     zvv = (Rvv * S2 - 2.0 * sv * tv * R * S - 2.0 * sv * (Rv * S - R * sv)) / S3
-    return _jet(U, V, [
+    return [
         (x, y, z), (xu, yu, zu), (xv, yv, zv),
         (xuu, yuu, zuu), (xuv, yuv, zuv), (xvv, yvv, zvv),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +301,10 @@ def _euclid_height(params, U: np.ndarray) -> np.ndarray:
     h is NaN off the profile: the profile ends at r = 1, and for odd 2a
     the slope law also holds at some u < 0, where r^a is not real. Raises
     InvalidParams where QAGS reports that it missed its tolerance (at some
-    u for 0 < a <= 4e-8 in the default box; README gives the scan).
+    u for 0 < a <= 4e-8 in the default box; README gives the scan), unless
+    u is so near the anchor that the result meets it anyway: h' is monotone
+    on the profile, so h(u) lies within B = |u - anchor| max(h'(anchor),
+    h'(u)) of 0, and a result within B of 0 misses h(u) by at most 2B.
     """
     a = params["a"]
     on_profile = _euclid_on_profile(a, U)
@@ -356,8 +317,9 @@ def _euclid_height(params, U: np.ndarray) -> np.ndarray:
     us, inverse = np.unique(U[on_profile], return_inverse=True)
     hs = []
     for u in us.tolist():
-        h, _abserr, ier = qags(hp, anchor, u, 1e-12, 1e-12, 200)
-        if ier != 0:
+        h, _abserr, ier = qags(hp, anchor, u)
+        if ier != 0 and not (u ** (2.0 * a) < 1.0  # so that h'(u) is real
+                             and abs(h) <= abs(u - anchor) * max(hp(anchor), hp(u)) <= 5e-13):
             raise InvalidParams(f"euclidean_rotational: the height integral misses its "
                                 f"tolerance 1e-12 at a = {a!r}")
         hs.append(h)
@@ -370,7 +332,7 @@ def _euclidean_rotational(params, U, V, h):
     g = 1.0 - np.power(U, 2.0 * a)
     hp = np.power(U, a) / np.sqrt(g)
     hpp = a * np.power(U, a - 1.0) * g ** (-1.5)
-    return _polar_chart(U, V, h, hp, hpp)
+    return _u_polar(U, V, (h, hp, hpp))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +449,7 @@ def _register(entry: _Entry):
 
 _register(_Entry(
     family_id="paraboloid",
-    jets=_paraboloid,
+    jets=lambda p, U, V: _quadric(1.0, p["a"], U, V),
     defaults={"a": 2.0},
     constraint_text="a != 0 (a = 1 gives the unit sphere of the geometry)",
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
@@ -495,7 +457,7 @@ _register(_Entry(
 
 _register(_Entry(
     family_id="trans_paraboloid",
-    jets=_trans_paraboloid,
+    jets=lambda p, U, V: _quadric(p["a"], 1.0, U, V),
     defaults={"a": 2.0},
     constraint_text="a != 0; both generator parabolas lie in isotropic planes",
     default_domain=lambda p: (-1.0, 1.0, -1.0, 1.0),
@@ -765,7 +727,7 @@ def _broadcast_predicate(builder, spec: FamilySpec, U, V, dtype) -> np.ndarray:
     U, V = np.asarray(U, float), np.asarray(V, float)
     with np.errstate(all="ignore"):
         values = builder(spec.params, U, V)
-    return np.broadcast_to(values, _shape(U, V)).astype(dtype, order="C")
+    return np.broadcast_to(values, np.broadcast(U, V).shape).astype(dtype, order="C")
 
 
 def singular_distance(spec: FamilySpec, U, V) -> np.ndarray:
@@ -811,7 +773,19 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
             if np.any(entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN):
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
-        return _chart(entry, spec.params, U, V, heights)
+        return _stack(U, V, _chart(entry, spec.params, U, V, heights))
+
+
+def _stack(U, V, parts) -> ParamJet2:
+    """The jet of a chart's components at arrays U and V: each field its own
+    (..., 3) array of their broadcast shape."""
+    shape = np.broadcast(U, V).shape
+    fields = []
+    for xyz in parts:
+        field = np.empty(shape + (3,))
+        field[..., 0], field[..., 1], field[..., 2] = xyz
+        fields.append(field)
+    return ParamJet2(*fields)
 
 
 def point_jet(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> list[float]:
@@ -829,11 +803,12 @@ def point_jet(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) 
             raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
         if entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN:
             raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
-    return _chart(entry, spec.params, U, V, heights)
+    return [float(c) for xyz in _chart(entry, spec.params, U, V, heights) for c in xyz]
 
 
 def _chart(entry: _Entry, params, U, V, heights: bool):
-    """The family's chart at U and V, its height computed as evaluate says."""
+    """The family's chart components at U and V, its height computed as
+    evaluate says."""
     if entry.height is None:
         return entry.jets(params, U, V)
     h = (entry.height(params, U) if heights

@@ -330,10 +330,12 @@ def write_text(text: str, path) -> None:
 class MeshGrid:
     """Sampled chart: nodes, mask, and per-node curvature channels.
 
-    mask is True where a node is EXCLUDED. H and K are NaN at masked
-    nodes; residual is the family's ratio-law residual (isotropic
-    curvature-ratio residual, or the Euclidean principal-ratio residual
-    for the Euclidean comparison entry), None on a dual_grid.
+    mask is True where a node is EXCLUDED. H and K are NaN where the
+    surface itself is masked, which on a dual_grid leaves nodes masked for
+    |K| < K_EPS or a non-finite dual point with finite H and K; residual is
+    the family's ratio-law residual (isotropic curvature-ratio residual, or
+    the Euclidean principal-ratio residual for the Euclidean comparison
+    entry), None on a dual_grid.
     """
 
     us: np.ndarray  # (nu,)

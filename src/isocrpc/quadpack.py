@@ -15,6 +15,9 @@ import sys
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _OFLOW = sys.float_info.max
+# the tolerances and the subinterval limit of every integral
+_EPSABS = _EPSREL = 1e-12
+_LIMIT = 200
 
 # The Kronrod nodes and weights: _XGK[1::2] are the 10-point Gauss nodes,
 # whose weights are _WG, _XGK[0:10:2] the added Kronrod nodes, _XGK[10] the centre.
@@ -64,7 +67,7 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+def _qpsrt(last, maxerr, elist, iord, nrmax):
     """dqpsrt: keep iord's first entries (indices into elist) in descending
     elist order after interval maxerr was split into maxerr and last - 1,
     last being the interval count; return the next (maxerr, errmax, nrmax)."""
@@ -75,7 +78,7 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
         while nrmax > 1 and errmax > elist[iord[nrmax - 2]]:
             iord[nrmax - 1] = iord[nrmax - 2]
             nrmax -= 1
-        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        jupbn = _LIMIT + 3 - last if last > _LIMIT // 2 + 2 else last
         errmin = elist[last - 1]
         jbnd = jupbn - 1
         i = nrmax + 1
@@ -147,32 +150,29 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """(result, abserr, ier) of dqagse for the integral of f over [a, b].
+def qags(f, a: float, b: float):
+    """(result, abserr, ier) of dqagse for the integral of f over [a, b], at
+    epsabs = epsrel = 1e-12 and at most 200 subintervals.
 
     ier is QUADPACK's: 0 where the estimate meets max(epsabs, epsrel |result|),
     else why not (1 the limit of subintervals, 2 round-off, 3 bad integrand
-    behaviour, 4 no convergence, 5 divergence, 6 invalid tolerances). As
-    `scipy.integrate.quad` does, b < a integrates over [b, a] and negates.
+    behaviour, 4 no convergence, 5 divergence). As `scipy.integrate.quad`
+    does, b < a integrates over [b, a] and negates.
     """
     if b < a:
-        result, abserr, ier = qags(f, b, a, epsabs, epsrel, limit)
+        result, abserr, ier = qags(f, b, a)
         return -result, abserr, ier
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0, 6
     result, abserr, defabs, resabs = _qk21(f, a, b)
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(_EPSABS, _EPSREL * dres)
     ier = 0
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, ier
 
-    alist, blist, rlist, elist = [a] * limit, [b] * limit, [result] * limit, [abserr] * limit
-    iord = [0] * limit
+    alist, blist, rlist, elist = [a] * _LIMIT, [b] * _LIMIT, [result] * _LIMIT, [abserr] * _LIMIT
+    iord = [0] * _LIMIT
     rlist2 = [result] + [0.0] * 51  # the epsilon table: dqelg's limexp + 2 entries
     res3la = [0.0] * 3
     maxerr, errmax, area, errsum, abserr = 0, abserr, result, abserr, _OFLOW
@@ -183,7 +183,7 @@ def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
 
     summed = False  # whether the result is the sum over the subintervals
-    for last in range(2, limit + 1):
+    for last in range(2, _LIMIT + 1):
         # bisect the subinterval with the nrmax-th largest error estimate
         a1, b2 = alist[maxerr], blist[maxerr]
         a2 = b1 = 0.5 * (a1 + b2)
@@ -204,12 +204,12 @@ def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
                 iroff3 += 1
         rlist[maxerr] = area1
         rlist[last - 1] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(_EPSABS, _EPSREL * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == _LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -221,7 +221,7 @@ def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         else:
             alist[last - 1], blist[maxerr], blist[last - 1] = a2, b1, b2
             elist[maxerr], elist[last - 1] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             summed = True
             break
@@ -244,7 +244,7 @@ def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         if ierro != 3 and erlarg > ertest:
             # the smallest interval has the largest error: bisect the larger
             # intervals first, while the subdivision limit allows
-            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            jupbnd = _LIMIT + 3 - last if last > 2 + _LIMIT // 2 else last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax - 1]
@@ -263,7 +263,7 @@ def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
             ier = 5
         if abseps < abserr:
             ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(_EPSABS, _EPSREL * abs(reseps))
             if abserr <= ertest:
                 break
         # prepare the bisection of the smallest interval

@@ -83,9 +83,9 @@ def test_rk4_inner_stages_run_no_height_quadrature(monkeypatch):
     calls = []
     qags = isocrpc.families.qags
 
-    def counted(*args):
-        calls.append(args)
-        return qags(*args)
+    def counted(f, lo, hi):
+        calls.append((f, lo, hi))
+        return qags(f, lo, hi)
 
     monkeypatch.setattr(isocrpc.families, "qags", counted)
     spec = make_spec("euclidean_rotational", {})

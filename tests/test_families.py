@@ -310,16 +310,14 @@ def test_height_field_refuses_a_point_it_does_not_reach():
 
 # --- jets filled field by field against the stacked construction -------------
 
-def _reference_jet(U, V, parts):
-    """_jet by np.stack of the components, each broadcast to the shape of (U, V);
-    at one point the stacked fields' 18 floats, as _jet gives a point."""
+def _reference_stack(U, V, parts):
+    """_stack by np.stack of the components, each broadcast to the shape of (U, V)."""
     shape = np.broadcast(U, V).shape
 
     def stack(x, y, z):
         return np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in (x, y, z)],
                         axis=-1)
-    jet = ParamJet2(*(stack(*xyz) for xyz in parts))
-    return _floats(jet) if shape == () else jet
+    return ParamJet2(*(stack(*xyz) for xyz in parts))
 
 
 def _floats(jet):
@@ -348,7 +346,7 @@ def test_jet_fields_match_stacked_reference(fid, monkeypatch):
     for U, V in _chart_inputs(spec):
         new = evaluate(spec, U, V, check=False)
         with monkeypatch.context() as m:
-            m.setattr(isocrpc.families, "_jet", _reference_jet)
+            m.setattr(isocrpc.families, "_stack", _reference_stack)
             ref = evaluate(spec, U, V, check=False)
         fields = [getattr(new, f.name) for f in dataclasses.fields(ParamJet2)]
         for f, a in zip(dataclasses.fields(ParamJet2), fields):
@@ -371,9 +369,9 @@ def quad_calls(monkeypatch):
     uppers = []
     qags = isocrpc.families.qags
 
-    def counted(f, lo, hi, *args):
+    def counted(f, lo, hi):
         uppers.append(hi)
-        return qags(f, lo, hi, *args)
+        return qags(f, lo, hi)
 
     monkeypatch.setattr(isocrpc.families, "qags", counted)
     return uppers
@@ -643,10 +641,12 @@ def _zero_d_jet(spec, u, v, heights):
     U, V = np.asarray(u), np.asarray(v)
     with np.errstate(all="ignore"):
         if entry.height is None:
-            return entry.jets(spec.params, U, V)
-        h = (entry.height(spec.params, U) if heights
-             else np.where(entry.hard_valid(spec.params, U, V), 0.0, np.nan))
-        return entry.jets(spec.params, U, V, h)
+            parts = entry.jets(spec.params, U, V)
+        else:
+            h = (entry.height(spec.params, U) if heights
+                 else np.where(entry.hard_valid(spec.params, U, V), 0.0, np.nan))
+            parts = entry.jets(spec.params, U, V, h)
+    return [float(c) for xyz in parts for c in xyz]
 
 
 def _point_cases(fid, a, seed):

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from isocrpc.cli import main
+from isocrpc.errors import InvalidParams
 from isocrpc.families import _euclid_edge, _euclid_height, make_spec
 from isocrpc.quadpack import qags
 
@@ -34,7 +35,7 @@ def _same_as_quad(a, us):
     out = []
     for u in us:
         ref = quad(hp, anchor, u, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
-        h, abserr, ier = qags(hp, anchor, u, 1e-12, 1e-12, 200)
+        h, abserr, ier = qags(hp, anchor, u)
         assert (h, abserr) == ref[:2] and (ier != 0) == (len(ref) == 4), (a, u, ref, ier)
         out.append((h, ier))
     return out
@@ -81,6 +82,67 @@ def test_qags_gives_the_bits_and_the_misses_of_quad_on_a_default_box(a):
         assert 0 < misses < n
     else:
         assert misses == 0
+
+
+def test_a_miss_next_to_the_anchor_is_kept_where_it_meets_the_tolerance(capsys):
+    # QAGS cannot bisect [0, 1e-323] and misses there, but h' is monotone, so
+    # the height and QAGS's result lie within u h'(u) << 1e-12 of 0: the box
+    # from 1e-323 writes the mesh of the box from 1e-300
+    hp, _anchor = _integrand(3e-7)
+    h, _abserr, ier = qags(hp, 0.0, 1e-323)
+    assert ier != 0 and abs(h) <= 1e-323 * hp(1e-323) <= 5e-13
+    assert _euclid_height({"a": 3e-7}, np.array([1e-323])).tolist() == [h]
+    outs = []
+    for u0 in ("1e-323", "1e-300"):
+        argv = ["generate", "--family", "euclidean_rotational", "--a", "3e-7",
+                f"--domain={u0},0.1,0,1", "--res", "3x3"]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and [ln[:2] for ln in outs[0].splitlines()].count("v ") == 6
+    # far from the anchor a miss is still refused
+    with pytest.raises(InvalidParams, match="misses its tolerance"):
+        _euclid_height({"a": 1e-14}, np.array([0.05]))
+
+
+# generic integrands, as (name, f, a, b): singular, oscillatory, divergent,
+# tiny and reversed intervals; among them are the paths of QAGS that the
+# Euclidean slope never takes: a round-off miss at the first rule (1e4 cos),
+# the epsilon table's irregular-behaviour cut and end without extrapolation
+# (1/x), its shift at limexp entries (1/(x log^2 x)) and divergence (x^-1.5)
+GENERIC = [
+    ("1/sqrt(x)", lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
+    ("x^-0.99", lambda x: x ** -0.99, 0.0, 1.0),
+    ("x^-0.999", lambda x: x ** -0.999, 0.0, 1.0),
+    ("log(x)", math.log, 0.0, 1.0),
+    ("log(x)/sqrt(x)", lambda x: math.log(x) / math.sqrt(x), 0.0, 1.0),
+    ("|x-0.3|^-0.5", lambda x: abs(x - 0.3) ** -0.5, 0.0, 1.0),
+    ("log|x-0.3|", lambda x: math.log(abs(x - 0.3)), 0.0, 1.0),
+    ("1/sqrt(x(1-x))", lambda x: (x * (1.0 - x)) ** -0.5, 0.0, 1.0),
+    ("sin(1000x)", lambda x: math.sin(1000.0 * x), 0.0, 1.0),
+    ("cos(100x)/sqrt(x)", lambda x: math.cos(100.0 * x) / math.sqrt(x), 0.0, 1.0),
+    ("sin(x)/x", lambda x: math.sin(x) / x, 0.0, 100.0),
+    ("exp(x)", math.exp, 0.0, 1.0),
+    ("0", lambda x: 0.0, 0.0, 1.0),
+    ("sign(x-1/3)", lambda x: 1.0 if x > 1.0 / 3.0 else -1.0, 0.0, 1.0),
+    ("1e-300 x", lambda x: 1e-300 * x, 0.0, 1.0),
+    ("1/sqrt(x) on [0, 1e-300]", lambda x: 1.0 / math.sqrt(x), 0.0, 1e-300),
+    ("1 on [0, 1e-323]", lambda x: 1.0, 0.0, 1e-323),
+    ("1e4 cos(2 pi x)", lambda x: 1e4 * math.cos(2.0 * math.pi * x), 0.0, 1.0),
+    ("1/x", lambda x: 1.0 / x, 0.0, 1.0),
+    ("1/x reversed", lambda x: 1.0 / x, 1.0, 0.0),
+    ("sin(1/x)", lambda x: math.sin(1.0 / x), 0.0, 1.0),
+    ("sin(1/x)^2", lambda x: math.sin(1.0 / x) ** 2, 0.0, 1.0),
+    ("1/(x log(x)^2)", lambda x: 1.0 / (x * math.log(x) ** 2), 0.0, 0.5),
+    ("x^-1.5", lambda x: x ** -1.5, 0.0, 1.0),
+    ("x^-1.01", lambda x: x ** -1.01, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("name,f,a,b", GENERIC, ids=[case[0] for case in GENERIC])
+def test_qags_gives_the_bits_and_the_misses_of_quad_on_generic_integrands(name, f, a, b):
+    ref = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
+    h, abserr, ier = qags(f, a, b)
+    assert (h, abserr) == ref[:2] and (ier != 0) == (len(ref) == 4), (ref, ier)
 
 
 # --- the CLI runs without scipy ----------------------------------------------------
