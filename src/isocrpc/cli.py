@@ -374,6 +374,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     for spec, a_hyp in specs:
         if a_hyp is None:
             a_hyp = fam.ratio_for_residual(spec)
+        error = None
         try:
             crpc, max_h, ode, dual_val = _verify_row(spec, a_hyp, nu, nv, cfg.seed)
             ok = (crpc <= tol["crpc"] and ode <= tol["ode"]
@@ -381,23 +382,26 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             if fam.is_minimal(spec):
                 ok = ok and max_h <= tol["H"]
             status = "PASS" if ok else "FAIL"
-        except GeometryError:
+        except GeometryError as exc:
             crpc = max_h = ode = dual_val = math.nan
-            status = "ERROR"
-        rows.append((spec.family_id, a_hyp, crpc, max_h, ode, dual_val, status))
+            status, error = "ERROR", exc
+        rows.append((spec.family_id, a_hyp, crpc, max_h, ode, dual_val, status, error))
 
+    # an ERROR row is all NaN; its reason goes to stderr, one line a row
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = [VERIFY_HEADER]
-    for fid, a_hyp, crpc, max_h, ode, dual_val, status in rows:
+    for fid, a_hyp, crpc, max_h, ode, dual_val, status, error in rows:
         lines.append(",".join([
             fid, fmt_float(a_hyp), str(nu), str(nv),
             fmt_float(crpc), fmt_float(max_h), fmt_float(ode), fmt_float(dual_val), status,
         ]))
+        if error is not None:
+            print(f"verify: {fid} a={fmt_float(a_hyp)}: {error}", file=sys.stderr)
     _write_text("\n".join(lines) + "\n", cfg.out)
     if not rows:
         print("verify: no valid (family, a) combination", file=sys.stderr)
         return 1
-    return 1 if any(row[-1] != "PASS" for row in rows) else 0
+    return 1 if any(row[6] != "PASS" for row in rows) else 0
 
 
 _MESH_FLAGS = "family a params domain res out"

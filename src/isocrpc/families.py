@@ -743,9 +743,9 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
 
 
 def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> ParamJet2:
-    """Exact second-order jet of the chart at (u, v) (scalars or arrays). One
-    point (scalars or 0-d arrays) is point_jet's 18 floats under
-    np.errstate(all="ignore"), as six owned (3,) arrays.
+    """Exact second-order jet of the chart at (u, v), scalars or arrays, as
+    six owned (..., 3) arrays of their broadcast shape, computed under
+    np.errstate(all="ignore"); one point runs the same chart on 0-d arrays.
 
     With check=True, raises OutOfDomain at a non-finite (u, v) and outside
     the hard validity region, and SingularLocus within SINGULAR_MARGIN of a
@@ -761,11 +761,8 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
     and dual laws keep their bits.
     """
     U, V = np.asarray(u, float), np.asarray(v, float)
+    entry = catalog_entry(spec.family_id)
     with np.errstate(all="ignore"):
-        if U.ndim == V.ndim == 0:
-            values = point_jet(spec, U, V, check, heights)
-            return ParamJet2(*(np.array(values[i:i + 3]) for i in range(0, 18, 3)))
-        entry = catalog_entry(spec.family_id)
         if check:
             if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
                 raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
@@ -788,21 +785,20 @@ def _stack(U, V, parts) -> ParamJet2:
     return ParamJet2(*fields)
 
 
-def point_jet(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> list[float]:
+def point_jet(spec: FamilySpec, u, v, heights: bool = True) -> list[float]:
     """The chart 2-jet at one point as the 18 floats of r, ru, rv, ruu, ruv,
-    rvv, with check and heights, errors and bits as evaluate's, under the
-    caller's np.errstate. It runs on numpy scalars, so a chart writes U ** m
-    as np.power(U, m): ** on a numpy scalar calls libm's pow, which rounds
-    otherwise."""
+    rvv: a trace stage's checked floats, with heights, refusals and bits as
+    evaluate's at that point, under the caller's np.errstate. It runs on
+    numpy scalars, so a chart writes U ** m as np.power(U, m): ** on a numpy
+    scalar calls libm's pow, which rounds otherwise."""
     entry = catalog_entry(spec.family_id)
     U, V = np.float64(u), np.float64(v)
-    if check:
-        if not (math.isfinite(U) and math.isfinite(V)):
-            raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
-        if not entry.hard_valid(spec.params, U, V):
-            raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
-        if entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN:
-            raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
+    if not (math.isfinite(U) and math.isfinite(V)):
+        raise OutOfDomain(f"{spec.family_id}: (u, v) is not finite")
+    if not entry.hard_valid(spec.params, U, V):
+        raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
+    if entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN:
+        raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
     return [float(c) for xyz in _chart(entry, spec.params, U, V, heights) for c in xyz]
 
 
@@ -832,10 +828,9 @@ def height_field(spec: FamilySpec, u0: float, v0: float) -> Callable[[float, flo
             ry = float(jet.r[1]) - y
             xu, yu = float(jet.ru[0]), float(jet.ru[1])
             xv, yv = float(jet.rv[0]), float(jet.rv[1])
-            _fx, _fy, det, singular = monge_gradient(jet.ru, jet.rv)
-            if singular or not np.isfinite(det):
+            det = float(monge_gradient(jet.ru, jet.rv)[2])
+            if not math.isfinite(det):
                 raise StencilOutOfDomain("top view not invertible during height inversion")
-            det = float(det)
             du = (-rx * yv + ry * xv) / det
             dv = (-xu * ry + yu * rx) / det
             u += du

@@ -1017,6 +1017,24 @@ def test_verify_names_every_refused_combination(tmp_path, capsys):
         assert f"verify: skipped {fid} a=2: {fid} does not take parameter 'a'" in skipped
 
 
+def test_verify_names_the_error_of_every_error_row_in_row_order(tmp_path, capsys):
+    # sin^a u underflows on helical_general's default box at a large ratio,
+    # so every node is masked and the row is all NaN
+    out = tmp_path / "v.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--family", "helical_general", "--a", "1e8,-2,1e7",
+                   "--res", "8x8", "--out", str(out)])
+    assert rc == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[-1]) for r in rows] == [
+        ("-2", "PASS"), ("10000000", "ERROR"), ("100000000", "ERROR")]
+    assert rows[1][4:8] == rows[2][4:8] == ["nan"] * 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"verify: helical_general a={a}: helical_general: every grid node is masked"
+        for a in ("10000000", "100000000")]
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--family", "trans_paraboloid", "--a", "-2,2", "--res", "8x8"],
      "247ee5d4f72135c104df54cf97f4e6099e5d2b17b468012fe63dc259dd045692"),

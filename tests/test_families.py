@@ -495,7 +495,7 @@ def _refusal(spec, U, V, jet=evaluate, heights=True):
     """The class and message of jet's check at (U, V), or None."""
     try:
         with np.errstate(all="ignore"):
-            jet(spec, U, V, check=True, heights=heights)
+            jet(spec, U, V, heights=heights)
     except (OutOfDomain, SingularLocus) as exc:
         return type(exc), str(exc)
     return None
@@ -624,7 +624,7 @@ def test_chart_on_its_axes_matches_the_meshgrid_bit_for_bit(fid, a, domain):
         assert singular_distance(spec, U, V).min() < max(us[1] - us[0], vs[1] - vs[0])
 
 
-# --- one point on numpy scalars keeps the bits of the 0-d chart -----------------
+# --- one point: point_jet is evaluate's 0-d chart as 18 floats -----------------
 
 # the family defaults, and ratios whose exponents at the bare parameter reach
 # numpy's power fast paths (u^2, u^0.5, u^-1) or differ most from libm's pow
@@ -634,55 +634,28 @@ POINT_CASES = [(fid, None) for fid in ALL_FAMILIES] + [
     ("euclidean_rotational", a) for a in (0.5, 2.0, -2.0)]
 
 
-def _zero_d_jet(spec, u, v, heights):
-    """The chart's 18 floats at 0-d arrays u and v, the path every recorded
-    trace digest came from."""
-    entry = catalog_entry(spec.family_id)
-    U, V = np.asarray(u), np.asarray(v)
-    with np.errstate(all="ignore"):
-        if entry.height is None:
-            parts = entry.jets(spec.params, U, V)
-        else:
-            h = (entry.height(spec.params, U) if heights
-                 else np.where(entry.hard_valid(spec.params, U, V), 0.0, np.nan))
-            parts = entry.jets(spec.params, U, V, h)
-    return [float(c) for xyz in parts for c in xyz]
-
-
-def _point_cases(fid, a, seed):
-    """The spec of a POINT_CASES entry, 100 seeded points of its default box,
-    then points around the box, near each locus and non-finite."""
+@pytest.mark.parametrize("heights", [True, False])
+@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
+def test_point_jet_is_evaluate_at_a_point(fid, a, heights):
+    # evaluate runs one point as the array chart on 0-d arrays, the path
+    # every recorded trace digest came from; point_jet runs it on numpy
+    # scalars, from a Python float, a numpy scalar or a 0-d array
     spec = make_spec(fid, None if a is None else {"a": a})
     u0, u1, v0, v1 = spec.domain
-    rng = np.random.default_rng(seed + POINT_CASES.index((fid, a)))
+    rng = np.random.default_rng(POINT_CASES.index((fid, a)))
     points = [(u0 + (u1 - u0) * x, v0 + (v1 - v0) * y) for x, y in rng.random((100, 2))]
-    return spec, points + _validity_points(spec, rng)
-
-
-@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
-def test_a_point_keeps_the_bits_of_the_zero_d_chart(fid, a):
-    spec, points = _point_cases(fid, a, 0)
-    for u, v in points:
-        for heights in (True, False):
-            with np.errstate(all="ignore"):
-                point = point_jet(spec, u, v, check=False, heights=heights)
-            ref = _zero_d_jet(spec, u, v, heights)
-            assert all(type(c) is float for c in point) and len(point) == len(ref) == 18
-            assert _same_bits(point, ref), (u, v, heights)
-
-
-@pytest.mark.parametrize("fid,a", POINT_CASES, ids=[f"{f}-{a}" for f, a in POINT_CASES])
-def test_point_jet_is_evaluate_at_a_point(fid, a):
-    # the refusals are evaluate's on (1,) arrays, whose checks are its own
-    spec, points = _point_cases(fid, a, 100)
     refused = set()
-    for u, v in points:
-        for heights in (True, False):
-            why = _refusal(spec, u, v, point_jet, heights)
-            assert why == _refusal(spec, np.array([u]), np.array([v]), evaluate, heights), (u, v)
-            if why is None:
-                assert _same_bits(point_jet(spec, u, v, heights=heights),
-                                  _floats(evaluate(spec, u, v, heights=heights)))
-            else:
-                refused.add(why[0])
+    for u, v in points + _validity_points(spec, rng):
+        why = _refusal(spec, u, v, evaluate, heights)
+        ref = None if why else _floats(evaluate(spec, u, v, heights=heights))
+        for U, V in ((float(u), float(v)), (np.float64(u), np.float64(v)),
+                     (np.asarray(u), np.asarray(v))):
+            assert _refusal(spec, U, V, point_jet, heights) == why, (u, v)
+            if ref is not None:
+                with np.errstate(all="ignore"):
+                    point = point_jet(spec, U, V, heights=heights)
+                assert all(type(c) is float for c in point) and len(point) == 18
+                assert _same_bits(point, ref), (u, v)
+        if why:
+            refused.add(why[0])
     assert OutOfDomain in refused and (SingularLocus in refused) == bool(_locus_points(spec))

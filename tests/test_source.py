@@ -59,9 +59,9 @@ def test_the_library_refuses_input_with_a_typed_error(name):
 def test_no_power_in_the_charts_has_the_bare_parameter_as_its_base():
     """A chart writes u^m as np.power(U, m), never U ** m.
 
-    evaluate runs one point on numpy scalars, and np.float64 ** m calls
-    libm's pow, while on a 0-d or (N,) array it runs numpy's power loop, or
-    its fast paths for m = 2, 0.5 and -1. With numpy 2.4 and x uniform on
+    point_jet runs one point on numpy scalars, and np.float64 ** m calls
+    libm's pow, while on evaluate's 0-d or (N,) arrays it runs numpy's power
+    loop, or its fast paths for m = 2, 0.5 and -1. With numpy 2.4 and x uniform on
     [0.05, 3], the two differ in 1,059-1,114 of 20,000 x at m = 3, -0.5,
     -2 and 1.5, and in 17-19 at m = 2, 0.5 and -1;
     np.power(np.float64(x), m) differs from the array in none. U ** m in a chart would give a trace stage other

@@ -64,6 +64,16 @@ test "$rc" = 1
 test "$(wc -l < height-stderr.txt)" = 1
 grep -q "^error: euclidean_rotational: " height-stderr.txt
 if grep -q -e Traceback -e Warning height-stderr.txt; then exit 1; fi
+# an ERROR row (every node of the box masked: sin^a u underflows) is
+# exit 1 and one stderr line naming its error, no traceback or warning
+rc=0
+python -W error -m isocrpc verify --family helical_general --a 1e8 > error-stdout.txt 2> error-stderr.txt || rc=$?
+cat error-stdout.txt error-stderr.txt
+test "$rc" = 1
+test "$(grep -c ",ERROR$" error-stdout.txt)" = 1
+test "$(wc -l < error-stderr.txt)" = 1
+grep -q "^verify: helical_general a=100000000: helical_general: every grid node is masked$" error-stderr.txt
+if grep -q -e Traceback -e Warning error-stderr.txt; then exit 1; fi
 refused res generate --family paraboloid --res 1x5
 refused steps trace --family helicoid --seed 1,0.5 --steps 0
 # exits 1 for its FAIL rows as for an uncaught exception, so stderr
