@@ -1,15 +1,15 @@
 """Residuals of the generating equations behind the surface families.
 
 Each family in the catalog solves a reduced equation: an ODE for the
-profile of a rotational or helical surface, or an algebraic identity
-between the two profile functions of a translational surface. The helpers
-here evaluate those equations directly from profile derivatives, giving a
-check that is independent of the curvature pipeline; all of them work
-elementwise on scalars or arrays, and refuse the ratios that
+profile of a rotational, helical or ruled spiral surface, or an algebraic
+identity between the two profile functions of a translational surface. The
+helpers here evaluate those equations from profile derivatives; all of them
+work elementwise on scalars or arrays, and refuse the ratios that
 geometry.crpc_target refuses. family_ode_residual evaluates a catalog
 entry's chart once on all given nodes and applies the family's equation
-from EQUATIONS, reading the profile derivatives off the chart jet where the
-chart is the graph of the profile.
+from EQUATIONS to the chart's components or to the profile the chart is
+built from. No equation runs the Monge conversion or a curvature function,
+so the check is independent of the curvature pipeline.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .families import (FamilySpec, _helical_general_profile, _log_cos_profile, _tin_profile,
-                       evaluate, ratio_for_residual, ratio_kind)
-from .geometry import (crpc_target, height_jet_from_param, principal_ratio_residual,
-                       ratio_law_residual, relative_curvatures)
+                       _trans_iso_noniso, evaluate, ratio_for_residual)
+from .geometry import crpc_target, principal_ratio_residual
 
 @dataclass(frozen=True)
 class OdeResidual:
@@ -130,34 +129,35 @@ def _tin_normal_form(a: float, u, v):
 
     The chart straightens to (X, -t + g(X), f(t)) with t = (b^2-1) u,
     X = v + b cos v, f(t) = exp(t/(b^2-1)) and g the height of the
-    non-isotropic generator over X. Elementwise in u and v.
+    non-isotropic generator over X: f', f'' are the chart's z over B2, B2^2,
+    and g', g'' quotients of its y_v, y_vv, x_v, x_vv. Elementwise in u and v.
     """
-    b, B2, s, c, beta = _tin_profile(a, v)
-    xp = 1.0 - b * s
-    if np.any((np.abs(xp) < 1e-12) | (np.abs(beta) < 1e-12)):
+    b, B2, s, _c, beta = _tin_profile(a, v)
+    if np.any((np.abs(1.0 - b * s) < 1e-12) | (np.abs(beta) < 1e-12)):
         raise DegenerateInput("generator parameterization is singular there")
-    xpp = -b * c
-    num = c * xp
-    nump = -s - b * np.cos(2.0 * v)
-    Gp = num / beta
-    Gpp = (nump * beta + num * c) / (beta * beta)
-    gp = Gp / xp
-    gpp = (Gpp * xp - Gp * xpp) / xp ** 3
-    e = np.exp(u)
-    return e / B2, e / (B2 * B2), gp, gpp
+    (_x, _y, z), _ru, (xp, yp, _zv), _ruu, _ruv, (xpp, ypp, _zvv) = _trans_iso_noniso(
+        {"a": a}, u, v)
+    return z / B2, z / (B2 * B2), yp / xp, (ypp * xp - yp * xpp) / xp ** 3
 
 
 # ---------------------------------------------------------------------------
 # one generating equation per family, elementwise over the chart nodes U, V.
-# Where the chart is the graph of the profile (polar charts: z = h(u) + pitch
-# v; two-isotropic charts: z = f(u) + g(v)), the profile derivatives are the
-# z-components of the jet; elsewhere a closed form supplies them.
+# Where the chart is the graph of the profile (polar charts: z = h(u) + g(v);
+# two-isotropic charts: z = f(u) + g(v)), the profile derivatives are the jet's
+# z-components; elsewhere the chart's profile, or a dual's primal chart, gives them.
 
 
 def _rotational(spec, U, V, jet):
     # principal curvatures h'' and h'/u of the profile, scaled by u
     return principal_ratio_residual(U * jet.ruu[..., 2], jet.ru[..., 2],
                                     ratio_for_residual(spec))
+
+
+def _euclidean_rotational(spec, U, V, jet):
+    # Euclidean principal curvatures h''/w^3 and h'/(u w), w^2 = 1 + h'^2,
+    # scaled by u w^3: the profile law u h'' = a h' (1 + h'^2)
+    hp = jet.ru[..., 2]
+    return principal_ratio_residual(U * jet.ruu[..., 2], hp * (1.0 + hp * hp), spec.params["a"])
 
 
 def _helical(spec, U, V, jet):
@@ -194,12 +194,12 @@ def _noniso_noniso(spec, U, V, jet):
     return np.abs(noniso_noniso_residual(-1.0, -tu, -su, tv, sv).normalized)
 
 
-def _ratio_law(spec, U, V, jet):
-    # no reduced equation: the chart's own curvature-ratio condition, NaN at
-    # the nodes too flat for it, as in the grid's residual channel
-    hjet = height_jet_from_param(jet)
-    return np.abs(ratio_law_residual(hjet, *relative_curvatures(hjet), ratio_for_residual(spec),
-                                     ratio_kind(spec) == "euclidean"))
+def _right_conoid(spec, U, V, jet):
+    # the right conoid z = phi(v) meets the target c where phi''^2 = -4 c phi'^2;
+    # a nearly flat spiral overflows phi', and the residual is NaN there
+    php, phpp, c = jet.rv[..., 2], jet.rvv[..., 2], crpc_target(spec.params["a"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(OdeResidual(phpp * phpp, -4.0 * c * php * php).normalized)
 
 
 # family id -> equation; the duals audit the identity of their primal surface
@@ -210,7 +210,7 @@ EQUATIONS = {
     "helical_general": _helical_general,
     **dict.fromkeys(("trans_iso_noniso", "dual_trans_iso_noniso"), _iso_noniso),
     **dict.fromkeys(("trans_noniso_noniso", "dual_trans_minimal"), _noniso_noniso),
-    **dict.fromkeys(("euclidean_rotational", "spiral_ruled"), _ratio_law),
+    "euclidean_rotational": _euclidean_rotational, "spiral_ruled": _right_conoid,
 }
 
 
@@ -219,11 +219,10 @@ def family_ode_residual(spec: FamilySpec, u, v):
 
     Elementwise over scalars or arrays: the chart is evaluated once,
     unchecked and without heights (no equation reads one), on all nodes,
-    and EQUATIONS names the family's equation.
-    Raises the equation's GeometryError if any node is degenerate (the
-    isotropic ratio law gives NaN where |K| < K_EPS instead). spec comes
-    from make_spec, so its family is in the catalog, which EQUATIONS covers.
+    and EQUATIONS names the family's equation. Raises the equation's
+    GeometryError if any node is degenerate; a node so flat that the
+    equation overflows gives NaN instead. spec comes from make_spec, so its
+    family is in the catalog, which EQUATIONS covers.
     """
     U, V = np.asarray(u, float), np.asarray(v, float)
-    return EQUATIONS[spec.family_id](spec, U, V,
-                                     evaluate(spec, U, V, check=False, heights=False))
+    return EQUATIONS[spec.family_id](spec, U, V, evaluate(spec, U, V, check=False, heights=False))

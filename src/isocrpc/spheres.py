@@ -54,8 +54,7 @@ class ParabolicSphere:
     def algebraic_residual(self, points) -> np.ndarray:
         """2z - A(x^2+y^2) - Bx - Cy - D at each (..., 3) point."""
         p = np.asarray(points, float)
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        return 2.0 * z - self.A * (x * x + y * y) - self.B * x - self.C * y - self.D
+        return 2.0 * (p[..., 2] - self.height(p[..., 0], p[..., 1]))
 
 
 def tangent_sphere(point, gradient, A: float) -> ParabolicSphere:

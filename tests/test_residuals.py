@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isocrpc.duality import dual_curvature_check, dual_law_deviation
 from isocrpc.errors import DegenerateInput, InvalidParams
-from isocrpc.families import family_ids, make_spec
+from isocrpc.families import evaluate, family_ids, make_spec
 from isocrpc.geometry import crpc_target
 from isocrpc.meshing import sample_grid
 from isocrpc.residuals import (
@@ -87,6 +87,26 @@ def test_iso_noniso_chart_profile_satisfies():
         fp, fpp, gp, gpp = _tin_normal_form(2.0, u, v)
         r = iso_noniso_residual(2.0, fp, fpp, gp, gpp)
         assert abs(r.normalized) <= 1e-8
+
+
+@pytest.mark.parametrize("a", [-3.0, -1.0, 2.0, 5.0])
+def test_normal_form_meets_a_hand_derivation_of_the_generator(a):
+    # the non-isotropic generator's height G over v, differentiated by hand:
+    # G' = c (1 - b s) / beta, and then over X = v + b cos v, g' = G'/X',
+    # g'' = (G'' X' - G' X'') / X'^3; the normal form reads the chart instead
+    spec = make_spec("trans_iso_noniso", {"a": a})
+    u0, u1, v0, v1 = spec.domain
+    rng = np.random.default_rng(34)
+    u, v = rng.uniform(u0, u1, 200), rng.uniform(v0, v1, 200)
+    b = (a + 1.0) / (a - 1.0)
+    B2, s, c = b * b - 1.0, np.sin(v), np.cos(v)
+    beta, xp, xpp = b - s, 1.0 - b * s, -b * c
+    num, nump = c * xp, -s - b * np.cos(2.0 * v)
+    Gp = num / beta
+    Gpp = (nump * beta + num * c) / (beta * beta)
+    want = (np.exp(u) / B2, np.exp(u) / (B2 * B2), Gp / xp, (Gpp * xp - Gp * xpp) / xp ** 3)
+    for got, hand in zip(_tin_normal_form(a, u, v), want):
+        np.testing.assert_allclose(got, hand, rtol=1e-12, atol=0.0)
 
 
 def test_noniso_noniso_log_cos_pair_is_minimal():
@@ -196,7 +216,12 @@ FAMILY_CASES = [
     ("dual_trans_iso_noniso", {"a": 2.0}),
     ("dual_trans_minimal", {}),
     ("euclidean_rotational", {"a": 2.0}),
+    ("euclidean_rotational", {"a": -0.5}),
+    ("euclidean_rotational", {"a": 0.05}),
+    ("euclidean_rotational", {"a": 30.0}),
     ("spiral_ruled", {"a": -2.0}),
+    ("spiral_ruled", {"a": -1e-3}),
+    ("spiral_ruled", {"a": -50.0}),
 ]
 
 
@@ -210,6 +235,22 @@ def test_every_family_satisfies_its_equation(fid, params):
     worst = max(family_ode_residual(spec, float(u), float(v))
                 for u in us for v in vs)
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("fid,a,read_as", [
+    ("spiral_ruled", -2.0, -3.0),
+    ("euclidean_rotational", 2.0, 3.0),
+    ("euclidean_rotational", -2.0, -3.0),
+])
+def test_a_chart_read_with_another_ratio_fails_its_equation(fid, a, read_as):
+    # the law is live: the chart of one ratio does not meet the law of another
+    spec = make_spec(fid, {"a": a})
+    u0, u1, v0, v1 = spec.domain
+    U, V = np.meshgrid(np.linspace(u0 + 0.15 * (u1 - u0), u1 - 0.15 * (u1 - u0), 4),
+                       np.linspace(v0 + 0.15 * (v1 - v0), v1 - 0.15 * (v1 - v0), 4))
+    jet = evaluate(spec, U, V, check=False, heights=False)
+    assert EQUATIONS[fid](spec, U, V, jet).max() <= 1e-8
+    assert EQUATIONS[fid](make_spec(fid, {"a": read_as}), U, V, jet).max() >= 1e-3
 
 
 # --- elementwise evaluation --------------------------------------------------------

@@ -83,3 +83,15 @@ def test_the_library_leaves_the_warning_filters_alone():
              and (node.func.attr if isinstance(node.func, ast.Attribute)
                   else getattr(node.func, "id", None)) in names]
     assert not found, f"warning filters changed at {found}"
+
+
+def test_the_ode_column_takes_nothing_of_the_curvature_pipeline():
+    """residuals reads its equations off the charts: of geometry it takes
+    the ratio's target and the principal-ratio residual, and no Monge
+    conversion, curvature function or ratio law; nor does it ask a family's
+    ratio kind, which only the ratio law needs."""
+    imported = {(node.module, alias.name) for node in TREES["residuals.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for module, name in imported if module == "geometry"} == {
+        "crpc_target", "principal_ratio_residual"}
+    assert ("families", "ratio_kind") not in imported
