@@ -323,11 +323,11 @@ def _verify_row(spec: fam.FamilySpec, a_hyp: float, nu: int, nv: int,
     grid = sample_grid(spec, nu, nv, a=a_hyp, heights=False)
     st = grid.stats()
 
-    ii, jj = np.where(~grid.mask)
+    flat = np.flatnonzero(~grid.mask)
     rng = default_rng(seed)
-    take = rng.choice(len(ii), size=min(64, len(ii)), replace=False)
+    take = rng.choice(len(flat), size=min(64, len(flat)), replace=False)
     take.sort()
-    ii, jj = ii[take], jj[take]
+    ii, jj = np.divmod(flat[take], nv)
     us, vs = grid.us[ii], grid.vs[jj]
     # the equations read chart derivatives the grid does not keep, so the
     # nodes are evaluated again; a NaN residual is ignored (fmax), unless

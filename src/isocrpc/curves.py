@@ -85,7 +85,7 @@ def _field_direction(jet, kind: str, ref):
     _float_direction gives their bits and errors on any finite jet.
     """
     values = jet if ref is not None else [
-        c for field in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv) for c in field.tolist()]
+        float(c) for field in (jet.r, jet.ru, jet.rv, jet.ruu, jet.ruv, jet.rvv) for c in field]
     if not all(map(math.isfinite, values)):
         raise DegenerateJet("chart jet is not finite")
     if ref is not None:
@@ -294,9 +294,9 @@ def curve_jet_on_surface(
     jet = evaluate(spec, p[0], p[1], check=True)
     up, vp = float(dp[0]), float(dp[1])
     upp, vpp = float(ddp[0]), float(ddp[1])
-    c1 = jet.ru * up + jet.rv * vp
-    c2 = (jet.ruu * up * up + 2.0 * jet.ruv * up * vp + jet.rvv * vp * vp
-          + jet.ru * upp + jet.rv * vpp)
+    c1 = [xu * up + xv * vp for xu, xv in zip(jet.ru, jet.rv)]
+    c2 = [xuu * up * up + 2.0 * xuv * up * vp + xvv * vp * vp + xu * upp + xv * vpp
+          for xuu, xuv, xvv, xu, xv in zip(jet.ruu, jet.ruv, jet.rvv, jet.ru, jet.rv)]
     return CurveJet.of(jet.r, c1, c2)
 
 

@@ -27,9 +27,9 @@ from .geometry import (
 DUAL_K_FLOOR = 1e-6  # the dual laws are checked where |K| is at least this
 
 
-def _plane_point(x, y, z, fx, fy) -> np.ndarray:
+def _plane_point(x, y, z, fx, fy):
     # the tangent plane z = fx x + fy y + c through (x, y, z) is dual to (fx, fy, -c)
-    return np.stack(np.broadcast_arrays(fx, fy, x * fx + y * fy - z), axis=-1)
+    return fx, fy, x * fx + y * fy - z
 
 
 def dual_from_tangent(r, ru, rv) -> np.ndarray:
@@ -37,23 +37,22 @@ def dual_from_tangent(r, ru, rv) -> np.ndarray:
 
     The tangent plane at r is z = a x + b y + c with (a, b) the height
     gradient of geometry.monge_gradient; the dual point is (a, b, -c).
-    Vectorized over leading axes (vectors in the last axis); raises
-    NonAdmissiblePoint when any point is not admissible.
+    r, ru, rv and the point are (x, y, z) triples, the point a (3, ...) array;
+    raises NonAdmissiblePoint when any point is not admissible.
     """
-    r = np.asarray(r, float)
-    fx, fy, _det, singular = monge_gradient(np.asarray(ru, float), np.asarray(rv, float))
+    fx, fy, _det, singular = monge_gradient(ru, rv)
     if np.any(singular):
         raise NonAdmissiblePoint("tangent plane is vertical; dual point undefined")
-    return _plane_point(r[..., 0], r[..., 1], r[..., 2], fx, fy)
+    return np.stack(np.broadcast_arrays(*_plane_point(*r, fx, fy)))
 
 
-def dual_surface_point(hj: Jet2Height) -> np.ndarray:
-    """Dual point of a Monge jet's tangent plane, shape (..., 3)."""
-    return _plane_point(hj.x0, hj.y0, hj.f, np.asarray(hj.fx, float), np.asarray(hj.fy, float))
+def dual_surface_point(hj: Jet2Height):
+    """Dual point of a Monge jet's tangent plane, as an (x, y, z) triple."""
+    return _plane_point(hj.x0, hj.y0, hj.f, hj.fx, hj.fy)
 
 
 def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
-    """Exact chart derivatives of the dual map from the primal 2-jet.
+    """Exact chart derivatives (3, ...) of the dual map from the primal 2-jet.
 
     With D = (fx, fy, x fx + y fy - f), the height gradient's chain rule
     cancels the -f term, so D_u = (A, B, x A + y B) where (A, B) is the
@@ -61,14 +60,13 @@ def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
     derivatives of the primal surface.
     """
     hj = height_jet_from_param(jet)
-    xu, yu = jet.ru[..., 0], jet.ru[..., 1]
-    xv, yv = jet.rv[..., 0], jet.rv[..., 1]
+    (xu, yu, _zu), (xv, yv, _zv) = jet.ru, jet.rv
     au = hj.fxx * xu + hj.fxy * yu
     bu = hj.fxy * xu + hj.fyy * yu
     av = hj.fxx * xv + hj.fxy * yv
     bv = hj.fxy * xv + hj.fyy * yv
-    du = np.stack([au, bu, hj.x0 * au + hj.y0 * bu], axis=-1)
-    dv = np.stack([av, bv, hj.x0 * av + hj.y0 * bv], axis=-1)
+    du = np.stack(np.broadcast_arrays(au, bu, hj.x0 * au + hj.y0 * bu))
+    dv = np.stack(np.broadcast_arrays(av, bv, hj.x0 * av + hj.y0 * bv))
     return du, dv
 
 
@@ -85,8 +83,9 @@ def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) ->
 
     u and v may be scalars or arrays of a common broadcast shape S; jet_fn
     is called once on the (S, 9) stencil (four u-offsets, four v-offsets,
-    the centre) and must be vectorized. The fields come out shaped (S, 3).
-    Raises NonAdmissiblePoint when any stencil point has a vertical tangent.
+    the centre) and must be vectorized. The fields come out as (3, S)
+    arrays. Raises NonAdmissiblePoint when any stencil point has a vertical
+    tangent.
     """
     u, v = np.broadcast_arrays(np.asarray(u, float)[..., None], np.asarray(v, float)[..., None])
     # stencil point i < 4 sits at offset steps[i] along u, point 4 + i at the
@@ -96,13 +95,13 @@ def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) ->
     V = np.concatenate([np.repeat(v, 4, axis=-1), v + steps, v], axis=-1)
     jet = jet_fn(U, V)
     du, dv = dual_velocity(jet)
-    r = dual_from_tangent(jet.r[..., 8, :], jet.ru[..., 8, :], jet.rv[..., 8, :])
+    r = dual_from_tangent(jet.r, jet.ru, jet.rv)[..., 8]
     w1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * FD_STEP)
-    ruu = sum(w * du[..., i, :] for i, w in enumerate(w1))
-    rvv = sum(w * dv[..., 4 + i, :] for i, w in enumerate(w1))
-    ruv = 0.5 * (sum(w * dv[..., i, :] for i, w in enumerate(w1))
-                 + sum(w * du[..., 4 + i, :] for i, w in enumerate(w1)))
-    return ParamJet2(r=r, ru=du[..., 8, :], rv=dv[..., 8, :], ruu=ruu, ruv=ruv, rvv=rvv)
+    ruu = sum(w * du[..., i] for i, w in enumerate(w1))
+    rvv = sum(w * dv[..., 4 + i] for i, w in enumerate(w1))
+    ruv = 0.5 * (sum(w * dv[..., i] for i, w in enumerate(w1))
+                 + sum(w * du[..., 4 + i] for i, w in enumerate(w1)))
+    return ParamJet2(r=r, ru=du[..., 8], rv=dv[..., 8], ruu=ruu, ruv=ruv, rvv=rvv)
 
 
 def dual_law_deviation(spec: FamilySpec, u, v, H, K) -> tuple[float, float]:
@@ -165,7 +164,7 @@ def involution_check(spec: FamilySpec, us: np.ndarray, vs: np.ndarray) -> float:
     dv = (D(U, V + h) - D(U, V - h)) / (2 * h)
     jet = evaluate(spec, U, V, check=False)
     back = dual_from_tangent(dual_from_tangent(jet.r, jet.ru, jet.rv), du, dv)
-    dev = np.max(np.abs(back - jet.r), axis=-1)
+    dev = np.max(np.abs(back - np.broadcast_arrays(*jet.r)), axis=0)
     # fmax skips points with a NaN deviation, as a running Python max would
     return float(np.fmax.reduce(dev.ravel(), initial=0.0))
 
@@ -195,12 +194,13 @@ def conjugate_geodesic_net_check(
     """
     U, V = _grid(us, vs)
     jet = evaluate(spec, U, V, check=False)
-    top = jet.r[..., :2]
+    top = np.stack([np.broadcast_to(c, U.shape) for c in jet.r[:2]], axis=-1)  # (nu, nv, 2)
     worst_line = max(0.0, *map(line_fit_residual, (*top, *top.transpose(1, 0, 2))))
 
     hj = height_jet_from_param(jet)
-    cu = jet.ru[..., :2] / np.linalg.norm(jet.ru[..., :2], axis=-1, keepdims=True)
-    cv = jet.rv[..., :2] / np.linalg.norm(jet.rv[..., :2], axis=-1, keepdims=True)
-    conj = (cu[..., 0] * (hj.fxx * cv[..., 0] + hj.fxy * cv[..., 1])
-            + cu[..., 1] * (hj.fxy * cv[..., 0] + hj.fyy * cv[..., 1]))
+    (xu, yu, _zu), (xv, yv, _zv) = jet.ru, jet.rv
+    # unit top-view net tangents; sqrt(x*x + y*y) is np.linalg.norm's bits
+    lu, lv = np.sqrt(xu * xu + yu * yu), np.sqrt(xv * xv + yv * yv)
+    cux, cuy, cvx, cvy = xu / lu, yu / lu, xv / lv, yv / lv
+    conj = cux * (hj.fxx * cvx + hj.fxy * cvy) + cuy * (hj.fxy * cvx + hj.fyy * cvy)
     return worst_line, float(np.fmax.reduce(np.abs(conj).ravel(), initial=0.0))

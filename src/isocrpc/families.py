@@ -59,8 +59,8 @@ class FamilySpec:
 
 # ---------------------------------------------------------------------------
 # chart builders: each returns the (x, y, z) components of r, ru, rv, ruu,
-# ruv and rvv, which evaluate stacks into arrays and point_jet turns into
-# floats, so a component may be a plain constant
+# ruv and rvv, which evaluate hands over as they are and point_jet turns into
+# floats; a component may be a plain constant, or U or V itself
 
 
 def _quadric(c_u, c_v, U, V):
@@ -743,9 +743,12 @@ def hard_valid(spec: FamilySpec, U, V) -> np.ndarray:
 
 
 def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -> ParamJet2:
-    """Exact second-order jet of the chart at (u, v), scalars or arrays, as
-    six owned (..., 3) arrays of their broadcast shape, computed under
-    np.errstate(all="ignore"); one point runs the same chart on 0-d arrays.
+    """Exact second-order jet of the chart at (u, v), scalars or arrays,
+    computed under np.errstate(all="ignore"); one point runs the same chart
+    on 0-d arrays. Each field is the chart's own (x, y, z) tuple, whose
+    components keep the shapes the chart gave them (on a u column and a v
+    row, one that reads u alone stays a column, a constant stays a float)
+    and may be the caller's own u or v: read-only by convention.
 
     With check=True, raises OutOfDomain at a non-finite (u, v) and outside
     the hard validity region, and SingularLocus within SINGULAR_MARGIN of a
@@ -755,10 +758,10 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
     heights=False is for callers that read no point height: for a chart
     whose height has no closed form (euclidean_rotational), evaluate then
     writes 0 for the height inside hard_valid and NaN outside it, so the
-    finiteness of r[..., 2] is kept, and no quadrature runs. Each point
-    moves by an isotropic vertical translation, which changes no derivative
-    of r: the Monge jet's derivatives, curvatures, masks and the ratio, ODE
-    and dual laws keep their bits.
+    finiteness of r's z is kept, and no quadrature runs. Each point moves
+    by an isotropic vertical translation, which changes no derivative of r:
+    the Monge jet's derivatives, curvatures, masks and the ratio, ODE and
+    dual laws keep their bits.
     """
     U, V = np.asarray(u, float), np.asarray(v, float)
     entry = catalog_entry(spec.family_id)
@@ -770,19 +773,7 @@ def evaluate(spec: FamilySpec, u, v, check: bool = True, heights: bool = True) -
                 raise OutOfDomain(f"{spec.family_id}: parameters outside the validity region")
             if np.any(entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN):
                 raise SingularLocus(f"{spec.family_id}: within {SINGULAR_MARGIN} of a singular locus")
-        return _stack(U, V, _chart(entry, spec.params, U, V, heights))
-
-
-def _stack(U, V, parts) -> ParamJet2:
-    """The jet of a chart's components at arrays U and V: each field its own
-    (..., 3) array of their broadcast shape."""
-    shape = np.broadcast(U, V).shape
-    fields = []
-    for xyz in parts:
-        field = np.empty(shape + (3,))
-        field[..., 0], field[..., 1], field[..., 2] = xyz
-        fields.append(field)
-    return ParamJet2(*fields)
+        return ParamJet2(*_chart(entry, spec.params, U, V, heights))
 
 
 def point_jet(spec: FamilySpec, u, v, heights: bool = True) -> list[float]:

@@ -8,9 +8,10 @@ entirely by the Hessian of f. Principal curvatures are the Hessian
 eigenvalues, H is their mean, K their product, and the normal curvature
 along a unit top-view direction t is t . Hess(f) . t.
 
-All fields of the jet containers may be scalars or numpy arrays of a common
-broadcast shape; every operation in this module is vectorized over that
-shape. Vector-valued fields carry the vector in the last axis.
+All fields of the jet containers (a ParamJet2 field is an (x, y, z) triple
+of them) may be scalars or arrays that broadcast against one another; every
+operation here is vectorized over that shape. Top-view directions carry
+their vector in the last axis.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ _SINGULAR = "top-view Jacobian is singular: tangent plane is isotropic"
 
 @dataclass(frozen=True)
 class ParamJet2:
-    """Second-order jet of a parametric surface r(u, v), fields shaped (..., 3)."""
+    """Second-order jet of a parametric surface r(u, v). Each field is an
+    (x, y, z) triple, a tuple or a (3, ...) array, of arrays or plain
+    constants that broadcast against one another and against u and v; they
+    are read-only by convention, as evaluate's may be the caller's u or v."""
 
     r: np.ndarray
     ru: np.ndarray
@@ -115,7 +119,7 @@ def fd_jet(surface: Callable, x0: float, y0: float) -> Jet2Height:
 
 
 def monge_gradient(ru, rv):
-    """Height gradient of the tangent plane spanned by ru and rv (..., 3).
+    """Height gradient of the tangent plane spanned by the triples ru and rv.
 
     Returns (fx, fy, det, singular). det is the top-view Jacobian
     determinant xu yv - yu xv. singular is the package's one admissibility
@@ -124,8 +128,7 @@ def monge_gradient(ru, rv):
     with the top-view frame. det is NaN there, so fx, fy and everything
     later divided by det come out NaN without a floating-point warning.
     """
-    xu, yu, zu = ru[..., 0], ru[..., 1], ru[..., 2]
-    xv, yv, zv = rv[..., 0], rv[..., 1], rv[..., 2]
+    (xu, yu, zu), (xv, yv, zv) = ru, rv
     det = xu * yv - yu * xv
     scale = xu * xu + yu * yu + xv * xv + yv * yv
     singular = np.abs(det) <= JACOBIAN_EPS * np.maximum(scale, 1e-300)
@@ -139,16 +142,12 @@ def monge_jet(jet: ParamJet2) -> tuple[Jet2Height, np.ndarray]:
     """Height-field 2-jet at the same point as a parametric 2-jet, vectorized.
 
     Never raises; returns the jet and the singular mask of monge_gradient,
-    where the jet is NaN.
+    where the jet is NaN. Each field has the broadcast shape of its operands.
     """
+    (x, y, z), (xu, yu, _zu), (xv, yv, _zv) = jet.r, jet.ru, jet.rv
     fx, fy, det, singular = monge_gradient(jet.ru, jet.rv)
-    seconds = (s[..., i] for s in (jet.ruu, jet.ruv, jet.rvv) for i in range(3))
-    fxx, fxy, fyy = _hessian(det, fx, fy, jet.ru[..., 0], jet.ru[..., 1],
-                             jet.rv[..., 0], jet.rv[..., 1], *seconds)
-    return Jet2Height(
-        x0=jet.r[..., 0], y0=jet.r[..., 1], f=jet.r[..., 2],
-        fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy,
-    ), singular
+    fxx, fxy, fyy = _hessian(det, fx, fy, xu, yu, xv, yv, *jet.ruu, *jet.ruv, *jet.rvv)
+    return Jet2Height(x0=x, y0=y, f=z, fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy), singular
 
 
 def _hessian(det, fx, fy, xu, yu, xv, yv, xuu, yuu, zuu, xuv, yuv, zuv, xvv, yvv, zvv):

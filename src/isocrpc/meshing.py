@@ -61,11 +61,10 @@ _BYTE_AT = np.array([[1 << 8 * j if j < 8 else 0 for j in range(17)],
 _PUSHED_OUT = np.array([0xFF] * 16 + [0], dtype=np.uint64)
 
 
-def _finite_rows(vectors: np.ndarray) -> np.ndarray:
-    """np.all(np.isfinite(vectors), axis=-1) for (..., 3) vectors, several times
-    faster: three tests on the component views instead of a length-3 reduction."""
-    return (np.isfinite(vectors[..., 0]) & np.isfinite(vectors[..., 1])
-            & np.isfinite(vectors[..., 2]))
+def _finite_rows(xyz) -> np.ndarray:
+    """Where all three components of an (x, y, z) triple are finite."""
+    x, y, z = xyz
+    return np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
 
 
 def fmt_float(x: float) -> str:
@@ -414,10 +413,11 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel, heights: bool = True) -
     A block holds SAMPLE_BLOCK_NODES nodes or fewer, but at least one row,
     so no full-grid jet exists, and each distinct u is in one chart
     evaluation. The chart and its predicates see one u column and one v row,
-    so work that reads u or v alone runs once per row or column; the jet
-    broadcasts to the block. channel(jet, hj, H, K, bad) gives a block's
-    vertices, mask and residual (None on a grid without one) from its chart
-    jet, Monge jet, curvatures (NaN where bad) and the surface's own mask.
+    so work that reads u or v alone runs once per row or column; the jet's
+    components keep their shapes up to the writes to the grid's arrays.
+    channel(jet, hj, H, K, bad) gives a block's vertices, an (x, y, z)
+    triple, and residual (None on a grid without one) from its chart jet,
+    Monge jet, curvatures (NaN where bad) and the mask, which it may widen.
     heights is passed to the chart evaluation.
     """
     grid_shape(nu, nv)
@@ -434,24 +434,27 @@ def _sample(spec: FamilySpec, nu: int, nv: int, channel, heights: bool = True) -
     for start in range(0, nu, rows):
         block = np.s_[start:start + rows]
         U = us[block][:, None]
+        # the block's rows of the grid's arrays, written in place
+        bad, h, k, points = mask[block], H[block], K[block], vertices[block]
         with np.errstate(all="ignore"):
             jet = evaluate(spec, U, V, check=False, heights=heights)
             # a non-finite derivative leaves the frame singular or H, K
             # non-finite, which the mask tests below
-            bad = ~_finite_rows(jet.r)
+            bad[...] = ~_finite_rows(jet.r)
             bad |= ~entry.hard_valid(spec.params, U, V)
             bad |= entry.locus_distance(spec.params, U, V) < SINGULAR_MARGIN
             hj, singular = monge_jet(jet)
             bad |= singular
-            h, k = relative_curvatures(hj)
+            h[...], k[...] = relative_curvatures(hj)
             bad |= ~(np.isfinite(h) & np.isfinite(k))
             h[bad] = k[bad] = np.nan
-            vertices[block], mask[block], res = channel(jet, hj, h, k, bad)
-        H[block], K[block] = h, k
+            xyz, res = channel(jet, hj, h, k, bad)
+        points[..., 0], points[..., 1], points[..., 2] = xyz
         if res is not None:
             if residual is None:
                 residual = np.empty((nu, nv))
             residual[block] = res
+            residual[block][bad] = np.nan
     if np.isnan(H).all():  # H is NaN exactly where the surface is masked
         raise EmptyGrid(f"{spec.family_id}: every grid node is masked")
     return MeshGrid(us=us, vs=vs, vertices=vertices, mask=mask, H=H, K=K, residual=residual)
@@ -472,9 +475,7 @@ def sample_grid(spec: FamilySpec, nu: int, nv: int, a: float | None = None,
     euclidean = ratio_kind(spec) == "euclidean"
 
     def ratio_residual(jet, hj, H, K, bad):
-        residual = ratio_law_residual(hj, H, K, a, euclidean)
-        residual[bad] = np.nan
-        return jet.r, bad, residual
+        return jet.r, ratio_law_residual(hj, H, K, a, euclidean)
 
     return _sample(spec, nu, nv, ratio_residual, heights)
 
@@ -489,7 +490,8 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
     def dual_points(jet, hj, H, K, bad):
         points = dual_surface_point(hj)
         # the dual surface degenerates where K = 0
-        return points, bad | ~_finite_rows(points) | ~(np.abs(K) >= K_EPS), None
+        bad |= ~_finite_rows(points) | ~(np.abs(K) >= K_EPS)
+        return points, None
 
     grid = _sample(spec, nu, nv, dual_points)
     if grid.mask.all():

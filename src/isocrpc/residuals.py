@@ -124,19 +124,20 @@ def discriminant_identity_check(a: float, gp, L0, L1, Y) -> OdeResidual:
     return OdeResidual(lhs, rhs)
 
 
-def _tin_normal_form(a: float, u, v):
-    """iso_noniso profile jets hidden in the mixed translational chart.
+def _tin_normal_form(a: float, v, r, rv, rvv):
+    """iso_noniso profile jets hidden in the mixed translational chart, from
+    its components r, rv and rvv at (u, v).
 
     The chart straightens to (X, -t + g(X), f(t)) with t = (b^2-1) u,
     X = v + b cos v, f(t) = exp(t/(b^2-1)) and g the height of the
     non-isotropic generator over X: f', f'' are the chart's z over B2, B2^2,
-    and g', g'' quotients of its y_v, y_vv, x_v, x_vv. Elementwise in u and v.
+    and g', g'' quotients of its y_v, y_vv, x_v, x_vv. Elementwise; a
+    degenerate generator at v is refused before the components are read.
     """
     b, B2, s, _c, beta = _tin_profile(a, v)
     if np.any((np.abs(1.0 - b * s) < 1e-12) | (np.abs(beta) < 1e-12)):
         raise DegenerateInput("generator parameterization is singular there")
-    (_x, _y, z), _ru, (xp, yp, _zv), _ruu, _ruv, (xpp, ypp, _zvv) = _trans_iso_noniso(
-        {"a": a}, u, v)
+    (xp, yp, _zv), (xpp, ypp, _zvv), z = rv, rvv, r[2]
     return z / B2, z / (B2 * B2), yp / xp, (ypp * xp - yp * xpp) / xp ** 3
 
 
@@ -149,20 +150,20 @@ def _tin_normal_form(a: float, u, v):
 
 def _rotational(spec, U, V, jet):
     # principal curvatures h'' and h'/u of the profile, scaled by u
-    return principal_ratio_residual(U * jet.ruu[..., 2], jet.ru[..., 2],
+    return principal_ratio_residual(U * jet.ruu[2], jet.ru[2],
                                     ratio_for_residual(spec))
 
 
 def _euclidean_rotational(spec, U, V, jet):
     # Euclidean principal curvatures h''/w^3 and h'/(u w), w^2 = 1 + h'^2,
     # scaled by u w^3: the profile law u h'' = a h' (1 + h'^2)
-    hp = jet.ru[..., 2]
-    return principal_ratio_residual(U * jet.ruu[..., 2], hp * (1.0 + hp * hp), spec.params["a"])
+    hp = jet.ru[2]
+    return principal_ratio_residual(U * jet.ruu[2], hp * (1.0 + hp * hp), spec.params["a"])
 
 
 def _helical(spec, U, V, jet):
     return np.abs(helical_ode_residual(
-        jet.ru[..., 2], jet.ruu[..., 2], U, ratio_for_residual(spec)).normalized)
+        jet.ru[2], jet.ruu[2], U, ratio_for_residual(spec)).normalized)
 
 
 def _helical_general(spec, U, V, jet):
@@ -174,18 +175,22 @@ def _helical_general(spec, U, V, jet):
 
 
 def _two_iso(spec, U, V, jet):
+    # the quadric charts give f'' and g'' as constants, read at every node;
     # on the paraboloid f''/g'' is 1/a: for |a| below about 1e-154 both sides
     # overflow, and the residual is NaN, as the ratio residual of so flat a
     # grid is
+    fpp, gpp = np.broadcast_arrays(U, jet.ruu[2], jet.rvv[2])[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(two_iso_residual(spec.params["a"], jet.ruu[..., 2],
-                                       jet.rvv[..., 2]).normalized)
+        return np.abs(two_iso_residual(spec.params["a"], fpp, gpp).normalized)
 
 
 def _iso_noniso(spec, U, V, jet):
-    a = spec.params["a"]
-    fp, fpp, gp, gpp = _tin_normal_form(a, U, V)
-    return np.abs(iso_noniso_residual(a, fp, fpp, gp, gpp).normalized)
+    a, r, rv, rvv = spec.params["a"], jet.r, jet.rv, jet.rvv
+    if spec.family_id == "dual_trans_iso_noniso":
+        # the identity of the primal chart, run as evaluate runs it
+        with np.errstate(all="ignore"):
+            r, _ru, rv, _ruu, _ruv, rvv = _trans_iso_noniso(spec.params, U, V)
+    return np.abs(iso_noniso_residual(a, *_tin_normal_form(a, V, r, rv, rvv)).normalized)
 
 
 def _noniso_noniso(spec, U, V, jet):
@@ -197,7 +202,7 @@ def _noniso_noniso(spec, U, V, jet):
 def _right_conoid(spec, U, V, jet):
     # the right conoid z = phi(v) meets the target c where phi''^2 = -4 c phi'^2;
     # a nearly flat spiral overflows phi', and the residual is NaN there
-    php, phpp, c = jet.rv[..., 2], jet.rvv[..., 2], crpc_target(spec.params["a"])
+    php, phpp, c = jet.rv[2], jet.rvv[2], crpc_target(spec.params["a"])
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(OdeResidual(phpp * phpp, -4.0 * c * php * php).normalized)
 
@@ -224,5 +229,5 @@ def family_ode_residual(spec: FamilySpec, u, v):
     equation overflows gives NaN instead. spec comes from make_spec, so its
     family is in the catalog, which EQUATIONS covers.
     """
-    U, V = np.asarray(u, float), np.asarray(v, float)
+    U, V = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
     return EQUATIONS[spec.family_id](spec, U, V, evaluate(spec, U, V, check=False, heights=False))

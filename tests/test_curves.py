@@ -96,7 +96,7 @@ def test_rk4_inner_stages_run_no_height_quadrature(monkeypatch):
 
 def _floats(jet):
     """The 18 floats of a one-point jet, as a trace stage reads them."""
-    return [c for f in dataclasses.fields(jet) for c in getattr(jet, f.name).tolist()]
+    return [float(c) for f in dataclasses.fields(jet) for c in getattr(jet, f.name)]
 
 
 def _reference_trace(spec, seed, kind, steps, dt):

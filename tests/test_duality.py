@@ -124,7 +124,7 @@ def assert_jet_matches_pointwise(jet_fn, U, V, dj):
         one = pointwise_dual_jet(jet_fn, float(U[idx]), float(V[idx]))
         for name, rtol in [("r", 1e-13), ("ru", 1e-13), ("rv", 1e-13),
                            ("ruu", 1e-10), ("ruv", 1e-10), ("rvv", 1e-10)]:
-            x, y = one[name], getattr(dj, name)[idx]
+            x, y = one[name], getattr(dj, name)[(slice(None), *idx)]
             assert np.all(np.abs(y - x) <= rtol * np.maximum(1.0, np.abs(x))), (idx, name)
 
 
@@ -138,10 +138,10 @@ def test_batched_dual_jet_matches_scalar_calls(fid, params):
 
     U, V = np.meshgrid(us, vs, indexing="ij")
     dj = dual_map_jet(jet_fn, U, V)
-    assert dj.r.shape == dj.ruu.shape == (4, 4, 3)
+    assert dj.r.shape == dj.ruu.shape == (3, 4, 4)
     assert_jet_matches_pointwise(jet_fn, U, V, dj)
     flat = dual_map_jet(jet_fn, U.ravel(), V.ravel())
-    assert flat.rvv.shape == (16, 3)
+    assert flat.rvv.shape == (3, 16)
     assert_jet_matches_pointwise(jet_fn, U.ravel(), V.ravel(), flat)
 
 
@@ -150,17 +150,19 @@ def eleven_point_dual_jet(jet_fn, u, v):
     zero offsets along u and v, each weighted 0."""
     u, v = np.broadcast_arrays(np.asarray(u, float)[..., None], np.asarray(v, float)[..., None])
     steps = np.arange(-2, 3) * FD_STEP
-    jet = jet_fn(np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1),
-                 np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1))
+    U = np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1)
+    jet = jet_fn(U, np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1))
     du, dv = dual_velocity(jet)
     w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * FD_STEP)
+    centre = [[np.broadcast_to(c, U.shape)[..., 10] for c in getattr(jet, f)]
+              for f in ("r", "ru", "rv")]
     return {
-        "r": dual_from_tangent(jet.r[..., 10, :], jet.ru[..., 10, :], jet.rv[..., 10, :]),
-        "ru": du[..., 10, :], "rv": dv[..., 10, :],
-        "ruu": sum(wi * du[..., i, :] for i, wi in enumerate(w)),
-        "rvv": sum(wi * dv[..., 5 + i, :] for i, wi in enumerate(w)),
-        "ruv": 0.5 * (sum(wi * dv[..., i, :] for i, wi in enumerate(w))
-                      + sum(wi * du[..., 5 + i, :] for i, wi in enumerate(w))),
+        "r": dual_from_tangent(*centre),
+        "ru": du[..., 10], "rv": dv[..., 10],
+        "ruu": sum(wi * du[..., i] for i, wi in enumerate(w)),
+        "rvv": sum(wi * dv[..., 5 + i] for i, wi in enumerate(w)),
+        "ruv": 0.5 * (sum(wi * dv[..., i] for i, wi in enumerate(w))
+                      + sum(wi * du[..., 5 + i] for i, wi in enumerate(w))),
     }
 
 
@@ -176,7 +178,7 @@ def test_nine_point_dual_jet_matches_the_eleven_point_stencil_bit_for_bit(fid, p
 
     dj = dual_map_jet(jet_fn, U, V)
     for name, want in eleven_point_dual_jet(jet_fn, U, V).items():
-        assert getattr(dj, name).shape == want.shape == (3, 4, 3)
+        assert getattr(dj, name).shape == want.shape == (3, 3, 4)
         assert getattr(dj, name).tobytes() == want.tobytes(), (fid, name)
 
 
@@ -202,11 +204,12 @@ def test_batched_dual_jet_rejects_a_vertical_tangent():
 
 
 def test_dual_from_tangent_is_vectorized():
-    r = np.zeros((2, 3))
-    ru = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
-    rv = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, -1.0]])
-    assert_allclose(dual_from_tangent(r, ru, rv), [[2.0, 3.0, 0.0], [0.0, -1.0, 0.0]])
-    ru[1] = (0.0, 0.0, 1.0)
+    # two points, one a column; a field is a (3, N) array of components
+    r = np.zeros((3, 2))
+    ru = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]]).T
+    rv = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, -1.0]]).T
+    assert_allclose(dual_from_tangent(r, ru, rv), [[2.0, 0.0], [3.0, -1.0], [0.0, 0.0]])
+    ru[:, 1] = (0.0, 0.0, 1.0)
     with pytest.raises(NonAdmissiblePoint):
         dual_from_tangent(r, ru, rv)
 

@@ -308,21 +308,22 @@ def test_height_field_refuses_a_point_it_does_not_reach():
         f(1e8, 1.0)
 
 
-# --- jets filled field by field against the stacked construction -------------
+# --- jet fields: the chart's components, against the stacked layout ----------
 
-def _reference_stack(U, V, parts):
-    """_stack by np.stack of the components, each broadcast to the shape of (U, V)."""
-    shape = np.broadcast(U, V).shape
+def _reference_stack(U, V, jet):
+    """jet in the interleaved layout: each field one owned (..., 3) array of the
+    shape of (U, V), its components broadcast and stacked on the last axis."""
+    shape = np.broadcast(np.asarray(U), np.asarray(V)).shape
 
     def stack(x, y, z):
         return np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in (x, y, z)],
                         axis=-1)
-    return ParamJet2(*(stack(*xyz) for xyz in parts))
+    return ParamJet2(*(stack(*getattr(jet, f.name)) for f in dataclasses.fields(ParamJet2)))
 
 
 def _floats(jet):
     """The 18 floats of a one-point jet, field by field."""
-    return [c for f in dataclasses.fields(jet) for c in getattr(jet, f.name).tolist()]
+    return [float(c) for f in dataclasses.fields(jet) for c in getattr(jet, f.name)]
 
 
 def _chart_inputs(spec):
@@ -341,24 +342,44 @@ def _chart_inputs(spec):
 
 
 @pytest.mark.parametrize("fid", ALL_FAMILIES)
-def test_jet_fields_match_stacked_reference(fid, monkeypatch):
+def test_jet_fields_match_stacked_reference(fid):
+    # each field is the chart's (x, y, z): float64 arrays no larger than the
+    # nodes, numpy scalars or plain floats; stacked, they are the chart's values on the
+    # nodes broadcast in full, bit for bit
     spec = make_spec(fid)
     for U, V in _chart_inputs(spec):
+        shape = np.broadcast(np.asarray(U), np.asarray(V)).shape
         new = evaluate(spec, U, V, check=False)
-        with monkeypatch.context() as m:
-            m.setattr(isocrpc.families, "_stack", _reference_stack)
-            ref = evaluate(spec, U, V, check=False)
-        fields = [getattr(new, f.name) for f in dataclasses.fields(ParamJet2)]
-        for f, a in zip(dataclasses.fields(ParamJet2), fields):
-            b = getattr(ref, f.name)
-            assert type(a) is np.ndarray and a.flags.c_contiguous, f.name
-            assert a.shape == b.shape == np.broadcast(U, V).shape + (3,), f.name
-            assert a.dtype == b.dtype == np.float64, f.name
+        full = evaluate(spec, *np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float)),
+                        check=False)
+        for f in dataclasses.fields(ParamJet2):
+            xyz = getattr(new, f.name)
+            assert type(xyz) is tuple and len(xyz) == 3, f.name
+            for c in xyz:
+                assert type(c) in (float, np.float64, np.ndarray), f.name
+                assert np.asarray(c).dtype == np.float64, f.name
+                assert np.broadcast_shapes(np.shape(c), shape) == shape, f.name
+        for f in dataclasses.fields(ParamJet2):
+            a = getattr(_reference_stack(U, V, new), f.name)
+            b = getattr(_reference_stack(U, V, full), f.name)
+            assert a.shape == b.shape == shape + (3,) and a.dtype == b.dtype == np.float64, f.name
             nan = np.isnan(a)
             assert np.array_equal(nan, np.isnan(b)), f.name
             assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)), f.name
-        # one array per field: a mesh that keeps r keeps no other field alive
-        assert all(a.base is None for a in fields)
+
+
+def test_evaluate_materializes_nothing():
+    # a component keeps the shape the chart gave it: on a u column and a v
+    # row, one that reads u alone stays a column, and a constant a float
+    for fid in ("paraboloid", "spiral_ruled"):
+        u0, u1, v0, v1 = make_spec(fid).domain
+        axes = (np.linspace(u0, u1, 23)[:, None], np.linspace(v0, v1, 17)[None, :])
+        jet = evaluate(make_spec(fid), *axes, check=False)
+        if fid == "paraboloid":
+            assert jet.ru[:2] == (1.0, 0.0) and all(type(c) is float for c in jet.ru[:2])
+            assert type(jet.ru[2]) is np.ndarray and jet.ru[2].shape == (23, 1)
+        else:
+            assert type(jet.ruv[2]) is float and jet.ruv[2] == 0.0
 
 
 # --- the Euclidean profile: one quadrature per distinct u, and no state --------
@@ -385,10 +406,10 @@ def test_euclidean_profile_integrates_each_distinct_u_once_per_call(a, quad_call
     # repeats, and points off the profile: the axis, u < 0, its end r = 1, NaN
     U = np.concatenate([us, us[::-1], [0.0, -u1, 1.0, np.nan]])[:, None]
     V = np.array([v0, v1])
-    z = evaluate(spec, U, V, check=False).r[..., 2]
+    z = _reference_stack(U, V, evaluate(spec, U, V, check=False)).r[..., 2]
     assert sorted(quad_calls) == us.tolist()
     quad_calls.clear()
-    again = evaluate(spec, U, V, check=False).r[..., 2]
+    again = _reference_stack(U, V, evaluate(spec, U, V, check=False)).r[..., 2]
     assert sorted(quad_calls) == us.tolist()  # nothing is kept from the first call
     assert np.array_equal(z, again, equal_nan=True)
     assert np.isnan(z[len(us) * 2:]).all()
@@ -423,8 +444,8 @@ def test_without_heights_only_the_height_of_a_chart_point_changes(fid):
     cases = [(us[:, None], vs[None, :])] + [(float(u), float(v)) for u, v in zip(us[::4], vs)]
     for u, v in cases:
         with np.errstate(all="ignore"):
-            full = evaluate(spec, u, v, check=False)
-            bare = evaluate(spec, u, v, check=False, heights=False)
+            full = _reference_stack(u, v, evaluate(spec, u, v, check=False))
+            bare = _reference_stack(u, v, evaluate(spec, u, v, check=False, heights=False))
         assert np.array_equal(np.isfinite(full.r[..., 2]), np.isfinite(bare.r[..., 2]))
         if fid == "euclidean_rotational":  # the one chart with a stand-in height
             full.r[..., 2] = bare.r[..., 2]
@@ -616,6 +637,7 @@ def test_chart_on_its_axes_matches_the_meshgrid_bit_for_bit(fid, a, domain):
     U, V = np.meshgrid(us, vs, indexing="ij")
     axes = (us[:, None], vs[None, :])
     on_axes, on_grid = evaluate(spec, *axes, check=False), evaluate(spec, U, V, check=False)
+    on_axes, on_grid = _reference_stack(*axes, on_axes), _reference_stack(U, V, on_grid)
     for f in dataclasses.fields(ParamJet2):
         assert _same_bits(getattr(on_axes, f.name), getattr(on_grid, f.name)), f.name
     assert np.array_equal(hard_valid(spec, *axes), hard_valid(spec, U, V))

@@ -133,10 +133,11 @@ def test_one_admissibility_criterion(log_su, log_sv, angle, gap, zu, zv):
 
 
 def test_monge_jet_is_vectorized_and_raises_nothing():
+    # three points, one a row; a field is a (3, N) array of components
     ru = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [3.0, 1.0, 1.0]])
     rv = np.array([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
     zero = np.zeros((3, 3))
-    jet = ParamJet2(r=zero, ru=ru, rv=rv, ruu=zero, ruv=zero, rvv=zero)
+    jet = ParamJet2(r=zero, ru=ru.T, rv=rv.T, ruu=zero, ruv=zero, rvv=zero)
     hj, singular = geometry.monge_jet(jet)
     assert singular.tolist() == [False, True, False]
     assert_allclose([hj.fx[0], hj.fy[0]], [2.0, 3.0])
@@ -426,6 +427,11 @@ CHARACTERISTIC = ("characteristic+", "characteristic-")
 UNIT = "field direction is not a unit vector"
 
 
+def _jet_floats(jet):
+    """The 18 floats of a one-point jet, field by field."""
+    return [float(c) for f in PARAM_FIELDS for c in getattr(jet, f)]
+
+
 def _array_direction(jet, kind):
     """The direction of field kind by geometry's array functions, as a list."""
     hj = height_jet_from_param(jet)
@@ -466,7 +472,7 @@ def _stage(jet, kind, ref):
     """A trace stage's direction, as _outcome runs it: the seed's from the
     jet with ref None, else a later stage's from the jet's 18 floats; ref
     (0, 0) flips no sign."""
-    values = [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()]
+    values = _jet_floats(jet)
     with np.errstate(over="ignore", invalid="ignore"):
         return list(curves._field_direction(jet if ref is None else values, kind, ref)[0])
 
@@ -476,7 +482,7 @@ def assert_float_direction_matches(jet):
     (Python floats), or the same error class and message. The seed and a
     later stage give the array direction, or DegenerateJet where that is no
     unit vector."""
-    values = [c for f in PARAM_FIELDS for c in getattr(jet, f).tolist()]
+    values = _jet_floats(jet)
     for kind in TRACE_KINDS:
         want = _outcome(_array_direction, jet, kind)
         assert_same_outcome(_outcome(curves._float_direction, values, kind), want)
@@ -509,13 +515,11 @@ def test_float_direction_matches_the_array_functions_on_every_family(fid):
         u, v = u0 + (u1 - u0) * rng.random(), v0 + (v1 - v0) * rng.random()
         jets.append(evaluate(spec, u, v))
         assert_float_direction_matches(jets[-1])
-    # the five jets as one of (5, 3) fields: the array functions on (N,)
+    # the five jets as one of (3, 5) fields: the array functions on (N,)
     # arrays give each point's float direction too
-    batch = ParamJet2(*(np.stack([getattr(j, f) for j in jets]) for f in PARAM_FIELDS))
+    batch = ParamJet2(*(np.stack([getattr(j, f) for j in jets], axis=-1) for f in PARAM_FIELDS))
     for kind in TRACE_KINDS:
-        want = [_outcome(curves._float_direction,
-                         [c for f in PARAM_FIELDS for c in getattr(j, f).tolist()], kind)
-                for j in jets]
+        want = [_outcome(curves._float_direction, _jet_floats(j), kind) for j in jets]
         if all(isinstance(d, tuple) and type(d[0]) is float for d in want):
             assert_same_bits(np.array(_array_direction(batch, kind)), np.array(want))
 

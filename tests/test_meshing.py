@@ -1,5 +1,6 @@
 """Grid sampling, singularity masking, and OBJ export."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -17,11 +18,12 @@ from isocrpc.duality import dual_surface_point
 from isocrpc.errors import EmptyGrid, GeometryError, InvalidParams, NonAdmissiblePoint
 from isocrpc.families import (SINGULAR_MARGIN, evaluate, hard_valid, make_spec,
                               ratio_for_residual, ratio_kind, singular_distance)
-from isocrpc.geometry import (K_EPS, crpc_target, euclidean_curvatures, height_jet_from_param,
-                              monge_jet, principal_ratio_residual, relative_curvatures)
+from isocrpc.geometry import (K_EPS, ParamJet2, crpc_target, euclidean_curvatures,
+                              height_jet_from_param, monge_jet, principal_ratio_residual,
+                              relative_curvatures)
 from isocrpc.meshing import (MeshGrid, dual_grid, fmt_float, format_rows, obj_text, sample_grid,
                              write_text)
-from test_families import quad_calls  # noqa: F401 (a fixture)
+from test_families import _reference_stack, quad_calls  # noqa: F401 (a fixture)
 from test_residuals import FAMILY_CASES
 
 LOCUS = math.atan(math.sqrt(2.0))  # radial turning point of helical_general a=2
@@ -406,16 +408,24 @@ def test_write_text_hands_the_file_slices(monkeypatch):
 JET_FIELDS = ("r", "ru", "rv", "ruu", "ruv", "rvv")
 
 
+def _reference_monge(U, V, jet):
+    """jet in the interleaved layout, (..., 3) fields of the shape of (U, V),
+    and monge_jet run on their [..., i] views, as (fields, hj, singular)."""
+    stacked = _reference_stack(U, V, jet)
+    views = ParamJet2(*(tuple(getattr(stacked, f)[..., i] for i in range(3)) for f in JET_FIELDS))
+    return (stacked, *monge_jet(views))
+
+
 def _reference_masks(spec, jet, U, V):
     """sample_grid's and dual_grid's masks, with every test over the last axis."""
     bad = ~hard_valid(spec, U, V) | (singular_distance(spec, U, V) < SINGULAR_MARGIN)
     with np.errstate(all="ignore"):
+        stacked, hj, singular = _reference_monge(U, V, jet)
         for field in JET_FIELDS:
-            bad |= ~np.all(np.isfinite(getattr(jet, field)), axis=-1)
-        hj, singular = monge_jet(jet)
+            bad |= ~np.all(np.isfinite(getattr(stacked, field)), axis=-1)
         H, K = relative_curvatures(hj)
         bad |= singular | ~(np.isfinite(H) & np.isfinite(K))
-        dual = bad | ~np.all(np.isfinite(dual_surface_point(hj)), axis=-1)
+        dual = bad | ~np.all(np.isfinite(np.stack(dual_surface_point(hj), axis=-1)), axis=-1)
     return bad, dual | ~(np.abs(K) >= K_EPS)
 
 
@@ -433,7 +443,13 @@ def test_one_bad_component_masks_as_the_trailing_axis_reduction(field, value, mo
 
     def poisoned(spec, U, V, check=True, heights=True):
         jet = evaluate(spec, U, V, check=check, heights=heights)
-        getattr(jet, field)[(*np.unravel_index(nodes, (nu, nv)), comps)] = value
+        # a poisoned component is replaced by a copy broadcast to the grid
+        xyz = list(getattr(jet, field))
+        ii, jj = np.unravel_index(nodes, (nu, nv))
+        for c in np.unique(comps):
+            xyz[c] = np.array(np.broadcast_to(xyz[c], (nu, nv)), float)
+            xyz[c][ii[comps == c], jj[comps == c]] = value
+        jet = dataclasses.replace(jet, **{field: tuple(xyz)})
         jets.append(jet)
         return jet
 
@@ -527,7 +543,7 @@ def _meshgrid_reference(spec, nu, nv):
     bad, bad_dual = _reference_masks(spec, jet, U, V)
     a = ratio_for_residual(spec)
     with np.errstate(all="ignore"):
-        hj, _singular = monge_jet(jet)
+        stacked, hj, _singular = _reference_monge(U, V, jet)
         H, K = relative_curvatures(hj)
         H[bad] = K[bad] = np.nan
         if ratio_kind(spec) == "euclidean":
@@ -535,7 +551,8 @@ def _meshgrid_reference(spec, nu, nv):
         else:
             residual = np.where(np.abs(K) < K_EPS, np.nan, H * H / K - crpc_target(a))
         residual[bad] = np.nan
-        return (jet.r, bad, H, K, residual), (dual_surface_point(hj), bad_dual, H, K, None)
+        return ((stacked.r, bad, H, K, residual),
+                (np.stack(dual_surface_point(hj), axis=-1), bad_dual, H, K, None))
 
 
 AXIS_CASES = {f"{fid}-{params}": (fid, params, None) for fid, params in FAMILY_CASES}

@@ -1,5 +1,6 @@
 """Residuals of the generating ODEs and identities behind the families."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isocrpc.families
+import isocrpc.residuals
 from isocrpc.duality import dual_curvature_check, dual_law_deviation
 from isocrpc.errors import DegenerateInput, InvalidParams
 from isocrpc.families import evaluate, family_ids, make_spec
@@ -82,11 +85,40 @@ def test_two_iso_constant_hessians_always_satisfy(a, c):
     assert abs(r.normalized) <= 1e-12
 
 
+def _tin_chart(a, u, v):
+    """The components r, rv and rvv of the mixed translational chart at (u, v)."""
+    r, _ru, rv, _ruu, _ruv, rvv = isocrpc.families._trans_iso_noniso({"a": a}, u, v)
+    return r, rv, rvv
+
+
 def test_iso_noniso_chart_profile_satisfies():
     for u, v in [(0.1, 0.4), (0.3, 1.0), (-0.2, 2.0)]:
-        fp, fpp, gp, gpp = _tin_normal_form(2.0, u, v)
+        fp, fpp, gp, gpp = _tin_normal_form(2.0, v, *_tin_chart(2.0, u, v))
         r = iso_noniso_residual(2.0, fp, fpp, gp, gpp)
         assert abs(r.normalized) <= 1e-8
+
+
+@pytest.mark.parametrize("fid", ["trans_iso_noniso", "dual_trans_iso_noniso"])
+def test_the_ode_column_runs_the_mixed_translational_chart_once(fid, monkeypatch):
+    # trans_iso_noniso reads the jet family_ode_residual evaluated; the dual
+    # builds its primal chart once, beside its own
+    calls = []
+    chart = isocrpc.families._trans_iso_noniso
+
+    def counted(*args):
+        calls.append(args)
+        return chart(*args)
+
+    entry = dataclasses.replace(isocrpc.families.catalog_entry("trans_iso_noniso"), jets=counted)
+    monkeypatch.setitem(isocrpc.families._REGISTRY, "trans_iso_noniso", entry)
+    monkeypatch.setattr(isocrpc.families, "_trans_iso_noniso", counted)
+    monkeypatch.setattr(isocrpc.residuals, "_trans_iso_noniso", counted)
+    spec = make_spec(fid, {"a": 2.0})
+    u0, u1, v0, v1 = spec.domain
+    rng = np.random.default_rng(35)
+    us, vs = rng.uniform(u0, u1, 64), rng.uniform(v0, v1, 64)
+    residual = family_ode_residual(spec, us, vs)
+    assert len(calls) == 1 and residual.shape == (64,) and (residual <= 1e-8).all()
 
 
 @pytest.mark.parametrize("a", [-3.0, -1.0, 2.0, 5.0])
@@ -105,7 +137,7 @@ def test_normal_form_meets_a_hand_derivation_of_the_generator(a):
     Gp = num / beta
     Gpp = (nump * beta + num * c) / (beta * beta)
     want = (np.exp(u) / B2, np.exp(u) / (B2 * B2), Gp / xp, (Gpp * xp - Gp * xpp) / xp ** 3)
-    for got, hand in zip(_tin_normal_form(a, u, v), want):
+    for got, hand in zip(_tin_normal_form(a, v, *_tin_chart(a, u, v)), want):
         np.testing.assert_allclose(got, hand, rtol=1e-12, atol=0.0)
 
 
@@ -311,8 +343,8 @@ def test_helpers_on_arrays_match_their_scalar_calls():
         r = residual(a, *args(x))
         same((r.lhs, r.rhs), [
             (q.lhs, q.rhs) for q in (residual(a, *args(c)) for c in x.T.tolist())])
-    same(_tin_normal_form(a, x[0], x[1]),
-         [_tin_normal_form(a, u, v) for u, v in zip(x[0].tolist(), x[1].tolist())])
+    same(_tin_normal_form(a, x[1], *_tin_chart(a, x[0], x[1])),
+         [_tin_normal_form(a, v, *_tin_chart(a, u, v)) for u, v in zip(x[0].tolist(), x[1].tolist())])
 
 
 def _tin_at_its_pole(us, vs):
@@ -324,7 +356,8 @@ def _tin_at_its_pole(us, vs):
     lambda: two_iso_residual(2.0, np.array([1.0, 0.0]), np.ones(2)),
     lambda: iso_noniso_residual(2.0, np.array([1.0, 0.0]), 1.0, 0.5, np.ones(2)),
     lambda: noniso_noniso_residual(2.0, np.array([0.5, 1.0]), 1.0, 1.0, 1.0),
-    lambda: _tin_normal_form(-3.0, np.array([0.1, 0.1]), np.array([0.3, math.pi / 6.0])),
+    lambda: _tin_normal_form(-3.0, np.array([0.3, math.pi / 6.0]),
+                             *_tin_chart(-3.0, np.array([0.1, 0.1]), np.array([0.3, math.pi / 6.0]))),
     lambda: _tin_at_its_pole(np.array([0.1, 0.1, 0.1]), np.array([0.3, math.pi / 6.0, 0.5])),
 ], ids=["two_iso", "iso_noniso", "noniso_noniso", "tin_normal_form", "family_ode_residual"])
 def test_one_degenerate_element_raises(call):
