@@ -281,15 +281,17 @@ def cmd_list(cfg: argparse.Namespace) -> int:
 def cmd_generate(cfg: argparse.Namespace) -> int:
     spec = _spec_from_cfg(cfg)
     grid = sample_grid(spec, *cfg.res)
-    _write_text(obj_text(grid), cfg.out)
+    quads = grid.quad_indices()
+    _write_text(obj_text(grid.vertex_rows(), quads), cfg.out)
     st = grid.stats()
-    print(f"{spec.family_id}: {st['n_valid']} vertices, {len(grid.quads)} quads, "
+    print(f"{spec.family_id}: {st['n_valid']} vertices, {len(quads)} quads, "
           f"{st['n_masked']} nodes masked", file=sys.stderr)
     return 0
 
 
 def cmd_dual(cfg: argparse.Namespace) -> int:
-    _write_text(obj_text(dual_grid(_spec_from_cfg(cfg), *cfg.res)), cfg.out)
+    grid = dual_grid(_spec_from_cfg(cfg), *cfg.res)
+    _write_text(obj_text(grid.vertex_rows(), grid.quad_indices()), cfg.out)
     return 0
 
 

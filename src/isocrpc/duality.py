@@ -51,15 +51,17 @@ def dual_surface_point(hj: Jet2Height):
     return _plane_point(hj.x0, hj.y0, hj.f, hj.fx, hj.fy)
 
 
-def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
-    """Exact chart derivatives (3, ...) of the dual map from the primal 2-jet.
+def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact 1-jet (D, D_u, D_v) of the dual map from the primal 2-jet, each (3, ...).
 
     With D = (fx, fy, x fx + y fy - f), the height gradient's chain rule
     cancels the -f term, so D_u = (A, B, x A + y B) where (A, B) is the
     Hessian applied to the top view of r_u; same for D_v. Needs no third
-    derivatives of the primal surface.
+    derivatives of the primal surface. Raises NonAdmissiblePoint where a
+    point is not admissible.
     """
     hj = height_jet_from_param(jet)
+    d = np.stack(np.broadcast_arrays(*dual_surface_point(hj)))
     (xu, yu, _zu), (xv, yv, _zv) = jet.ru, jet.rv
     au = hj.fxx * xu + hj.fxy * yu
     bu = hj.fxy * xu + hj.fyy * yu
@@ -67,7 +69,7 @@ def dual_velocity(jet: ParamJet2) -> tuple[np.ndarray, np.ndarray]:
     bv = hj.fxy * xv + hj.fyy * yv
     du = np.stack(np.broadcast_arrays(au, bu, hj.x0 * au + hj.y0 * bu))
     dv = np.stack(np.broadcast_arrays(av, bv, hj.x0 * av + hj.y0 * bv))
-    return du, dv
+    return d, du, dv
 
 
 def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) -> ParamJet2:
@@ -94,14 +96,13 @@ def dual_map_jet(jet_fn: Callable[[np.ndarray, np.ndarray], ParamJet2], u, v) ->
     U = np.concatenate([u + steps, np.repeat(u, 5, axis=-1)], axis=-1)
     V = np.concatenate([np.repeat(v, 4, axis=-1), v + steps, v], axis=-1)
     jet = jet_fn(U, V)
-    du, dv = dual_velocity(jet)
-    r = dual_from_tangent(jet.r, jet.ru, jet.rv)[..., 8]
+    d, du, dv = dual_velocity(jet)
     w1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * FD_STEP)
     ruu = sum(w * du[..., i] for i, w in enumerate(w1))
     rvv = sum(w * dv[..., 4 + i] for i, w in enumerate(w1))
     ruv = 0.5 * (sum(w * dv[..., i] for i, w in enumerate(w1))
                  + sum(w * du[..., 4 + i] for i, w in enumerate(w1)))
-    return ParamJet2(r=r, ru=du[..., 8], rv=dv[..., 8], ruu=ruu, ruv=ruv, rvv=rvv)
+    return ParamJet2(r=d[..., 8], ru=du[..., 8], rv=dv[..., 8], ruu=ruu, ruv=ruv, rvv=rvv)
 
 
 def dual_law_deviation(spec: FamilySpec, u, v, H, K) -> tuple[float, float]:

@@ -238,14 +238,23 @@ def euclidean_curvatures(j: Jet2Height):
     """
     fx = np.asarray(j.fx, float)
     fy = np.asarray(j.fy, float)
-    w2 = 1.0 + fx * fx + fy * fy
+    fx2, fy2 = fx * fx, fy * fy
+    w2 = 1.0 + fx2 + fy2
     w = np.sqrt(w2)
     K_e = (j.fxx * j.fyy - j.fxy ** 2) / (w2 * w2)
-    H_e = ((1.0 + fx * fx) * j.fyy - 2.0 * fx * fy * j.fxy
-           + (1.0 + fy * fy) * j.fxx) / (2.0 * w2 * w)
-    disc = np.maximum(H_e * H_e - K_e, 0.0)
-    root = np.sqrt(disc)
-    return K_e, H_e, H_e + root, H_e - root
+    H_e = ((1.0 + fx2) * j.fyy - 2.0 * fx * fy * j.fxy + (1.0 + fy2) * j.fxx) / (2.0 * w2 * w)
+    # k1, k2 are the eigenvalues of S = A Hess A / w, A = g^(-1/2) = I - c grad grad^T,
+    # c = 1/(w (w + 1)): A Hess A = Hess - c (grad s^T + s grad^T) with
+    # s = t - (c/2) (grad . t) grad, t = Hess grad, divides by no |grad|, and the
+    # half-gap of S, as on the isotropic path, keeps its digits at an umbilic
+    c = 1.0 / (w2 + w)
+    tx, ty = j.fxx * fx + j.fxy * fy, j.fxy * fx + j.fyy * fy
+    e = 0.5 * c * (fx * tx + fy * ty)
+    sx, sy = tx - e * fx, ty - e * fy
+    p = 0.5 * (j.fxx - j.fyy) - c * (fx * sx - fy * sy)
+    q = j.fxy - c * (fx * sy + fy * sx)
+    half_gap = np.hypot(p, q) / w
+    return K_e, H_e, H_e + half_gap, H_e - half_gap
 
 
 def principal_ratio_residual(k1, k2, a):

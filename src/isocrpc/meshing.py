@@ -345,14 +345,6 @@ class MeshGrid:
     K: np.ndarray
     residual: np.ndarray | None
 
-    @property
-    def nu(self) -> int:
-        return len(self.us)
-
-    @property
-    def nv(self) -> int:
-        return len(self.vs)
-
     def vertex_rows(self) -> np.ndarray:
         """Unmasked vertices, row-major in (u, v)."""
         return self.vertices[~self.mask]
@@ -364,19 +356,11 @@ class MeshGrid:
         row-major in (i, j). A quad with a masked corner is left out.
         """
         valid = ~self.mask
-        idx = np.zeros((self.nu, self.nv), dtype=int)  # 0 = masked
+        idx = np.zeros(self.mask.shape, dtype=int)  # 0 = masked
         idx[valid] = np.arange(1, int(valid.sum()) + 1)
         corners = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:])
         whole = valid[corners[0]] & valid[corners[1]] & valid[corners[2]] & valid[corners[3]]
         return np.stack([idx[c][whole] for c in corners], axis=-1)
-
-    @functools.cached_property
-    def quads(self) -> np.ndarray:
-        """quad_indices(), computed once per grid.
-
-        quad_indices stays a plain method, which perfbench's tracer wraps.
-        """
-        return self.quad_indices()
 
     def stats(self) -> dict:
         """Node counts, max |H| and, on a grid with a residual channel, its
@@ -500,7 +484,6 @@ def dual_grid(spec: FamilySpec, nu: int, nv: int) -> MeshGrid:
     return grid
 
 
-def obj_text(grid: MeshGrid) -> str:
-    """Wavefront OBJ text: unmasked vertices row-major, whole quads as faces."""
-    return "".join([*format_rows("v ", " ", grid.vertex_rows()),
-                    *format_rows("f ", " ", grid.quads)])
+def obj_text(vertices: np.ndarray, quads: np.ndarray) -> str:
+    """Wavefront OBJ text of a quad mesh: (n, 3) vertices, (m, 4) one-based faces."""
+    return "".join([*format_rows("v ", " ", vertices), *format_rows("f ", " ", quads)])

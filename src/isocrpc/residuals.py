@@ -60,11 +60,11 @@ def two_iso_residual(a: float, fpp, gpp) -> OdeResidual:
     Elementwise. Raises DegenerateInput where f'' g'' = 0 at any point
     (the ratio is undefined there).
     """
-    crpc_target(a)
+    c = 4.0 * crpc_target(a)
     if np.any((fpp == 0.0) | (gpp == 0.0)):
         raise DegenerateInput("f'' g'' = 0: flat generator, ratio undefined")
     ratio = fpp / gpp
-    return OdeResidual((1.0 + ratio) ** 2, (a + 1.0) ** 2 / a * ratio)
+    return OdeResidual((1.0 + ratio) ** 2, c * ratio)
 
 
 def iso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
@@ -74,13 +74,13 @@ def iso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
 
     Elementwise. Raises DegenerateInput where f' f'' g'' = 0 at any point.
     """
-    crpc_target(a)
+    c = 4.0 * crpc_target(a)
     if np.any(fp == 0.0):
         raise DegenerateInput("f' = 0: chart is not a graph there")
     if np.any((fpp == 0.0) | (gpp == 0.0)):
         raise DegenerateInput("f' f'' g'' = 0: ratio undefined")
     ratio = fpp / fp
-    return OdeResidual(((1.0 + gp * gp) * ratio + gpp) ** 2, (a + 1.0) ** 2 / a * ratio * gpp)
+    return OdeResidual(((1.0 + gp * gp) * ratio + gpp) ** 2, c * ratio * gpp)
 
 
 def noniso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
@@ -91,13 +91,13 @@ def noniso_noniso_residual(a: float, fp, fpp, gp, gpp) -> OdeResidual:
     Elementwise. Raises DegenerateInput where f' = g' (a vertical tangent
     plane) or f'' g'' = 0 at any point.
     """
-    crpc_target(a)
+    c = 4.0 * crpc_target(a)
     if np.any(fp == gp):
         raise DegenerateInput("f' = g': tangent plane is vertical there")
     if np.any((fpp == 0.0) | (gpp == 0.0)):
         raise DegenerateInput("f'' g'' = 0: ratio undefined")
     lhs = ((1.0 + fp * fp) * gpp + (1.0 + gp * gp) * fpp) ** 2
-    return OdeResidual(lhs, (a + 1.0) ** 2 / a * fpp * gpp * (fp - gp) ** 2)
+    return OdeResidual(lhs, c * fpp * gpp * (fp - gp) ** 2)
 
 
 def discriminant_identity_check(a: float, gp, L0, L1, Y) -> OdeResidual:

@@ -334,6 +334,34 @@ def test_verify_passes_euclidean_rotational_at_a_small_ratio(tmp_path):
     assert len(rows) == 2 and all(row.endswith(",PASS") for row in rows)
 
 
+def test_verify_passes_euclidean_rotational_at_its_umbilic_ratio(tmp_path):
+    # a = 1 is the sphere, umbilic everywhere
+    out = tmp_path / "v.csv"
+    rc = main(["verify", "--family", "euclidean_rotational", "--a", "1", "--res", "50x50",
+               "--out", str(out)])
+    row = out.read_text().splitlines()[1].split(",")
+    assert rc == 0 and row[-1] == "PASS"
+    assert float(row[4]) <= 1e-14
+
+
+def test_generate_refuses_a_non_finite_parameter(tmp_path, capsys):
+    out = tmp_path / "m.obj"
+    rc = main(["generate", "--family", "helical_log", "--params", "c=inf", "--res", "3x3",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: helical_log: parameter 'c' must be finite, got inf\n"
+    assert not out.exists()
+
+
+def test_verify_skips_a_non_finite_parameter(tmp_path, capsys):
+    rc = main(["verify", "--family", "helical_log", "--params", "c=nan", "--res", "3x3",
+               "--out", str(tmp_path / "v.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "verify: skipped helical_log c=nan: helical_log: parameter 'c' must be finite, got nan",
+        "verify: no valid (family, a) combination"]
+
+
 # --- trace ----------------------------------------------------------------------
 
 def test_trace_family_alias_and_csv(tmp_path):

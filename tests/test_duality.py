@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import isocrpc.duality
+import isocrpc.geometry
 from isocrpc.duality import (
     conjugate_geodesic_net_check,
     dual_curvature_check,
@@ -15,7 +17,7 @@ from isocrpc.duality import (
     line_fit_residual,
 )
 from isocrpc.errors import NonAdmissiblePoint
-from isocrpc.families import evaluate, make_spec
+from isocrpc.families import evaluate, family_ids, make_spec
 from isocrpc.geometry import (
     FD_STEP,
     Jet2Height,
@@ -64,7 +66,7 @@ def test_vertical_tangent_has_no_dual():
 def test_dual_velocity_matches_finite_differences():
     spec = make_spec("trans_paraboloid", {"a": 2.0})
     u, v, h = 0.3, -0.2, 1e-6
-    du, dv = dual_velocity(evaluate(spec, u, v))
+    _, du, dv = dual_velocity(evaluate(spec, u, v))
     fd_u = (_chart_dual(evaluate(spec, u + h, v))
             - _chart_dual(evaluate(spec, u - h, v))) / (2 * h)
     fd_v = (_chart_dual(evaluate(spec, u, v + h))
@@ -109,13 +111,13 @@ def pointwise_dual_jet(jet_fn, u, v, h=1e-4):
     vel_u = [dual_velocity(jet_fn(u + (i - 2) * h, v)) for i in range(5)]
     vel_v = [dual_velocity(jet_fn(u, v + (k - 2) * h)) for k in range(5)]
     center = jet_fn(u, v)
-    ru, rv = dual_velocity(center)
+    _, ru, rv = dual_velocity(center)
     return {
         "r": _chart_dual(center), "ru": ru, "rv": rv,
-        "ruu": sum(wi * d[0] for wi, d in zip(w, vel_u)),
-        "rvv": sum(wi * d[1] for wi, d in zip(w, vel_v)),
-        "ruv": 0.5 * (sum(wi * d[1] for wi, d in zip(w, vel_u))
-                      + sum(wi * d[0] for wi, d in zip(w, vel_v))),
+        "ruu": sum(wi * d[1] for wi, d in zip(w, vel_u)),
+        "rvv": sum(wi * d[2] for wi, d in zip(w, vel_v)),
+        "ruv": 0.5 * (sum(wi * d[2] for wi, d in zip(w, vel_u))
+                      + sum(wi * d[1] for wi, d in zip(w, vel_v))),
     }
 
 
@@ -152,7 +154,7 @@ def eleven_point_dual_jet(jet_fn, u, v):
     steps = np.arange(-2, 3) * FD_STEP
     U = np.concatenate([u + steps, np.repeat(u, 6, axis=-1)], axis=-1)
     jet = jet_fn(U, np.concatenate([np.repeat(v, 5, axis=-1), v + steps, v], axis=-1))
-    du, dv = dual_velocity(jet)
+    _, du, dv = dual_velocity(jet)
     w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * FD_STEP)
     centre = [[np.broadcast_to(c, U.shape)[..., 10] for c in getattr(jet, f)]
               for f in ("r", "ru", "rv")]
@@ -180,6 +182,27 @@ def test_nine_point_dual_jet_matches_the_eleven_point_stencil_bit_for_bit(fid, p
     for name, want in eleven_point_dual_jet(jet_fn, U, V).items():
         assert getattr(dj, name).shape == want.shape == (3, 3, 4)
         assert getattr(dj, name).tobytes() == want.tobytes(), (fid, name)
+
+
+@pytest.mark.parametrize("fid", family_ids())
+def test_dual_jet_point_is_the_chart_tangent_dual_bit_for_bit(fid):
+    spec = make_spec(fid)
+    U, V = np.meshgrid(*grid(spec, n=4), indexing="ij")
+    dj = dual_map_jet(lambda uu, vv: evaluate(spec, uu, vv, check=False), U, V)
+    assert dj.r.tobytes() == _chart_dual(evaluate(spec, U, V, check=False)).tobytes()
+
+
+def test_dual_jet_runs_the_monge_conversion_once(monkeypatch):
+    calls = []
+    for module in (isocrpc.geometry, isocrpc.duality):
+        def counted(ru, rv, _fn=module.monge_gradient):
+            calls.append(1)
+            return _fn(ru, rv)
+        monkeypatch.setattr(module, "monge_gradient", counted)
+    spec = make_spec("trans_paraboloid", {"a": 2.0})
+    dual_map_jet(lambda uu, vv: evaluate(spec, uu, vv, check=False),
+                 np.array([0.4, 0.6]), np.array([0.1, 0.3]))
+    assert len(calls) == 1
 
 
 def test_scalar_dual_jet_has_vector_fields():

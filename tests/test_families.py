@@ -74,6 +74,12 @@ def test_make_spec_rejects_bad_input():
         make_spec("paraboloid", domain=(0.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_make_spec_refuses_a_non_finite_parameter(value):
+    with pytest.raises(InvalidParams, match="parameter 'c' must be finite"):
+        make_spec("helical_log", {"c": value})
+
+
 @pytest.mark.parametrize("domain", [
     (0.5, 0.5, 0.0, 1.0), (0.5, 1.0, 2.0, 2.0),
     # reversed boxes

@@ -290,6 +290,21 @@ def test_euclidean_curvatures_on_round_sphere():
     assert r2 < 1.0  # the chart point really is on the upper hemisphere
 
 
+def test_euclidean_principal_curvatures_of_the_unit_sphere_keep_their_digits():
+    # z = 1 - sqrt(1 - r^2) is umbilic everywhere, where H_e +- sqrt(H_e^2 - K_e)
+    # loses half the digits; 25 points, the pole among them
+    r = np.linspace(0.0, 0.9, 5)[:, None]
+    t = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)[None, :]
+    x, y = r * np.cos(t), r * np.sin(t)
+    s = np.sqrt(1.0 - x * x - y * y)
+    j = monge_jet(x, y, 1.0 - s, x / s, y / s,
+                  (1.0 - y * y) / s ** 3, x * y / s ** 3, (1.0 - x * x) / s ** 3)
+    _, _, k1_e, k2_e = euclidean_curvatures(j)
+    assert k1_e.shape == (5, 5) and x[0, 0] == y[0, 0] == 0.0
+    assert np.all(np.abs(k1_e - 1.0) <= 8 * np.finfo(float).eps)
+    assert np.all(np.abs(k2_e - 1.0) <= 8 * np.finfo(float).eps)
+
+
 def test_helicoid_is_euclidean_minimal_too():
     jet = evaluate(make_spec("helicoid"), 0.9, 1.1)
     _, H_e, _, _ = euclidean_curvatures(height_jet_from_param(jet))

@@ -35,7 +35,7 @@ def test_helicoid_grid_is_fully_valid():
     assert s["n_nodes"] == 100
     assert s["n_masked"] == 0
     assert s["n_valid"] == 100
-    assert len(grid.quads) == 81
+    assert len(grid.quad_indices()) == 81
     assert grid.vertex_rows().shape == (100, 3)
 
 
@@ -138,7 +138,7 @@ def test_flat_grid_stats_give_nan_residual_without_warning(a):
 
 def test_obj_text_layout():
     grid = sample_grid(make_spec("helicoid", {}), 3, 3)
-    text = obj_text(grid)
+    text = obj_text(grid.vertex_rows(), grid.quad_indices())
     lines = text.splitlines()
     v_lines = [l for l in lines if l.startswith("v ")]
     f_lines = [l for l in lines if l.startswith("f ")]
@@ -152,14 +152,23 @@ def test_obj_text_layout():
     assert first == ["f", "1", "4", "5", "2"] or len(first) == 5
 
 
+def test_obj_text_of_a_hand_written_mesh():
+    vertices = np.array([[0.0, -0.0, 1.5], [1.0, 0.0, -2.0], [1.0, 1.0, 0.25],
+                         [0.0, 1.0, 1e-20], [2.0, 0.0, 3.0], [2.0, 1.0, 0.1]])
+    quads = np.array([[1, 2, 3, 4], [2, 5, 6, 3]])
+    assert obj_text(vertices, quads) == (
+        "v 0 0 1.5\nv 1 0 -2\nv 1 1 0.25\nv 0 1 9.9999999999999995e-21\n"
+        "v 2 0 3\nv 2 1 0.10000000000000001\nf 1 2 3 4\nf 2 5 6 3\n")
+
+
 def test_obj_deterministic_across_calls(tmp_path):
     grid = sample_grid(make_spec("spiral_ruled", {"a": -2.0}), 12, 12)
     p1, p2 = tmp_path / "m1.obj", tmp_path / "m2.obj"
-    write_text(obj_text(grid), p1)
-    write_text(obj_text(grid), p2)
+    write_text(obj_text(grid.vertex_rows(), grid.quad_indices()), p1)
+    write_text(obj_text(grid.vertex_rows(), grid.quad_indices()), p2)
     assert p1.read_bytes() == p2.read_bytes()
     buf = io.StringIO()
-    write_text(obj_text(grid), buf)
+    write_text(obj_text(grid.vertex_rows(), grid.quad_indices()), buf)
     assert buf.getvalue() == p1.read_text()
 
 
@@ -184,11 +193,12 @@ def test_grid_above_the_node_cap_is_refused_before_sampling(monkeypatch):
 # --- the vectorized emitter against the scalar loops it replaced --------------
 
 def _reference_quad_indices(grid):
-    idx = np.full((grid.nu, grid.nv), -1, dtype=int)
+    nu, nv = grid.mask.shape
+    idx = np.full((nu, nv), -1, dtype=int)
     idx[~grid.mask] = np.arange(int((~grid.mask).sum()))
     quads = []
-    for i in range(grid.nu - 1):
-        for j in range(grid.nv - 1):
+    for i in range(nu - 1):
+        for j in range(nv - 1):
             c = (idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1])
             if all(k >= 0 for k in c):
                 quads.append([k + 1 for k in c])
@@ -232,18 +242,19 @@ def test_emitter_matches_scalar_reference(name, block_rows, monkeypatch):
     quads = grid.quad_indices()
     assert quads.dtype == _reference_quad_indices(grid).dtype
     assert np.array_equal(quads, _reference_quad_indices(grid))
-    assert obj_text(grid).encode() == _reference_obj_text(grid).encode()
-    assert len(grid.quads) == len(quads)
+    assert (obj_text(grid.vertex_rows(), grid.quad_indices()).encode()
+            == _reference_obj_text(grid).encode())
+    assert len(grid.quad_indices()) == len(quads)
 
 
 def test_emitter_grids_cover_their_cases():
     grids = {name: make() for name, make in EMITTER_GRIDS.items()}
-    assert grids["helicoid_axis"].mask.any() and len(grids["helicoid_axis"].quads)
+    assert grids["helicoid_axis"].mask.any() and len(grids["helicoid_axis"].quad_indices())
     v = grids["paraboloid_negative_zero"].vertex_rows()
     assert np.any((v == 0.0) & np.signbit(v))
     assert len(grids["checkerboard"].quad_indices()) == 0
     assert grids["checkerboard"].vertex_rows().shape == (10, 3)
-    assert len(grids["two_by_two"].quads) == 1
+    assert len(grids["two_by_two"].quad_indices()) == 1
 
 
 # --- the format_rows text kernel ----------------------------------------------
@@ -331,7 +342,7 @@ def test_kernel_writes_every_value_of_a_helicoid_grid():
     grid = sample_grid(make_spec("helicoid", {}), 60, 40)
     vertices = grid.vertex_rows().ravel()
     assert isocrpc.meshing._text_fields(vertices)[1].sum() == 0
-    assert isocrpc.meshing._text_fields(grid.quads.ravel())[1].sum() == 0
+    assert isocrpc.meshing._text_fields(grid.quad_indices().ravel())[1].sum() == 0
     # face indices stay inside the %d kernel's range
     assert isocrpc.meshing.MAX_GRID_NODES < 10 ** 8
 
@@ -468,7 +479,7 @@ def test_one_bad_component_masks_as_the_trailing_axis_reduction(field, value, mo
     for g in (grid, dual):
         quads = g.quad_indices()
         assert quads.dtype == int and np.array_equal(quads, _reference_quad_indices(g))
-        assert len(g.quads) == len(quads) > 0
+        assert len(g.quad_indices()) == len(quads) > 0
 
 
 # --- row-block sampling against the grid sampled in one block -----------------
@@ -519,7 +530,8 @@ def test_row_blocks_match_one_block_bit_for_bit(case, block_nodes, monkeypatch):
                 continue
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes(), field
-        assert obj_text(got).encode() == obj_text(want).encode()
+        assert (obj_text(got.vertex_rows(), got.quad_indices()).encode()
+                == obj_text(want.vertex_rows(), want.quad_indices()).encode())
 
 
 def test_block_cases_cover_their_cases():

@@ -229,6 +229,16 @@ def test_every_helper_refuses_the_ratios_crpc_target_refuses(helper, a):
     assert str(refused.value) == str(rule.value)
 
 
+@pytest.mark.parametrize("a", [*(s * 10.0 ** k for k in np.linspace(-8.0, 8.0, 65)
+                                  for s in (1.0, -1.0)),
+                               -1.0, 1e-300, -1e-300, 1e150, -1e150])
+def test_four_times_the_target_is_the_translational_constant_bit_for_bit(a):
+    # the translational identities read c' = (a+1)^2/a as 4 crpc_target(a)
+    want = (a + 1.0) ** 2 / a
+    got = 4.0 * crpc_target(a)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 # --- per-family dispatch -----------------------------------------------------------
 
 FAMILY_CASES = [
